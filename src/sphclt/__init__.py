@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 
 from .specfun import (
     GegenbauerCtx,
-    HilbApprox,
     SphereDim,
     bessel_j,
     bessel_j_zeros,
@@ -15,7 +14,6 @@ from .specfun import (
     gegenbauer,
     gegenbauer_value,
     hermite,
-    hilb_leading,
     sphere_volume,
 )
 from .moments import (
@@ -67,7 +65,6 @@ from .clt import (
     RateFit,
     clt_sweep,
     kolmogorov_distance,
-    normal_quantile,
     rate_fit,
     wasserstein_distance,
 )

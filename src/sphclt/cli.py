@@ -23,7 +23,7 @@ import json
 import math
 import secrets
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,8 +33,8 @@ from .clt import CltReport, _dense_degree_cap, clt_sweep, rate_fit
 from .contractions import berry_esseen_bound, contraction_table, rate_theoretical
 from .moments import (
     DivergentIntegralError,
-    RateMismatchError,
     ToleranceNotMetError,
+    ZeroVarianceError,
     bessel_constant,
     gegenbauer_moment,
     log_divergence_check,
@@ -55,43 +55,6 @@ FORMAT_VERSION = "1"
 
 class UsageError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved parameters of one CLI run (defaults all explicit)."""
-
-    command: str
-    d: int = 2
-    q: int | None = None
-    ell: tuple[int, ...] = ()
-    replicas: int = 2000
-    seed: int | None = None
-    threads: int = 1
-    z: float | None = None
-    betas: tuple[float, ...] | None = None
-    kind: str | None = None
-    out_dir: str = "."
-    ratio_tol: float = 0.05
-    slope_tol: float = 0.10
-    allow_odd: bool = False
-    excursion_q_max: int = 8
-    format_version: str = FORMAT_VERSION
-
-
-_FIELD_TYPES = {f.name: f for f in fields(RunConfig)}
-
-# keys each subcommand accepts (config-file keys outside this set are errors)
-_COMMAND_KEYS = {
-    "moments": {"d", "q", "ell", "ratio_tol", "slope_tol", "out_dir", "threads"},
-    "contractions": {"d", "q", "ell", "out_dir", "threads"},
-    "simulate": {"kind", "d", "q", "betas", "z", "ell", "replicas", "seed", "out_dir",
-                 "threads", "allow_odd", "excursion_q_max"},
-    "clt": {"kind", "d", "q", "betas", "z", "ell", "replicas", "seed", "out_dir",
-            "threads", "allow_odd", "excursion_q_max"},
-    "excursion": {"d", "z", "ell", "replicas", "seed", "out_dir", "threads",
-                  "allow_odd", "excursion_q_max"},
-}
 
 
 def parse_ell_spec(text: str) -> tuple[int, ...]:
@@ -122,24 +85,72 @@ def parse_betas_spec(text: str) -> tuple[float, ...]:
         raise UsageError(f"bad coefficient list {text!r}") from exc
 
 
-def _coerce(key: str, raw: str):
-    if key == "ell":
-        return parse_ell_spec(raw)
-    if key == "betas":
-        return parse_betas_spec(raw)
-    if key == "allow_odd":
-        return raw.strip().lower() in ("1", "true", "yes", "on")
-    target = _FIELD_TYPES[key].type
-    if key in ("z", "ratio_tol", "slope_tol"):
-        return float(raw)
-    if key in ("d", "q", "replicas", "seed", "threads", "excursion_q_max"):
-        return int(raw)
-    if key in ("kind", "out_dir"):
-        return raw.strip()
-    raise UsageError(f"config key {key!r} not settable ({target})")
+def _parse_bool(raw: str) -> bool:
+    return raw.strip().lower() in ("1", "true", "yes", "on")
+
+
+_SWEEPS = ("simulate", "clt", "excursion")
+_ALL = ("moments", "contractions") + _SWEEPS
+
+
+def _key(default, flag: str, parse, help_text: str, commands: tuple[str, ...],
+         choices=None, no_flag: tuple[str, ...] = ()):
+    """A RunConfig field settable by `flag` and by its config-file key.
+
+    `parse` turns the text of either into the value; the commands in
+    `no_flag` take the key from a config file only.
+    """
+    return field(default=default, metadata=dict(flag=flag, parse=parse, help=help_text,
+                                                 commands=commands, choices=choices,
+                                                 no_flag=no_flag))
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Resolved parameters of one CLI run (defaults all explicit).
+
+    Each settable key is declared once, here; the subcommand flags, the keys a
+    config file may set and their parsing are all derived from these fields.
+    """
+
+    command: str
+    kind: str | None = _key(None, "--kind", str, "functional family (default h)",
+                            ("simulate", "clt"), choices=("h", "Z", "S"))
+    d: int = _key(2, "--d", int, "sphere dimension (default 2)", _ALL)
+    q: int | None = _key(None, "--q", int, "power of G (moments), chaos order (contractions) "
+                         "or Hermite order (kind h)", ("moments", "contractions", "simulate", "clt"))
+    betas: tuple[float, ...] | None = _key(None, "--betas", parse_betas_spec,
+                                           "monomial coefficients b0,b1,... for kind Z",
+                                           ("simulate", "clt"))
+    z: float | None = _key(None, "--z", float, "excursion level (kind S)", _SWEEPS)
+    ell: tuple[int, ...] = _key((), "--ell", parse_ell_spec,
+                                "multipoles: '16,64' or dyadic '256..8192'", _ALL)
+    ratio_tol: float = _key(0.05, "--ratio-tol", float,
+                            "tolerance for the final ell^d*moment/c ratio (default 0.05)",
+                            ("moments",))
+    slope_tol: float = _key(0.10, "--slope-tol", float,
+                            "relative tolerance for the (2,4) log-slope check (default 0.10)",
+                            ("moments",))
+    excursion_q_max: int = _key(8, "--excursion-qmax", int,
+                                "chaos truncation order for the excursion variance (default 8)",
+                                _SWEEPS, no_flag=("simulate",))
+    seed: int | None = _key(None, "--seed", int,
+                            "master seed; drawn from entropy and recorded if absent", _SWEEPS)
+    replicas: int = _key(2000, "--reps", int, "replicas per multipole (default 2000)", _SWEEPS)
+    allow_odd: bool = _key(False, "--allow-odd", _parse_bool,
+                           "permit odd multipoles (odd chaoses vanish there)", _SWEEPS)
+    out_dir: str = _key(".", "--out-dir", str, "output directory (default .)", _ALL)
+    threads: int = _key(1, "--threads", int, "worker cap; outputs do not depend on it", _ALL)
+    format_version: str = FORMAT_VERSION
+
+
+def _keys(command: str):
+    """The RunConfig fields that `command` accepts."""
+    return [f for f in fields(RunConfig) if command in f.metadata.get("commands", ())]
 
 
 def read_config_file(path: str, command: str) -> dict:
+    parsers = {f.name: f.metadata["parse"] for f in _keys(command)}
     values = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
@@ -148,9 +159,9 @@ def read_config_file(path: str, command: str) -> dict:
         if "=" not in stripped:
             raise UsageError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in _COMMAND_KEYS[command]:
+        if key not in parsers:
             raise UsageError(f"{path}:{lineno}: unknown key {key!r} for command {command!r}")
-        values[key] = _coerce(key, raw)
+        values[key] = parsers[key](raw)
     return values
 
 
@@ -158,12 +169,14 @@ def build_config(command: str, args: argparse.Namespace) -> RunConfig:
     values = {}
     if getattr(args, "config", None):
         values.update(read_config_file(args.config, command))
-    for key in _COMMAND_KEYS[command]:
-        flag_val = getattr(args, key, None)
+    for f in _keys(command):
+        flag_val = getattr(args, f.name, None)
         if flag_val is not None:
-            values[key] = flag_val
+            values[f.name] = flag_val
     cfg = RunConfig(command=command, **values)
-    if cfg.seed is None and command in ("simulate", "clt", "excursion"):
+    if cfg.z is not None and not math.isfinite(cfg.z):
+        raise UsageError(f"z must be finite, got {cfg.z}")
+    if cfg.seed is None and command in _SWEEPS:
         cfg = replace(cfg, seed=secrets.randbits(63))
     return cfg
 
@@ -304,7 +317,7 @@ def cmd_contractions(cfg: RunConfig) -> int:
         try:
             bound = berry_esseen_bound(ell, q, d)
             tv, k, w = bound.bound_tv, bound.bound_k, bound.bound_w
-        except Exception:
+        except ZeroVarianceError:  # h is a.s. zero (odd ell, odd q): no bound
             tv = k = w = None
         rate = rate_theoretical(ell, q, d)
         for r in range(1, q):
@@ -326,7 +339,7 @@ def cmd_contractions(cfg: RunConfig) -> int:
 
 
 def _require_kind(cfg: RunConfig) -> str:
-    kind = cfg.kind or "h"
+    kind = cfg.kind or ("S" if cfg.command == "excursion" else "h")
     if kind not in ("h", "Z", "S"):
         raise UsageError(f"kind must be one of h, Z, S; got {kind!r}")
     if kind == "h" and (cfg.q is None or cfg.q < 0):
@@ -360,13 +373,13 @@ def cmd_simulate(cfg: RunConfig) -> int:
     normalize_h = kind == "h" and cfg.q >= 2 and variance_h(ell, cfg.q, d) > 0
     rows = []
     for rep in range(cfg.replicas):
-        field = sample_field(d, ell, grid, cfg.seed, rep)
+        realization = sample_field(d, ell, grid, cfg.seed, rep)
         if kind == "h":
-            sample = functional_h(field, cfg.q, normalize=normalize_h)
+            sample = functional_h(realization, cfg.q, normalize=normalize_h)
         elif kind == "Z":
-            sample = functional_Z(field, cfg.betas)
+            sample = functional_Z(realization, cfg.betas)
         else:
-            sample = functional_excursion(field, cfg.z, predicted_variance=pred_var)
+            sample = functional_excursion(realization, cfg.z, predicted_variance=pred_var)
         rows.append((rep, d, sample.kind, ell, cfg.z, sample.raw, sample.normalized))
 
     out = Path(cfg.out_dir)
@@ -390,14 +403,6 @@ def _report_rows(report: CltReport):
 _REPORT_HEADER = ("kind", "d", "q", "z", "ell", "replicas", "empirical_dK", "empirical_dW",
                   "mc_stderr_scale", "theoretical_rate", "explicit_bound", "exact_quadrature",
                   "sample_mean", "sample_var", "predicted_mean", "predicted_var")
-
-
-def _run_sweep(cfg: RunConfig, kind: str) -> CltReport:
-    return clt_sweep(
-        kind, cfg.d, list(cfg.ell), cfg.replicas, cfg.seed,
-        q=cfg.q, betas=cfg.betas, z=cfg.z, threads=cfg.threads,
-        allow_odd=cfg.allow_odd, excursion_q_max=cfg.excursion_q_max,
-    )
 
 
 def _write_sweep_outputs(cfg: RunConfig, report: CltReport, base: str, checks):
@@ -428,11 +433,9 @@ def _write_sweep_outputs(cfg: RunConfig, report: CltReport, base: str, checks):
     write_manifest(out / f"{base}.manifest.json", cfg, outputs, checks, summary)
 
 
-def cmd_clt(cfg: RunConfig) -> int:
-    kind = _require_kind(cfg)
-    if not cfg.ell:
-        raise UsageError("clt requires --ell")
-    report = _run_sweep(cfg, kind)
+def _sweep_checks(report: CltReport) -> list[dict]:
+    """Explicit-bound consistency where a bound exists; for kind S the sample
+    mean and variance against mu_d*Phi(z) and the chaos prediction."""
     checks = []
     for r in report.rows:
         if r.explicit_bound is not None:
@@ -441,32 +444,39 @@ def cmd_clt(cfg: RunConfig) -> int:
                 f"bound_consistency_ell{r.ell}", ok,
                 f"dK = {r.empirical_dK:.4f} vs bound {r.explicit_bound:.4f} + 3*floor",
             ))
-    name_part = f"q{cfg.q}" if kind == "h" else ("poly" if kind == "Z" else f"z{cfg.z:g}")
-    _write_sweep_outputs(cfg, report, f"clt_{kind}_d{cfg.d}_{name_part}", checks)
-    return 0 if all(c["passed"] for c in checks) else 1
+        if report.kind == "S":
+            mean_se = math.sqrt(r.sample_var / r.replicas)
+            var_se = r.sample_var * math.sqrt(2.0 / (r.replicas - 1))
+            checks.append(_check(
+                f"excursion_mean_ell{r.ell}",
+                abs(r.sample_mean - r.predicted_mean) <= 4.0 * mean_se,
+                f"sample mean {r.sample_mean:.6f} vs mu_d*Phi(z) = {r.predicted_mean:.6f} (4se = {4 * mean_se:.6f})",
+            ))
+            checks.append(_check(
+                f"excursion_variance_ell{r.ell}",
+                abs(r.sample_var - r.predicted_var) <= 4.0 * var_se,
+                f"sample var {r.sample_var:.6f} vs chaos prediction {r.predicted_var:.6f} (4se = {4 * var_se:.6f})",
+            ))
+    return checks
 
 
-def cmd_excursion(cfg: RunConfig) -> int:
-    if cfg.z is None:
-        raise UsageError("excursion requires --z")
+def cmd_clt(cfg: RunConfig) -> int:
+    """Serves `clt` and `excursion`, which is the kind S sweep under its own file names."""
+    kind = _require_kind(cfg)
     if not cfg.ell:
-        raise UsageError("excursion requires --ell")
-    report = _run_sweep(cfg, "S")
-    checks = []
-    for r in report.rows:
-        mean_se = math.sqrt(r.sample_var / r.replicas)
-        var_se = r.sample_var * math.sqrt(2.0 / (r.replicas - 1))
-        checks.append(_check(
-            f"excursion_mean_ell{r.ell}",
-            abs(r.sample_mean - r.predicted_mean) <= 4.0 * mean_se,
-            f"sample mean {r.sample_mean:.6f} vs mu_d*Phi(z) = {r.predicted_mean:.6f} (4se = {4 * mean_se:.6f})",
-        ))
-        checks.append(_check(
-            f"excursion_variance_ell{r.ell}",
-            abs(r.sample_var - r.predicted_var) <= 4.0 * var_se,
-            f"sample var {r.sample_var:.6f} vs chaos prediction {r.predicted_var:.6f} (4se = {4 * var_se:.6f})",
-        ))
-    _write_sweep_outputs(cfg, report, f"excursion_d{cfg.d}_z{cfg.z:g}", checks)
+        raise UsageError(f"{cfg.command} requires --ell")
+    if cfg.command == "excursion":
+        base = f"excursion_d{cfg.d}_z{cfg.z:g}"
+    else:
+        name_part = f"q{cfg.q}" if kind == "h" else ("poly" if kind == "Z" else f"z{cfg.z:g}")
+        base = f"clt_{kind}_d{cfg.d}_{name_part}"
+    report = clt_sweep(
+        kind, cfg.d, list(cfg.ell), cfg.replicas, cfg.seed,
+        q=cfg.q, betas=cfg.betas, z=cfg.z, threads=cfg.threads,
+        allow_odd=cfg.allow_odd, excursion_q_max=cfg.excursion_q_max,
+    )
+    checks = _sweep_checks(report)
+    _write_sweep_outputs(cfg, report, base, checks)
     return 0 if all(c["passed"] for c in checks) else 1
 
 
@@ -474,17 +484,13 @@ def cmd_excursion(cfg: RunConfig) -> int:
 # argument parsing
 # ------------------------------------------------------------------
 
-def _add_common(p):
-    p.add_argument("--config", help="line-oriented config file (key = value); flags win")
-    p.add_argument("--out-dir", dest="out_dir", help="output directory (default .)")
-    p.add_argument("--threads", type=int, help="worker cap; outputs do not depend on it")
-
-
-def _add_sim_common(p):
-    p.add_argument("--seed", type=int, help="master seed; drawn from entropy and recorded if absent")
-    p.add_argument("--reps", dest="replicas", type=int, help="replicas per multipole (default 2000)")
-    p.add_argument("--allow-odd", dest="allow_odd", action="store_const", const=True,
-                   help="permit odd multipoles (odd chaoses vanish there)")
+_COMMANDS = {
+    "moments": (cmd_moments, "Gegenbauer moment integrals, variances, limiting constants"),
+    "contractions": (cmd_contractions, "contraction norms and Berry-Esseen bound tables"),
+    "simulate": (cmd_simulate, "replica-level functional samples at one multipole"),
+    "clt": (cmd_clt, "CLT sweep: empirical distances vs rates and bounds"),
+    "excursion": (cmd_clt, "excursion-area CLT sweep with mean/variance checks"),
+}
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -493,64 +499,20 @@ def make_parser() -> argparse.ArgumentParser:
         description="Variance asymptotics and quantitative CLTs for random spherical eigenfunctions",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("moments", help="Gegenbauer moment integrals, variances, limiting constants")
-    p.add_argument("--d", type=int, help="sphere dimension (default 2)")
-    p.add_argument("--q", type=int, help="power of the Gegenbauer polynomial (>= 2)")
-    p.add_argument("--ell", type=parse_ell_spec, help="multipoles: '16,64' or dyadic '256..8192'")
-    p.add_argument("--ratio-tol", dest="ratio_tol", type=float,
-                   help="tolerance for the final ell^d*moment/c ratio (default 0.05)")
-    p.add_argument("--slope-tol", dest="slope_tol", type=float,
-                   help="relative tolerance for the (2,4) log-slope check (default 0.10)")
-    _add_common(p)
-
-    p = sub.add_parser("contractions", help="contraction norms and Berry-Esseen bound tables")
-    p.add_argument("--d", type=int, help="sphere dimension (default 2)")
-    p.add_argument("--q", type=int, help="chaos order (>= 2)")
-    p.add_argument("--ell", type=parse_ell_spec, help="multipoles")
-    _add_common(p)
-
-    p = sub.add_parser("simulate", help="replica-level functional samples at one multipole")
-    p.add_argument("--kind", choices=("h", "Z", "S"), help="functional family (default h)")
-    p.add_argument("--d", type=int, help="sphere dimension (default 2)")
-    p.add_argument("--q", type=int, help="Hermite order for kind h")
-    p.add_argument("--betas", type=parse_betas_spec, help="monomial coefficients b0,b1,... for kind Z")
-    p.add_argument("--z", type=float, help="excursion level for kind S")
-    p.add_argument("--ell", type=parse_ell_spec, help="single multipole")
-    _add_sim_common(p)
-    _add_common(p)
-
-    p = sub.add_parser("clt", help="CLT sweep: empirical distances vs rates and bounds")
-    p.add_argument("--kind", choices=("h", "Z", "S"), help="functional family (default h)")
-    p.add_argument("--d", type=int, help="sphere dimension (default 2)")
-    p.add_argument("--q", type=int, help="Hermite order for kind h")
-    p.add_argument("--betas", type=parse_betas_spec, help="monomial coefficients for kind Z")
-    p.add_argument("--z", type=float, help="excursion level for kind S")
-    p.add_argument("--ell", type=parse_ell_spec, help="multipole list")
-    p.add_argument("--excursion-qmax", dest="excursion_q_max", type=int,
-                   help="chaos truncation order for the excursion variance (default 8)")
-    _add_sim_common(p)
-    _add_common(p)
-
-    p = sub.add_parser("excursion", help="excursion-area CLT sweep with mean/variance checks")
-    p.add_argument("--d", type=int, help="sphere dimension (default 2)")
-    p.add_argument("--z", type=float, help="excursion level")
-    p.add_argument("--ell", type=parse_ell_spec, help="multipole list")
-    p.add_argument("--excursion-qmax", dest="excursion_q_max", type=int,
-                   help="chaos truncation order for the variance prediction (default 8)")
-    _add_sim_common(p)
-    _add_common(p)
-
+    for command, (_, help_text) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for f in _keys(command):
+            meta = f.metadata
+            if command in meta["no_flag"]:
+                continue
+            if meta["parse"] is _parse_bool:
+                p.add_argument(meta["flag"], dest=f.name, action="store_const", const=True,
+                               help=meta["help"])
+            else:
+                p.add_argument(meta["flag"], dest=f.name, type=meta["parse"],
+                               choices=meta["choices"], help=meta["help"])
+        p.add_argument("--config", help="line-oriented config file (key = value); flags win")
     return parser
-
-
-_DISPATCH = {
-    "moments": cmd_moments,
-    "contractions": cmd_contractions,
-    "simulate": cmd_simulate,
-    "clt": cmd_clt,
-    "excursion": cmd_excursion,
-}
 
 
 def main(argv=None) -> int:
@@ -558,11 +520,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = build_config(args.command, args)
-        return _DISPATCH[args.command](cfg)
-    except UsageError as exc:
-        print(f"sphclt {args.command}: {exc}", file=sys.stderr)
-        return 2
-    except (RateMismatchError, DivergentIntegralError, ValueError) as exc:
+        return _COMMANDS[args.command][0](cfg)
+    except (UsageError, ValueError) as exc:  # DivergentIntegralError etc. are ValueErrors
         print(f"sphclt {args.command}: {exc}", file=sys.stderr)
         return 2
     except ToleranceNotMetError as exc:

@@ -4,7 +4,7 @@ Distances to the standard normal:
   - Kolmogorov: sup over the sorted sample of |F_n - Phi|, evaluated at both
     one-sided limits of every jump;
   - Wasserstein-1: mean absolute quantile coupling against the normal
-    quantiles at (i - 1/2)/n.
+    quantiles at (i - 1/2)/n, taken from SciPy's `ndtri`.
 
 A sweep simulates `replicas` fields per multipole, evaluates one functional
 per replica, normalizes by the analytic variance and tabulates empirical
@@ -26,7 +26,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr
+from scipy.special import ndtr, ndtri
 
 from .contractions import berry_esseen_bound, poly_bound, poly_rate
 from .moments import variance_h
@@ -43,59 +43,6 @@ from .specfun import SphereDim, hermite
 
 # (d, q) pairs where the known fourth-cumulant bounds do not secure a CLT.
 CLT_EXCLUDED_PAIRS = ((3, 3), (3, 4), (4, 3), (5, 3))
-
-
-# ------------------------------------------------------------------
-# normal quantile (rational approximation + one Halley refinement)
-# ------------------------------------------------------------------
-
-_ACKLAM_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-             1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_ACKLAM_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-             6.680131188771972e+01, -1.328068155288572e+01)
-_ACKLAM_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-             -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_ACKLAM_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-             3.754408661907416e+00)
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-
-
-def normal_quantile(p):
-    """Inverse standard normal CDF, relative error far below 1e-9.
-
-    Acklam's rational approximation refined by one Halley step against the
-    exact CDF; vectorized over numpy arrays.
-    """
-    p_in = np.asarray(p, dtype=float)
-    if np.any((p_in <= 0.0) | (p_in >= 1.0)):
-        raise ValueError("normal_quantile requires 0 < p < 1")
-    # work in the lower half only: ndtr keeps full relative accuracy there,
-    # so the Halley step is effective right out to p = 1e-300
-    flip = p_in > 0.5
-    p = np.where(flip, 1.0 - p_in, p_in)
-    x = np.empty_like(p)
-
-    lo = p < 0.02425
-    mid = ~lo
-    if np.any(mid):
-        q = p[mid] - 0.5
-        r = q * q
-        num = ((((_ACKLAM_A[0] * r + _ACKLAM_A[1]) * r + _ACKLAM_A[2]) * r + _ACKLAM_A[3]) * r + _ACKLAM_A[4]) * r + _ACKLAM_A[5]
-        den = ((((_ACKLAM_B[0] * r + _ACKLAM_B[1]) * r + _ACKLAM_B[2]) * r + _ACKLAM_B[3]) * r + _ACKLAM_B[4]) * r + 1.0
-        x[mid] = q * num / den
-    if np.any(lo):
-        q = np.sqrt(-2.0 * np.log(p[lo]))
-        num = ((((_ACKLAM_C[0] * q + _ACKLAM_C[1]) * q + _ACKLAM_C[2]) * q + _ACKLAM_C[3]) * q + _ACKLAM_C[4]) * q + _ACKLAM_C[5]
-        den = (((_ACKLAM_D[0] * q + _ACKLAM_D[1]) * q + _ACKLAM_D[2]) * q + _ACKLAM_D[3]) * q + 1.0
-        x[lo] = num / den
-    # Newton in log space: (Phi - p)/phi = mills * (1 - p/Phi), stable at any
-    # tail depth because log_ndtr never underflows on the lower half (x <= 0)
-    for _ in range(2):
-        log_cdf = log_ndtr(x)
-        mills = np.exp(log_cdf + 0.5 * x * x + _LOG_SQRT_2PI)
-        x = x + mills * np.expm1(np.log(p) - log_cdf)
-    x = np.where(flip, -x, x)
-    return x if x.ndim else float(x)
 
 
 def kolmogorov_distance(samples) -> float:
@@ -115,7 +62,7 @@ def wasserstein_distance(samples) -> float:
     n = x.size
     if n < 2:
         raise ValueError("need at least two samples")
-    q = normal_quantile((np.arange(1, n + 1) - 0.5) / n)
+    q = ndtri((np.arange(1, n + 1) - 0.5) / n)
     return float(np.mean(np.abs(x - q)))
 
 
@@ -253,6 +200,9 @@ def clt_sweep(kind: str, d: int, ell_list, replicas: int, seed: int,
         if d > 2:
             degree = min(degree, _dense_degree_cap(d))
         grid = build_grid(d, degree)
+        # an empty batch fills the grid's sampler cache (synthesis tables or
+        # dense covariance factor) once, before worker threads race to build it
+        _sample_batch(grid, ell, seed, ())
 
         if kind == "h":
             sigma2 = variance_h(ell, q, d)

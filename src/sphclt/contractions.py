@@ -34,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .moments import variance_h
+from .moments import ZeroVarianceError, variance_h
 from .quadrature import gauss_jacobi_rule
 from .specfun import GegenbauerCtx, SphereDim, dim_harmonics
 
@@ -43,10 +43,6 @@ DEGREE_CAP = 4096
 
 class DegreeCapError(ValueError):
     """Requested expansion degree exceeds the configured cap."""
-
-
-class ZeroVarianceError(ValueError):
-    """Normalization impossible: the functional is almost surely zero."""
 
 
 @dataclass(frozen=True)

@@ -55,6 +55,10 @@ class RateMismatchError(ValueError):
     """The requested asymptotic comparison uses the wrong power of ell."""
 
 
+class ZeroVarianceError(ValueError):
+    """Normalization impossible: the functional is almost surely zero."""
+
+
 @dataclass(frozen=True)
 class MomentResult:
     value: float
@@ -86,13 +90,15 @@ def _moment_on(ell, q, d, b, n_panels):
     return float(np.sum(fw)), float(np.sum(np.abs(fw)))
 
 
+@lru_cache(maxsize=256)
 def gegenbauer_moment(ell: int, q: int, d: int, rng: str = "full") -> MomentResult:
     """Moment integral of G_{ell;d}^q against (sin theta)^{d-1} d theta.
 
     `rng` selects the full range [0, pi] or the half range [0, pi/2].  The
     value is refined until the subdivision difference meets
     max(1e-12, 1e-12 |value|); failure raises ToleranceNotMetError with the
-    best value attached.
+    best value attached.  Results are memoized, so the table, variance and
+    slope of one run share each quadrature.
     """
     if ell < 1 or q < 1 or d < 2:
         raise ValueError(f"need ell >= 1, q >= 1, d >= 2, got ({ell}, {q}, {d})")

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr, roots_legendre
 
-from .moments import variance_h
+from .moments import ZeroVarianceError, variance_h
 from .quadrature import gauss_jacobi_rule, panel_nodes
 from .specfun import GegenbauerCtx, SphereDim, hermite
 
@@ -46,10 +46,6 @@ class NodeBudgetError(ValueError):
 
 class CovarianceFactorizationError(RuntimeError):
     """Covariance matrix is too indefinite to factor after clipping."""
-
-
-class ZeroVarianceError(ValueError):
-    """Normalization impossible: the functional is almost surely zero."""
 
 
 @dataclass(frozen=True, eq=False)

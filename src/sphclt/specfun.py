@@ -9,7 +9,7 @@ Conventions:
   - mu(d) = 2 pi^{(d+1)/2} / Gamma((d+1)/2) is the hypersurface volume of the
     unit d-sphere (mu(2) = 4 pi, mu(1) = 2 pi).
   - Only Bessel orders nu = d/2 - 1 arise: integers for even d, half-integers
-    for odd d.
+    for odd d.  SciPy's `jv` evaluates both; no order has its own code path.
 
 Everything here is pure and reentrant; context objects are immutable after
 construction and safe to share across workers.
@@ -161,36 +161,12 @@ def hermite(q: int, t):
 # Bessel functions of the first kind, orders nu = d/2 - 1 only
 # ------------------------------------------------------------------
 
-def _is_half_integer(nu: float) -> bool:
-    return abs(2 * nu - round(2 * nu)) < 1e-9 and round(2 * nu) % 2 == 1
-
-
-def _bessel_half_series(nu: float, x: np.ndarray) -> np.ndarray:
-    # ascending series; max term is O(1) for x <= 12 so no cancellation blowup
-    if x.size == 0:
-        return np.zeros_like(x)
-    half = np.power(x / 2.0, nu, where=x > 0, out=np.zeros_like(x))
-    term = half / math.gamma(nu + 1.0)
-    out = term.copy()
-    q = x * x / 4.0
-    for k in range(1, 60):
-        term = -term * q / (k * (k + nu))
-        out += term
-        if np.max(np.abs(term)) < 1e-18:
-            break
-    if nu == 0.0:
-        out[x == 0] = 1.0
-    return out
-
-
 def bessel_j(nu: float, x):
     """Bessel J_nu(x) for x >= 0 and nu integer or half-integer.
 
-    Integer orders go through SciPy's Cephes/AMOS implementations; the
-    half-integer orders that occur for odd d use their closed trigonometric
-    forms away from the origin and the ascending series below x = 12 (where
-    the trig forms would cancel).  Absolute accuracy is well below 1e-12 on
-    [0, 1e5] for every supported order.
+    Every supported order goes through SciPy's `jv`; its absolute error is
+    below 1e-14 on [0.01, 1e5] at nu = 1/2, 3/2 and 5/2 (checked against
+    mpmath in the tests).
     """
     if nu < 0:
         raise ValueError(f"unsupported Bessel order {nu}: must be >= 0")
@@ -201,24 +177,7 @@ def bessel_j(nu: float, x):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(x < 0):
         raise ValueError("bessel_j requires x >= 0")
-
-    if not _is_half_integer(nu):
-        n = int(round(nu))
-        out = sp.jv(n, x)
-    else:
-        out = np.empty_like(x)
-        small = x < 12.0
-        out[small] = _bessel_half_series(nu, x[small])
-        xl = x[~small]
-        if xl.size:
-            # upward recurrence from J_{-1/2}, J_{1/2}; stable since nu < x here
-            scale = np.sqrt(2.0 / (math.pi * xl))
-            jm, jc = scale * np.cos(xl), scale * np.sin(xl)
-            order = 0.5
-            while order < nu:
-                jm, jc = jc, (2 * order / xl) * jc - jm
-                order += 1.0
-            out[~small] = jc
+    out = sp.jv(round(two_nu) / 2.0, x)
     return float(out[0]) if scalar else out
 
 
@@ -244,66 +203,3 @@ def bessel_j_zeros(nu: float, n: int) -> np.ndarray:
         if np.max(np.abs(step)) < 1e-14:
             break
     return z
-
-
-# ------------------------------------------------------------------
-# Hilb's leading-order approximation
-# ------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class HilbApprox:
-    """Leading Bessel approximation of G_{ell;d}(cos theta) on (0, pi/2].
-
-    The shifted multipole is L = ell + (d-1)/2 and the prefactor
-    a_{ell,d} = Gamma(ell + d/2) / (L^{d/2-1} ell!) tends to 1.  Combining
-    a_{ell,d} with the binomial normalization collapses to the exact factor
-    Gamma(d/2) (2/L)^{d/2-1}, which is what `leading` uses (no large-ell
-    Gamma overflow).
-    """
-
-    ell: int
-    dim: SphereDim
-    L: float = field(init=False)
-    a_ld: float = field(init=False)
-
-    def __post_init__(self):
-        d = self.dim.d
-        object.__setattr__(self, "L", self.ell + (d - 1) / 2.0)
-        log_a = math.lgamma(self.ell + d / 2.0) - math.lgamma(self.ell + 1.0) \
-            - (d / 2.0 - 1.0) * math.log(self.L)
-        object.__setattr__(self, "a_ld", math.exp(log_a))
-
-    def leading(self, theta):
-        """Approximate G_{ell;d}(cos theta); asymptotic in ell, theta in (0, pi/2]."""
-        theta = np.asarray(theta, dtype=float)
-        if np.any(theta <= 0) or np.any(theta > math.pi / 2 + 1e-12):
-            raise ValueError("hilb_leading requires theta in (0, pi/2]")
-        d = self.dim.d
-        s = np.sin(theta)
-        pref = math.gamma(d / 2.0) * (2.0 / self.L) ** (d / 2.0 - 1.0)
-        val = pref * s ** (1.0 - d / 2.0) * np.sqrt(theta / s) * bessel_j(d / 2.0 - 1.0, self.L * theta)
-        return float(val) if val.ndim == 0 else val
-
-    def remainder_bound(self, theta):
-        """Bound on |G - leading|, two regimes split at theta = 1/ell.
-
-        The classical remainder delta(theta) is sqrt(theta) ell^{-3/2} for
-        theta > 1/ell and theta^{d/2+1} ell^{d/2-1} below; the factor 2 is an
-        empirical constant for the hidden O(.) (checked in the tests).
-        """
-        theta = np.asarray(theta, dtype=float)
-        d = self.dim.d
-        ell = max(self.ell, 1)
-        delta = np.where(
-            theta > 1.0 / ell,
-            np.sqrt(theta) * ell ** -1.5,
-            theta ** (d / 2.0 + 1.0) * ell ** (d / 2.0 - 1.0),
-        )
-        pref = math.gamma(d / 2.0) * (2.0 / self.L) ** (d / 2.0 - 1.0)
-        bound = 2.0 * pref * np.sin(theta) ** (1.0 - d / 2.0) * delta
-        return float(bound) if bound.ndim == 0 else bound
-
-
-def hilb_leading(approx: HilbApprox, theta):
-    """Module-level alias for HilbApprox.leading."""
-    return approx.leading(theta)

@@ -101,6 +101,24 @@ def test_contractions_closed_form_check(tmp_path):
     assert float(rows[0]["K"]) == pytest.approx(expect, rel=1e-10)
 
 
+def test_contractions_odd_odd_blank_bounds(tmp_path):
+    # h is a.s. zero at odd ell and odd q: the bound columns stay blank
+    code = run_cli("contractions", "--d", "2", "--q", "3", "--ell", "5", "--out-dir", str(tmp_path))
+    assert code == 0
+    rows = read_rows(tmp_path / "contractions_d2_q3.csv")
+    assert rows and all(r["bound_tv"] == r["bound_k"] == r["bound_w"] == "" for r in rows)
+
+
+def test_contractions_bound_fault_propagates(tmp_path, monkeypatch):
+    import sphclt.cli as cli
+
+    def broken(*args):
+        raise RuntimeError("bound fault")
+    monkeypatch.setattr(cli, "berry_esseen_bound", broken)
+    with pytest.raises(RuntimeError, match="bound fault"):
+        run_cli("contractions", "--d", "2", "--q", "3", "--ell", "8", "--out-dir", str(tmp_path))
+
+
 def test_simulate_rows(tmp_path):
     code = run_cli("simulate", "--kind", "h", "--d", "2", "--q", "2", "--ell", "8",
                    "--reps", "6", "--seed", "3", "--out-dir", str(tmp_path))
@@ -140,6 +158,29 @@ def test_excursion_checks(tmp_path):
     manifest = json.loads((tmp_path / "excursion_d2_z1.manifest.json").read_text())
     names = {c["name"] for c in manifest["checks"]}
     assert names == {"excursion_mean_ell16", "excursion_variance_ell16"}
+
+
+def test_clt_kind_S_runs_excursion_checks(tmp_path):
+    # at z = 40 the excursion set is the whole sphere: Var ~ 1e-33, dK = 1
+    code = run_cli("clt", "--kind", "S", "--z", "40", "--ell", "16,32,64", "--reps", "200",
+                   "--seed", "1", "--out-dir", str(tmp_path))
+    assert code == 1
+    manifest = json.loads((tmp_path / "clt_S_d2_z40.manifest.json").read_text())
+    failed = {c["name"] for c in manifest["checks"] if not c["passed"]}
+    assert {"excursion_mean_ell16", "excursion_variance_ell16"} <= failed
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_nonfinite_z_is_a_usage_error(tmp_path, capsys, source):
+    args = ["excursion", "--ell", "16", "--reps", "200", "--seed", "1", "--out-dir", str(tmp_path)]
+    if source == "flag":
+        args += ["--z", "nan"]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("z = inf\n")
+        args += ["--config", str(cfg)]
+    assert run_cli(*args) == 2
+    assert "z must be finite" in capsys.readouterr().err
 
 
 def test_moments_log_slope_row(tmp_path):

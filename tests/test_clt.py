@@ -13,35 +13,9 @@ from sphclt.clt import (
     CltRow,
     clt_sweep,
     kolmogorov_distance,
-    normal_quantile,
     rate_fit,
     wasserstein_distance,
 )
-
-
-# ------------------------------------------------------------------
-# normal quantile
-# ------------------------------------------------------------------
-
-def test_quantile_accuracy_against_scipy():
-    p = np.concatenate([
-        np.geomspace(1e-14, 0.02, 300),
-        np.linspace(0.021, 0.979, 300),
-        1.0 - np.geomspace(1e-14, 0.02, 300),
-    ])
-    mine = normal_quantile(p)
-    ref = ndtri(p)
-    mask = np.abs(ref) > 1e-8
-    assert np.max(np.abs(mine[mask] - ref[mask]) / np.abs(ref[mask])) < 1e-9
-
-
-def test_quantile_basics():
-    assert normal_quantile(0.5) == 0.0
-    assert normal_quantile(ndtr(1.7)) == pytest.approx(1.7, rel=1e-12)
-    with pytest.raises(ValueError):
-        normal_quantile(0.0)
-    with pytest.raises(ValueError):
-        normal_quantile(1.0)
 
 
 # ------------------------------------------------------------------
@@ -54,7 +28,7 @@ def test_kolmogorov_degenerate():
 
 def test_kolmogorov_exact_quantiles():
     n = 10_000
-    q = normal_quantile((np.arange(1, n + 1) - 0.5) / n)
+    q = ndtri((np.arange(1, n + 1) - 0.5) / n)
     assert kolmogorov_distance(q) <= 1e-4 + 0.5 / n
 
 
@@ -123,6 +97,16 @@ def test_sweep_determinism_and_thread_independence():
     a = clt_sweep("h", 2, [8, 16], 250, seed=42, **kw)
     b = clt_sweep("h", 2, [8, 16], 250, seed=42, q=2, threads=3)
     assert a.rows == b.rows
+
+
+def test_sweep_builds_dense_factor_once(monkeypatch):
+    # the covariance factor is built before the chunks fan out to threads
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    two = clt_sweep("h", 3, [4], 256, 1, q=2, threads=2)
+    assert calls == [(225, 225)]
+    assert clt_sweep("h", 3, [4], 256, 1, q=2, threads=1) == two
 
 
 def test_sweep_validation():

@@ -200,6 +200,11 @@ def test_berry_esseen_zero_variance():
         berry_esseen_bound(5, 3, 2)  # odd-odd
 
 
+def test_zero_variance_error_is_one_class():
+    from sphclt import moments, simulate
+    assert ZeroVarianceError is simulate.ZeroVarianceError is moments.ZeroVarianceError
+
+
 def test_berry_esseen_rate_q3_d2():
     # bound decays like ell^{-1/2}: the scaled sequence stabilizes
     scaled = [berry_esseen_bound(ell, 3, 2).bound_k * math.sqrt(ell) for ell in (32, 64, 128, 256)]

@@ -30,7 +30,7 @@ MU = {d: SphereDim(d) for d in (2, 3, 4, 5)}
 
 # (q, d) -> (value, abs tol, source)
 FROZEN_CONSTANTS = {
-    (3, 3): (math.pi / 4, 1e-9, "closed form of int sin^3(x)/x"),
+    (3, 3): (math.pi / 4, 1e-13 * math.pi / 4, "closed form of int sin^3(x)/x"),
     (4, 3): (math.pi / 4, 1e-8, "closed form of int sin^4(x)/x^2"),
     (5, 3): (5 * math.pi / 32, 1e-9, "closed form of int sin^5(x)/x^3"),
     (3, 2): (0.367552596948, 1e-8, "mpmath quadosc"),
@@ -86,6 +86,22 @@ def test_moment_refinement_stability():
         res = gegenbauer_moment(ell, q, d, "half")
         finer, _ = _moment_on(ell, q, d, math.pi / 2, 2 * res.panels)
         assert abs(finer - res.value) <= res.err_est
+
+
+def test_moment_memoized_per_key(tmp_path, monkeypatch):
+    # the moments table and variance_h share one quadrature per (ell, q, d, rng)
+    from sphclt import moments
+    from sphclt.cli import main
+    calls = []
+    original = moments._moment_on
+    monkeypatch.setattr(moments, "_moment_on",
+                        lambda *args: calls.append(args[:4]) or original(*args))
+    gegenbauer_moment.cache_clear()
+    assert main(["moments", "--d", "2", "--q", "4", "--ell", "16,32",
+                 "--out-dir", str(tmp_path)]) == 0
+    keys = set(calls)
+    assert len(keys) == 2
+    assert len(calls) == 2 * len(keys)  # coarse and fine panel sums, once per key
 
 
 def test_moment_validation():

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from sphclt.specfun import (
     GegenbauerCtx,
-    HilbApprox,
     SphereDim,
     bessel_j,
     bessel_j_zeros,
@@ -23,7 +22,6 @@ from sphclt.specfun import (
     gegenbauer,
     gegenbauer_value,
     hermite,
-    hilb_leading,
     sphere_volume,
 )
 
@@ -203,6 +201,14 @@ def test_bessel_half_integer_closed_forms():
     np.testing.assert_allclose(bessel_j(1.5, x), expect_3half, atol=1e-12)
 
 
+@pytest.mark.parametrize("nu", [0.5, 1.5, 2.5])
+def test_bessel_half_integer_against_mpmath(nu):
+    mpmath = pytest.importorskip("mpmath")
+    x = np.geomspace(0.01, 1e5, 400)
+    ref = np.array([float(mpmath.besselj(nu, mpmath.mpf(float(v)))) for v in x])
+    np.testing.assert_allclose(bessel_j(nu, x), ref, rtol=0, atol=1e-14)
+
+
 def test_bessel_order_validation():
     with pytest.raises(ValueError):
         bessel_j(0.3, 1.0)
@@ -210,48 +216,3 @@ def test_bessel_order_validation():
         bessel_j(-1.0, 1.0)
     with pytest.raises(ValueError):
         bessel_j(0.0, -0.1)
-
-
-# ------------------------------------------------------------------
-# Hilb approximation
-# ------------------------------------------------------------------
-
-def test_hilb_remainder_regime_d2():
-    ha = HilbApprox(100, SphereDim(2))
-    ctx = GegenbauerCtx(100, SphereDim(2))
-    theta = 0.3
-    err = abs(gegenbauer(ctx, math.cos(theta)) - hilb_leading(ha, theta))
-    assert err <= 2.0 * 100 ** -1.5 * math.sqrt(theta)
-    assert err <= ha.remainder_bound(theta)
-
-
-@pytest.mark.parametrize("d", [2, 3, 4, 5])
-def test_hilb_remainder_bound_over_regime(d):
-    for ell in (20, 100, 250):
-        ha = HilbApprox(ell, SphereDim(d))
-        ctx = GegenbauerCtx(ell, SphereDim(d))
-        thetas = np.linspace(1.0 / ell + 1e-9, math.pi / 2, 120)
-        err = np.abs(ctx.evaluate(np.cos(thetas)) - ha.leading(thetas))
-        assert np.all(err <= ha.remainder_bound(thetas))
-
-
-def test_hilb_d3_exact_and_relative():
-    ha = HilbApprox(200, SphereDim(3))
-    g = gegenbauer_value(200, 3, math.cos(0.5))
-    assert abs(ha.leading(0.5) / g - 1.0) < 0.01  # actually ~1e-13: exact for d = 3
-
-
-def test_hilb_prefactor_tends_to_one():
-    # identically 1 at d = 2, strictly increasing to 1 beyond
-    for d in (2, 3, 4, 5):
-        vals = [HilbApprox(2 ** k, SphereDim(d)).a_ld for k in range(1, 10)]
-        assert all(b >= a for a, b in zip(vals, vals[1:]))
-        assert vals[-1] == pytest.approx(1.0, abs=3e-3)
-
-
-def test_hilb_domain():
-    ha = HilbApprox(10, SphereDim(2))
-    with pytest.raises(ValueError):
-        ha.leading(0.0)
-    with pytest.raises(ValueError):
-        ha.leading(2.0)
