@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .clt import CltReport, _dense_degree_cap, clt_sweep, rate_fit
+from .clt import CltReport, clt_sweep, rate_fit
 from .contractions import berry_esseen_bound, contraction_table, rate_theoretical
 from .moments import (
     DivergentIntegralError,
@@ -151,8 +151,12 @@ def _keys(command: str):
 
 def read_config_file(path: str, command: str) -> dict:
     parsers = {f.name: f.metadata["parse"] for f in _keys(command)}
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise UsageError(f"cannot read config file {path!r}: {exc.strerror}") from exc
     values = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -365,8 +369,6 @@ def cmd_simulate(cfg: RunConfig) -> int:
         degree = (len(cfg.betas) - 1) * ell
     else:
         degree = 4 * ell
-    if d > 2:
-        degree = min(degree, _dense_degree_cap(d))  # dense sampler node budget
     grid = build_grid(d, degree)
 
     pred_var = excursion_variance(ell, d, cfg.z, cfg.excursion_q_max) if kind == "S" else None
@@ -517,7 +519,11 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = make_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except UsageError as exc:  # from a flag's parser: argparse lets it through
+        print(f"sphclt: {exc}", file=sys.stderr)
+        return 2
     try:
         cfg = build_config(args.command, args)
         return _COMMANDS[args.command][0](cfg)

@@ -32,7 +32,6 @@ from .contractions import berry_esseen_bound, poly_bound, poly_rate
 from .moments import variance_h
 from .parallel import fixed_chunks, ordered_map
 from .simulate import (
-    DENSE_NODE_CAP,
     ZeroVarianceError,
     _sample_batch,
     build_grid,
@@ -138,19 +137,6 @@ def _s_samples(grid, ell, z, seed, replicas, threads):
     return np.concatenate(parts)
 
 
-def _dense_degree_cap(d: int) -> int:
-    # largest product-grid degree whose node count fits the dense sampler
-    deg = 1
-    while True:
-        n = 1
-        for dd in range(2, d + 1):
-            sub = (deg + 1) if dd == 2 else n
-            n = (deg // 2 + 1) * sub
-        if n > DENSE_NODE_CAP:
-            return max(deg - 1, 1)
-        deg += 1
-
-
 def clt_sweep(kind: str, d: int, ell_list, replicas: int, seed: int,
               q: int | None = None, betas=None, z: float | None = None,
               threads: int = 1, allow_odd: bool = False,
@@ -197,11 +183,9 @@ def clt_sweep(kind: str, d: int, ell_list, replicas: int, seed: int,
             degree = (len(beta) - 1) * ell
         else:
             degree = excursion_degree_factor * ell
-        if d > 2:
-            degree = min(degree, _dense_degree_cap(d))
         grid = build_grid(d, degree)
-        # an empty batch fills the grid's sampler cache (synthesis tables or
-        # dense covariance factor) once, before worker threads race to build it
+        # an empty batch fills the synthesis tables of the grid and its
+        # sub-grids once, before worker threads race to build them
         _sample_batch(grid, ell, seed, ())
 
         if kind == "h":

@@ -99,6 +99,11 @@ def gegenbauer_moment(ell: int, q: int, d: int, rng: str = "full") -> MomentResu
     max(1e-12, 1e-12 |value|); failure raises ToleranceNotMetError with the
     best value attached.  Results are memoized, so the table, variance and
     slope of one run share each quadrature.
+
+    `err_est` is that refinement difference; it leaves out the rounding of
+    the Gegenbauer recurrence, which both resolutions share.  At (4096, 4, 2,
+    "half") it reads 1.6e-12 relative while the error against the Wigner-3j
+    oracle is 4.1e-11.
     """
     if ell < 1 or q < 1 or d < 2:
         raise ValueError(f"need ell >= 1, q >= 1, d >= 2, got ({ell}, {q}, {d})")

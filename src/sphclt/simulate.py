@@ -1,19 +1,23 @@
 """Monte Carlo synthesis of Gaussian random eigenfunctions on S^d and the
 nonlinear functionals built from them.
 
-Grids are product quadrature rules: Gauss-Legendre in cos(theta) times a
-uniform azimuth for d = 2, and Gauss-Jacobi colatitude rules stacked over a
-recursive (d-1)-sphere grid for d >= 3.  A grid of exact degree D integrates
-every polynomial of degree <= D on the sphere exactly, so Hermite functionals
-of a degree-ell field are quadrature-exact whenever q*ell <= D.
+Grids are product quadrature rules built up from the circle: S^1 carries a
+uniform azimuth, and each S^k (k = 2..d) stacks a Gauss-Jacobi colatitude
+rule for the weight (1-t^2)^{k/2-1} over the grid on S^{k-1}.  A grid of
+exact degree D integrates every polynomial of degree <= D on the sphere
+exactly, so Hermite functionals of a degree-ell field are quadrature-exact
+whenever q*ell <= D.
 
-Fields are unit variance with covariance G_{ell;d}(cos distance):
-  - d = 2: synthesis from i.i.d. coefficients on an orthonormal real harmonic
-    basis (associated Legendre recurrences, cost O(nodes * ell)),
-  - d >= 3: dense covariance factorization at the grid nodes (eigenvalue
-    clipping at -1e-10), practical for <= 8192 nodes and small ell.  Explicit
-    harmonic bases for general d are not worth their complexity here; the
-    deterministic moment asymptotics carry the large-ell story for d >= 3.
+Fields are unit variance with covariance G_{ell;d}(cos distance).  One
+recursion synthesizes them for every d, because hyperspherical harmonics
+separate in the colatitude (Dai & Xu 2013, section 1.5):
+    T_ell(theta, xi) = sum_{m=0..ell} lam_{ell,m}(theta) U_m(xi),
+    lam_{ell,m} = sqrt(mu_d n_{m;d-1} / (n_{ell;d} mu_{d-1}))
+                  * sin^m(theta) p_{ell-m}(cos theta),
+where the U_m are independent unit-variance degree-m fields on S^{d-1} and
+p_k is orthonormal for the weight (1-t^2)^{m+d/2-1}.  The recursion ends on
+the circle, where U_m = a cos(m phi) + b sin(m phi).  A level costs one
+profile table per (grid, ell) and O(replicas * ell * nodes) flops.
 
 Every replica derives its generator from (master seed, replica index) through
 a counter-based construction (Philox with the replica in the high counter
@@ -28,15 +32,13 @@ import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr, roots_legendre
+from scipy.special import ndtr
 
 from .moments import ZeroVarianceError, variance_h
 from .quadrature import gauss_jacobi_rule, panel_nodes
-from .specfun import GegenbauerCtx, SphereDim, hermite
+from .specfun import GegenbauerCtx, SphereDim, dim_harmonics, hermite, orthonormal_jacobi
 
 NODE_BUDGET = 2_000_000
-DENSE_NODE_CAP = 8192
-DENSE_ELL_CAP = 16
 HERMITE_CONVERSION_CAP = 16
 
 
@@ -44,26 +46,25 @@ class NodeBudgetError(ValueError):
     """Requested grid exceeds the node budget."""
 
 
-class CovarianceFactorizationError(RuntimeError):
-    """Covariance matrix is too indefinite to factor after clipping."""
-
-
 @dataclass(frozen=True, eq=False)
 class SphereGrid:
     """Quadrature grid on S^d: unit-vector nodes, positive weights summing to
     mu_d, and the largest polynomial degree integrated exactly.
 
-    Grids compare by identity; derived synthesis tables and covariance
-    factors are cached per grid object."""
+    Node (sin theta * xi, cos theta) pairs each colatitude node t = cos theta
+    (outer index) with each node xi of `sub`, the grid on S^{d-1} (inner
+    index).  At d = 2 `sub` is None: the sub-sphere is the circle of `n_phi`
+    uniform azimuths.  Grids compare by identity; synthesis tables are cached
+    per grid object."""
 
     dim: SphereDim
     nodes: np.ndarray = field(repr=False, compare=False)    # (N, d+1)
     weights: np.ndarray = field(repr=False, compare=False)  # (N,)
     exact_degree: int
-    # product structure, kept for the d = 2 synthesis/analysis fast path
-    colat_t: np.ndarray | None = field(default=None, repr=False, compare=False)
-    colat_w: np.ndarray | None = field(default=None, repr=False, compare=False)
-    n_phi: int = 0
+    colat_t: np.ndarray = field(repr=False, compare=False)
+    colat_w: np.ndarray = field(repr=False, compare=False)
+    sub: SphereGrid | None = field(repr=False, compare=False)
+    n_phi: int
 
     @property
     def n_nodes(self) -> int:
@@ -84,44 +85,37 @@ def _orthogonality_check(dim, colat_t, colat_w, sub_weight, exact_degree):
         raise RuntimeError(f"grid orthogonality check failed: max |int G_k| = {worst:.3e}")
 
 
+def _azimuth(n_phi: int) -> np.ndarray:
+    return 2.0 * math.pi * np.arange(n_phi) / n_phi
+
+
 def build_grid(d: int, target_degree: int, node_budget: int = NODE_BUDGET) -> SphereGrid:
     """Product quadrature grid on S^d exact at least to `target_degree`."""
     if target_degree < 1:
         raise ValueError(f"target degree must be >= 1, got {target_degree}")
     if d < 2:
         raise ValueError(f"sphere dimension must be >= 2, got {d}")
-    dim = SphereDim(d)
+    n_phi = target_degree + 1
     n_t = target_degree // 2 + 1
-
-    if d == 2:
-        n_phi = target_degree + 1
-        if n_t * n_phi > node_budget:
-            raise NodeBudgetError(f"grid would need {n_t * n_phi} nodes (budget {node_budget})")
-        t, w_t = roots_legendre(n_t)
-        phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
+    phi = _azimuth(n_phi)
+    # the circle S^1, then one colatitude rule per level
+    nodes = np.column_stack((np.cos(phi), np.sin(phi)))
+    weights = np.full(n_phi, 2.0 * math.pi / n_phi)
+    exact = n_phi - 1
+    grid = None
+    for k in range(2, d + 1):
+        n_sub = weights.size
+        if n_t * n_sub > node_budget:
+            raise NodeBudgetError(f"grid would need {n_t * n_sub} nodes (budget {node_budget})")
+        t, w_t = gauss_jacobi_rule(n_t, k)
+        dim = SphereDim(k)
+        exact = min(2 * n_t - 1, exact)
+        _orthogonality_check(dim, t, w_t, float(np.sum(weights)), exact)
         s = np.sqrt(1.0 - t * t)
-        nodes = np.empty((n_t * n_phi, 3))
-        nodes[:, 0] = np.repeat(s, n_phi) * np.tile(np.cos(phi), n_t)
-        nodes[:, 1] = np.repeat(s, n_phi) * np.tile(np.sin(phi), n_t)
-        nodes[:, 2] = np.repeat(t, n_phi)
-        weights = np.repeat(w_t * (2.0 * math.pi / n_phi), n_phi)
-        grid = SphereGrid(dim, nodes, weights, min(2 * n_t - 1, n_phi - 1),
-                          colat_t=t, colat_w=w_t, n_phi=n_phi)
-        _orthogonality_check(dim, t, w_t, 2.0 * math.pi, grid.exact_degree)
-        return grid
-
-    sub = build_grid(d - 1, target_degree, node_budget)
-    if n_t * sub.n_nodes > node_budget:
-        raise NodeBudgetError(f"grid would need {n_t * sub.n_nodes} nodes (budget {node_budget})")
-    t, w_t = gauss_jacobi_rule(n_t, d)
-    s = np.sqrt(1.0 - t * t)
-    nodes = np.empty((n_t * sub.n_nodes, d + 1))
-    nodes[:, 0] = np.repeat(t, sub.n_nodes)
-    nodes[:, 1:] = np.repeat(s, sub.n_nodes)[:, None] * np.tile(sub.nodes, (n_t, 1))
-    weights = np.repeat(w_t, sub.n_nodes) * np.tile(sub.weights, n_t)
-    exact = min(2 * n_t - 1, sub.exact_degree)
-    grid = SphereGrid(dim, nodes, weights, exact)
-    _orthogonality_check(dim, t, w_t, float(np.sum(sub.weights)), exact)
+        nodes = np.column_stack((np.repeat(s, n_sub)[:, None] * np.tile(nodes, (n_t, 1)),
+                                 np.repeat(t, n_sub)))
+        weights = np.repeat(w_t, n_sub) * np.tile(weights, n_t)
+        grid = SphereGrid(dim, nodes, weights, exact, t, w_t, grid, n_phi)
     return grid
 
 
@@ -144,32 +138,27 @@ def _replica_rng(seed: int, replica: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=replica << 128))
 
 
-def _assoc_legendre_table(ell: int, t: np.ndarray) -> np.ndarray:
-    """Orthonormal theta-profiles lam[m, i] for the real harmonic basis.
+def _n_harmonics(m: int, k: int) -> int:
+    """Dimension of the degree-m harmonics on S^k, for m >= 0 and k >= 1."""
+    if m == 0:
+        return 1
+    return 2 if k == 1 else dim_harmonics(m, k)
 
-    Y_{ell,0} = lam[0], Y^cos_{ell,m} = sqrt(2) lam[m] cos(m phi) and the sin
-    partner, together orthonormal in L^2(S^2, dx).  Normalization is carried
-    inside the recurrence; raw associated Legendre values would overflow long
-    before ell = 256.
-    """
+
+def _profile_table(ell: int, dim: SphereDim, t: np.ndarray) -> np.ndarray:
+    """lam[m, i] = lam_{ell,m}(theta_i), m = 0..ell, at the nodes t = cos theta."""
+    d = dim.d
+    m = np.arange(ell + 1)
     s = np.sqrt(np.maximum(0.0, 1.0 - t * t))
-    n = t.size
-    # diagonal terms lam_mm, then raise the degree to ell at fixed order
-    pmm = np.full(n, math.sqrt(1.0 / (4.0 * math.pi)))
-    out = np.empty((ell + 1, n))
-    for m in range(ell + 1):
-        if m > 0:
-            pmm = pmm * s * math.sqrt((2 * m + 1) / (2.0 * m))
-        if m == ell:
-            out[m] = pmm
-            continue
-        prev, cur = pmm, math.sqrt(2 * m + 3) * t * pmm
-        for deg in range(m + 2, ell + 1):
-            a = math.sqrt((4.0 * deg * deg - 1.0) / (deg * deg - m * m))
-            a_prev = math.sqrt((4.0 * (deg - 1) ** 2 - 1.0) / ((deg - 1) ** 2 - m * m))
-            prev, cur = cur, a * (t * cur - prev / a_prev)
-        out[m] = cur
-    return out
+    # row m runs the recurrence for alpha = m + d/2 - 1 from sin^m * p_0, so
+    # it never leaves the double range; it is read off at degree ell - m
+    lam = np.empty((ell + 1, t.size))
+    rows = orthonormal_jacobi(ell, m[:, None] + (d / 2.0 - 1.0), t, scale=s ** m[:, None])
+    for k, p in enumerate(rows):
+        lam[ell - k] = p[ell - k]
+    n_sub = np.array([_n_harmonics(j, d - 1) for j in m], dtype=float)
+    norm = np.sqrt(dim.mu_d * n_sub / (_n_harmonics(ell, d) * dim.mu_dm1))
+    return norm[:, None] * lam
 
 
 _GRID_CACHES: "weakref.WeakKeyDictionary[SphereGrid, dict]" = weakref.WeakKeyDictionary()
@@ -180,75 +169,56 @@ def _grid_cache(grid: SphereGrid) -> dict:
 
 
 def _synthesis_tables(grid: SphereGrid, ell: int):
+    """(lam, cos_m, sin_m): the profile table (ell+1, n_t) and, at d = 2, the
+    azimuth tables cos(m phi), sin(m phi) (ell+1, n_phi), else None."""
     cache = _grid_cache(grid)
     key = ("synthesis", ell)
     if key not in cache:
-        lam = _assoc_legendre_table(ell, grid.colat_t)
-        m = np.arange(ell + 1)
-        phi = 2.0 * math.pi * np.arange(grid.n_phi) / grid.n_phi
-        cos_m = np.cos(m[:, None] * phi[None, :])
-        sin_m = np.sin(m[:, None] * phi[None, :])
-        cache[key] = (lam, cos_m, sin_m)
+        lam = _profile_table(ell, grid.dim, grid.colat_t)
+        if grid.sub is None:
+            m_phi = np.arange(ell + 1)[:, None] * _azimuth(grid.n_phi)[None, :]
+            cache[key] = (lam, np.cos(m_phi), np.sin(m_phi))
+        else:
+            cache[key] = (lam, None, None)
     return cache[key]
-
-
-def _draw_coefficients(ell: int, seed: int, replicas) -> np.ndarray:
-    """(len(replicas), 2*ell+1) i.i.d. N(0, mu_2/n) coefficient draws."""
-    scale = math.sqrt(4.0 * math.pi / (2 * ell + 1))
-    out = np.empty((len(replicas), 2 * ell + 1))
-    for row, rep in enumerate(replicas):
-        out[row] = _replica_rng(seed, rep).standard_normal(2 * ell + 1)
-    return scale * out
 
 
 def _synthesize_batch(grid: SphereGrid, ell: int, coeffs: np.ndarray) -> np.ndarray:
-    """Field values (R, N) from coefficient rows [a_0, a^c_1.., a^s_1..]."""
+    """Field values (R, N) from rows of n_{ell;d} standard normal draws.
+
+    At d = 2 a row is [a_0, a^c_1..a^c_ell, a^s_1..a^s_ell], the coefficients
+    of the U_m on the circle; at d >= 3 it is ell+1 blocks, block m holding the
+    n_{m;d-1} draws of U_m on the sub-grid in that level's layout.
+    """
     lam, cos_m, sin_m = _synthesis_tables(grid, ell)
     R = coeffs.shape[0]
-    a0 = coeffs[:, :1]
-    ac = coeffs[:, 1:ell + 1] * math.sqrt(2.0)
-    as_ = coeffs[:, ell + 1:] * math.sqrt(2.0)
-    # theta-profiles per replica and order, then beat against the azimuth
-    c_part = np.concatenate([a0, ac], axis=1)[:, :, None] * lam[None, :, :]   # (R, m, n_t)
-    s_part = as_[:, :, None] * lam[None, 1:, :]
-    vals = np.matmul(c_part.transpose(0, 2, 1), cos_m) \
-        + np.matmul(s_part.transpose(0, 2, 1), sin_m[1:])                      # (R, n_t, n_phi)
-    return vals.reshape(R, grid.n_nodes)
-
-
-def _dense_factor(grid: SphereGrid, ell: int):
-    cache = _grid_cache(grid)
-    key = ("dense", ell)
-    if key not in cache:
-        ctx = GegenbauerCtx(ell, grid.dim)
-        gram = np.clip(grid.nodes @ grid.nodes.T, -1.0, 1.0)
-        cov = ctx.evaluate(gram.ravel()).reshape(gram.shape)
-        eigval, eigvec = np.linalg.eigh(cov)
-        residual = max(0.0, -float(eigval[0]))
-        if residual > 1e-8:
-            raise CovarianceFactorizationError(
-                f"covariance not PSD after clipping: most negative eigenvalue {eigval[0]:.3e}"
-            )
-        cache[key] = eigvec * np.sqrt(np.clip(eigval, 0.0, None))
-    return cache[key]
+    if grid.sub is None:
+        # theta-profiles per replica and order, then beat against the azimuth
+        c_part = coeffs[:, :ell + 1, None] * lam[None, :, :]   # (R, m, n_t)
+        s_part = coeffs[:, ell + 1:, None] * lam[None, 1:, :]
+        vals = np.matmul(c_part.transpose(0, 2, 1), cos_m) \
+            + np.matmul(s_part.transpose(0, 2, 1), sin_m[1:])  # (R, n_t, n_phi)
+        return vals.reshape(R, grid.n_nodes)
+    # the sub-fields U_m (R, ell+1, N_sub), then one matmul against the
+    # profiles; for grids exact to degree 2*ell, ell+1 <= n_t, so the stack
+    # is no larger than the output
+    sub = grid.sub
+    sub_fields = np.empty((R, ell + 1, sub.n_nodes))
+    start = 0
+    for m in range(ell + 1):
+        stop = start + _n_harmonics(m, sub.dim.d)
+        sub_fields[:, m] = _synthesize_batch(sub, m, coeffs[:, start:stop])
+        start = stop
+    return np.matmul(lam.T, sub_fields).reshape(R, grid.n_nodes)
 
 
 def _sample_batch(grid: SphereGrid, ell: int, seed: int, replicas) -> np.ndarray:
     """Field values (len(replicas), N); the single entry point for sampling."""
-    d = grid.dim.d
-    if d == 2:
-        return _synthesize_batch(grid, ell, _draw_coefficients(ell, seed, replicas))
-    if grid.n_nodes > DENSE_NODE_CAP:
-        raise NodeBudgetError(
-            f"dense covariance path limited to {DENSE_NODE_CAP} nodes, grid has {grid.n_nodes}"
-        )
-    if ell > DENSE_ELL_CAP:
-        raise ValueError(f"dense covariance path limited to ell <= {DENSE_ELL_CAP}")
-    factor = _dense_factor(grid, ell)
-    out = np.empty((len(replicas), grid.n_nodes))
+    n = dim_harmonics(ell, grid.dim.d)
+    draws = np.empty((len(replicas), n))
     for row, rep in enumerate(replicas):
-        out[row] = factor @ _replica_rng(seed, rep).standard_normal(grid.n_nodes)
-    return out
+        draws[row] = _replica_rng(seed, rep).standard_normal(n)
+    return _synthesize_batch(grid, ell, draws)
 
 
 def sample_field(d: int, ell: int, grid: SphereGrid, seed: int, replica: int = 0) -> FieldRealization:
@@ -404,7 +374,9 @@ def recover_harmonic_coeffs(realization: FieldRealization) -> np.ndarray:
     """Coefficients <T, Y_m> recovered by grid quadrature (d = 2 only).
 
     Returns the 2*ell+1 vector ordered like the synthesis draws; exact (up to
-    rounding) when the grid degree covers 2*ell.
+    rounding) when the grid degree covers 2*ell.  The synthesis basis functions
+    lam_m cos(m phi), lam_m sin(m phi) are sqrt(mu_2 / n_{ell;2}) times
+    orthonormal harmonics, so <T, basis> is divided by that factor.
     """
     grid = realization.grid
     if grid.dim.d != 2:
@@ -417,8 +389,6 @@ def recover_harmonic_coeffs(realization: FieldRealization) -> np.ndarray:
     ring_c = vals @ cos_m.T * w_phi   # (n_t, ell+1)
     ring_s = vals @ sin_m[1:].T * w_phi
     wlam = grid.colat_w[None, :] * lam
-    out = np.empty(2 * ell + 1)
-    out[0] = float(np.einsum("i,i->", wlam[0], ring_c[:, 0]))
-    out[1:ell + 1] = np.einsum("mi,im->m", wlam[1:], ring_c[:, 1:]) * math.sqrt(2.0)
-    out[ell + 1:] = np.einsum("mi,im->m", wlam[1:], ring_s) * math.sqrt(2.0)
-    return out
+    out = np.concatenate((np.einsum("mi,im->m", wlam, ring_c),
+                          np.einsum("mi,im->m", wlam[1:], ring_s)))
+    return out / math.sqrt(grid.dim.mu_d / (2 * ell + 1))

@@ -120,6 +120,30 @@ class GegenbauerCtx:
         return out
 
 
+def orthonormal_jacobi(n: int, alpha, t, scale=1.0):
+    """Yield scale * p_k(t) for k = 0..n, where the p_k are orthonormal on
+    [-1, 1] for the weight (1-t^2)^alpha (alpha >= 0, positive leading
+    coefficients), by the recurrence
+        t p_k = b_{k+1} p_{k+1} + b_k p_{k-1},  b_k^2 = k (k + 2 alpha) / (4 (k + alpha)^2 - 1).
+
+    `alpha` and `scale` broadcast against `t`, so one pass can run several
+    weights at once; only two degrees are held at a time.
+    """
+    alpha = np.asarray(alpha, dtype=float)
+    t = np.asarray(t, dtype=float)
+    # p_0 = 1 / sqrt(integral of the weight), the integral being B(1/2, alpha + 1)
+    log_mass = 0.5 * math.log(math.pi) + sp.gammaln(alpha + 1.0) - sp.gammaln(alpha + 1.5)
+    cur = scale * np.exp(-0.5 * log_mass) * np.ones_like(t)
+    prev = np.zeros_like(cur)
+    b_prev = 0.0
+    yield cur
+    for k in range(1, n + 1):
+        b = np.sqrt(k * (k + 2.0 * alpha) / (4.0 * (k + alpha) ** 2 - 1.0))
+        prev, cur = cur, (t * cur - b_prev * prev) / b
+        b_prev = b
+        yield cur
+
+
 _DOMAIN_SLACK = 1e-12
 
 

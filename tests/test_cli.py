@@ -49,6 +49,18 @@ def test_config_file_merge_and_rejection(tmp_path):
         read_config_file(str(bad), "moments")
 
 
+@pytest.mark.parametrize("args, named", [
+    (("moments", "--q", "3", "--ell", "8..2"), "'8..2'"),
+    (("clt", "--kind", "Z", "--betas", "1,x", "--ell", "8"), "'1,x'"),
+    (("moments", "--q", "3", "--ell", "8", "--config", "missing.cfg"), "missing.cfg"),
+])
+def test_bad_value_or_config_exits_2_with_one_line(tmp_path, capsys, monkeypatch, args, named):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*args, "--out-dir", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and named in err
+
+
 def test_flags_win_over_config(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("d = 3\nq = 2\nell = 4\n")

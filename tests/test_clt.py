@@ -1,6 +1,7 @@
 """Distance estimators, sweep plumbing and rate diagnostics."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -93,20 +94,32 @@ def test_wasserstein_translation_inequality(xs, c):
 # ------------------------------------------------------------------
 
 def test_sweep_determinism_and_thread_independence():
-    kw = dict(q=2, threads=1)
-    a = clt_sweep("h", 2, [8, 16], 250, seed=42, **kw)
-    b = clt_sweep("h", 2, [8, 16], 250, seed=42, q=2, threads=3)
-    assert a.rows == b.rows
+    for d in (2, 3):
+        a = clt_sweep("h", d, [8, 16], 250, seed=42, q=2, threads=1)
+        b = clt_sweep("h", d, [8, 16], 250, seed=42, q=2, threads=3)
+        assert a.rows == b.rows
 
 
-def test_sweep_builds_dense_factor_once(monkeypatch):
-    # the covariance factor is built before the chunks fan out to threads
+def test_sweep_builds_each_table_once(monkeypatch):
+    # the synthesis tables of the grid and its sub-grid are built before the
+    # chunks fan out to threads; a short switch interval widens any race
+    import sphclt.simulate as simulate
+
     calls = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
-    two = clt_sweep("h", 3, [4], 256, 1, q=2, threads=2)
-    assert calls == [(225, 225)]
-    assert clt_sweep("h", 3, [4], 256, 1, q=2, threads=1) == two
+    build = simulate._profile_table
+
+    def counted(ell, dim, t):
+        calls.append((dim.d, ell, t.size))
+        return build(ell, dim, t)
+    monkeypatch.setattr(simulate, "_profile_table", counted)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        four = clt_sweep("h", 3, [8], 256, 1, q=2, threads=4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(calls) == [(2, m, 9) for m in range(9)] + [(3, 8, 9)]
+    assert clt_sweep("h", 3, [8], 256, 1, q=2, threads=1) == four
 
 
 def test_sweep_validation():

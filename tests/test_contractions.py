@@ -72,6 +72,20 @@ def test_expand_power_degree_cap():
         expand_power(2049, 3, 2)
 
 
+@pytest.mark.parametrize("ell,p", [(1024, 4), (2048, 2)])  # (2048, 2) sits at DEGREE_CAP
+def test_expand_power_sum_at_high_degree(ell, p):
+    # sum_k b_k = G(1)^p = 1 rests on every weight of the (p*ell + 2)-point rule
+    assert abs(expand_power(ell, p, 2).coeffs.sum() - 1.0) < 1e-10
+
+
+def test_expand_power_parseval_at_high_degree():
+    # int G^8 = sum_k b_k^2 int G_k^2 for G^4 = sum_k b_k G_k, int G_k^2 = mu_d / (mu_{d-1} n_k)
+    b = expand_power(1024, 4, 2).coeffs
+    n_k = np.array([1.0] + [dim_harmonics(k, 2) for k in range(1, b.size)])
+    parseval = float(np.sum(b * b * MU[2].mu_d / (MU[2].mu_dm1 * n_k)))
+    assert parseval == pytest.approx(gegenbauer_moment(1024, 8, 2, "full").value, rel=1e-9)
+
+
 def test_spectral_variance_cross_check():
     # q! mu_d^2 b_0^(q) reproduces the exact variance
     for d in (2, 3, 4, 5):

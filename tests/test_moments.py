@@ -79,6 +79,26 @@ def test_moment_parity_property(ell, q, d):
         assert abs(full) < 1e-13
 
 
+@pytest.mark.parametrize("ell", [256, 1024, 4096])
+def test_moment_against_wigner_3j_oracle(ell):
+    # int_0^1 P_ell^4 dt = sum_{L even} (2L+1) (ell ell L; 0 0 0)^4, with
+    # (ell ell L; 0 0 0)^2 = L!^2 (2ell-L)! / (2ell+L+1)! * [g! / ((L/2)!^2 (ell-L/2)!)]^2,
+    # g = ell + L/2, summed in 30-digit arithmetic
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        lf = [mpmath.mpf(0)]
+        for k in range(1, 4 * ell + 2):
+            lf.append(lf[-1] + mpmath.log(k))
+        total = mpmath.mpf(0)
+        for L in range(0, 2 * ell + 1, 2):
+            h = L // 2
+            log_sq = (2 * lf[L] + lf[2 * ell - L] - lf[2 * ell + L + 1]
+                      + 2 * (lf[ell + h] - 2 * lf[h] - lf[ell - h]))
+            total += (2 * L + 1) * mpmath.exp(2 * log_sq)
+        oracle = float(total)
+    assert gegenbauer_moment(ell, 4, 2, "half").value == pytest.approx(oracle, rel=1e-10)
+
+
 def test_moment_refinement_stability():
     # halving the panel width must stay inside the reported err_est
     from sphclt.moments import _moment_on

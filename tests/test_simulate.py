@@ -9,13 +9,15 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
+from scipy.special import ndtr, sph_harm_y
 
 from sphclt.moments import variance_h
 from sphclt.simulate import (
     NodeBudgetError,
     ZeroVarianceError,
     _sample_batch,
+    _synthesis_tables,
+    _synthesize_batch,
     build_grid,
     excursion_variance,
     functional_excursion,
@@ -27,7 +29,7 @@ from sphclt.simulate import (
     sample_field,
     FieldRealization,
 )
-from sphclt.specfun import GegenbauerCtx, SphereDim, gegenbauer_value
+from sphclt.specfun import GegenbauerCtx, SphereDim, dim_harmonics, gegenbauer_value, hermite
 
 
 def phi(z):
@@ -36,7 +38,6 @@ def phi(z):
 
 def indicator_projection_oracle(z, q):
     """J_q(1{. <= z}) = -H_{q-1}(z) phi(z) for q >= 1, by parts."""
-    from sphclt.specfun import hermite
     return -float(hermite(q - 1, z)) * phi(z)
 
 
@@ -115,14 +116,39 @@ def test_sampling_d3_statistics():
     assert abs(emp - exact) < 4.0 * math.sqrt((1 + exact ** 2) / n)
 
 
-def test_sampling_d3_caps():
-    grid = build_grid(3, 12)
-    with pytest.raises(ValueError):
-        sample_field(3, 40, grid, seed=0)  # ell cap on the dense path
-    big = build_grid(3, 64)
-    assert big.n_nodes > 8192
-    with pytest.raises(NodeBudgetError):
-        sample_field(3, 4, big, seed=0)
+@pytest.mark.parametrize("d, ell, degree", [(3, 6, 12), (3, 40, 12), (4, 12, 6)])
+def test_synthesis_covariance_oracle(d, ell, degree):
+    # the identity batch gives every basis function: F^T F is the covariance
+    grid = build_grid(d, degree)
+    basis = _synthesize_batch(grid, ell, np.eye(dim_harmonics(ell, d)))
+    gram = np.clip(grid.nodes @ grid.nodes.T, -1.0, 1.0)
+    kernel = GegenbauerCtx(ell, SphereDim(d)).evaluate(gram.ravel()).reshape(gram.shape)
+    assert np.max(np.abs(basis.T @ basis - kernel)) < 1e-12
+
+
+def test_profile_table_d2_matches_scipy_harmonics():
+    # lam_{ell,m} = sqrt(2 n_{m;1} / (2 ell + 1)) sqrt(2 pi) |Y_ell^m(theta, 0)| with the
+    # Condon-Shortley sign removed
+    ell = 256
+    grid = build_grid(2, 2 * ell)
+    lam = _synthesis_tables(grid, ell)[0]
+    m = np.arange(ell + 1)
+    theta = np.arccos(grid.colat_t)
+    ylm = np.array([sph_harm_y(ell, k, theta, 0.0).real for k in m]) * (-1.0) ** m[:, None]
+    norm = np.sqrt(2.0 * np.where(m == 0, 1, 2) / (2 * ell + 1)) * math.sqrt(2.0 * math.pi)
+    assert np.max(np.abs(lam - norm[:, None] * ylm)) < 1e-12
+
+
+@pytest.mark.parametrize("d, ell", [(3, 32), (4, 12)])
+def test_hermite_variance_high_degree(d, ell):
+    # Var[h_{ell;2,d}] on a grid exact to 2*ell, in chunks to bound memory
+    grid = build_grid(d, 2 * ell)
+    n = 400
+    vals = np.concatenate([hermite(2, _sample_batch(grid, ell, 17, range(lo, lo + 50))) @ grid.weights
+                           for lo in range(0, n, 50)])
+    target = variance_h(ell, 2, d)
+    se = target * math.sqrt(2.0 / (n - 1))  # h_{ell;2} is close to Gaussian
+    assert abs(float(np.var(vals, ddof=1)) - target) < 4.0 * se
 
 
 def test_coefficient_recovery_variance():
@@ -181,7 +207,6 @@ def test_functional_h_empirical_variance():
     ell, q, n = 8, 2, 2000
     grid = build_grid(2, q * ell)
     reps = _sample_batch(grid, ell, seed=13, replicas=range(n))
-    from sphclt.specfun import hermite
     vals = hermite(q, reps) @ grid.weights
     target = variance_h(ell, q, 2)
     kurt = float(np.mean((vals - vals.mean()) ** 4)) / float(np.var(vals)) ** 2
