@@ -46,15 +46,10 @@ from .contractions import (
 )
 from .simulate import (
     FieldRealization,
-    FunctionalSample,
     SphereGrid,
     build_grid,
     excursion_variance,
-    functional_excursion,
-    functional_h,
-    functional_Z,
     hermite_projection,
-    monomial_to_hermite,
     recover_harmonic_coeffs,
     sample_field,
 )
@@ -62,9 +57,15 @@ from .clt import (
     CLT_EXCLUDED_PAIRS,
     CltReport,
     CltRow,
+    Functional,
+    FunctionalSample,
     RateFit,
     clt_sweep,
+    functional_excursion,
+    functional_h,
+    functional_Z,
     kolmogorov_distance,
+    monomial_to_hermite,
     rate_fit,
     wasserstein_distance,
 )

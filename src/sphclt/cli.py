@@ -29,7 +29,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .clt import CltReport, clt_sweep, rate_fit
+from .clt import (
+    CltReport,
+    Functional,
+    clt_sweep,
+    functional_excursion,
+    functional_h,
+    functional_Z,
+    rate_fit,
+)
 from .contractions import berry_esseen_bound, contraction_table, rate_theoretical
 from .moments import (
     DivergentIntegralError,
@@ -40,14 +48,7 @@ from .moments import (
     log_divergence_check,
     variance_h,
 )
-from .simulate import (
-    build_grid,
-    excursion_variance,
-    functional_excursion,
-    functional_h,
-    functional_Z,
-    sample_field,
-)
+from .simulate import build_grid, excursion_variance, sample_field
 from .specfun import SphereDim, dim_harmonics
 
 FORMAT_VERSION = "1"
@@ -180,6 +181,8 @@ def build_config(command: str, args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(command=command, **values)
     if cfg.z is not None and not math.isfinite(cfg.z):
         raise UsageError(f"z must be finite, got {cfg.z}")
+    if cfg.replicas < 1 or cfg.threads < 1:
+        raise UsageError(f"replicas and threads must be >= 1, got {cfg.replicas} and {cfg.threads}")
     if cfg.seed is None and command in _SWEEPS:
         cfg = replace(cfg, seed=secrets.randbits(63))
     return cfg
@@ -342,43 +345,30 @@ def cmd_contractions(cfg: RunConfig) -> int:
     return 0 if all(c["passed"] for c in checks) else 1
 
 
-def _require_kind(cfg: RunConfig) -> str:
+def _functional(cfg: RunConfig) -> Functional:
+    """The run's functional; its kind defaults to S for `excursion`, else h."""
     kind = cfg.kind or ("S" if cfg.command == "excursion" else "h")
-    if kind not in ("h", "Z", "S"):
-        raise UsageError(f"kind must be one of h, Z, S; got {kind!r}")
-    if kind == "h" and (cfg.q is None or cfg.q < 0):
-        raise UsageError("kind h requires --q")
-    if kind == "Z" and not cfg.betas:
-        raise UsageError("kind Z requires --betas (monomial coefficients b0,b1,...)")
-    if kind == "S" and cfg.z is None:
-        raise UsageError("kind S requires --z")
-    return kind
+    return Functional.of(kind, cfg.q, cfg.betas, cfg.z, cfg.excursion_q_max)
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
-    kind = _require_kind(cfg)
+    f = _functional(cfg)
     if len(cfg.ell) != 1:
         raise UsageError("simulate runs one multipole at a time; pass --ell with a single value")
     ell = cfg.ell[0]
     if ell % 2 and not cfg.allow_odd:
         raise UsageError("odd multipole; pass --allow-odd to simulate it anyway")
     d = cfg.d
-    if kind == "h":
-        degree = cfg.q * ell
-    elif kind == "Z":
-        degree = (len(cfg.betas) - 1) * ell
-    else:
-        degree = 4 * ell
-    grid = build_grid(d, degree)
+    grid = build_grid(d, f.degree(ell))
 
-    pred_var = excursion_variance(ell, d, cfg.z, cfg.excursion_q_max) if kind == "S" else None
-    normalize_h = kind == "h" and cfg.q >= 2 and variance_h(ell, cfg.q, d) > 0
+    pred_var = excursion_variance(ell, d, cfg.z, cfg.excursion_q_max) if f.kind == "S" else None
+    normalize_h = f.kind == "h" and cfg.q >= 2 and variance_h(ell, cfg.q, d) > 0
     rows = []
     for rep in range(cfg.replicas):
         realization = sample_field(d, ell, grid, cfg.seed, rep)
-        if kind == "h":
+        if f.kind == "h":
             sample = functional_h(realization, cfg.q, normalize=normalize_h)
-        elif kind == "Z":
+        elif f.kind == "Z":
             sample = functional_Z(realization, cfg.betas)
         else:
             sample = functional_excursion(realization, cfg.z, predicted_variance=pred_var)
@@ -386,11 +376,11 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / f"simulate_{kind}_d{d}_ell{ell}.csv"
+    csv_path = out / f"simulate_{f.kind}_d{d}_ell{ell}.csv"
     write_csv(csv_path, ("replica", "d", "q_or_kind", "ell", "z", "raw", "normalized"), rows)
     summary = {"grid": {"d": d, "n_nodes": grid.n_nodes, "exact_degree": grid.exact_degree,
                         "weight_sum": float(grid.weights.sum())}}
-    write_manifest(out / f"simulate_{kind}_d{d}_ell{ell}.manifest.json", cfg, [csv_path.name], [], summary)
+    write_manifest(out / f"simulate_{f.kind}_d{d}_ell{ell}.manifest.json", cfg, [csv_path.name], [], summary)
     return 0
 
 
@@ -464,7 +454,7 @@ def _sweep_checks(report: CltReport) -> list[dict]:
 
 def cmd_clt(cfg: RunConfig) -> int:
     """Serves `clt` and `excursion`, which is the kind S sweep under its own file names."""
-    kind = _require_kind(cfg)
+    kind = _functional(cfg).kind
     if not cfg.ell:
         raise UsageError(f"{cfg.command} requires --ell")
     if cfg.command == "excursion":

@@ -1,4 +1,9 @@
-"""Empirical distribution distances and CLT sweeps across multipoles.
+"""The functional pipeline, empirical distribution distances and CLT sweeps.
+
+One `Functional` spec defines each kind (Hermite functionals h_{ell;q},
+finite Hermite polynomials, the excursion area) by its grid degree,
+reduction, mean, chaos variance and bound; the chunked driver `_samples` and
+the per-realization `functional_*` helpers (which `simulate` calls) use it.
 
 Distances to the standard normal:
   - Kolmogorov: sup over the sorted sample of |F_n - Phi|, evaluated at both
@@ -28,20 +33,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .contractions import berry_esseen_bound, poly_bound, poly_rate
-from .moments import variance_h
+from .contractions import berry_esseen_bound, poly_bound
+from .moments import ZeroVarianceError, variance_h
 from .parallel import fixed_chunks, ordered_map
-from .simulate import (
-    ZeroVarianceError,
-    _sample_batch,
-    build_grid,
-    excursion_variance,
-    monomial_to_hermite,
-)
+from .simulate import FieldRealization, SphereGrid, _sample_batch, build_grid, excursion_variance
 from .specfun import SphereDim, hermite
 
 # (d, q) pairs where the known fourth-cumulant bounds do not secure a CLT.
 CLT_EXCLUDED_PAIRS = ((3, 3), (3, 4), (4, 3), (5, 3))
+# the indicator of kind S is not a polynomial: its grids are exact to 4*ell
+EXCURSION_DEGREE_FACTOR = 4
+HERMITE_CONVERSION_CAP = 16
 
 
 def kolmogorov_distance(samples) -> float:
@@ -63,6 +65,151 @@ def wasserstein_distance(samples) -> float:
         raise ValueError("need at least two samples")
     q = ndtri((np.arange(1, n + 1) - 0.5) / n)
     return float(np.mean(np.abs(x - q)))
+
+
+# ------------------------------------------------------------------
+# functionals
+# ------------------------------------------------------------------
+
+def monomial_to_hermite(b_coeffs) -> np.ndarray:
+    """Hermite coefficients beta with sum_q b_q t^q = sum_j beta_j H_j(t).
+
+    Uses the exact integer triangular identity
+        t^q = sum_k q! / (k! (q-2k)! 2^k) H_{q-2k}(t),
+    valid here up to Q = 16 (exact in double precision far beyond that).
+    """
+    b = np.asarray(b_coeffs, dtype=float)
+    Q = b.size - 1
+    if Q > HERMITE_CONVERSION_CAP:
+        raise ValueError(f"monomial degree {Q} exceeds conversion cap {HERMITE_CONVERSION_CAP}")
+    beta = np.zeros_like(b)
+    for q in range(Q + 1):
+        if b[q] == 0.0:
+            continue
+        for k in range(q // 2 + 1):
+            coef = math.factorial(q) // (math.factorial(k) * math.factorial(q - 2 * k) * 2 ** k)
+            beta[q - 2 * k] += b[q] * coef
+    return beta
+
+
+def _hermite_betas(beta) -> dict[int, float]:
+    """The chaos orders >= 2 of beta with their nonzero coefficients."""
+    return {j: b for j, b in enumerate(beta) if j >= 2 and b != 0.0}
+
+
+@dataclass(frozen=True)
+class Functional:
+    """One functional of a degree-ell field T on S^d, shared by `simulate` and `clt`.
+
+    Kinds h and Z integrate sum_j beta_j H_j(T) (h_{ell;q}: beta = e_q; a
+    polynomial sum_q b_q T^q: beta = monomial_to_hermite(b)); kind S measures
+    {T <= z}.  Build one with `Functional.of`.
+    """
+
+    kind: str                            # "h" | "Z" | "S"
+    label: str                           # sample label: "h3", "Z", "S(z=1)"
+    beta: tuple[float, ...] | None = None  # Hermite coefficients (h, Z)
+    z: float | None = None               # level (S)
+    q_max: int = 8                       # chaos truncation of the S variance
+
+    @classmethod
+    def of(cls, kind: str, q: int | None = None, betas=None, z: float | None = None,
+           q_max: int = 8) -> Functional:
+        if kind == "h":
+            if q is None or q < 0:
+                raise ValueError(f"kind h requires a Hermite order q >= 0, got {q}")
+            return cls("h", f"h{q}", beta=(0.0,) * q + (1.0,))
+        if kind == "Z":
+            if betas is None or len(betas) == 0:
+                raise ValueError("kind Z requires monomial coefficients betas (b0,b1,...)")
+            return cls("Z", "Z", beta=tuple(float(b) for b in monomial_to_hermite(betas)))
+        if kind == "S":
+            if z is None:
+                raise ValueError("kind S requires a level z")
+            return cls("S", f"S(z={z:g})", z=z, q_max=q_max)
+        raise ValueError(f"kind must be 'h', 'Z' or 'S', got {kind!r}")
+
+    def degree(self, ell: int) -> int:
+        """Grid degree: exact for h and Z, EXCURSION_DEGREE_FACTOR * ell for S."""
+        return EXCURSION_DEGREE_FACTOR * ell if self.beta is None else (len(self.beta) - 1) * ell
+
+    def reduce(self, fields, weights):
+        """Quadrature value of the functional over the last axis of `fields`."""
+        if self.beta is None:
+            return (fields <= self.z) @ weights
+        out = 0.0
+        for j, b in enumerate(self.beta):
+            if b != 0.0:
+                out = out + b * (hermite(j, fields) @ weights)
+        return out
+
+    def mean(self, dim: SphereDim) -> float:
+        """Expectation: mu_d times the chaos-0 coefficient."""
+        return (self.beta[0] if self.beta is not None else float(ndtr(self.z))) * dim.mu_d
+
+    def variance(self, ell: int, d: int) -> float:
+        """Sum over chaoses q >= 2 of coefficient^2 * Var[h_{ell;q,d}]; 0 raises."""
+        if self.beta is None:
+            var = excursion_variance(ell, d, self.z, q_max=self.q_max)
+        else:
+            var = sum(b * b * variance_h(ell, j, d) for j, b in _hermite_betas(self.beta).items())
+        if var <= 0.0:
+            raise ZeroVarianceError(f"{self.label} has zero variance at (ell={ell}, d={d})")
+        return var
+
+    def bound(self, ell: int, d: int) -> tuple[float | None, float]:
+        """(explicit d_K bound, or None for S, and the theoretical rate)."""
+        if self.beta is None:
+            return None, ell ** -0.5
+        if self.kind == "h":
+            rec = berry_esseen_bound(ell, len(self.beta) - 1, d)
+        else:
+            rec = poly_bound(ell, d, _hermite_betas(self.beta))
+        return rec.bound_k, rec.rate
+
+    def exact(self, ell: int, grid: SphereGrid) -> bool:
+        """Whether the grid integrates the functional exactly (never for S)."""
+        return self.beta is not None and self.degree(ell) <= grid.exact_degree
+
+
+@dataclass(frozen=True)
+class FunctionalSample:
+    kind: str
+    raw: float
+    normalized: float | None
+    exact_quadrature: bool
+
+
+def _evaluate(f: Functional, realization: FieldRealization, variance: float | None) -> FunctionalSample:
+    """f on one realization; centred and scaled by `variance` unless it is None."""
+    grid = realization.grid
+    raw = float(f.reduce(realization.values, grid.weights))
+    normalized = None
+    if variance is not None:
+        if variance <= 0.0:
+            raise ZeroVarianceError(f"cannot normalize {f.label} by variance {variance}")
+        normalized = (raw - f.mean(grid.dim)) / math.sqrt(variance)
+    return FunctionalSample(f.label, raw, normalized, f.exact(realization.ell, grid))
+
+
+def functional_h(realization: FieldRealization, q: int, normalize: bool = True) -> FunctionalSample:
+    """h_{ell;q,d} = integral of H_q(T_ell): quadrature sum of H_q at the nodes."""
+    f = Functional.of("h", q=q)
+    var = f.variance(realization.ell, realization.grid.dim.d) if normalize else None
+    return _evaluate(f, realization, var)
+
+
+def functional_Z(realization: FieldRealization, b_coeffs, normalize: bool = True) -> FunctionalSample:
+    """Polynomial functional sum_q b_q * integral(T^q) via Hermite re-expansion."""
+    f = Functional.of("Z", betas=b_coeffs)
+    var = f.variance(realization.ell, realization.grid.dim.d) if normalize else None
+    return _evaluate(f, realization, var)
+
+
+def functional_excursion(realization: FieldRealization, z: float,
+                         predicted_variance: float | None = None) -> FunctionalSample:
+    """Empirical measure of {T <= z}, centred at mu_d Phi(z); no grid is exact for it."""
+    return _evaluate(Functional.of("S", z=z), realization, predicted_variance)
 
 
 # ------------------------------------------------------------------
@@ -97,50 +244,19 @@ class CltReport:
     warnings: tuple[str, ...] = ()
 
 
-def _h_samples(grid, ell, q, seed, replicas, threads):
-    w = grid.weights
-
+def _samples(f: Functional, grid: SphereGrid, ell: int, seed: int, replicas: int,
+             threads: int) -> np.ndarray:
+    """Raw values of f for replicas 0..replicas-1, in fixed chunks."""
     def chunk_values(bounds):
         lo, hi = bounds
-        fields = _sample_batch(grid, ell, seed, range(lo, hi))
-        return hermite(q, fields) @ w
+        return f.reduce(_sample_batch(grid, ell, seed, range(lo, hi)), grid.weights)
 
-    parts = ordered_map(chunk_values, fixed_chunks(replicas), threads)
-    return np.concatenate(parts)
-
-
-def _z_samples(grid, ell, beta, seed, replicas, threads):
-    w = grid.weights
-    orders = [j for j, bj in enumerate(beta) if bj != 0.0]
-
-    def chunk_values(bounds):
-        lo, hi = bounds
-        fields = _sample_batch(grid, ell, seed, range(lo, hi))
-        out = np.zeros(hi - lo)
-        for j in orders:
-            out += beta[j] * (hermite(j, fields) @ w)
-        return out
-
-    parts = ordered_map(chunk_values, fixed_chunks(replicas), threads)
-    return np.concatenate(parts)
-
-
-def _s_samples(grid, ell, z, seed, replicas, threads):
-    w = grid.weights
-
-    def chunk_values(bounds):
-        lo, hi = bounds
-        fields = _sample_batch(grid, ell, seed, range(lo, hi))
-        return (fields <= z) @ w
-
-    parts = ordered_map(chunk_values, fixed_chunks(replicas), threads)
-    return np.concatenate(parts)
+    return np.concatenate(ordered_map(chunk_values, fixed_chunks(replicas), threads))
 
 
 def clt_sweep(kind: str, d: int, ell_list, replicas: int, seed: int,
               q: int | None = None, betas=None, z: float | None = None,
-              threads: int = 1, allow_odd: bool = False,
-              excursion_degree_factor: int = 4, excursion_q_max: int = 8) -> CltReport:
+              threads: int = 1, allow_odd: bool = False, excursion_q_max: int = 8) -> CltReport:
     """Simulate the requested functional across ell_list and tabulate
     empirical Kolmogorov/Wasserstein distances against rates and bounds.
 
@@ -149,8 +265,7 @@ def clt_sweep(kind: str, d: int, ell_list, replicas: int, seed: int,
     allow_odd is set.  Replica batches are fixed-size, so `threads` never
     changes any output value.
     """
-    if kind not in ("h", "Z", "S"):
-        raise ValueError(f"kind must be 'h', 'Z' or 'S', got {kind!r}")
+    f = Functional.of(kind, q, betas, z, excursion_q_max)
     if replicas < 200:
         raise ValueError(f"need at least 200 replicas per row, got {replicas}")
     ells = [int(l) for l in ell_list]
@@ -160,67 +275,23 @@ def clt_sweep(kind: str, d: int, ell_list, replicas: int, seed: int,
         raise ValueError("odd multipoles kill odd chaoses; pass allow_odd=True to sweep them anyway")
 
     warns: list[str] = []
-    if kind == "h":
-        if q is None:
-            raise ValueError("kind 'h' requires q")
-        if (d, q) in CLT_EXCLUDED_PAIRS:
-            msg = (f"(d={d}, q={q}) is outside the proven CLT range; "
-                   "the fourth-cumulant bounds do not guarantee convergence")
-            warnings.warn(msg)
-            warns.append(msg)
-    if kind == "Z" and betas is None:
-        raise ValueError("kind 'Z' requires monomial coefficients")
-    if kind == "S" and z is None:
-        raise ValueError("kind 'S' requires a level z")
+    if kind == "h" and (d, q) in CLT_EXCLUDED_PAIRS:
+        msg = (f"(d={d}, q={q}) is outside the proven CLT range; "
+               "the fourth-cumulant bounds do not guarantee convergence")
+        warnings.warn(msg)
+        warns.append(msg)
 
-    dim = SphereDim(d)
-    beta = monomial_to_hermite(betas) if kind == "Z" else None
     rows = []
     for ell in ells:
-        if kind == "h":
-            degree = q * ell
-        elif kind == "Z":
-            degree = (len(beta) - 1) * ell
-        else:
-            degree = excursion_degree_factor * ell
-        grid = build_grid(d, degree)
+        grid = build_grid(d, f.degree(ell))
         # an empty batch fills the synthesis tables of the grid and its
         # sub-grids once, before worker threads race to build them
         _sample_batch(grid, ell, seed, ())
-
-        if kind == "h":
-            sigma2 = variance_h(ell, q, d)
-            if sigma2 == 0.0:
-                raise ZeroVarianceError(f"Var[h] = 0 at (ell={ell}, q={q}, d={d})")
-            raw = _h_samples(grid, ell, q, seed, replicas, threads)
-            normalized = raw / math.sqrt(sigma2)
-            bound = berry_esseen_bound(ell, q, d)
-            explicit = bound.bound_k
-            rate = bound.rate
-            pred_mean, pred_var = 0.0, sigma2
-            exact = q * ell <= grid.exact_degree
-        elif kind == "Z":
-            var = sum(b * b * variance_h(ell, j, d) for j, b in enumerate(beta) if j >= 2)
-            if var == 0.0:
-                raise ZeroVarianceError("polynomial has zero variance")
-            raw = _z_samples(grid, ell, beta, seed, replicas, threads)
-            pred_mean = beta[0] * dim.mu_d
-            normalized = (raw - pred_mean) / math.sqrt(var)
-            hermite_betas = {j: b for j, b in enumerate(beta) if j >= 2 and b != 0.0}
-            explicit = poly_bound(ell, d, hermite_betas).bound_k
-            rate = poly_rate(ell, d, hermite_betas)
-            pred_var = var
-            exact = (len(beta) - 1) * ell <= grid.exact_degree
-        else:
-            var = excursion_variance(ell, d, z, q_max=excursion_q_max)
-            raw = _s_samples(grid, ell, z, seed, replicas, threads)
-            pred_mean = dim.mu_d * float(ndtr(z))
-            normalized = (raw - pred_mean) / math.sqrt(var)
-            explicit = None
-            rate = ell ** -0.5
-            pred_var = var
-            exact = False
-
+        var = f.variance(ell, d)
+        mean = f.mean(grid.dim)
+        raw = _samples(f, grid, ell, seed, replicas, threads)
+        normalized = (raw - mean) / math.sqrt(var)
+        explicit, rate = f.bound(ell, d)
         rows.append(CltRow(
             ell=ell, replicas=replicas,
             empirical_dK=kolmogorov_distance(normalized),
@@ -228,11 +299,11 @@ def clt_sweep(kind: str, d: int, ell_list, replicas: int, seed: int,
             mc_stderr_scale=0.5 / math.sqrt(replicas),
             theoretical_rate=rate,
             explicit_bound=explicit,
-            exact_quadrature=exact,
+            exact_quadrature=f.exact(ell, grid),
             sample_mean=float(np.mean(raw)),
             sample_var=float(np.var(raw, ddof=1)),
-            predicted_mean=pred_mean,
-            predicted_var=pred_var,
+            predicted_mean=mean,
+            predicted_var=var,
         ))
 
     return CltReport(kind=kind, d=d, q=q,

@@ -5,10 +5,11 @@ orthogonal Gegenbauer family,
 
     G_{ell;d}(t)^p = sum_k b_k G_{k;d}(t),    k = 0 .. p*ell,
 
-computed with an exact-degree Gauss-Jacobi rule.  Convolving two Gegenbauer
-kernels over S^d reproduces a single one (each pairing contributes a factor
-mu_d / n_{k;d} and a Kronecker delta), so the 4-point cyclic integral behind
-the order-r contraction collapses to the spectral sum
+computed with an exact-degree Gauss-Jacobi rule one degree k at a time, in
+O(p*ell) memory.  Convolving two Gegenbauer kernels over S^d reproduces a
+single one (each pairing contributes a factor mu_d / n_{k;d} and a Kronecker
+delta), so the 4-point cyclic integral behind the order-r contraction
+collapses to the spectral sum
 
     K(ell, q; r) = mu_d * sum_k (b_k^{(r)} b_k^{(q-r)})^2 (mu_d / n_{k;d})^3,
 
@@ -36,7 +37,7 @@ import numpy as np
 
 from .moments import ZeroVarianceError, variance_h
 from .quadrature import gauss_jacobi_rule
-from .specfun import GegenbauerCtx, SphereDim, dim_harmonics
+from .specfun import GegenbauerCtx, SphereDim, dim_harmonics, orthonormal_jacobi
 
 DEGREE_CAP = 4096
 
@@ -63,17 +64,13 @@ class SpectralCoeffs:
 def _expand_power_cached(ell: int, p: int, d: int) -> SpectralCoeffs:
     dim = SphereDim(d)
     deg = p * ell
-    n_nodes = deg + 2  # exact for integrands up to degree 2*deg + 3
-    t, w = gauss_jacobi_rule(n_nodes, d)
-    ctx = GegenbauerCtx(deg if deg >= 1 else 1, dim)
-    table = ctx.evaluate_all(t)  # all degrees 0..deg at the nodes
-    power = table[ell] ** p if deg >= 1 else np.ones_like(t)
-    # b_k = (mu_{d-1}/mu_d) n_k * <G^p, G_k>_w ; opposite-parity rows vanish
-    proj = table[: deg + 1] @ (power * w)
-    n_k = np.array([1.0] + [dim_harmonics(k, d) for k in range(1, deg + 1)])
-    coeffs = (dim.mu_dm1 / dim.mu_d) * n_k * proj
-    parity = (np.arange(deg + 1) - deg) % 2 == 1
-    coeffs[parity] = 0.0
+    t, w = gauss_jacobi_rule(deg + 2, d)  # exact for integrands up to degree 2*deg + 3
+    # b_k = <G^p, G_k>_w / <G_k, G_k>_w = <G^p, p_k>_w p_k(1) for the p_k
+    # orthonormal for the weight; t = 1 rides along at weight 0
+    power_w = np.append(GegenbauerCtx(ell, dim).evaluate(t) ** p * w, 0.0)
+    coeffs = np.array([(pk @ power_w) * pk[-1]
+                       for pk in orthonormal_jacobi(deg, d / 2.0 - 1.0, np.append(t, 1.0))])
+    coeffs[(np.arange(deg + 1) - deg) % 2 == 1] = 0.0  # opposite parity vanishes
     coeffs.setflags(write=False)
     return SpectralCoeffs(ell=ell, p=p, dim=dim, coeffs=coeffs)
 

@@ -1,5 +1,6 @@
-"""Monte Carlo synthesis of Gaussian random eigenfunctions on S^d and the
-nonlinear functionals built from them.
+"""Monte Carlo synthesis of Gaussian random eigenfunctions on S^d, and the
+Hermite projections and excursion variance that the functionals of `clt`
+are normalized by.
 
 Grids are product quadrature rules built up from the circle: S^1 carries a
 uniform azimuth, and each S^k (k = 2..d) stacks a Gauss-Jacobi colatitude
@@ -34,12 +35,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr
 
-from .moments import ZeroVarianceError, variance_h
+from .moments import variance_h
 from .quadrature import gauss_jacobi_rule, panel_nodes
 from .specfun import GegenbauerCtx, SphereDim, dim_harmonics, hermite, orthonormal_jacobi
 
 NODE_BUDGET = 2_000_000
-HERMITE_CONVERSION_CAP = 16
 
 
 class NodeBudgetError(ValueError):
@@ -232,95 +232,6 @@ def sample_field(d: int, ell: int, grid: SphereGrid, seed: int, replica: int = 0
 
 
 # ------------------------------------------------------------------
-# functionals
-# ------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FunctionalSample:
-    kind: str
-    raw: float
-    normalized: float | None
-    exact_quadrature: bool
-
-
-def functional_h(realization: FieldRealization, q: int, normalize: bool = True) -> FunctionalSample:
-    """h_{ell;q,d} = integral of H_q(T_ell): quadrature sum of H_q at the nodes."""
-    if q < 0:
-        raise ValueError(f"Hermite order must be >= 0, got {q}")
-    grid = realization.grid
-    raw = float(grid.integrate(hermite(q, realization.values)))
-    exact = q * realization.ell <= grid.exact_degree
-    normalized = None
-    if normalize:
-        sigma2 = variance_h(realization.ell, q, grid.dim.d)
-        if sigma2 == 0.0:
-            raise ZeroVarianceError(f"Var[h] = 0 for (ell={realization.ell}, q={q}); cannot normalize")
-        normalized = raw / math.sqrt(sigma2)
-    return FunctionalSample(kind=f"h{q}", raw=raw, normalized=normalized, exact_quadrature=exact)
-
-
-def monomial_to_hermite(b_coeffs) -> np.ndarray:
-    """Hermite coefficients beta with sum_q b_q t^q = sum_j beta_j H_j(t).
-
-    Uses the exact integer triangular identity
-        t^q = sum_k q! / (k! (q-2k)! 2^k) H_{q-2k}(t),
-    valid here up to Q = 16 (exact in double precision far beyond that).
-    """
-    b = np.asarray(b_coeffs, dtype=float)
-    Q = b.size - 1
-    if Q > HERMITE_CONVERSION_CAP:
-        raise ValueError(f"monomial degree {Q} exceeds conversion cap {HERMITE_CONVERSION_CAP}")
-    beta = np.zeros_like(b)
-    for q in range(Q + 1):
-        if b[q] == 0.0:
-            continue
-        for k in range(q // 2 + 1):
-            coef = math.factorial(q) // (math.factorial(k) * math.factorial(q - 2 * k) * 2 ** k)
-            beta[q - 2 * k] += b[q] * coef
-    return beta
-
-
-def functional_Z(realization: FieldRealization, b_coeffs, normalize: bool = True) -> FunctionalSample:
-    """Polynomial functional sum_q b_q * integral(T^q) via Hermite re-expansion."""
-    beta = monomial_to_hermite(b_coeffs)
-    grid = realization.grid
-    d = grid.dim.d
-    raw = 0.0
-    for j, bj in enumerate(beta):
-        if bj != 0.0:
-            raw += bj * float(grid.integrate(hermite(j, realization.values)))
-    mean = beta[0] * grid.dim.mu_d
-    exact = (beta.size - 1) * realization.ell <= grid.exact_degree
-    normalized = None
-    if normalize:
-        var = sum(bj * bj * variance_h(realization.ell, j, d)
-                  for j, bj in enumerate(beta) if j >= 2 and bj != 0.0)
-        if var == 0.0:
-            raise ZeroVarianceError("polynomial functional has zero variance")
-        normalized = (raw - mean) / math.sqrt(var)
-    return FunctionalSample(kind="Z", raw=raw, normalized=normalized, exact_quadrature=exact)
-
-
-def functional_excursion(realization: FieldRealization, z: float,
-                         predicted_variance: float | None = None) -> FunctionalSample:
-    """Empirical measure of {T <= z}, centered at mu_d Phi(z).
-
-    The indicator is not a polynomial, so no grid is exact for it; the sweep
-    machinery estimates the discretization error by grid refinement instead.
-    """
-    grid = realization.grid
-    raw = float(np.sum(grid.weights[realization.values <= z]))
-    centered = raw - grid.dim.mu_d * float(ndtr(z))
-    normalized = None
-    if predicted_variance is not None:
-        if predicted_variance <= 0.0:
-            raise ZeroVarianceError("excursion variance prediction must be positive")
-        normalized = centered / math.sqrt(predicted_variance)
-    return FunctionalSample(kind=f"S(z={z:g})", raw=raw, normalized=normalized,
-                            exact_quadrature=False)
-
-
-# ------------------------------------------------------------------
 # Hermite projections of square-integrable transforms
 # ------------------------------------------------------------------
 
@@ -337,9 +248,10 @@ def hermite_projection(M, q: int, n_nodes: int = 201) -> float:
         z = float(M[1])
         if q == 0:
             return float(ndtr(z))
-        lo = min(z, 0.0) - 42.0  # phi is zero to double precision below
-        n_panels = max(32, 4 * (q + 1), int(8 * (z - lo)))
-        x, w = panel_nodes(lo, z, n_panels, 16)
+        # phi is zero to double precision beyond 42 on either side
+        lo, hi = min(z, 0.0) - 42.0, min(z, 42.0)
+        n_panels = max(32, 4 * (q + 1), int(8 * (hi - lo)))
+        x, w = panel_nodes(lo, hi, n_panels, 16)
         dens = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
         return float(np.sum(w * dens * hermite(q, x)))
     if callable(M):

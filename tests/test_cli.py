@@ -195,6 +195,24 @@ def test_nonfinite_z_is_a_usage_error(tmp_path, capsys, source):
     assert "z must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("key, flag, value", [("replicas", "--reps", "-5"),
+                                              ("threads", "--threads", "-3")])
+def test_degenerate_counts_are_usage_errors(tmp_path, capsys, source, key, flag, value):
+    args = ["simulate", "--kind", "h", "--q", "2", "--ell", "8", "--seed", "1",
+            "--out-dir", str(tmp_path)]
+    if source == "flag":
+        args += [flag, value]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        args += ["--config", str(cfg)]
+    assert run_cli(*args) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "must be >= 1" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_moments_log_slope_row(tmp_path):
     code = run_cli("moments", "--d", "2", "--q", "4", "--ell", "256..4096",
                    "--out-dir", str(tmp_path))

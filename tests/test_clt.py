@@ -12,11 +12,17 @@ from scipy.special import ndtr, ndtri
 from sphclt.clt import (
     CltReport,
     CltRow,
+    Functional,
     clt_sweep,
+    functional_excursion,
+    functional_h,
+    functional_Z,
     kolmogorov_distance,
     rate_fit,
     wasserstein_distance,
 )
+from sphclt.moments import ZeroVarianceError
+from sphclt.simulate import _sample_batch, build_grid, sample_field
 
 
 # ------------------------------------------------------------------
@@ -87,6 +93,48 @@ def test_wasserstein_translation_inequality(xs, c):
     arr = np.array(xs)
     # triangle inequality form of translation covariance
     assert abs(wasserstein_distance(arr + c) - wasserstein_distance(arr)) <= abs(c) + 1e-9
+
+
+# ------------------------------------------------------------------
+# the functional pipeline
+# ------------------------------------------------------------------
+
+BETAS = (0.0, 0.0, 1.0, 0.0, 1.0)
+ONE_REPLICA = {
+    "h": lambda r: functional_h(r, 3, normalize=False),
+    "Z": lambda r: functional_Z(r, BETAS, normalize=False),
+    "S": lambda r: functional_excursion(r, 1.0),
+}
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("f", [Functional.of("h", q=3), Functional.of("Z", betas=BETAS),
+                               Functional.of("S", z=1.0)], ids=["h", "Z", "S"])
+def test_chunk_reduce_matches_per_replica_helpers(f, d):
+    # the chunked driver and the helpers that `simulate` calls agree
+    ell, seed = 6, 19
+    grid = build_grid(d, f.degree(ell))
+    chunk = f.reduce(_sample_batch(grid, ell, seed, range(5)), grid.weights)
+    single = [ONE_REPLICA[f.kind](sample_field(d, ell, grid, seed, rep)).raw for rep in range(5)]
+    np.testing.assert_allclose(chunk, single, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("x", {"q": 2}), ("h", {}), ("h", {"q": -1}), ("Z", {}), ("Z", {"betas": ()}), ("S", {}),
+])
+def test_functional_of_rejects_bad_specs(kind, params):
+    with pytest.raises(ValueError):
+        Functional.of(kind, **params)
+
+
+@pytest.mark.parametrize("f, ell", [
+    (Functional.of("h", q=3), 5),                    # odd chaos at odd ell
+    (Functional.of("Z", betas=(1.0, 0.5)), 8),       # no chaos of order >= 2
+    (Functional.of("S", z=-60.0), 8),                # phi(z) underflows: every J_q is 0
+], ids=["h", "Z", "S"])
+def test_zero_variance_raises_for_every_kind(f, ell):
+    with pytest.raises(ZeroVarianceError):
+        f.variance(ell, 2)
 
 
 # ------------------------------------------------------------------

@@ -215,8 +215,8 @@ def test_berry_esseen_zero_variance():
 
 
 def test_zero_variance_error_is_one_class():
-    from sphclt import moments, simulate
-    assert ZeroVarianceError is simulate.ZeroVarianceError is moments.ZeroVarianceError
+    from sphclt import clt, moments
+    assert ZeroVarianceError is clt.ZeroVarianceError is moments.ZeroVarianceError
 
 
 def test_berry_esseen_rate_q3_d2():

@@ -11,20 +11,17 @@ import numpy as np
 import pytest
 from scipy.special import ndtr, sph_harm_y
 
-from sphclt.moments import variance_h
+import sphclt.simulate as simulate
+from sphclt.clt import functional_excursion, functional_h, functional_Z, monomial_to_hermite
+from sphclt.moments import ZeroVarianceError, variance_h
 from sphclt.simulate import (
     NodeBudgetError,
-    ZeroVarianceError,
     _sample_batch,
     _synthesis_tables,
     _synthesize_batch,
     build_grid,
     excursion_variance,
-    functional_excursion,
-    functional_h,
-    functional_Z,
     hermite_projection,
-    monomial_to_hermite,
     recover_harmonic_coeffs,
     sample_field,
     FieldRealization,
@@ -272,9 +269,16 @@ def test_hermite_projection_indicator_values():
         math.exp(-0.5) / math.sqrt(2 * math.pi), abs=1e-12)
 
 
-@pytest.mark.parametrize("z", [-1.3, 0.0, 0.6, 2.2])
+@pytest.mark.parametrize("z", [-1.3, 0.0, 0.6, 2.2, 1e6])
 @pytest.mark.parametrize("q", [1, 2, 3, 4, 6, 8])
-def test_hermite_projection_matches_parts_oracle(z, q):
+def test_hermite_projection_matches_parts_oracle(z, q, monkeypatch):
+    # phi vanishes beyond 42, so the work must not grow with the level
+    panels = simulate.panel_nodes
+
+    def bounded(a, b, n_panels, nodes_per_panel=10):
+        assert n_panels <= 1024, f"{n_panels} panels for the level {z}"
+        return panels(a, b, n_panels, nodes_per_panel)
+    monkeypatch.setattr(simulate, "panel_nodes", bounded)
     assert hermite_projection(("indicator", z), q) == pytest.approx(
         indicator_projection_oracle(z, q), abs=1e-11)
 
