@@ -23,7 +23,7 @@ import json
 import math
 import secrets
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +31,7 @@ import numpy as np
 from . import __version__
 from .clt import (
     CltReport,
+    CltRow,
     Functional,
     clt_sweep,
     functional_excursion,
@@ -87,7 +88,12 @@ def parse_betas_spec(text: str) -> tuple[float, ...]:
 
 
 def _parse_bool(raw: str) -> bool:
-    return raw.strip().lower() in ("1", "true", "yes", "on")
+    word = raw.strip().lower()
+    if word in ("1", "true", "yes", "on"):
+        return True
+    if word in ("0", "false", "no", "off"):
+        return False
+    raise UsageError(f"bad boolean {raw!r} (use true/false, yes/no, on/off or 1/0)")
 
 
 _SWEEPS = ("simulate", "clt", "excursion")
@@ -384,17 +390,12 @@ def cmd_simulate(cfg: RunConfig) -> int:
     return 0
 
 
+_REPORT_HEADER = ("kind", "d", "q", "z") + tuple(f.name for f in fields(CltRow))
+
+
 def _report_rows(report: CltReport):
     for r in report.rows:
-        yield (report.kind, report.d, report.q, report.z, r.ell, r.replicas,
-               r.empirical_dK, r.empirical_dW, r.mc_stderr_scale, r.theoretical_rate,
-               r.explicit_bound, r.exact_quadrature, r.sample_mean, r.sample_var,
-               r.predicted_mean, r.predicted_var)
-
-
-_REPORT_HEADER = ("kind", "d", "q", "z", "ell", "replicas", "empirical_dK", "empirical_dW",
-                  "mc_stderr_scale", "theoretical_rate", "explicit_bound", "exact_quadrature",
-                  "sample_mean", "sample_var", "predicted_mean", "predicted_var")
+        yield (report.kind, report.d, report.q, report.z) + astuple(r)
 
 
 def _write_sweep_outputs(cfg: RunConfig, report: CltReport, base: str, checks):

@@ -163,30 +163,11 @@ class BoundRecord:
 
 
 def berry_esseen_bound(ell: int, q: int, d: int) -> BoundRecord:
-    """Explicit normal-approximation bounds for h_{ell;q,d} / sigma."""
+    """Explicit normal-approximation bounds for h_{ell;q,d} / sigma: the
+    single-chaos case of `poly_bound`."""
     if q < 2:
         raise ValueError(f"need q >= 2, got {q}")
-    sigma2 = variance_h(ell, q, d)
-    if sigma2 == 0.0:
-        raise ZeroVarianceError(f"h_(ell={ell}, q={q}, d={d}) is a.s. zero (odd-odd case)")
-    table = contraction_table(ell, q, d)
-    s = 0.0
-    for r in range(1, q):
-        s += (
-            r ** 2 * math.factorial(r) ** 2 * math.comb(q, r) ** 4
-            * math.factorial(2 * q - 2 * r) * table.K_values[r - 1]
-        )
-    s /= q ** 2
-    root = math.sqrt(s) / sigma2
-    return BoundRecord(
-        ell=ell, d=d,
-        bound_tv=2.0 * root,
-        bound_k=root,
-        bound_w=math.sqrt(2.0 / math.pi) * root,
-        fourth_moment_sum=s,
-        variance=sigma2,
-        rate=rate_theoretical(ell, q, d),
-    )
+    return poly_bound(ell, d, {q: 1.0})
 
 
 def rate_theoretical(ell: int, q: int, d: int) -> float:
@@ -281,7 +262,7 @@ def poly_rate(ell: int, d: int, betas: dict[int, float]) -> float:
     if not betas:
         raise ValueError("all polynomial coefficients are zero")
     if betas.get(2, 0.0) != 0.0:
-        return ell ** (-(d - 1) / 2.0)
+        return rate_theoretical(ell, 2, d)
     return max(rate_theoretical(ell, q, d) for q in betas)
 
 

@@ -16,9 +16,11 @@ separate in the colatitude (Dai & Xu 2013, section 1.5):
     lam_{ell,m} = sqrt(mu_d n_{m;d-1} / (n_{ell;d} mu_{d-1}))
                   * sin^m(theta) p_{ell-m}(cos theta),
 where the U_m are independent unit-variance degree-m fields on S^{d-1} and
-p_k is orthonormal for the weight (1-t^2)^{m+d/2-1}.  The recursion ends on
-the circle, where U_m = a cos(m phi) + b sin(m phi).  A level costs one
-profile table per (grid, ell) and O(replicas * ell * nodes) flops.
+p_k is orthonormal for the weight (1-t^2)^{m+d/2-1}.  Every level, S^2
+included, is the same step: stack the U_m on the sub-grid and apply the
+profile table lam with one matmul.  The circle is the base case, where
+U_m = a cos(m phi) + b sin(m phi) comes from cached azimuth tables.  A level
+costs one table per (grid, ell) and O(replicas * ell * nodes) flops.
 
 Every replica derives its generator from (master seed, replica index) through
 a counter-based construction (Philox with the replica in the high counter
@@ -161,54 +163,47 @@ def _profile_table(ell: int, dim: SphereDim, t: np.ndarray) -> np.ndarray:
     return norm[:, None] * lam
 
 
-_GRID_CACHES: "weakref.WeakKeyDictionary[SphereGrid, dict]" = weakref.WeakKeyDictionary()
-
-
-def _grid_cache(grid: SphereGrid) -> dict:
-    return _GRID_CACHES.setdefault(grid, {})
+_TABLES: "weakref.WeakKeyDictionary[SphereGrid, dict]" = weakref.WeakKeyDictionary()
 
 
 def _synthesis_tables(grid: SphereGrid, ell: int):
     """(lam, cos_m, sin_m): the profile table (ell+1, n_t) and, at d = 2, the
     azimuth tables cos(m phi), sin(m phi) (ell+1, n_phi), else None."""
-    cache = _grid_cache(grid)
-    key = ("synthesis", ell)
-    if key not in cache:
+    tables = _TABLES.setdefault(grid, {})
+    if ell not in tables:
         lam = _profile_table(ell, grid.dim, grid.colat_t)
         if grid.sub is None:
             m_phi = np.arange(ell + 1)[:, None] * _azimuth(grid.n_phi)[None, :]
-            cache[key] = (lam, np.cos(m_phi), np.sin(m_phi))
+            tables[ell] = (lam, np.cos(m_phi), np.sin(m_phi))
         else:
-            cache[key] = (lam, None, None)
-    return cache[key]
+            tables[ell] = (lam, None, None)
+    return tables[ell]
 
 
 def _synthesize_batch(grid: SphereGrid, ell: int, coeffs: np.ndarray) -> np.ndarray:
     """Field values (R, N) from rows of n_{ell;d} standard normal draws.
 
-    At d = 2 a row is [a_0, a^c_1..a^c_ell, a^s_1..a^s_ell], the coefficients
-    of the U_m on the circle; at d >= 3 it is ell+1 blocks, block m holding the
-    n_{m;d-1} draws of U_m on the sub-grid in that level's layout.
+    Every level is one step: stack the sub-fields U_m (R, ell+1, N_sub), then
+    apply the profiles lam with one matmul.  At d = 2 the sub-sphere is the
+    circle, the base case: a row is [a_0, a^c_1..a^c_ell, a^s_1..a^s_ell] and
+    U_m = a^c_m cos(m phi) + a^s_m sin(m phi).  At d >= 3 a row is ell+1
+    blocks, block m holding the n_{m;d-1} draws of U_m on the sub-grid in that
+    level's layout.  For grids exact to degree 2*ell, ell+1 <= n_t, so the
+    stack is no larger than the output.
     """
     lam, cos_m, sin_m = _synthesis_tables(grid, ell)
     R = coeffs.shape[0]
-    if grid.sub is None:
-        # theta-profiles per replica and order, then beat against the azimuth
-        c_part = coeffs[:, :ell + 1, None] * lam[None, :, :]   # (R, m, n_t)
-        s_part = coeffs[:, ell + 1:, None] * lam[None, 1:, :]
-        vals = np.matmul(c_part.transpose(0, 2, 1), cos_m) \
-            + np.matmul(s_part.transpose(0, 2, 1), sin_m[1:])  # (R, n_t, n_phi)
-        return vals.reshape(R, grid.n_nodes)
-    # the sub-fields U_m (R, ell+1, N_sub), then one matmul against the
-    # profiles; for grids exact to degree 2*ell, ell+1 <= n_t, so the stack
-    # is no larger than the output
     sub = grid.sub
-    sub_fields = np.empty((R, ell + 1, sub.n_nodes))
-    start = 0
-    for m in range(ell + 1):
-        stop = start + _n_harmonics(m, sub.dim.d)
-        sub_fields[:, m] = _synthesize_batch(sub, m, coeffs[:, start:stop])
-        start = stop
+    if sub is None:
+        sub_fields = coeffs[:, :ell + 1, None] * cos_m
+        sub_fields[:, 1:] += coeffs[:, ell + 1:, None] * sin_m[1:]
+    else:
+        sub_fields = np.empty((R, ell + 1, sub.n_nodes))
+        start = 0
+        for m in range(ell + 1):
+            stop = start + _n_harmonics(m, sub.dim.d)
+            sub_fields[:, m] = _synthesize_batch(sub, m, coeffs[:, start:stop])
+            start = stop
     return np.matmul(lam.T, sub_fields).reshape(R, grid.n_nodes)
 
 

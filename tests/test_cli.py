@@ -47,6 +47,14 @@ def test_config_file_merge_and_rejection(tmp_path):
     bad.write_text("qq = 3\n")
     with pytest.raises(UsageError, match="unknown key"):
         read_config_file(str(bad), "moments")
+    # booleans: a word outside the yes/no vocabularies is named, not read as False
+    flag = tmp_path / "flag.cfg"
+    for word, value in (("yes", True), ("off", False)):
+        flag.write_text(f"allow_odd = {word}\n")
+        assert read_config_file(str(flag), "clt") == {"allow_odd": value}
+    flag.write_text("allow_odd = maybe\n")
+    with pytest.raises(UsageError, match="'maybe'"):
+        read_config_file(str(flag), "clt")
 
 
 @pytest.mark.parametrize("args, named", [

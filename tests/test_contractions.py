@@ -235,9 +235,16 @@ def test_rate_tables():
 
 
 def test_poly_bound_single_term_matches_hermite_bound():
-    for (ell, q) in ((8, 3), (6, 4)):
+    # oracle: S = (1/q^2) sum_r r^2 (r!)^2 C(q,r)^4 (2q-2r)! K(ell, q; r), the
+    # form in the module docstring; poly_bound sums it via r C(q,r) = q C(q-1,r-1)
+    for (ell, q) in ((8, 3), (6, 4), (64, 5)):
+        K = contraction_table(ell, q, 2).K_values
+        S = sum(r ** 2 * math.factorial(r) ** 2 * math.comb(q, r) ** 4
+                * math.factorial(2 * q - 2 * r) * K[r - 1] for r in range(1, q)) / q ** 2
         single = poly_bound(ell, 2, {q: 2.5})
         direct = berry_esseen_bound(ell, q, 2)
+        assert direct.fourth_moment_sum == pytest.approx(S, rel=1e-13)
+        assert direct.bound_k == pytest.approx(math.sqrt(S) / variance_h(ell, q, 2), rel=1e-13)
         assert single.bound_k == pytest.approx(direct.bound_k, rel=1e-12)
         assert single.bound_tv == pytest.approx(direct.bound_tv, rel=1e-12)
 
@@ -250,6 +257,8 @@ def test_poly_rate_rules():
     assert poly_rate(64, 2, {3: 1.0, 7: 2.0}) == pytest.approx(64.0 ** -0.25)
     with pytest.raises(ValueError):
         poly_rate(64, 2, {3: 0.0})
+    with pytest.raises(ValueError):  # the rates start at ell = 2, also with beta_2
+        poly_rate(1, 2, {2: 1.0})
 
 
 def test_poly_bound_validation():

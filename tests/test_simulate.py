@@ -113,7 +113,7 @@ def test_sampling_d3_statistics():
     assert abs(emp - exact) < 4.0 * math.sqrt((1 + exact ** 2) / n)
 
 
-@pytest.mark.parametrize("d, ell, degree", [(3, 6, 12), (3, 40, 12), (4, 12, 6)])
+@pytest.mark.parametrize("d, ell, degree", [(2, 6, 12), (2, 40, 12), (3, 6, 12), (3, 40, 12), (4, 12, 6)])
 def test_synthesis_covariance_oracle(d, ell, degree):
     # the identity batch gives every basis function: F^T F is the covariance
     grid = build_grid(d, degree)
@@ -160,6 +160,18 @@ def test_coefficient_recovery_variance():
     target = 4 * math.pi / 21
     se = target * math.sqrt(2.0 / (n * (2 * ell + 1)))
     assert abs(coefs.var() - target) < 4.0 * se
+
+
+@pytest.mark.parametrize("ell", [1, 10, 64])
+def test_recovery_returns_the_replica_draws(ell):
+    # pins the d = 2 draw layout [a_0, a^c_1..a^c_ell, a^s_1..a^s_ell] and the
+    # (seed, replica) stream: recovery undoes the synthesis draw by draw
+    seed, rep = 23, 5
+    grid = build_grid(2, 2 * ell)
+    coefs = recover_harmonic_coeffs(sample_field(2, ell, grid, seed, rep))
+    draws = simulate._replica_rng(seed, rep).standard_normal(2 * ell + 1)
+    scale = math.sqrt(4 * math.pi / (2 * ell + 1))
+    assert np.max(np.abs(coefs / scale - draws)) < 1e-12
 
 
 def test_parseval_on_grid():
