@@ -1,8 +1,8 @@
 """Shared deterministic quadrature rules.
 
 Two building blocks:
-  - composite Gauss-Legendre panels on an interval (for oscillatory
-    colatitude integrals; panel width chosen by the caller),
+  - composite Gauss-Legendre panels on an interval (the reference rule
+    that the Bessel-constant sums map onto each zero interval),
   - exact-degree Gauss-Jacobi rules for the weight (1-t^2)^{d/2-1} that the
     surface measure of S^d induces on t = cos(theta); cached per (n, d).
 

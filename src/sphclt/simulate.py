@@ -38,6 +38,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .moments import variance_h
+# panel_nodes has no caller here; perfbench/spans.py wraps this binding
 from .quadrature import gauss_jacobi_rule, panel_nodes
 from .specfun import GegenbauerCtx, SphereDim, dim_harmonics, hermite, orthonormal_jacobi
 
@@ -233,9 +234,10 @@ def sample_field(d: int, ell: int, grid: SphereGrid, seed: int, replica: int = 0
 def hermite_projection(M, q: int, n_nodes: int = 201) -> float:
     """J_q(M) = E[M(Z) H_q(Z)] for standard normal Z.
 
-    `M` is either ("indicator", z) for the transform 1{. <= z} (integrated by
-    splitting at the jump) or a callable, handled by Gauss-Hermite quadrature
-    with `n_nodes` points.
+    `M` is either ("indicator", z) for the transform 1{. <= z}, where
+    J_0 = Phi(z) and, since (phi H_{q-1})' = -phi H_q, J_q = -phi(z) H_{q-1}(z)
+    for q >= 1; or a callable, handled by Gauss-Hermite quadrature with
+    `n_nodes` points.
     """
     if q < 0:
         raise ValueError(f"Hermite order must be >= 0, got {q}")
@@ -243,12 +245,9 @@ def hermite_projection(M, q: int, n_nodes: int = 201) -> float:
         z = float(M[1])
         if q == 0:
             return float(ndtr(z))
-        # phi is zero to double precision beyond 42 on either side
-        lo, hi = min(z, 0.0) - 42.0, min(z, 42.0)
-        n_panels = max(32, 4 * (q + 1), int(8 * (hi - lo)))
-        x, w = panel_nodes(lo, hi, n_panels, 16)
-        dens = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-        return float(np.sum(w * dens * hermite(q, x)))
+        # phi underflows to 0 beyond 42, where the clip keeps H_{q-1} finite
+        x = min(max(z, -42.0), 42.0)
+        return -math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi) * hermite(q - 1, x)
     if callable(M):
         if not 1 <= n_nodes <= 500:
             raise ValueError("n_nodes must be in [1, 500] (hermegauss loses stability beyond)")

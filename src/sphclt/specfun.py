@@ -91,12 +91,7 @@ class GegenbauerCtx:
         t = np.asarray(t, dtype=float)
         if self.ell == 0:
             return np.ones_like(t)
-        if t.ndim == 0:
-            prev, cur = 1.0, float(t)
-            for a, b in zip(self.rec_a, self.rec_b):
-                prev, cur = cur, a * t * cur - b * prev
-            return np.asarray(cur)
-        # buffer-reusing recurrence; the loop dominates large-ell moment costs
+        # buffer-reusing recurrence: ell - 1 vectorized steps, three arrays of t.shape
         prev = np.ones_like(t)
         cur = t.copy()
         tmp = np.empty_like(t)

@@ -181,13 +181,25 @@ def test_excursion_checks(tmp_path):
 
 
 def test_clt_kind_S_runs_excursion_checks(tmp_path):
-    # at z = 40 the excursion set is the whole sphere: Var ~ 1e-33, dK = 1
-    code = run_cli("clt", "--kind", "S", "--z", "40", "--ell", "16,32,64", "--reps", "200",
+    # at z = 20 the excursion set is the whole sphere: Var ~ 1e-162, dK = 1
+    code = run_cli("clt", "--kind", "S", "--z", "20", "--ell", "16,32,64", "--reps", "200",
                    "--seed", "1", "--out-dir", str(tmp_path))
     assert code == 1
-    manifest = json.loads((tmp_path / "clt_S_d2_z40.manifest.json").read_text())
+    manifest = json.loads((tmp_path / "clt_S_d2_z20.manifest.json").read_text())
     failed = {c["name"] for c in manifest["checks"] if not c["passed"]}
     assert {"excursion_mean_ell16", "excursion_variance_ell16"} <= failed
+
+
+@pytest.mark.parametrize("command, z, reps", [("simulate", "50", "3"), ("clt", "40", "200")])
+def test_excursion_zero_variance_exits_2(tmp_path, capsys, command, z, reps):
+    # phi(z) underflows beyond |z| ~ 38, so every chaos coefficient is 0 and
+    # the excursion area cannot be normalized
+    code = run_cli(command, "--kind", "S", "--z", z, "--ell", "16", "--reps", reps,
+                   "--seed", "1", "--out-dir", str(tmp_path))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "variance" in err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])

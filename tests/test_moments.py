@@ -9,11 +9,17 @@ alternating-tail assumption fails).
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+try:
+    import mpmath
+except ImportError:  # the oracle tests skip themselves
+    mpmath = None
 
 from sphclt.moments import (
     DivergentIntegralError,
@@ -60,12 +66,16 @@ def test_moment_half_range_example():
     assert gegenbauer_moment(1, 3, 2, "half").value == pytest.approx(0.25, rel=1e-12)
 
 
+def q2_moment(ell, d):
+    """Full-range q = 2 moment from Var[h_2] = 2 mu_d^2 / n_{ell;d}."""
+    return MU[d].mu_d / (MU[d].mu_dm1 * dim_harmonics(ell, d))
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
-@pytest.mark.parametrize("ell", [1, 2, 5, 16, 33, 64])
+@pytest.mark.parametrize("ell", [1, 2, 5, 16, 33, 64, 1024, 4096])
 def test_moment_q2_identity_sweep(d, ell):
     res = gegenbauer_moment(ell, 2, d, "full")
-    expect = MU[d].mu_d / (MU[d].mu_dm1 * dim_harmonics(ell, d))
-    assert res.value == pytest.approx(expect, rel=1e-10)
+    assert res.value == pytest.approx(q2_moment(ell, d), rel=1e-10)
 
 
 @given(ell=st.integers(1, 40), q=st.integers(1, 6), d=st.integers(2, 5))
@@ -79,49 +89,115 @@ def test_moment_parity_property(ell, q, d):
         assert abs(full) < 1e-13
 
 
-@pytest.mark.parametrize("ell", [256, 1024, 4096])
-def test_moment_against_wigner_3j_oracle(ell):
-    # int_0^1 P_ell^4 dt = sum_{L even} (2L+1) (ell ell L; 0 0 0)^4, with
-    # (ell ell L; 0 0 0)^2 = L!^2 (2ell-L)! / (2ell+L+1)! * [g! / ((L/2)!^2 (ell-L/2)!)]^2,
-    # g = ell + L/2, summed in 30-digit arithmetic
-    mpmath = pytest.importorskip("mpmath")
+def _log_factorials(n):
+    lf = [mpmath.mpf(0)]
+    for k in range(1, n + 1):
+        lf.append(lf[-1] + mpmath.log(k))
+    return lf
+
+
+def _log_3j_squared(lf, ell, L):
+    """log (ell ell L; 0 0 0)^2 for even L, from the closed form
+    L!^2 (2ell-L)! / (2ell+L+1)! * [g! / ((L/2)!^2 (ell-L/2)!)]^2, g = ell + L/2."""
+    h = L // 2
+    return (2 * lf[L] + lf[2 * ell - L] - lf[2 * ell + L + 1]
+            + 2 * (lf[ell + h] - 2 * lf[h] - lf[ell - h]))
+
+
+@lru_cache(maxsize=None)
+def wigner_p4_half(ell):
+    """int_0^1 P_ell^4 dt = sum_{L even} (2L+1) (ell ell L; 0 0 0)^4, 30 digits."""
     with mpmath.workdps(30):
-        lf = [mpmath.mpf(0)]
-        for k in range(1, 4 * ell + 2):
-            lf.append(lf[-1] + mpmath.log(k))
-        total = mpmath.mpf(0)
-        for L in range(0, 2 * ell + 1, 2):
-            h = L // 2
-            log_sq = (2 * lf[L] + lf[2 * ell - L] - lf[2 * ell + L + 1]
-                      + 2 * (lf[ell + h] - 2 * lf[h] - lf[ell - h]))
-            total += (2 * L + 1) * mpmath.exp(2 * log_sq)
-        oracle = float(total)
-    assert gegenbauer_moment(ell, 4, 2, "half").value == pytest.approx(oracle, rel=1e-10)
+        lf = _log_factorials(4 * ell + 1)
+        total = sum((2 * L + 1) * mpmath.exp(2 * _log_3j_squared(lf, ell, L))
+                    for L in range(0, 2 * ell + 1, 2))
+        return float(total)
 
 
-def test_moment_refinement_stability():
-    # halving the panel width must stay inside the reported err_est
-    from sphclt.moments import _moment_on
-    for (ell, q, d) in ((9, 3, 2), (23, 4, 3), (64, 2, 5)):
-        res = gegenbauer_moment(ell, q, d, "half")
-        finer, _ = _moment_on(ell, q, d, math.pi / 2, 2 * res.panels)
-        assert abs(finer - res.value) <= res.err_est
+@lru_cache(maxsize=None)
+def legendre_p3_half(ell):
+    """int_0^1 P_ell^3 dt for odd ell, 30 digits: expand P_ell^2 in P_L
+    (L even) by the Wigner-3j sums, then int_0^1 P_L P_ell dt =
+    -P_L(0) ell P_{ell-1}(0) / (L(L+1) - ell(ell+1))."""
+    with mpmath.workdps(30):
+        lf = _log_factorials(4 * ell + 1)
+
+        def p_at_0(n):  # P_n(0), n even
+            return (-1) ** (n // 2) * mpmath.exp(lf[n] - 2 * lf[n // 2] - n * mpmath.log(2))
+        slope = ell * p_at_0(ell - 1)
+        total = sum((2 * L + 1) * mpmath.exp(_log_3j_squared(lf, ell, L))
+                    * -p_at_0(L) * slope / (L * (L + 1) - ell * (ell + 1))
+                    for L in range(0, 2 * ell + 1, 2))
+        return float(total)
+
+
+@lru_cache(maxsize=None)
+def quad_half_moment(ell, q, d):
+    """int_0^1 G_{ell;d}(t)^q (1-t^2)^{d/2-1} dt by 30-digit mpmath.quad, with
+    G from its three-term recurrence in the same precision."""
+    with mpmath.workdps(30):
+        def g(t):
+            prev, cur = mpmath.mpf(1), t
+            for n in range(1, ell):
+                prev, cur = cur, ((2 * n + d - 1) * t * cur - n * prev) / (n + d - 1)
+            return cur
+        # tanh-sinh on four pieces reaches 30 digits at ell <= 33 (more pieces agree)
+        total = mpmath.quad(lambda t: g(t) ** q * (1 - t * t) ** (mpmath.mpf(d - 2) / 2),
+                            mpmath.linspace(0, 1, 5))
+        return float(total)
+
+
+@pytest.mark.parametrize("ell", [256, 1024, 4096, 8192])
+def test_moment_against_wigner_3j_oracle(ell):
+    pytest.importorskip("mpmath")
+    assert gegenbauer_moment(ell, 4, 2, "half").value == pytest.approx(
+        wigner_p4_half(ell), rel=2e-11)
+
+
+ODD_HALF_CASES = [(17, 3, 2), (33, 3, 2), (17, 3, 3), (33, 3, 3)]
+
+
+@pytest.mark.parametrize("ell, q, d", ODD_HALF_CASES)
+def test_moment_odd_half_range_against_mpmath(ell, q, d):
+    # odd q*ell: the half range is not half the full range, and the rule
+    # integrates a sign-changing polynomial with signed weights
+    pytest.importorskip("mpmath")
+    assert gegenbauer_moment(ell, q, d, "half").value == pytest.approx(
+        quad_half_moment(ell, q, d), rel=1e-12)
+
+
+@pytest.mark.parametrize("ell", [1025, 4097])
+def test_moment_odd_cube_against_legendre_oracle(ell):
+    pytest.importorskip("mpmath")
+    assert gegenbauer_moment(ell, 3, 2, "half").value == pytest.approx(
+        legendre_p3_half(ell), rel=1e-12)
+
+
+def test_moment_err_est_bounds_oracle_error():
+    # err_est is an a-priori rounding bound; the rule has no truncation error
+    pytest.importorskip("mpmath")
+    cases = [((ell, 4, 2, "half"), wigner_p4_half(ell)) for ell in (256, 1024, 4096, 8192)]
+    cases += [((ell, 2, d, "full"), q2_moment(ell, d))
+              for d in (2, 3, 4, 5) for ell in (1, 2, 5, 16, 33, 64, 1024, 4096)]
+    cases += [((ell, q, d, "half"), quad_half_moment(ell, q, d)) for ell, q, d in ODD_HALF_CASES]
+    cases += [((ell, 3, 2, "half"), legendre_p3_half(ell)) for ell in (1025, 4097)]
+    for key, oracle in cases:
+        res = gegenbauer_moment(*key)
+        assert abs(res.value - oracle) <= res.err_est, key
 
 
 def test_moment_memoized_per_key(tmp_path, monkeypatch):
-    # the moments table and variance_h share one quadrature per (ell, q, d, rng)
+    # the moments table and variance_h share one evaluation of the rule per
+    # (ell, q, d, rng); each evaluation fetches the coefficients once
     from sphclt import moments
     from sphclt.cli import main
     calls = []
-    original = moments._moment_on
-    monkeypatch.setattr(moments, "_moment_on",
-                        lambda *args: calls.append(args[:4]) or original(*args))
+    original = moments._ctx
+    monkeypatch.setattr(moments, "_ctx", lambda ell, d: calls.append((ell, d)) or original(ell, d))
     gegenbauer_moment.cache_clear()
     assert main(["moments", "--d", "2", "--q", "4", "--ell", "16,32",
                  "--out-dir", str(tmp_path)]) == 0
-    keys = set(calls)
-    assert len(keys) == 2
-    assert len(calls) == 2 * len(keys)  # coarse and fine panel sums, once per key
+    assert sorted(calls) == [(16, 2), (32, 2)]
 
 
 def test_moment_validation():
@@ -203,6 +279,16 @@ def test_ratio_tends_to_one():
     devs = [abs(r.ratio - 1.0) for r in rows]
     assert devs == sorted(devs, reverse=True)
     assert rows[-1].ratio == pytest.approx(1.0, abs=0.01)
+
+
+def test_log_slope_settles_on_576_far_out():
+    # successive slopes of Var[h_{ell;4,2}] ell^2 against log ell fall toward
+    # 24^2 = 576 from above; at ell ~ 2^16 the exact moments must resolve it
+    ells = [2 ** k for k in range(8, 17)]
+    y = np.array([variance_h(ell, 4, 2) * ell * ell for ell in ells])
+    slopes = np.diff(y) / np.diff(np.log(ells))
+    assert np.all(np.diff(slopes) < 0)
+    assert slopes[-1] == pytest.approx(576.0, abs=1.0)
 
 
 def test_log_divergence_validation():
