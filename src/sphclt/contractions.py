@@ -5,11 +5,12 @@ orthogonal Gegenbauer family,
 
     G_{ell;d}(t)^p = sum_k b_k G_{k;d}(t),    k = 0 .. p*ell,
 
-computed with an exact-degree Gauss-Jacobi rule one degree k at a time, in
-O(p*ell) memory.  Convolving two Gegenbauer kernels over S^d reproduces a
-single one (each pairing contributes a factor mu_d / n_{k;d} and a Kronecker
-delta), so the 4-point cyclic integral behind the order-r contraction
-collapses to the spectral sum
+computed one degree k at a time, in O(p*ell) memory, with a root-free
+half-range rule (`quadrature.half_range_rule`) exact for G^p G_k.
+Convolving two Gegenbauer kernels over S^d reproduces a single one (each
+pairing contributes a factor mu_d / n_{k;d} and a Kronecker delta), so the
+4-point cyclic integral behind the order-r contraction collapses to the
+spectral sum
 
     K(ell, q; r) = mu_d * sum_k (b_k^{(r)} b_k^{(q-r)})^2 (mu_d / n_{k;d})^3,
 
@@ -36,10 +37,11 @@ from functools import lru_cache
 import numpy as np
 
 from .moments import ZeroVarianceError, variance_h
-from .quadrature import gauss_jacobi_rule
+# gauss_jacobi_rule has no caller here; perfbench/spans.py wraps this binding
+from .quadrature import gauss_jacobi_rule, half_range_rule
 from .specfun import GegenbauerCtx, SphereDim, dim_harmonics, orthonormal_jacobi
 
-DEGREE_CAP = 4096
+DEGREE_CAP = 12288
 
 
 class DegreeCapError(ValueError):
@@ -64,13 +66,16 @@ class SpectralCoeffs:
 def _expand_power_cached(ell: int, p: int, d: int) -> SpectralCoeffs:
     dim = SphereDim(d)
     deg = p * ell
-    t, w = gauss_jacobi_rule(deg + 2, d)  # exact for integrands up to degree 2*deg + 3
-    # b_k = <G^p, G_k>_w / <G_k, G_k>_w = <G^p, p_k>_w p_k(1) for the p_k
-    # orthonormal for the weight; t = 1 rides along at weight 0
-    power_w = np.append(GegenbauerCtx(ell, dim).evaluate(t) ** p * w, 0.0)
+    # G^p G_k is even for k = deg (mod 2), of degree <= 2 deg, so for those k
+    # b_k = <G^p, G_k>_w / <G_k, G_k>_w = <G^p, p_k>_w p_k(1), with p_k
+    # orthonormal for the weight, is twice the half-range sum; t = 1 rides
+    # along at weight 0
+    t, w = half_range_rule(2 * deg, d)
+    power_w = np.append(2.0 * GegenbauerCtx(ell, dim).evaluate(t) ** p * w, 0.0)
     coeffs = np.array([(pk @ power_w) * pk[-1]
                        for pk in orthonormal_jacobi(deg, d / 2.0 - 1.0, np.append(t, 1.0))])
-    coeffs[(np.arange(deg + 1) - deg) % 2 == 1] = 0.0  # opposite parity vanishes
+    # the opposite parity vanishes; the half-range sum does not show it
+    coeffs[(np.arange(deg + 1) - deg) % 2 == 1] = 0.0
     coeffs.setflags(write=False)
     return SpectralCoeffs(ell=ell, p=p, dim=dim, coeffs=coeffs)
 

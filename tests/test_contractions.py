@@ -69,21 +69,52 @@ def test_expand_power_invariants(ell, p, d):
 
 def test_expand_power_degree_cap():
     with pytest.raises(DegreeCapError):
-        expand_power(2049, 3, 2)
+        expand_power(4097, 3, 2)
 
 
-@pytest.mark.parametrize("ell,p", [(1024, 4), (2048, 2)])  # (2048, 2) sits at DEGREE_CAP
+@pytest.mark.parametrize("ell,p", [(1024, 4), (2048, 2)])
 def test_expand_power_sum_at_high_degree(ell, p):
-    # sum_k b_k = G(1)^p = 1 rests on every weight of the (p*ell + 2)-point rule
+    # sum_k b_k = G(1)^p = 1 rests on every weight of the half-range rule
     assert abs(expand_power(ell, p, 2).coeffs.sum() - 1.0) < 1e-10
 
 
+def _parseval(b, d):
+    # int G^{2p} = sum_k b_k^2 int G_k^2 for G^p = sum_k b_k G_k, int G_k^2 = mu_d / (mu_{d-1} n_k)
+    n_k = np.array([1.0] + [dim_harmonics(k, d) for k in range(1, b.size)])
+    return float(np.sum(b * b * MU[d].mu_d / (MU[d].mu_dm1 * n_k)))
+
+
 def test_expand_power_parseval_at_high_degree():
-    # int G^8 = sum_k b_k^2 int G_k^2 for G^4 = sum_k b_k G_k, int G_k^2 = mu_d / (mu_{d-1} n_k)
     b = expand_power(1024, 4, 2).coeffs
-    n_k = np.array([1.0] + [dim_harmonics(k, 2) for k in range(1, b.size)])
-    parseval = float(np.sum(b * b * MU[2].mu_d / (MU[2].mu_dm1 * n_k)))
-    assert parseval == pytest.approx(gegenbauer_moment(1024, 8, 2, "full").value, rel=1e-9)
+    assert _parseval(b, 2) == pytest.approx(gegenbauer_moment(1024, 8, 2, "full").value, rel=1e-9)
+
+
+# (2048, 6, 2) sits at DEGREE_CAP = 12288.  At (1024, 3, 4) and (1365, 3, 3)
+# the half-range weights need sin^{d-1-sigma} theta kept out of the FFT;
+# folded into it, the weights near t = 1 lose relative accuracy and
+# (1024, 3, 4) gives sum b - 1 = 1e-4
+@pytest.mark.parametrize("ell,p,d,tol", [(2048, 6, 2, 1e-8), (1024, 3, 4, 1e-9), (1365, 3, 3, 1e-9)])
+def test_expand_power_sum_and_parseval(ell, p, d, tol):
+    b = expand_power(ell, p, d).coeffs
+    assert abs(b.sum() - 1.0) < tol
+    full = gegenbauer_moment(ell, 2 * p, d, "full").value
+    assert _parseval(b, d) == pytest.approx(full, rel=tol)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_expand_power_matches_gauss_jacobi_reference(d):
+    # the same projection on the full-range (p*ell + 2)-point Gauss-Jacobi rule
+    from sphclt.quadrature import gauss_jacobi_rule
+    from sphclt.specfun import GegenbauerCtx, orthonormal_jacobi
+    ell, p = 1024, 3
+    deg = p * ell
+    t, w = gauss_jacobi_rule(deg + 2, d)
+    power_w = np.append(GegenbauerCtx(ell, SphereDim(d)).evaluate(t) ** p * w, 0.0)
+    ref = np.array([(pk @ power_w) * pk[-1]
+                    for pk in orthonormal_jacobi(deg, d / 2.0 - 1.0, np.append(t, 1.0))])
+    ref[(np.arange(deg + 1) - deg) % 2 == 1] = 0.0
+    b = expand_power(ell, p, d).coeffs
+    assert np.max(np.abs(b - ref)) < 1e-9 * np.max(np.abs(ref))
 
 
 def test_spectral_variance_cross_check():

@@ -9,6 +9,10 @@ alternating-tail assumption fails).
 """
 
 import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -314,3 +318,43 @@ def test_gauss_jacobi_orthogonality(d):
     gram = (table * w) @ table.T
     off = gram - np.diag(np.diag(gram))
     assert np.max(np.abs(off)) < 1e-12
+
+
+def _half_beta(k, d):
+    """integral_0^1 t^{2k} (1-t^2)^{d/2-1} dt = B(k + 1/2, d/2) / 2, from exact
+    rationals (SciPy's `beta` is off by 2e-12 relative at k = 4096)."""
+    if d % 2 == 0:
+        m = d // 2  # Gamma(m) / prod_{j<m} (k + 1/2 + j)
+        ratio = Fraction(math.factorial(m - 1))
+        for j in range(m):
+            ratio /= Fraction(2 * k + 2 * j + 1, 2)
+        return float(ratio) / 2.0
+    m = (d - 1) // 2  # pi (2k)! (2m)! / (4^{k+m} k! m! (k+m)!)
+    ratio = Fraction(math.factorial(2 * k) * math.factorial(2 * m),
+                     4 ** (k + m) * math.factorial(k) * math.factorial(m) * math.factorial(k + m))
+    return math.pi * float(ratio) / 2.0
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_half_range_rule_exact_against_beta(d):
+    # every even monomial up to the rule's top degree, the edge included
+    from sphclt.quadrature import half_range_rule
+    degree = 8192
+    t, w = half_range_rule(degree, d)
+    for k in (0, 1, 17, degree // 2):
+        assert np.sum(w * t ** (2 * k)) == pytest.approx(_half_beta(k, d), rel=1e-12)
+
+
+def test_bessel_constant_leaves_scipy_linalg_unloaded():
+    # the 24-point Gauss-Legendre rule comes from numpy, not SciPy's
+    # roots_legendre, whose first call imports scipy.linalg
+    import sphclt
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sphclt.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, sphclt.cli\n"
+            "from sphclt.moments import bessel_constant\n"
+            "bessel_constant(3, 3)\n"
+            "print('scipy.linalg' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
