@@ -29,10 +29,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+# the functional_* helpers have no caller here; perfbench/spans.py wraps these bindings
 from .clt import (
     CltReport,
     CltRow,
     Functional,
+    _samples,
     clt_sweep,
     functional_excursion,
     functional_h,
@@ -49,6 +51,8 @@ from .moments import (
     log_divergence_check,
     variance_h,
 )
+# excursion_variance and sample_field have no caller here; perfbench/spans.py
+# wraps these bindings
 from .simulate import build_grid, excursion_variance, sample_field
 from .specfun import SphereDim, dim_harmonics
 
@@ -362,19 +366,16 @@ def cmd_simulate(cfg: RunConfig) -> int:
         raise UsageError("odd multipole; pass --allow-odd to simulate it anyway")
     d = cfg.d
     grid = build_grid(d, f.degree(ell))
-
-    pred_var = excursion_variance(ell, d, cfg.z, cfg.excursion_q_max) if f.kind == "S" else None
-    normalize_h = f.kind == "h" and cfg.q >= 2 and variance_h(ell, cfg.q, d) > 0
-    rows = []
-    for rep in range(cfg.replicas):
-        realization = sample_field(d, ell, grid, cfg.seed, rep)
-        if f.kind == "h":
-            sample = functional_h(realization, cfg.q, normalize=normalize_h)
-        elif f.kind == "Z":
-            sample = functional_Z(realization, cfg.betas)
-        else:
-            sample = functional_excursion(realization, cfg.z, predicted_variance=pred_var)
-        rows.append((rep, d, sample.kind, ell, cfg.z, sample.raw, sample.normalized))
+    try:
+        var = f.variance(ell, d)
+    except ZeroVarianceError:
+        if f.kind != "h":
+            raise
+        var = None  # h_{ell;q} is degenerate (q < 2, or odd q at odd ell): raw values only
+    raw = _samples(f, grid, ell, cfg.seed, cfg.replicas, cfg.threads)
+    normalized = [None] * raw.size if var is None else (raw - f.mean(grid.dim)) / math.sqrt(var)
+    rows = [(rep, d, f.label, ell, cfg.z, value, scaled)
+            for rep, (value, scaled) in enumerate(zip(raw, normalized))]
 
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)

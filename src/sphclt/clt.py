@@ -2,8 +2,12 @@
 
 One `Functional` spec defines each kind (Hermite functionals h_{ell;q},
 finite Hermite polynomials, the excursion area) by its grid degree,
-reduction, mean, chaos variance and bound; the chunked driver `_samples` and
-the per-realization `functional_*` helpers (which `simulate` calls) use it.
+reduction, mean, chaos variance and bound.  One driver, `_samples`, draws
+the raw values for `simulate`, `clt` and `excursion` alike: fixed chunks of
+replicas go to the workers, and inside a chunk each replica is synthesized
+and reduced alone, so a field is reduced while it is still in cache and no
+(replicas, nodes) block is ever held.  The per-realization `functional_*`
+helpers evaluate the same spec on one `FieldRealization`.
 
 Distances to the standard normal:
   - Kolmogorov: sup over the sorted sample of |F_n - Phi|, evaluated at both
@@ -37,6 +41,7 @@ from .contractions import berry_esseen_bound, poly_bound
 from .moments import ZeroVarianceError, variance_h
 from .parallel import fixed_chunks, ordered_map
 from .simulate import FieldRealization, SphereGrid, _sample_batch, build_grid, excursion_variance
+# hermite has no caller here; perfbench/spans.py wraps this binding
 from .specfun import SphereDim, hermite
 
 # (d, q) pairs where the known fourth-cumulant bounds do not secure a CLT.
@@ -71,6 +76,11 @@ def wasserstein_distance(samples) -> float:
 # functionals
 # ------------------------------------------------------------------
 
+def _pairings(q: int, k: int) -> int:
+    """q! / (k! (q-2k)! 2^k): the number of ways to pair 2k of q points."""
+    return math.factorial(q) // (math.factorial(k) * math.factorial(q - 2 * k) * 2 ** k)
+
+
 def monomial_to_hermite(b_coeffs) -> np.ndarray:
     """Hermite coefficients beta with sum_q b_q t^q = sum_j beta_j H_j(t).
 
@@ -87,9 +97,18 @@ def monomial_to_hermite(b_coeffs) -> np.ndarray:
         if b[q] == 0.0:
             continue
         for k in range(q // 2 + 1):
-            coef = math.factorial(q) // (math.factorial(k) * math.factorial(q - 2 * k) * 2 ** k)
-            beta[q - 2 * k] += b[q] * coef
+            beta[q - 2 * k] += b[q] * _pairings(q, k)
     return beta
+
+
+def hermite_to_monomial(q: int) -> tuple[float, ...]:
+    """Monomial coefficients c of H_q(t) = sum_k c_k t^k, from the inverse identity
+        H_q(t) = sum_k (-1)^k q! / (k! (q-2k)! 2^k) t^{q-2k};
+    the integers are exact in double precision up to q = 28."""
+    c = [0.0] * (q + 1)
+    for k in range(q // 2 + 1):
+        c[q - 2 * k] = float((-1) ** k * _pairings(q, k))
+    return tuple(c)
 
 
 def _hermite_betas(beta) -> dict[int, float]:
@@ -101,14 +120,16 @@ def _hermite_betas(beta) -> dict[int, float]:
 class Functional:
     """One functional of a degree-ell field T on S^d, shared by `simulate` and `clt`.
 
-    Kinds h and Z integrate sum_j beta_j H_j(T) (h_{ell;q}: beta = e_q; a
-    polynomial sum_q b_q T^q: beta = monomial_to_hermite(b)); kind S measures
-    {T <= z}.  Build one with `Functional.of`.
+    Kinds h and Z integrate a polynomial p(T) = sum_k c_k T^k (h_{ell;q}:
+    p = H_q; kind Z: the user's monomial coefficients b), whose Hermite
+    coefficients beta (e_q, or monomial_to_hermite(b)) give the variance and
+    the bound; kind S measures {T <= z}.  Build one with `Functional.of`.
     """
 
     kind: str                            # "h" | "Z" | "S"
     label: str                           # sample label: "h3", "Z", "S(z=1)"
     beta: tuple[float, ...] | None = None  # Hermite coefficients (h, Z)
+    monomial: tuple[float, ...] | None = None  # monomial coefficients c (h, Z)
     z: float | None = None               # level (S)
     q_max: int = 8                       # chaos truncation of the S variance
 
@@ -118,11 +139,12 @@ class Functional:
         if kind == "h":
             if q is None or q < 0:
                 raise ValueError(f"kind h requires a Hermite order q >= 0, got {q}")
-            return cls("h", f"h{q}", beta=(0.0,) * q + (1.0,))
+            return cls("h", f"h{q}", beta=(0.0,) * q + (1.0,), monomial=hermite_to_monomial(q))
         if kind == "Z":
             if betas is None or len(betas) == 0:
                 raise ValueError("kind Z requires monomial coefficients betas (b0,b1,...)")
-            return cls("Z", "Z", beta=tuple(float(b) for b in monomial_to_hermite(betas)))
+            return cls("Z", "Z", beta=tuple(float(b) for b in monomial_to_hermite(betas)),
+                       monomial=tuple(float(b) for b in betas))
         if kind == "S":
             if z is None:
                 raise ValueError("kind S requires a level z")
@@ -134,14 +156,24 @@ class Functional:
         return EXCURSION_DEGREE_FACTOR * ell if self.beta is None else (len(self.beta) - 1) * ell
 
     def reduce(self, fields, weights):
-        """Quadrature value of the functional over the last axis of `fields`."""
-        if self.beta is None:
+        """Quadrature value of the functional over the last axis of `fields`.
+
+        Kinds h and Z evaluate p(T) by Horner's rule in place, in one working
+        buffer the size of `fields`, and skip the zero coefficients.
+        """
+        if self.monomial is None:
             return (fields <= self.z) @ weights
-        out = 0.0
-        for j, b in enumerate(self.beta):
-            if b != 0.0:
-                out = out + b * (hermite(j, fields) @ weights)
-        return out
+        *low, top = self.monomial
+        if not low:
+            return np.full(np.shape(fields), top) @ weights
+        acc = np.multiply(fields, top)
+        for c in low[:0:-1]:  # c_{Q-1}, ..., c_1
+            if c != 0.0:
+                acc += c
+            acc *= fields
+        if low[0] != 0.0:
+            acc += low[0]
+        return acc @ weights
 
     def mean(self, dim: SphereDim) -> float:
         """Expectation: mu_d times the chaos-0 coefficient."""
@@ -246,10 +278,15 @@ class CltReport:
 
 def _samples(f: Functional, grid: SphereGrid, ell: int, seed: int, replicas: int,
              threads: int) -> np.ndarray:
-    """Raw values of f for replicas 0..replicas-1, in fixed chunks."""
+    """Raw values of f for replicas 0..replicas-1: fixed chunks of replicas
+    go to the workers, and each replica is synthesized and reduced alone."""
+    # an empty batch fills the synthesis tables of the grid and its
+    # sub-grids once, before worker threads race to build them
+    _sample_batch(grid, ell, seed, ())
+
     def chunk_values(bounds):
-        lo, hi = bounds
-        return f.reduce(_sample_batch(grid, ell, seed, range(lo, hi)), grid.weights)
+        return np.concatenate([f.reduce(_sample_batch(grid, ell, seed, (rep,)), grid.weights)
+                               for rep in range(*bounds)])
 
     return np.concatenate(ordered_map(chunk_values, fixed_chunks(replicas), threads))
 
@@ -262,8 +299,8 @@ def clt_sweep(kind: str, d: int, ell_list, replicas: int, seed: int,
 
     kind "h" needs q, kind "Z" needs monomial coefficients `betas` (index =
     power), kind "S" needs the level z.  Multipoles must be even unless
-    allow_odd is set.  Replica batches are fixed-size, so `threads` never
-    changes any output value.
+    allow_odd is set.  Replica chunks are fixed-size and BLAS runs on one
+    thread, so `threads` never changes any output value.
     """
     f = Functional.of(kind, q, betas, z, excursion_q_max)
     if replicas < 200:
@@ -284,9 +321,6 @@ def clt_sweep(kind: str, d: int, ell_list, replicas: int, seed: int,
     rows = []
     for ell in ells:
         grid = build_grid(d, f.degree(ell))
-        # an empty batch fills the synthesis tables of the grid and its
-        # sub-grids once, before worker threads race to build them
-        _sample_batch(grid, ell, seed, ())
         var = f.variance(ell, d)
         mean = f.mean(grid.dim)
         raw = _samples(f, grid, ell, seed, replicas, threads)

@@ -72,10 +72,12 @@ def _expand_power_cached(ell: int, p: int, d: int) -> SpectralCoeffs:
     # along at weight 0
     t, w = half_range_rule(2 * deg, d)
     power_w = np.append(2.0 * GegenbauerCtx(ell, dim).evaluate(t) ** p * w, 0.0)
-    coeffs = np.array([(pk @ power_w) * pk[-1]
-                       for pk in orthonormal_jacobi(deg, d / 2.0 - 1.0, np.append(t, 1.0))])
-    # the opposite parity vanishes; the half-range sum does not show it
-    coeffs[(np.arange(deg + 1) - deg) % 2 == 1] = 0.0
+    # the opposite parity vanishes, which the half-range sum does not show:
+    # those k are skipped, though the recurrence still passes through them
+    coeffs = np.zeros(deg + 1)
+    for k, pk in enumerate(orthonormal_jacobi(deg, d / 2.0 - 1.0, np.append(t, 1.0))):
+        if (deg - k) % 2 == 0:
+            coeffs[k] = (pk @ power_w) * pk[-1]
     coeffs.setflags(write=False)
     return SpectralCoeffs(ell=ell, p=p, dim=dim, coeffs=coeffs)
 

@@ -209,7 +209,10 @@ def _synthesize_batch(grid: SphereGrid, ell: int, coeffs: np.ndarray) -> np.ndar
 
 
 def _sample_batch(grid: SphereGrid, ell: int, seed: int, replicas) -> np.ndarray:
-    """Field values (len(replicas), N); the single entry point for sampling."""
+    """Field values (len(replicas), N); the single entry point for sampling.
+
+    The sampling driver `clt._samples` passes one replica per call, so a
+    field is reduced before the next is drawn."""
     n = dim_harmonics(ell, grid.dim.d)
     draws = np.empty((len(replicas), n))
     for row, rep in enumerate(replicas):

@@ -277,3 +277,41 @@ def test_cli_determinism_across_threads(tmp_path):
     assert run_cli(*args, "--threads", "4") == 0
     second = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     assert first == second
+
+
+@pytest.mark.parametrize("command, reps", [("clt", "256"), ("simulate", "96")])
+def test_determinism_across_threads_where_blas_threads(tmp_path, command, reps):
+    # at ell = 128 the synthesis matmuls are large enough for OpenBLAS to
+    # split them over threads; sampling pins BLAS to one thread at every
+    # --threads, so the outputs cannot depend on it
+    args = [command, "--kind", "h", "--d", "2", "--q", "3", "--ell", "128", "--reps", reps,
+            "--seed", "11"]
+    outputs = []
+    for threads in ("1", "2", "4"):
+        assert run_cli(*args, "--threads", threads, "--out-dir", str(tmp_path)) == 0
+        outputs.append({p.name: p.read_bytes() for p in tmp_path.iterdir()})
+        for p in tmp_path.iterdir():
+            p.unlink()
+    assert outputs[0] and outputs[0] == outputs[1] == outputs[2]
+
+
+def test_simulate_normalizes_once_through_the_sampling_driver(tmp_path, monkeypatch):
+    import sphclt.clt as clt
+
+    calls = []
+    variance = clt.Functional.variance
+
+    def counted(self, ell, d):
+        calls.append((self.label, ell, d))
+        return variance(self, ell, d)
+    monkeypatch.setattr(clt.Functional, "variance", counted)
+    assert run_cli("simulate", "--kind", "Z", "--betas", "0,0,1,0,1", "--d", "2", "--ell", "16",
+                   "--reps", "70", "--seed", "8", "--out-dir", str(tmp_path)) == 0
+    assert calls == [("Z", 16, 2)]
+    f = clt.Functional.of("Z", betas=(0.0, 0.0, 1.0, 0.0, 1.0))
+    grid = clt.build_grid(2, f.degree(16))
+    expect = clt._samples(f, grid, 16, 8, 70, 1)
+    rows = read_rows(tmp_path / "simulate_Z_d2_ell16.csv")
+    assert [float(r["raw"]) for r in rows] == expect.tolist()
+    scale = math.sqrt(variance(f, 16, 2))
+    assert [float(r["normalized"]) for r in rows] == ((expect - f.mean(grid.dim)) / scale).tolist()

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from sphclt.clt import (
     CltReport,
     CltRow,
     Functional,
+    _samples,
     clt_sweep,
     functional_excursion,
     functional_h,
@@ -23,6 +25,7 @@ from sphclt.clt import (
 )
 from sphclt.moments import ZeroVarianceError
 from sphclt.simulate import _sample_batch, build_grid, sample_field
+from sphclt.specfun import hermite
 
 
 # ------------------------------------------------------------------
@@ -117,6 +120,35 @@ def test_chunk_reduce_matches_per_replica_helpers(f, d):
     chunk = f.reduce(_sample_batch(grid, ell, seed, range(5)), grid.weights)
     single = [ONE_REPLICA[f.kind](sample_field(d, ell, grid, seed, rep)).raw for rep in range(5)]
     np.testing.assert_allclose(chunk, single, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("f", [Functional.of("h", q=q) for q in (*range(9), 16)]
+                         + [Functional.of("Z", betas=BETAS)],
+                         ids=[f"h{q}" for q in (*range(9), 16)] + ["Z"])
+def test_fused_reduce_matches_hermite_sums(f):
+    # Horner on the monomial coefficients against sum_j beta_j H_j(T) @ w by
+    # the Hermite recurrence, on fields of a grid exact for H_16 at ell = 8
+    d, ell = 2, 8
+    grid = build_grid(d, 16 * ell)
+    fields = _sample_batch(grid, ell, 23, range(8))
+    oracle = sum(b * (hermite(j, fields) @ grid.weights) for j, b in enumerate(f.beta) if b)
+    sd = math.sqrt(f.variance(ell, d)) if len(f.beta) > 2 else 1.0  # h_0, h_1 are constant
+    np.testing.assert_allclose(f.reduce(fields, grid.weights), oracle, rtol=0.0, atol=1e-13 * sd)
+
+
+def test_samples_hold_one_field_at_a_time():
+    # a 64-replica chunk at (d, ell, degree) = (2, 128, 384) is 38 MB of
+    # fields; streaming replicas keeps the driver near one field (0.6 MB)
+    f = Functional.of("h", q=3)
+    grid = build_grid(2, f.degree(128))
+    tracemalloc.start()
+    try:
+        raw = _samples(f, grid, 128, 7, 64, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert raw.shape == (64,)
+    assert peak < 8 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
 
 
 @pytest.mark.parametrize("kind, params", [
