@@ -17,10 +17,11 @@ separate in the colatitude (Dai & Xu 2013, section 1.5):
                   * sin^m(theta) p_{ell-m}(cos theta),
 where the U_m are independent unit-variance degree-m fields on S^{d-1} and
 p_k is orthonormal for the weight (1-t^2)^{m+d/2-1}.  Every level, S^2
-included, is the same step: stack the U_m on the sub-grid and apply the
-profile table lam with one matmul.  The circle is the base case, where
-U_m = a cos(m phi) + b sin(m phi) comes from cached azimuth tables.  A level
-costs one table per (grid, ell) and O(replicas * ell * nodes) flops.
+included, is the same step: apply the profile table lam to the stack of U_m
+on the sub-grid.  The circle is the base case, where U_m = a cos(m phi) +
+b sin(m phi) comes from cached azimuth tables.  The recursion runs one level
+at a time with every field of the level at once, one stacked matmul per
+level, so a single replica costs O(d) array operations, not one per U_m.
 
 Every replica derives its generator from (master seed, replica index) through
 a counter-based construction (Philox with the replica in the high counter
@@ -181,31 +182,85 @@ def _synthesis_tables(grid: SphereGrid, ell: int):
     return tables[ell]
 
 
+_PLANS: "weakref.WeakKeyDictionary[SphereGrid, dict]" = weakref.WeakKeyDictionary()
+# larger batches are synthesized in slices, so that the circle level of one
+# slice holds at most this many values
+LEAF_BUDGET = 1 << 22
+
+
+def _leaf_draws(ell: int, d: int):
+    """Draw indices (cos, sin), each of shape (ell+1,)*(d-1), of the circle
+    harmonics under a degree-ell field on S^d.
+
+    Leaf (m_{d-1}, ..., m_1), with ell >= m_{d-1} >= ... >= m_1, is the term
+    a^c cos(m_1 phi) + a^s sin(m_1 phi) of U_{m_2} on S^2, itself a term of
+    U_{m_3} on S^3 and so on.  The draw layout: a field of degree e on S^2
+    takes [a_0, a^c_1..a^c_e, a^s_1..a^s_e]; on S^k, k >= 3, it takes e+1
+    blocks, block m holding the draws of U_m on S^{k-1}.  Padding leaves and
+    a^s_0 get n_{ell;d}, the index of a zero column appended to the draws.
+    """
+    idx = np.full((2,) + (ell + 1,) * (d - 1), dim_harmonics(ell, d))
+
+    def fill(leaf, e, k, start):
+        if k == 2:
+            j = np.arange(e + 1)
+            idx[(0,) + leaf + (slice(0, e + 1),)] = start + j
+            idx[(1,) + leaf + (slice(1, e + 1),)] = start + e + j[1:]
+            return
+        for m in range(e + 1):
+            fill(leaf + (m,), m, k - 1, start)
+            start += _n_harmonics(m, k - 1)
+
+    fill((), ell, d, 0)
+    return idx[0], idx[1]
+
+
+def _synthesis_plan(grid: SphereGrid, ell: int):
+    """(cos_idx, sin_idx, cos_m, sin_m, lams) for degree-ell fields on `grid`:
+    the leaf draw indices, the azimuth tables (ell+1, n_phi), and one profile
+    stack per level from S^2 up.  Below the top, stack[e] = lam_{e}.T
+    (n_t, ell+1), zero-padded beyond column e, serves the U of degree e; the
+    top stack is lam_{ell}.T alone."""
+    plans = _PLANS.setdefault(grid, {})
+    if ell not in plans:
+        chain = [grid]
+        while chain[-1].sub is not None:
+            chain.append(chain[-1].sub)
+        lams = []
+        for level in reversed(chain[1:]):
+            stack = np.zeros((ell + 1, level.colat_t.size, ell + 1))
+            for e in range(ell + 1):
+                stack[e, :, :e + 1] = _synthesis_tables(level, e)[0].T
+            lams.append(stack)
+        lams.append(_synthesis_tables(grid, ell)[0].T[None])
+        _, cos_m, sin_m = _synthesis_tables(chain[-1], ell)
+        plans[ell] = (*_leaf_draws(ell, grid.dim.d), cos_m, sin_m, lams)
+    return plans[ell]
+
+
 def _synthesize_batch(grid: SphereGrid, ell: int, coeffs: np.ndarray) -> np.ndarray:
     """Field values (R, N) from rows of n_{ell;d} standard normal draws.
 
-    Every level is one step: stack the sub-fields U_m (R, ell+1, N_sub), then
-    apply the profiles lam with one matmul.  At d = 2 the sub-sphere is the
-    circle, the base case: a row is [a_0, a^c_1..a^c_ell, a^s_1..a^s_ell] and
-    U_m = a^c_m cos(m phi) + a^s_m sin(m phi).  At d >= 3 a row is ell+1
-    blocks, block m holding the n_{m;d-1} draws of U_m on the sub-grid in that
-    level's layout.  For grids exact to degree 2*ell, ell+1 <= n_t, so the
-    stack is no larger than the output.
+    The recursion T = sum_m lam_m U_m runs one level at a time, every field
+    of a level at once: the circle harmonics of all leaves (see
+    `_leaf_draws`) in one broadcast, then one stacked matmul per level, each
+    U_m of degree e taking stack[e] of that level's profiles.  Zero padding
+    keeps every level a dense array, (ell+1)^(d-1) * n_phi values per replica
+    at the circle, which is at most N for grids exact to degree 2*ell.
     """
-    lam, cos_m, sin_m = _synthesis_tables(grid, ell)
+    cos_idx, sin_idx, cos_m, sin_m, lams = _synthesis_plan(grid, ell)
     R = coeffs.shape[0]
-    sub = grid.sub
-    if sub is None:
-        sub_fields = coeffs[:, :ell + 1, None] * cos_m
-        sub_fields[:, 1:] += coeffs[:, ell + 1:, None] * sin_m[1:]
-    else:
-        sub_fields = np.empty((R, ell + 1, sub.n_nodes))
-        start = 0
-        for m in range(ell + 1):
-            stop = start + _n_harmonics(m, sub.dim.d)
-            sub_fields[:, m] = _synthesize_batch(sub, m, coeffs[:, start:stop])
-            start = stop
-    return np.matmul(lam.T, sub_fields).reshape(R, grid.n_nodes)
+    step = max(1, LEAF_BUDGET // (cos_idx.size * cos_m.shape[1]))
+    if R > step:
+        return np.concatenate([_synthesize_batch(grid, ell, coeffs[lo:lo + step])
+                               for lo in range(0, R, step)])
+    draws = np.concatenate((coeffs, np.zeros((R, 1))), axis=1)
+    fields = draws[:, cos_idx, None] * cos_m + draws[:, sin_idx, None] * sin_m
+    for lam in lams:
+        fields = np.matmul(lam, fields)
+        *batch, n_t, n_sub = fields.shape
+        fields = fields.reshape(*batch, n_t * n_sub)
+    return fields.reshape(R, grid.n_nodes)
 
 
 def _sample_batch(grid: SphereGrid, ell: int, seed: int, replicas) -> np.ndarray:

@@ -114,7 +114,7 @@ ONE_REPLICA = {
 @pytest.mark.parametrize("f", [Functional.of("h", q=3), Functional.of("Z", betas=BETAS),
                                Functional.of("S", z=1.0)], ids=["h", "Z", "S"])
 def test_chunk_reduce_matches_per_replica_helpers(f, d):
-    # the chunked driver and the helpers that `simulate` calls agree
+    # a reduced batch and the per-realization helpers agree
     ell, seed = 6, 19
     grid = build_grid(d, f.degree(ell))
     chunk = f.reduce(_sample_batch(grid, ell, seed, range(5)), grid.weights)

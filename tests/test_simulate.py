@@ -132,6 +132,45 @@ def test_synthesis_covariance_oracle(d, ell, degree):
     assert np.max(np.abs(basis.T @ basis - kernel)) < 1e-12
 
 
+def _synthesize_per_m(grid, ell, coeffs):
+    """Reference: the recursion one sub-field U_m at a time, each sub-level
+    called on its own block of draws."""
+    lam, cos_m, sin_m = _synthesis_tables(grid, ell)
+    sub = grid.sub
+    if sub is None:
+        sub_fields = coeffs[:, :ell + 1, None] * cos_m
+        sub_fields[:, 1:] += coeffs[:, ell + 1:, None] * sin_m[1:]
+    else:
+        sub_fields = np.empty((coeffs.shape[0], ell + 1, sub.n_nodes))
+        start = 0
+        for m in range(ell + 1):
+            stop = start + (1 if m == 0 else dim_harmonics(m, sub.dim.d))
+            sub_fields[:, m] = _synthesize_per_m(sub, m, coeffs[:, start:stop])
+            start = stop
+    return np.matmul(lam.T, sub_fields).reshape(coeffs.shape[0], grid.n_nodes)
+
+
+@pytest.mark.parametrize("d, ell, degree", [(2, 64, 128), (3, 6, 12), (3, 24, 48), (3, 40, 12),
+                                            (4, 12, 24), (5, 5, 10)])
+def test_level_synthesis_matches_per_m_recursion(d, ell, degree):
+    # same draws, same layout: every level at once in padded stacks agrees
+    # with the per-m recursion up to the order of the sums
+    grid = build_grid(d, degree)
+    coeffs = np.random.Generator(np.random.Philox(key=d * 1000 + ell)).standard_normal(
+        (3, dim_harmonics(ell, d)))
+    ref = _synthesize_per_m(grid, ell, coeffs)
+    assert np.max(np.abs(_synthesize_batch(grid, ell, coeffs) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_large_batches_are_synthesized_in_slices(monkeypatch):
+    # a slice holds at most LEAF_BUDGET leaf values; slicing changes nothing
+    grid = build_grid(3, 12)
+    coeffs = np.random.Generator(np.random.Philox(key=4)).standard_normal((10, dim_harmonics(6, 3)))
+    whole = _synthesize_batch(grid, 6, coeffs)
+    monkeypatch.setattr(simulate, "LEAF_BUDGET", 3 * 7 ** 2 * grid.n_phi)
+    assert np.array_equal(_synthesize_batch(grid, 6, coeffs), whole)
+
+
 def test_profile_table_d2_matches_scipy_harmonics():
     # lam_{ell,m} = sqrt(2 n_{m;1} / (2 ell + 1)) sqrt(2 pi) |Y_ell^m(theta, 0)| with the
     # Condon-Shortley sign removed
