@@ -202,6 +202,25 @@ def test_sweep_builds_each_table_once(monkeypatch):
     assert clt_sweep("h", 3, [8], 256, 1, q=2, threads=1) == four
 
 
+@pytest.mark.parametrize("threads", [1, 3])
+def test_ordered_map_runs_blas_on_one_thread_and_restores_it(threads):
+    from sphclt import parallel
+
+    blas = parallel._openblas_threads()
+    if blas is None:
+        pytest.skip("numpy does not bundle OpenBLAS here")
+    get, put = blas
+    before = get()
+    put(2)
+    count = get()  # OpenBLAS may cap the request at its own limit
+    try:
+        seen = parallel.ordered_map(lambda item: get(), range(4), threads)
+        assert seen == [1, 1, 1, 1]
+        assert get() == count
+    finally:
+        put(before)
+
+
 def test_sweep_validation():
     with pytest.raises(ValueError):
         clt_sweep("h", 2, [8], 100, seed=0, q=2)  # replicas < 200
