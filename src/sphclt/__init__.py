@@ -11,8 +11,6 @@ from .specfun import (
     bessel_j,
     bessel_j_zeros,
     dim_harmonics,
-    gegenbauer,
-    gegenbauer_value,
     hermite,
     sphere_volume,
 )

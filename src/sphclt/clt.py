@@ -143,6 +143,8 @@ class Functional:
         if kind == "Z":
             if betas is None or len(betas) == 0:
                 raise ValueError("kind Z requires monomial coefficients betas (b0,b1,...)")
+            if not all(math.isfinite(float(b)) for b in betas):
+                raise ValueError(f"betas must be finite, got {','.join(str(b) for b in betas)}")
             return cls("Z", "Z", beta=tuple(float(b) for b in monomial_to_hermite(betas)),
                        monomial=tuple(float(b) for b in betas))
         if kind == "S":
@@ -152,8 +154,9 @@ class Functional:
         raise ValueError(f"kind must be 'h', 'Z' or 'S', got {kind!r}")
 
     def degree(self, ell: int) -> int:
-        """Grid degree: exact for h and Z, EXCURSION_DEGREE_FACTOR * ell for S."""
-        return EXCURSION_DEGREE_FACTOR * ell if self.beta is None else (len(self.beta) - 1) * ell
+        """Grid degree, at least 1: exact for h and Z, EXCURSION_DEGREE_FACTOR * ell for S."""
+        top = EXCURSION_DEGREE_FACTOR if self.beta is None else len(self.beta) - 1
+        return max(1, top * ell)
 
     def reduce(self, fields, weights):
         """Quadrature value of the functional over the last axis of `fields`.

@@ -17,11 +17,15 @@ separate in the colatitude (Dai & Xu 2013, section 1.5):
                   * sin^m(theta) p_{ell-m}(cos theta),
 where the U_m are independent unit-variance degree-m fields on S^{d-1} and
 p_k is orthonormal for the weight (1-t^2)^{m+d/2-1}.  Every level, S^2
-included, is the same step: apply the profile table lam to the stack of U_m
-on the sub-grid.  The circle is the base case, where U_m = a cos(m phi) +
-b sin(m phi) comes from cached azimuth tables.  The recursion runs one level
-at a time with every field of the level at once, one stacked matmul per
-level, so a single replica costs O(d) array operations, not one per U_m.
+included, is the same step: apply the profiles lam to the stack of U_m on
+the sub-grid.  The circle is the base case, where U_m = a cos(m phi) +
+b sin(m phi).  The recursion runs one level at a time with every field of
+the level at once, one stacked matmul per level, so a single replica costs
+O(d) array operations, not one per U_m.
+
+One plan per (grid, ell) holds all the recursion reads; each level's profile
+stack comes from one Jacobi pass, which gives lam_{e,m} for every degree e at
+once.  Coefficient recovery is the plan's adjoint, so it works at every d.
 
 Every replica derives its generator from (master seed, replica index) through
 a counter-based construction (Philox with the replica in the high counter
@@ -58,7 +62,7 @@ class SphereGrid:
     Node (sin theta * xi, cos theta) pairs each colatitude node t = cos theta
     (outer index) with each node xi of `sub`, the grid on S^{d-1} (inner
     index).  At d = 2 `sub` is None: the sub-sphere is the circle of `n_phi`
-    uniform azimuths.  Grids compare by identity; synthesis tables are cached
+    uniform azimuths.  Grids compare by identity; synthesis plans are cached
     per grid object."""
 
     dim: SphereDim
@@ -149,37 +153,25 @@ def _n_harmonics(m: int, k: int) -> int:
     return 2 if k == 1 else dim_harmonics(m, k)
 
 
-def _profile_table(ell: int, dim: SphereDim, t: np.ndarray) -> np.ndarray:
-    """lam[m, i] = lam_{ell,m}(theta_i), m = 0..ell, at the nodes t = cos theta."""
+def _profile_stack(ell: int, dim: SphereDim, t: np.ndarray, lo: int) -> np.ndarray:
+    """stack[e - lo, i, m] = lam_{e,m}(theta_i) for e = lo..ell and m <= e, zero
+    for m > e, at the nodes t = cos theta; shape (ell+1-lo, t.size, ell+1)."""
     d = dim.d
     m = np.arange(ell + 1)
     s = np.sqrt(np.maximum(0.0, 1.0 - t * t))
     # row m runs the recurrence for alpha = m + d/2 - 1 from sin^m * p_0, so
-    # it never leaves the double range; it is read off at degree ell - m
-    lam = np.empty((ell + 1, t.size))
+    # it never leaves the double range; its degree k is lam_{m+k,m}
+    lam = np.zeros((ell + 1 - lo, ell + 1, t.size))
     rows = orthonormal_jacobi(ell, m[:, None] + (d / 2.0 - 1.0), t, scale=s ** m[:, None])
     for k, p in enumerate(rows):
-        lam[ell - k] = p[ell - k]
+        rm = m[max(0, lo - k):ell + 1 - k]
+        lam[rm + k - lo, rm] = p[rm]
     n_sub = np.array([_n_harmonics(j, d - 1) for j in m], dtype=float)
-    norm = np.sqrt(dim.mu_d * n_sub / (_n_harmonics(ell, d) * dim.mu_dm1))
-    return norm[:, None] * lam
-
-
-_TABLES: "weakref.WeakKeyDictionary[SphereGrid, dict]" = weakref.WeakKeyDictionary()
-
-
-def _synthesis_tables(grid: SphereGrid, ell: int):
-    """(lam, cos_m, sin_m): the profile table (ell+1, n_t) and, at d = 2, the
-    azimuth tables cos(m phi), sin(m phi) (ell+1, n_phi), else None."""
-    tables = _TABLES.setdefault(grid, {})
-    if ell not in tables:
-        lam = _profile_table(ell, grid.dim, grid.colat_t)
-        if grid.sub is None:
-            m_phi = np.arange(ell + 1)[:, None] * _azimuth(grid.n_phi)[None, :]
-            tables[ell] = (lam, np.cos(m_phi), np.sin(m_phi))
-        else:
-            tables[ell] = (lam, None, None)
-    return tables[ell]
+    n_e = np.array([_n_harmonics(e, d) for e in range(lo, ell + 1)], dtype=float)
+    lam *= np.sqrt(dim.mu_d * n_sub / (n_e[:, None] * dim.mu_dm1))[:, :, None]
+    # rows lam_{e,m} stay contiguous: the layout picks the BLAS kernel and so
+    # the rounding of every field; matmul takes the transposed view
+    return lam.transpose(0, 2, 1)
 
 
 _PLANS: "weakref.WeakKeyDictionary[SphereGrid, dict]" = weakref.WeakKeyDictionary()
@@ -218,23 +210,18 @@ def _leaf_draws(ell: int, d: int):
 def _synthesis_plan(grid: SphereGrid, ell: int):
     """(cos_idx, sin_idx, cos_m, sin_m, lams) for degree-ell fields on `grid`:
     the leaf draw indices, the azimuth tables (ell+1, n_phi), and one profile
-    stack per level from S^2 up.  Below the top, stack[e] = lam_{e}.T
-    (n_t, ell+1), zero-padded beyond column e, serves the U of degree e; the
-    top stack is lam_{ell}.T alone."""
+    stack per level from S^2 up.  Below the top, stack[e] (n_t, ell+1),
+    zero-padded beyond column e, serves the U of degree e; the top stack
+    holds lam_{ell} alone."""
     plans = _PLANS.setdefault(grid, {})
     if ell not in plans:
         chain = [grid]
         while chain[-1].sub is not None:
             chain.append(chain[-1].sub)
-        lams = []
-        for level in reversed(chain[1:]):
-            stack = np.zeros((ell + 1, level.colat_t.size, ell + 1))
-            for e in range(ell + 1):
-                stack[e, :, :e + 1] = _synthesis_tables(level, e)[0].T
-            lams.append(stack)
-        lams.append(_synthesis_tables(grid, ell)[0].T[None])
-        _, cos_m, sin_m = _synthesis_tables(chain[-1], ell)
-        plans[ell] = (*_leaf_draws(ell, grid.dim.d), cos_m, sin_m, lams)
+        lams = [_profile_stack(ell, level.dim, level.colat_t, ell if level is grid else 0)
+                for level in reversed(chain)]
+        m_phi = np.arange(ell + 1)[:, None] * _azimuth(grid.n_phi)[None, :]
+        plans[ell] = (*_leaf_draws(ell, grid.dim.d), np.cos(m_phi), np.sin(m_phi), lams)
     return plans[ell]
 
 
@@ -331,28 +318,28 @@ def excursion_variance(ell: int, d: int, z: float, q_max: int = 8) -> float:
 
 
 # ------------------------------------------------------------------
-# harmonic analysis on the grid (d = 2 diagnostics)
+# harmonic analysis on the grid
 # ------------------------------------------------------------------
 
 def recover_harmonic_coeffs(realization: FieldRealization) -> np.ndarray:
-    """Coefficients <T, Y_m> recovered by grid quadrature (d = 2 only).
+    """Coefficients <T, Y_j> recovered by grid quadrature, at every d.
 
-    Returns the 2*ell+1 vector ordered like the synthesis draws; exact (up to
-    rounding) when the grid degree covers 2*ell.  The synthesis basis functions
-    lam_m cos(m phi), lam_m sin(m phi) are sqrt(mu_2 / n_{ell;2}) times
-    orthonormal harmonics, so <T, basis> is divided by that factor.
+    Returns the n_{ell;d} vector ordered like the synthesis draws; exact (up
+    to rounding) when the grid degree covers 2*ell.  The synthesis basis
+    functions are sqrt(mu_d / n_{ell;d}) times orthonormal harmonics, so
+    <T, basis> is divided by that factor.  This is the adjoint of the plan:
+    the weighted field goes down the transposed profile stacks to the circle,
+    is projected on cos(m phi) and sin(m phi), and lands on the leaf draws.
     """
-    grid = realization.grid
-    if grid.dim.d != 2:
-        raise ValueError("coefficient recovery implemented for d = 2 only")
-    ell = realization.ell
-    lam, cos_m, sin_m = _synthesis_tables(grid, ell)
-    vals = realization.values.reshape(grid.colat_t.size, grid.n_phi)
-    w_phi = 2.0 * math.pi / grid.n_phi
-    # azimuth projection per colatitude ring, then the theta quadrature
-    ring_c = vals @ cos_m.T * w_phi   # (n_t, ell+1)
-    ring_s = vals @ sin_m[1:].T * w_phi
-    wlam = grid.colat_w[None, :] * lam
-    out = np.concatenate((np.einsum("mi,im->m", wlam, ring_c),
-                          np.einsum("mi,im->m", wlam[1:], ring_s)))
-    return out / math.sqrt(grid.dim.mu_d / (2 * ell + 1))
+    grid, ell = realization.grid, realization.ell
+    cos_idx, sin_idx, cos_m, sin_m, lams = _synthesis_plan(grid, ell)
+    fields = realization.values * grid.weights
+    for lam in reversed(lams):
+        fields = fields.reshape(*fields.shape[:-1], lam.shape[1], -1)
+        fields = np.matmul(lam.transpose(0, 2, 1), fields)
+    leaves = fields.reshape(cos_idx.shape + (grid.n_phi,))
+    n = dim_harmonics(ell, grid.dim.d)
+    out = np.zeros(n + 1)
+    out[sin_idx] = np.einsum("...mp,mp->...m", leaves, sin_m)
+    out[cos_idx] = np.einsum("...mp,mp->...m", leaves, cos_m)
+    return out[:n] / math.sqrt(grid.dim.mu_d / n)

@@ -139,29 +139,6 @@ def orthonormal_jacobi(n: int, alpha, t, scale=1.0):
         yield cur
 
 
-_DOMAIN_SLACK = 1e-12
-
-
-def gegenbauer(ctx: GegenbauerCtx, t):
-    """Normalized Gegenbauer polynomial G_{ell;d}(t) for |t| <= 1.
-
-    For d = 2 this is the Legendre polynomial P_ell(t).  Arguments within
-    1e-12 of the endpoints are clipped; anything further out is a domain error.
-    """
-    arr = np.asarray(t, dtype=float)
-    if np.any(np.abs(arr) > 1.0 + _DOMAIN_SLACK):
-        raise ValueError(f"gegenbauer argument outside [-1, 1]: max |t| = {np.abs(arr).max()}")
-    val = ctx.evaluate(np.clip(arr, -1.0, 1.0))
-    if np.isscalar(t) or arr.ndim == 0:
-        return float(val)
-    return val
-
-
-def gegenbauer_value(ell: int, d: int, t):
-    """Convenience wrapper building a throwaway context."""
-    return gegenbauer(GegenbauerCtx(ell, SphereDim(d)), t)
-
-
 def hermite(q: int, t):
     """Probabilists' Hermite polynomial H_q(t) by the three-term recurrence."""
     if q < 0:

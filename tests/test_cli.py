@@ -215,6 +215,44 @@ def test_nonfinite_z_is_a_usage_error(tmp_path, capsys, source):
     assert "z must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, source", [("simulate", "flag"), ("simulate", "config"),
+                                             ("clt", "flag")])
+def test_nonfinite_betas_are_usage_errors(tmp_path, capsys, command, source):
+    args = [command, "--kind", "Z", "--ell", "8", "--reps", "200", "--seed", "1",
+            "--out-dir", str(tmp_path)]
+    if source == "flag":
+        args += ["--betas", "0,0,nan"]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("betas = 0,0,inf\n")
+        args += ["--config", str(cfg)]
+    assert run_cli(*args) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "betas must be finite" in err
+    assert not list(tmp_path.glob("*.json"))
+
+
+@pytest.mark.parametrize("d, mu", [(2, 4 * math.pi), (3, 2 * math.pi ** 2)], ids=["d2", "d3"])
+def test_simulate_h0_reads_the_sphere_volume(tmp_path, d, mu):
+    # h_{ell;0} = mu_d for every field: raw values only, nothing to normalize by
+    assert run_cli("simulate", "--kind", "h", "--q", "0", "--d", str(d), "--ell", "8",
+                   "--reps", "3", "--seed", "1", "--out-dir", str(tmp_path)) == 0
+    rows = read_rows(tmp_path / f"simulate_h_d{d}_ell8.csv")
+    assert len(rows) == 3
+    for row in rows:
+        assert row["q_or_kind"] == "h0" and row["normalized"] == ""
+        assert float(row["raw"]) == pytest.approx(mu, rel=1e-12)
+
+
+def test_constant_kind_Z_exits_2_naming_zero_variance(tmp_path, capsys):
+    code = run_cli("simulate", "--kind", "Z", "--betas", "2", "--ell", "8", "--reps", "3",
+                   "--seed", "1", "--out-dir", str(tmp_path))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "zero variance" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 @pytest.mark.parametrize("source", ["flag", "config"])
 @pytest.mark.parametrize("key, flag, value", [("replicas", "--reps", "-5"),
                                               ("threads", "--threads", "-3")])

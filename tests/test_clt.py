@@ -186,19 +186,19 @@ def test_sweep_builds_each_table_once(monkeypatch):
     import sphclt.simulate as simulate
 
     calls = []
-    build = simulate._profile_table
+    build = simulate._profile_stack
 
-    def counted(ell, dim, t):
-        calls.append((dim.d, ell, t.size))
-        return build(ell, dim, t)
-    monkeypatch.setattr(simulate, "_profile_table", counted)
+    def counted(ell, dim, t, lo):
+        calls.append((dim.d, ell, t.size, lo))
+        return build(ell, dim, t, lo)
+    monkeypatch.setattr(simulate, "_profile_stack", counted)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         four = clt_sweep("h", 3, [8], 256, 1, q=2, threads=4)
     finally:
         sys.setswitchinterval(interval)
-    assert sorted(calls) == [(2, m, 9) for m in range(9)] + [(3, 8, 9)]
+    assert sorted(calls) == [(2, 8, 9, 0), (3, 8, 9, 8)]
     assert clt_sweep("h", 3, [8], 256, 1, q=2, threads=1) == four
 
 

@@ -6,6 +6,7 @@ quadrature of phi(x) H_q(x) over (-inf, z].
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,8 +17,9 @@ from sphclt.clt import functional_excursion, functional_h, functional_Z, monomia
 from sphclt.moments import ZeroVarianceError, variance_h
 from sphclt.simulate import (
     NodeBudgetError,
+    _profile_stack,
     _sample_batch,
-    _synthesis_tables,
+    _synthesis_plan,
     _synthesize_batch,
     build_grid,
     excursion_variance,
@@ -26,7 +28,7 @@ from sphclt.simulate import (
     sample_field,
     FieldRealization,
 )
-from sphclt.specfun import GegenbauerCtx, SphereDim, dim_harmonics, gegenbauer_value, hermite
+from sphclt.specfun import GegenbauerCtx, SphereDim, dim_harmonics, hermite
 
 
 def phi(z):
@@ -105,7 +107,7 @@ def test_sampling_d2_statistics():
     i, j = 0, grid.n_phi * 5 + 3
     cth = float(np.clip(grid.nodes[i] @ grid.nodes[j], -1, 1))
     emp = float(np.mean(reps[:, i] * reps[:, j]))
-    exact = gegenbauer_value(ell, 2, cth)
+    exact = float(GegenbauerCtx(ell, SphereDim(2)).evaluate(cth))
     se = math.sqrt((1.0 + exact ** 2) / n)
     assert abs(emp - exact) < 4.0 * se
 
@@ -118,7 +120,7 @@ def test_sampling_d3_statistics():
     i, j = 0, grid.n_nodes // 2
     cth = float(np.clip(grid.nodes[i] @ grid.nodes[j], -1, 1))
     emp = float(np.mean(reps[:, i] * reps[:, j]))
-    exact = gegenbauer_value(6, 3, cth)
+    exact = float(GegenbauerCtx(6, SphereDim(3)).evaluate(cth))
     assert abs(emp - exact) < 4.0 * math.sqrt((1 + exact ** 2) / n)
 
 
@@ -135,9 +137,11 @@ def test_synthesis_covariance_oracle(d, ell, degree):
 def _synthesize_per_m(grid, ell, coeffs):
     """Reference: the recursion one sub-field U_m at a time, each sub-level
     called on its own block of draws."""
-    lam, cos_m, sin_m = _synthesis_tables(grid, ell)
+    lam = _profile_stack(ell, grid.dim, grid.colat_t, ell)[0]  # (n_t, ell+1)
     sub = grid.sub
     if sub is None:
+        m_phi = np.arange(ell + 1)[:, None] * (2.0 * math.pi * np.arange(grid.n_phi) / grid.n_phi)
+        cos_m, sin_m = np.cos(m_phi), np.sin(m_phi)
         sub_fields = coeffs[:, :ell + 1, None] * cos_m
         sub_fields[:, 1:] += coeffs[:, ell + 1:, None] * sin_m[1:]
     else:
@@ -147,7 +151,7 @@ def _synthesize_per_m(grid, ell, coeffs):
             stop = start + (1 if m == 0 else dim_harmonics(m, sub.dim.d))
             sub_fields[:, m] = _synthesize_per_m(sub, m, coeffs[:, start:stop])
             start = stop
-    return np.matmul(lam.T, sub_fields).reshape(coeffs.shape[0], grid.n_nodes)
+    return np.matmul(lam, sub_fields).reshape(coeffs.shape[0], grid.n_nodes)
 
 
 @pytest.mark.parametrize("d, ell, degree", [(2, 64, 128), (3, 6, 12), (3, 24, 48), (3, 40, 12),
@@ -176,7 +180,7 @@ def test_profile_table_d2_matches_scipy_harmonics():
     # Condon-Shortley sign removed
     ell = 256
     grid = build_grid(2, 2 * ell)
-    lam = _synthesis_tables(grid, ell)[0]
+    lam = _synthesis_plan(grid, ell)[-1][-1][0].T  # the top stack: lam_{ell} alone
     m = np.arange(ell + 1)
     theta = np.arccos(grid.colat_t)
     ylm = np.array([sph_harm_y(ell, k, theta, 0.0).real for k in m]) * (-1.0) ** m[:, None]
@@ -210,24 +214,39 @@ def test_coefficient_recovery_variance():
     assert abs(coefs.var() - target) < 4.0 * se
 
 
-@pytest.mark.parametrize("ell", [1, 10, 64])
-def test_recovery_returns_the_replica_draws(ell):
-    # pins the d = 2 draw layout [a_0, a^c_1..a^c_ell, a^s_1..a^s_ell] and the
-    # (seed, replica) stream: recovery undoes the synthesis draw by draw
+@pytest.mark.parametrize("d, ell", [(2, 1), (2, 10), (2, 64), (3, 6), (3, 20), (4, 8), (5, 4)],
+                         ids=["1", "10", "64", "d3-6", "d3-20", "d4-8", "d5-4"])
+def test_recovery_returns_the_replica_draws(d, ell):
+    # pins the draw layout (at d = 2 [a_0, a^c_1..a^c_ell, a^s_1..a^s_ell]) and
+    # the (seed, replica) stream: recovery undoes the synthesis draw by draw
     seed, rep = 23, 5
-    grid = build_grid(2, 2 * ell)
-    coefs = recover_harmonic_coeffs(sample_field(2, ell, grid, seed, rep))
-    draws = simulate._replica_rng(seed, rep).standard_normal(2 * ell + 1)
-    scale = math.sqrt(4 * math.pi / (2 * ell + 1))
+    grid = build_grid(d, 2 * ell)
+    coefs = recover_harmonic_coeffs(sample_field(d, ell, grid, seed, rep))
+    n = dim_harmonics(ell, d)
+    draws = simulate._replica_rng(seed, rep).standard_normal(n)
+    scale = math.sqrt(grid.dim.mu_d / n)
     assert np.max(np.abs(coefs / scale - draws)) < 1e-12
 
 
 def test_parseval_on_grid():
-    ell = 10
-    grid = build_grid(2, 2 * ell)
-    f = sample_field(2, ell, grid, seed=8, replica=0)
-    coefs = recover_harmonic_coeffs(f)
-    assert float(np.sum(coefs ** 2)) == pytest.approx(float(grid.integrate(f.values ** 2)), abs=1e-9)
+    for d, ell in ((2, 10), (3, 10)):
+        grid = build_grid(d, 2 * ell)
+        f = sample_field(d, ell, grid, seed=8, replica=0)
+        coefs = recover_harmonic_coeffs(f)
+        assert float(np.sum(coefs ** 2)) == pytest.approx(float(grid.integrate(f.values ** 2)), abs=1e-9)
+
+
+def test_synthesis_plan_holds_one_stack_per_level():
+    # lower levels hold lam_{e} for every e <= ell in one stack; no azimuth
+    # tables beyond degree ell are kept
+    grid = build_grid(3, 128)
+    tracemalloc.start()
+    try:
+        _sample_batch(grid, 64, 0, ())
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 4 * 2 ** 20
 
 
 # ------------------------------------------------------------------

@@ -19,8 +19,6 @@ from sphclt.specfun import (
     bessel_j,
     bessel_j_zeros,
     dim_harmonics,
-    gegenbauer,
-    gegenbauer_value,
     hermite,
     sphere_volume,
 )
@@ -99,50 +97,45 @@ def test_dim_harmonics_binomial_identity(ell, d):
 @pytest.mark.parametrize("ell", [0, 1, 2, 7, 40, 256])
 def test_gegenbauer_normalization_and_parity(d, ell):
     ctx = GegenbauerCtx(ell, SphereDim(d))
-    assert gegenbauer(ctx, 1.0) == pytest.approx(1.0, abs=1e-13)
+    assert ctx.evaluate(1.0) == pytest.approx(1.0, abs=1e-13)
     t = np.linspace(-1, 1, 41)
-    vals = gegenbauer(ctx, t)
-    flipped = gegenbauer(ctx, -t)
+    vals = ctx.evaluate(t)
+    flipped = ctx.evaluate(-t)
     np.testing.assert_allclose(flipped, (-1.0) ** ell * vals, atol=1e-13)
 
 
 def test_gegenbauer_trivial_values():
-    assert gegenbauer_value(2, 2, 0.0) == pytest.approx(-0.5, abs=1e-15)
-    assert gegenbauer_value(5, 3, 1.0) == pytest.approx(1.0, abs=1e-14)
+    assert GegenbauerCtx(2, SphereDim(2)).evaluate(0.0) == pytest.approx(-0.5, abs=1e-15)
+    assert GegenbauerCtx(5, SphereDim(3)).evaluate(1.0) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_gegenbauer_matches_jacobi_oracle():
     # (ell=3, d=4, t=0.3): normalized symmetric Jacobi, alpha = d/2 - 1 = 1
     raw = jacobi_symmetric_oracle(3, 1.0, 0.3)
     at_one = jacobi_symmetric_oracle(3, 1.0, 1.0)
-    assert gegenbauer_value(3, 4, 0.3) == pytest.approx(raw / at_one, rel=1e-13)
+    assert GegenbauerCtx(3, SphereDim(4)).evaluate(0.3) == pytest.approx(raw / at_one, rel=1e-13)
     # odd dimension (half-integer alpha) as well
     for ell in (2, 5, 11):
         raw = jacobi_symmetric_oracle(ell, 0.5, -0.42)
         at_one = jacobi_symmetric_oracle(ell, 0.5, 1.0)
-        assert gegenbauer_value(ell, 3, -0.42) == pytest.approx(raw / at_one, rel=1e-12)
+        value = GegenbauerCtx(ell, SphereDim(3)).evaluate(-0.42)
+        assert value == pytest.approx(raw / at_one, rel=1e-12)
 
 
 @pytest.mark.parametrize("ell", [1, 3, 10, 64, 201])
 def test_gegenbauer_d2_is_legendre(ell):
+    ctx = GegenbauerCtx(ell, SphereDim(2))
     for t in (-0.97, -0.5, 0.0, 0.31, 0.9):
-        assert gegenbauer_value(ell, 2, t) == pytest.approx(legendre_oracle(ell, t), abs=1e-13)
-
-
-def test_gegenbauer_domain_error():
-    ctx = GegenbauerCtx(3, SphereDim(2))
-    with pytest.raises(ValueError):
-        gegenbauer(ctx, 1.001)
-    # slack: values within 1e-12 of the endpoint are clipped, not rejected
-    assert gegenbauer(ctx, 1.0 + 5e-13) == pytest.approx(1.0, abs=1e-12)
+        assert ctx.evaluate(t) == pytest.approx(legendre_oracle(ell, t), abs=1e-13)
 
 
 def test_gegenbauer_d3_closed_form():
     # G_{ell;3}(cos t) = sin((ell+1) t) / ((ell+1) sin t)
     for ell in (1, 4, 17, 120):
+        ctx = GegenbauerCtx(ell, SphereDim(3))
         for theta in (0.2, 0.9, 2.4):
             expect = math.sin((ell + 1) * theta) / ((ell + 1) * math.sin(theta))
-            assert gegenbauer_value(ell, 3, math.cos(theta)) == pytest.approx(expect, abs=1e-12)
+            assert ctx.evaluate(math.cos(theta)) == pytest.approx(expect, abs=1e-12)
 
 
 # ------------------------------------------------------------------
