@@ -144,7 +144,7 @@ class Functional:
             if betas is None or len(betas) == 0:
                 raise ValueError("kind Z requires monomial coefficients betas (b0,b1,...)")
             if not all(math.isfinite(float(b)) for b in betas):
-                raise ValueError(f"betas must be finite, got {','.join(str(b) for b in betas)}")
+                raise ValueError(f"betas must be finite, got {tuple(betas)}")
             return cls("Z", "Z", beta=tuple(float(b) for b in monomial_to_hermite(betas)),
                        monomial=tuple(float(b) for b in betas))
         if kind == "S":
