@@ -57,6 +57,10 @@ from .simulate import build_grid, excursion_variance, sample_field
 from .specfun import SphereDim, dim_harmonics
 
 FORMAT_VERSION = "1"
+# the tolerances of the `moments` checks are fixed, so `all_passed` means the
+# same thing for every run
+RATIO_TOL = 0.05
+SLOPE_TOL = 0.10
 
 
 class UsageError(Exception):
@@ -104,16 +108,11 @@ _SWEEPS = ("simulate", "clt", "excursion")
 _ALL = ("moments", "contractions") + _SWEEPS
 
 
-def _key(default, flag: str, parse, help_text: str, commands: tuple[str, ...],
-         choices=None, no_flag: tuple[str, ...] = ()):
-    """A RunConfig field settable by `flag` and by its config-file key.
-
-    `parse` turns the text of either into the value; the commands in
-    `no_flag` take the key from a config file only.
-    """
+def _key(default, flag: str, parse, help_text: str, commands: tuple[str, ...], choices=None):
+    """A RunConfig field settable by `flag` and by its config-file key;
+    `parse` turns the text of either into the value."""
     return field(default=default, metadata=dict(flag=flag, parse=parse, help=help_text,
-                                                 commands=commands, choices=choices,
-                                                 no_flag=no_flag))
+                                                 commands=commands, choices=choices))
 
 
 @dataclass(frozen=True)
@@ -136,15 +135,6 @@ class RunConfig:
     z: float | None = _key(None, "--z", float, "excursion level (kind S)", _SWEEPS)
     ell: tuple[int, ...] = _key((), "--ell", parse_ell_spec,
                                 "multipoles: '16,64' or dyadic '256..8192'", _ALL)
-    ratio_tol: float = _key(0.05, "--ratio-tol", float,
-                            "tolerance for the final ell^d*moment/c ratio (default 0.05)",
-                            ("moments",))
-    slope_tol: float = _key(0.10, "--slope-tol", float,
-                            "relative tolerance for the (2,4) log-slope check (default 0.10)",
-                            ("moments",))
-    excursion_q_max: int = _key(8, "--excursion-qmax", int,
-                                "chaos truncation order for the excursion variance (default 8)",
-                                _SWEEPS, no_flag=("simulate",))
     seed: int | None = _key(None, "--seed", int,
                             "master seed; drawn from entropy and recorded if absent", _SWEEPS)
     replicas: int = _key(2000, "--reps", int, "replicas per multipole (default 2000)", _SWEEPS)
@@ -152,7 +142,6 @@ class RunConfig:
                            "permit odd multipoles (odd chaoses vanish there)", _SWEEPS)
     out_dir: str = _key(".", "--out-dir", str, "output directory (default .)", _ALL)
     threads: int = _key(1, "--threads", int, "worker cap; outputs do not depend on it", _ALL)
-    format_version: str = FORMAT_VERSION
 
 
 def _keys(command: str):
@@ -227,7 +216,7 @@ def write_manifest(path: Path, cfg: RunConfig, outputs, checks, summary=None):
         if f.name != "threads"  # execution detail; kept out for byte-identical reruns
     }
     doc = {
-        "format_version": cfg.format_version,
+        "format_version": FORMAT_VERSION,
         "tool": {"name": "sphclt", "version": __version__},
         "command": cfg.command,
         "config": config_echo,
@@ -287,8 +276,8 @@ def cmd_moments(cfg: RunConfig) -> int:
         final_ratio = rows[-1][8]
         checks.append(_check(
             "asymptotic_ratio_final",
-            abs(final_ratio - 1.0) <= cfg.ratio_tol,
-            f"ell^d * moment / c = {final_ratio:.6f} at ell={cfg.ell[-1]} (tol {cfg.ratio_tol})",
+            abs(final_ratio - 1.0) <= RATIO_TOL,
+            f"ell^d * moment / c = {final_ratio:.6f} at ell={cfg.ell[-1]} (tol {RATIO_TOL})",
         ))
 
     summary = {}
@@ -300,8 +289,8 @@ def cmd_moments(cfg: RunConfig) -> int:
         rows.append(("log_slope", d, q, None, rec.slope, rec.stderr, None, None, None))
         checks.append(_check(
             "log_divergence_slope",
-            abs(rec.slope - 576.0) <= cfg.slope_tol * 576.0,
-            f"slope of Var*ell^2 vs log(ell) = {rec.slope:.2f} (target 576 +- {cfg.slope_tol:.0%})",
+            abs(rec.slope - 576.0) <= SLOPE_TOL * 576.0,
+            f"slope of Var*ell^2 vs log(ell) = {rec.slope:.2f} (target 576 +- {SLOPE_TOL:.0%})",
         ))
         summary["log_slope"] = {"slope": rec.slope, "stderr": rec.stderr, "intercept": rec.intercept}
 
@@ -354,7 +343,7 @@ def cmd_contractions(cfg: RunConfig) -> int:
 def _functional(cfg: RunConfig) -> Functional:
     """The run's functional; its kind defaults to S for `excursion`, else h."""
     kind = cfg.kind or ("S" if cfg.command == "excursion" else "h")
-    return Functional.of(kind, cfg.q, cfg.betas, cfg.z, cfg.excursion_q_max)
+    return Functional.of(kind, cfg.q, cfg.betas, cfg.z)
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
@@ -460,11 +449,8 @@ def cmd_clt(cfg: RunConfig) -> int:
     else:
         name_part = f"q{cfg.q}" if kind == "h" else ("poly" if kind == "Z" else f"z{cfg.z:g}")
         base = f"clt_{kind}_d{cfg.d}_{name_part}"
-    report = clt_sweep(
-        kind, cfg.d, list(cfg.ell), cfg.replicas, cfg.seed,
-        q=cfg.q, betas=cfg.betas, z=cfg.z, threads=cfg.threads,
-        allow_odd=cfg.allow_odd, excursion_q_max=cfg.excursion_q_max,
-    )
+    report = clt_sweep(kind, cfg.d, list(cfg.ell), cfg.replicas, cfg.seed, q=cfg.q,
+                       betas=cfg.betas, z=cfg.z, threads=cfg.threads, allow_odd=cfg.allow_odd)
     checks = _sweep_checks(report)
     _write_sweep_outputs(cfg, report, base, checks)
     return 0 if all(c["passed"] for c in checks) else 1
@@ -493,8 +479,6 @@ def make_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=help_text)
         for f in _keys(command):
             meta = f.metadata
-            if command in meta["no_flag"]:
-                continue
             if meta["parse"] is _parse_bool:
                 p.add_argument(meta["flag"], dest=f.name, action="store_const", const=True,
                                help=meta["help"])

@@ -38,7 +38,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .contractions import berry_esseen_bound, poly_bound
-from .moments import ZeroVarianceError, variance_h
+from .moments import ZeroVarianceError, fit_line, variance_h
 from .parallel import fixed_chunks, ordered_map
 from .simulate import FieldRealization, SphereGrid, _sample_batch, build_grid, excursion_variance
 # hermite has no caller here; perfbench/spans.py wraps this binding
@@ -131,11 +131,9 @@ class Functional:
     beta: tuple[float, ...] | None = None  # Hermite coefficients (h, Z)
     monomial: tuple[float, ...] | None = None  # monomial coefficients c (h, Z)
     z: float | None = None               # level (S)
-    q_max: int = 8                       # chaos truncation of the S variance
 
     @classmethod
-    def of(cls, kind: str, q: int | None = None, betas=None, z: float | None = None,
-           q_max: int = 8) -> Functional:
+    def of(cls, kind: str, q: int | None = None, betas=None, z: float | None = None) -> Functional:
         if kind == "h":
             if q is None or q < 0:
                 raise ValueError(f"kind h requires a Hermite order q >= 0, got {q}")
@@ -150,7 +148,7 @@ class Functional:
         if kind == "S":
             if z is None:
                 raise ValueError("kind S requires a level z")
-            return cls("S", f"S(z={z:g})", z=z, q_max=q_max)
+            return cls("S", f"S(z={z:g})", z=z)
         raise ValueError(f"kind must be 'h', 'Z' or 'S', got {kind!r}")
 
     def degree(self, ell: int) -> int:
@@ -185,7 +183,7 @@ class Functional:
     def variance(self, ell: int, d: int) -> float:
         """Sum over chaoses q >= 2 of coefficient^2 * Var[h_{ell;q,d}]; 0 raises."""
         if self.beta is None:
-            var = excursion_variance(ell, d, self.z, q_max=self.q_max)
+            var = excursion_variance(ell, d, self.z)
         else:
             var = sum(b * b * variance_h(ell, j, d) for j, b in _hermite_betas(self.beta).items())
         if var <= 0.0:
@@ -296,7 +294,7 @@ def _samples(f: Functional, grid: SphereGrid, ell: int, seed: int, replicas: int
 
 def clt_sweep(kind: str, d: int, ell_list, replicas: int, seed: int,
               q: int | None = None, betas=None, z: float | None = None,
-              threads: int = 1, allow_odd: bool = False, excursion_q_max: int = 8) -> CltReport:
+              threads: int = 1, allow_odd: bool = False) -> CltReport:
     """Simulate the requested functional across ell_list and tabulate
     empirical Kolmogorov/Wasserstein distances against rates and bounds.
 
@@ -305,7 +303,7 @@ def clt_sweep(kind: str, d: int, ell_list, replicas: int, seed: int,
     allow_odd is set.  Replica chunks are fixed-size and BLAS runs on one
     thread, so `threads` never changes any output value.
     """
-    f = Functional.of(kind, q, betas, z, excursion_q_max)
+    f = Functional.of(kind, q, betas, z)
     if replicas < 200:
         raise ValueError(f"need at least 200 replicas per row, got {replicas}")
     ells = [int(l) for l in ell_list]
@@ -376,15 +374,8 @@ def rate_fit(report: CltReport) -> RateFit:
     if len(usable) < 3:
         raise ValueError(f"need >= 3 rows above the MC floor, have {len(usable)}")
     lx = np.log([r.ell for r in usable])
-    ly = np.log([r.empirical_dK for r in usable])
-    lt = np.log([r.theoretical_rate for r in usable])
-    sxx = float(np.sum((lx - lx.mean()) ** 2))
-    slope = float(np.sum((lx - lx.mean()) * (ly - ly.mean())) / sxx)
-    intercept = float(ly.mean() - slope * lx.mean())
-    resid = ly - (intercept + slope * lx)
-    dof = max(len(usable) - 2, 1)
-    stderr = math.sqrt(float(np.sum(resid ** 2)) / dof / sxx)
-    theory_slope = float(np.sum((lx - lx.mean()) * (lt - lt.mean())) / sxx)
+    slope, intercept, stderr = fit_line(lx, np.log([r.empirical_dK for r in usable]))
+    theory_slope = fit_line(lx, np.log([r.theoretical_rate for r in usable]))[0]
     return RateFit(
         slope=slope, stderr=stderr, intercept=intercept, theory_slope=theory_slope,
         decays_at_least_as_fast=slope <= theory_slope + 2.0 * stderr,

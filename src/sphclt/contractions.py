@@ -277,9 +277,9 @@ def poly_rate(ell: int, d: int, betas: dict[int, float]) -> float:
 # Monte Carlo oracle for the 4-point integral
 # ------------------------------------------------------------------
 
-def mc_kernel_contraction(ell: int, q: int, r: int, d: int, n_samples: int,
-                          seed: int = 0, batch: int = 200_000):
-    """Brute-force estimate of K(ell, q; r) from uniform 4-point samples.
+def mc_kernel_contraction(ell: int, q: int, r: int, d: int, n_samples: int, seed: int = 0):
+    """Brute-force estimate of K(ell, q; r) from uniform 4-point samples,
+    drawn in batches of 200 000.
 
     Samples x_1..x_4 uniformly on S^d (normalized Gaussians), averages the
     cyclic product G^r(x1.x2) G^{q-r}(x2.x3) G^r(x3.x4) G^{q-r}(x4.x1) and
@@ -294,7 +294,7 @@ def mc_kernel_contraction(ell: int, q: int, r: int, d: int, n_samples: int,
     total_sq = 0.0
     done = 0
     while done < n_samples:
-        m = min(batch, n_samples - done)
+        m = min(200_000, n_samples - done)
         x = rng.standard_normal((4, m, d + 1))
         x /= np.linalg.norm(x, axis=2, keepdims=True)
         prod = np.ones(m)

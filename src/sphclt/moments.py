@@ -35,6 +35,10 @@ import numpy as np
 from .quadrature import panel_nodes
 from .specfun import SphereDim, bessel_j, bessel_j_zeros, dim_harmonics
 
+# c(q, d) converges when successive zero budgets agree to BESSEL_TOL
+BESSEL_TOL = 1e-9
+BESSEL_MAX_ZEROS = 16384
+
 
 class ToleranceNotMetError(Exception):
     """A Bessel constant missed its tolerance within the zero budget."""
@@ -170,11 +174,11 @@ def _averaged_tail(seq: np.ndarray):
     return float(history[-1]), float(np.ptp(tail))
 
 
-def _bessel_integral_partial_sums(nu, q, p, n_zeros, nodes_per_interval=24):
+def _bessel_integral_partial_sums(nu, q, p, n_zeros):
     """Partial sums of int_0^{z_k} J_nu^q psi^p dpsi over zero intervals."""
     zeros = bessel_j_zeros(nu, n_zeros)
     edges = np.concatenate(([0.0], zeros))
-    x, w = panel_nodes(0.0, 1.0, 1, nodes_per_interval)  # reference rule on [0,1]
+    x, w = panel_nodes(0.0, 1.0, 1, 24)  # 24-point reference rule on [0,1]
     lo = edges[:-1]
     width = np.diff(edges)
     psi = lo[:, None] + width[:, None] * x[None, :]
@@ -184,8 +188,9 @@ def _bessel_integral_partial_sums(nu, q, p, n_zeros, nodes_per_interval=24):
     return zeros, np.cumsum(per_interval)
 
 
-def bessel_constant(q: int, d: int, tol: float = 1e-9, max_zeros: int = 16384) -> BesselConstant:
-    """Limiting constant c(q, d) of the half-range moment asymptotics.
+def bessel_constant(q: int, d: int) -> BesselConstant:
+    """Limiting constant c(q, d) of the half-range moment asymptotics, to
+    BESSEL_TOL within BESSEL_MAX_ZEROS zero intervals.
 
     q = 2 uses the closed form (d-1)! mu_d / (4 mu_{d-1}).  Otherwise the
     infinite oscillatory integral is summed over zero intervals of J_{d/2-1}
@@ -222,14 +227,14 @@ def bessel_constant(q: int, d: int, tol: float = 1e-9, max_zeros: int = 16384) -
             dc = (2.0 / math.pi) ** (q / 2.0) * math.comb(q, q // 2) / 2.0 ** q
             sums = sums + dc * zeros ** e / (-e)
         value, spread = _averaged_tail(sums)
-        if prev is not None and abs(value - prev) < tol and spread < tol:
+        if prev is not None and abs(value - prev) < BESSEL_TOL and spread < BESSEL_TOL:
             err = abs(value - prev) + spread
             return BesselConstant(q, d, prefactor * value, mode, n_zeros, prefactor * err)
         prev = value
         n_zeros *= 2
-        if n_zeros > max_zeros:
+        if n_zeros > BESSEL_MAX_ZEROS:
             raise ToleranceNotMetError(f"c(q={q}, d={d}) = {prefactor * value:.12g} did not converge "
-                                       f"to {tol} within {max_zeros} zero intervals")
+                                       f"to {BESSEL_TOL} within {BESSEL_MAX_ZEROS} zero intervals")
 
 
 @dataclass(frozen=True)
@@ -261,6 +266,17 @@ def asymptotic_ratio(q: int, d: int, ell_list) -> tuple[BesselConstant, list[Rat
     return const, rows
 
 
+def fit_line(x, y) -> tuple[float, float, float]:
+    """(slope, intercept, standard error of the slope) of the least-squares
+    line through the points (x, y)."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    sxx = float(np.sum((x - x.mean()) ** 2))
+    slope = float(np.sum((x - x.mean()) * (y - y.mean())) / sxx)
+    intercept = float(y.mean() - slope * x.mean())
+    resid = y - (intercept + slope * x)
+    return slope, intercept, math.sqrt(float(np.sum(resid ** 2)) / max(x.size - 2, 1) / sxx)
+
+
 @dataclass(frozen=True)
 class SlopeRecord:
     slope: float
@@ -284,12 +300,5 @@ def log_divergence_check(ell_list) -> SlopeRecord:
     if max(ells) < 4096:
         raise ValueError("need max(ell) >= 4096 to be in the asymptotic regime")
     y = np.array([variance_h(l, 4, 2) * l * l for l in ells])
-    x = np.log(np.array(ells, dtype=float))
-    n = x.size
-    sxx = np.sum((x - x.mean()) ** 2)
-    slope = float(np.sum((x - x.mean()) * (y - y.mean())) / sxx)
-    intercept = float(y.mean() - slope * x.mean())
-    resid = y - (intercept + slope * x)
-    sigma2 = float(np.sum(resid ** 2) / max(n - 2, 1))
-    stderr = math.sqrt(sigma2 / sxx)
+    slope, intercept, stderr = fit_line(np.log(np.array(ells, dtype=float)), y)
     return SlopeRecord(slope, stderr, intercept, tuple(ells), tuple(float(v) for v in y))

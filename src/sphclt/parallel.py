@@ -18,9 +18,9 @@ from pathlib import Path
 CHUNK = 64
 
 
-def fixed_chunks(n_items: int, chunk: int = CHUNK):
-    """[(start, stop), ...] covering range(n_items) in fixed-size pieces."""
-    return [(lo, min(lo + chunk, n_items)) for lo in range(0, n_items, chunk)]
+def fixed_chunks(n_items: int):
+    """[(start, stop), ...] covering range(n_items) in pieces of CHUNK items."""
+    return [(lo, min(lo + CHUNK, n_items)) for lo in range(0, n_items, CHUNK)]
 
 
 @functools.cache

@@ -27,11 +27,6 @@ from scipy.special import roots_jacobi
 from .specfun import orthonormal_jacobi
 
 
-@lru_cache(maxsize=64)
-def _gl_reference(n: int):
-    return leggauss(n)
-
-
 def panel_nodes(a: float, b: float, n_panels: int, nodes_per_panel: int = 10):
     """Composite Gauss-Legendre rule on [a, b] with equal-width panels.
 
@@ -40,7 +35,7 @@ def panel_nodes(a: float, b: float, n_panels: int, nodes_per_panel: int = 10):
     """
     if n_panels < 1:
         raise ValueError("need at least one panel")
-    x, w = _gl_reference(nodes_per_panel)
+    x, w = leggauss(nodes_per_panel)
     edges = np.linspace(a, b, n_panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])

@@ -78,10 +78,6 @@ class SphereGrid:
     def n_nodes(self) -> int:
         return self.nodes.shape[0]
 
-    def integrate(self, values: np.ndarray):
-        """Quadrature sum over the grid (last axis of `values`)."""
-        return values @ self.weights
-
 
 def _orthogonality_check(dim, colat_t, colat_w, sub_weight, exact_degree):
     # integral of G_k(x . pole) must vanish for 1 <= k <= exact_degree
@@ -97,8 +93,9 @@ def _azimuth(n_phi: int) -> np.ndarray:
     return 2.0 * math.pi * np.arange(n_phi) / n_phi
 
 
-def build_grid(d: int, target_degree: int, node_budget: int = NODE_BUDGET) -> SphereGrid:
-    """Product quadrature grid on S^d exact at least to `target_degree`."""
+def build_grid(d: int, target_degree: int) -> SphereGrid:
+    """Product quadrature grid on S^d exact at least to `target_degree`, of at
+    most NODE_BUDGET nodes."""
     if target_degree < 1:
         raise ValueError(f"target degree must be >= 1, got {target_degree}")
     if d < 2:
@@ -113,8 +110,8 @@ def build_grid(d: int, target_degree: int, node_budget: int = NODE_BUDGET) -> Sp
     grid = None
     for k in range(2, d + 1):
         n_sub = weights.size
-        if n_t * n_sub > node_budget:
-            raise NodeBudgetError(f"grid would need {n_t * n_sub} nodes (budget {node_budget})")
+        if n_t * n_sub > NODE_BUDGET:
+            raise NodeBudgetError(f"grid would need {n_t * n_sub} nodes (budget {NODE_BUDGET})")
         t, w_t = gauss_jacobi_rule(n_t, k)
         dim = SphereDim(k)
         exact = min(2 * n_t - 1, exact)
@@ -175,9 +172,6 @@ def _profile_stack(ell: int, dim: SphereDim, t: np.ndarray, lo: int) -> np.ndarr
 
 
 _PLANS: "weakref.WeakKeyDictionary[SphereGrid, dict]" = weakref.WeakKeyDictionary()
-# larger batches are synthesized in slices, so that the circle level of one
-# slice holds at most this many values
-LEAF_BUDGET = 1 << 22
 
 
 def _leaf_draws(ell: int, d: int):
@@ -237,10 +231,6 @@ def _synthesize_batch(grid: SphereGrid, ell: int, coeffs: np.ndarray) -> np.ndar
     """
     cos_idx, sin_idx, cos_m, sin_m, lams = _synthesis_plan(grid, ell)
     R = coeffs.shape[0]
-    step = max(1, LEAF_BUDGET // (cos_idx.size * cos_m.shape[1]))
-    if R > step:
-        return np.concatenate([_synthesize_batch(grid, ell, coeffs[lo:lo + step])
-                               for lo in range(0, R, step)])
     draws = np.concatenate((coeffs, np.zeros((R, 1))), axis=1)
     fields = draws[:, cos_idx, None] * cos_m + draws[:, sin_idx, None] * sin_m
     for lam in lams:
@@ -276,13 +266,12 @@ def sample_field(d: int, ell: int, grid: SphereGrid, seed: int, replica: int = 0
 # Hermite projections of square-integrable transforms
 # ------------------------------------------------------------------
 
-def hermite_projection(M, q: int, n_nodes: int = 201) -> float:
+def hermite_projection(M, q: int) -> float:
     """J_q(M) = E[M(Z) H_q(Z)] for standard normal Z.
 
     `M` is either ("indicator", z) for the transform 1{. <= z}, where
     J_0 = Phi(z) and, since (phi H_{q-1})' = -phi H_q, J_q = -phi(z) H_{q-1}(z)
-    for q >= 1; or a callable, handled by Gauss-Hermite quadrature with
-    `n_nodes` points.
+    for q >= 1; or a callable, handled by 201-point Gauss-Hermite quadrature.
     """
     if q < 0:
         raise ValueError(f"Hermite order must be >= 0, got {q}")
@@ -294,9 +283,7 @@ def hermite_projection(M, q: int, n_nodes: int = 201) -> float:
         x = min(max(z, -42.0), 42.0)
         return -math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi) * hermite(q - 1, x)
     if callable(M):
-        if not 1 <= n_nodes <= 500:
-            raise ValueError("n_nodes must be in [1, 500] (hermegauss loses stability beyond)")
-        x, w = np.polynomial.hermite_e.hermegauss(n_nodes)
+        x, w = np.polynomial.hermite_e.hermegauss(201)
         vals = np.asarray([float(M(xi)) for xi in x])
         result = float(np.sum(w * vals * hermite(q, x)) / math.sqrt(2.0 * math.pi))
         if not math.isfinite(result):
@@ -324,14 +311,17 @@ def excursion_variance(ell: int, d: int, z: float, q_max: int = 8) -> float:
 def recover_harmonic_coeffs(realization: FieldRealization) -> np.ndarray:
     """Coefficients <T, Y_j> recovered by grid quadrature, at every d.
 
-    Returns the n_{ell;d} vector ordered like the synthesis draws; exact (up
-    to rounding) when the grid degree covers 2*ell.  The synthesis basis
-    functions are sqrt(mu_d / n_{ell;d}) times orthonormal harmonics, so
-    <T, basis> is divided by that factor.  This is the adjoint of the plan:
+    Returns the n_{ell;d} vector ordered like the synthesis draws, exact up
+    to rounding; a grid whose exact degree is below 2*ell raises.  The
+    synthesis basis functions are sqrt(mu_d / n_{ell;d}) times orthonormal
+    harmonics, so <T, basis> is divided by that factor.  This is the adjoint of the plan:
     the weighted field goes down the transposed profile stacks to the circle,
     is projected on cos(m phi) and sin(m phi), and lands on the leaf draws.
     """
     grid, ell = realization.grid, realization.ell
+    if grid.exact_degree < 2 * ell:
+        raise ValueError(f"recovery at ell={ell} needs a grid exact to degree {2 * ell}, "
+                         f"this one is exact to degree {grid.exact_degree}")
     cos_idx, sin_idx, cos_m, sin_m, lams = _synthesis_plan(grid, ell)
     fields = realization.values * grid.weights
     for lam in reversed(lams):

@@ -8,7 +8,15 @@ import sys
 
 import pytest
 
-from sphclt.cli import UsageError, main, parse_betas_spec, parse_ell_spec, read_config_file
+from sphclt.cli import (
+    _COMMANDS,
+    UsageError,
+    _keys,
+    main,
+    parse_betas_spec,
+    parse_ell_spec,
+    read_config_file,
+)
 from sphclt.specfun import SphereDim, dim_harmonics
 
 
@@ -77,6 +85,47 @@ def test_flags_win_over_config(tmp_path):
     assert code == 0
     rows = read_rows(tmp_path / "moments_d3_q2.csv")
     assert [r["ell"] for r in rows] == ["2", "4"]
+
+
+def test_settable_keys_per_command():
+    # pinned, so that a new option has to edit this test
+    sweep = ["z", "ell", "seed", "replicas", "allow_odd", "out_dir", "threads"]
+    assert {command: [f.name for f in _keys(command)] for command in _COMMANDS} == {
+        "moments": ["d", "q", "ell", "out_dir", "threads"],
+        "contractions": ["d", "q", "ell", "out_dir", "threads"],
+        "simulate": ["kind", "d", "q", "betas", *sweep],
+        "clt": ["kind", "d", "q", "betas", *sweep],
+        "excursion": ["d", *sweep],
+    }
+
+
+_RUNNABLE = {"moments": ("--q", "3", "--ell", "8"), "simulate": ("--q", "3", "--ell", "8"),
+             "clt": ("--q", "3", "--ell", "8"), "excursion": ("--z", "1", "--ell", "8")}
+
+
+@pytest.mark.parametrize("command, flag", [("moments", "--ratio-tol"), ("moments", "--slope-tol"),
+                                           ("clt", "--excursion-qmax"),
+                                           ("excursion", "--excursion-qmax")])
+def test_fixed_check_settings_are_not_flags(tmp_path, capsys, command, flag):
+    # the check tolerances and the excursion chaos truncation are constants,
+    # so all_passed means the same thing for every run
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, *_RUNNABLE[command], flag, "0.5", "--out-dir", str(tmp_path))
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 0.5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, line", [("moments", "ratio_tol = 0.5"),
+                                           ("moments", "slope_tol = 0.5"),
+                                           ("simulate", "excursion_q_max = 12"),
+                                           ("excursion", "excursion_q_max = 12"),
+                                           ("clt", "format_version = 2")])
+def test_fixed_check_settings_are_not_config_keys(tmp_path, capsys, command, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    assert run_cli(command, *_RUNNABLE[command], "--config", str(cfg),
+                   "--out-dir", str(tmp_path)) == 2
+    assert "unknown key" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------
@@ -292,7 +341,7 @@ def test_cli_entry_point_help():
     sub_help = subprocess.run([sys.executable, "-m", "sphclt.cli", "clt", "--help"],
                               capture_output=True, text=True)
     for flag in ("--kind", "--d", "--q", "--betas", "--z", "--ell", "--reps", "--seed",
-                 "--threads", "--config", "--out-dir", "--allow-odd", "--excursion-qmax"):
+                 "--threads", "--config", "--out-dir", "--allow-odd"):
         assert flag in sub_help.stdout
 
 

@@ -80,7 +80,7 @@ def test_grid_orthogonality():
 
 def test_grid_node_budget():
     with pytest.raises(NodeBudgetError):
-        build_grid(2, 4000, node_budget=10_000)
+        build_grid(2, 4000)  # 8 006 001 nodes; raises before any is allocated
 
 
 # ------------------------------------------------------------------
@@ -126,9 +126,12 @@ def test_sampling_d3_statistics():
 
 @pytest.mark.parametrize("d, ell, degree", [(2, 6, 12), (2, 40, 12), (3, 6, 12), (3, 40, 12), (4, 12, 6)])
 def test_synthesis_covariance_oracle(d, ell, degree):
-    # the identity batch gives every basis function: F^T F is the covariance
+    # the identity batch gives every basis function: F^T F is the covariance;
+    # it is synthesized in blocks of 128 rows to bound memory
     grid = build_grid(d, degree)
-    basis = _synthesize_batch(grid, ell, np.eye(dim_harmonics(ell, d)))
+    eye = np.eye(dim_harmonics(ell, d))
+    basis = np.concatenate([_synthesize_batch(grid, ell, eye[lo:lo + 128])
+                            for lo in range(0, eye.shape[0], 128)])
     gram = np.clip(grid.nodes @ grid.nodes.T, -1.0, 1.0)
     kernel = GegenbauerCtx(ell, SphereDim(d)).evaluate(gram.ravel()).reshape(gram.shape)
     assert np.max(np.abs(basis.T @ basis - kernel)) < 1e-12
@@ -164,15 +167,6 @@ def test_level_synthesis_matches_per_m_recursion(d, ell, degree):
         (3, dim_harmonics(ell, d)))
     ref = _synthesize_per_m(grid, ell, coeffs)
     assert np.max(np.abs(_synthesize_batch(grid, ell, coeffs) - ref)) <= 1e-13 * np.max(np.abs(ref))
-
-
-def test_large_batches_are_synthesized_in_slices(monkeypatch):
-    # a slice holds at most LEAF_BUDGET leaf values; slicing changes nothing
-    grid = build_grid(3, 12)
-    coeffs = np.random.Generator(np.random.Philox(key=4)).standard_normal((10, dim_harmonics(6, 3)))
-    whole = _synthesize_batch(grid, 6, coeffs)
-    monkeypatch.setattr(simulate, "LEAF_BUDGET", 3 * 7 ** 2 * grid.n_phi)
-    assert np.array_equal(_synthesize_batch(grid, 6, coeffs), whole)
 
 
 def test_profile_table_d2_matches_scipy_harmonics():
@@ -228,12 +222,21 @@ def test_recovery_returns_the_replica_draws(d, ell):
     assert np.max(np.abs(coefs / scale - draws)) < 1e-12
 
 
+@pytest.mark.parametrize("d, ell, degree", [(3, 40, 12), (2, 8, 15)])
+def test_recovery_rejects_an_under_resolved_grid(d, ell, degree):
+    # below degree 2*ell the quadrature cannot separate the harmonics: at
+    # (3, 40, 12) the recovered draws would be off by about 10
+    f = sample_field(d, ell, build_grid(d, degree), 23, 5)
+    with pytest.raises(ValueError, match=f"degree {2 * ell}, .* degree {f.grid.exact_degree}"):
+        recover_harmonic_coeffs(f)
+
+
 def test_parseval_on_grid():
     for d, ell in ((2, 10), (3, 10)):
         grid = build_grid(d, 2 * ell)
         f = sample_field(d, ell, grid, seed=8, replica=0)
         coefs = recover_harmonic_coeffs(f)
-        assert float(np.sum(coefs ** 2)) == pytest.approx(float(grid.integrate(f.values ** 2)), abs=1e-9)
+        assert float(np.sum(coefs ** 2)) == pytest.approx(float(f.values ** 2 @ grid.weights), abs=1e-9)
 
 
 def test_synthesis_plan_holds_one_stack_per_level():
