@@ -13,7 +13,8 @@ Distances to the standard normal:
   - Kolmogorov: sup over the sorted sample of |F_n - Phi|, evaluated at both
     one-sided limits of every jump;
   - Wasserstein-1: mean absolute quantile coupling against the normal
-    quantiles at (i - 1/2)/n, taken from SciPy's `ndtri`.
+    quantiles at (i - 1/2)/n, from the stdlib's `NormalDist().inv_cdf`
+    (Wichura's AS241).
 
 A sweep simulates `replicas` fields per multipole, evaluates one functional
 per replica, normalizes by the analytic variance and tabulates empirical
@@ -33,16 +34,16 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .contractions import berry_esseen_bound, poly_bound
 from .moments import ZeroVarianceError, fit_line, variance_h
 from .parallel import fixed_chunks, ordered_map
 from .simulate import FieldRealization, SphereGrid, _sample_batch, build_grid, excursion_variance
 # hermite has no caller here; perfbench/spans.py wraps this binding
-from .specfun import SphereDim, hermite
+from .specfun import SphereDim, hermite, normal_cdf
 
 # (d, q) pairs where the known fourth-cumulant bounds do not secure a CLT.
 CLT_EXCLUDED_PAIRS = ((3, 3), (3, 4), (4, 3), (5, 3))
@@ -57,7 +58,7 @@ def kolmogorov_distance(samples) -> float:
     n = x.size
     if n < 2:
         raise ValueError("need at least two samples")
-    cdf = ndtr(x)
+    cdf = normal_cdf(x)
     i = np.arange(1, n + 1)
     return float(np.max(np.maximum(i / n - cdf, cdf - (i - 1) / n)))
 
@@ -68,7 +69,8 @@ def wasserstein_distance(samples) -> float:
     n = x.size
     if n < 2:
         raise ValueError("need at least two samples")
-    q = ndtri((np.arange(1, n + 1) - 0.5) / n)
+    inv_cdf = NormalDist().inv_cdf
+    q = np.array([inv_cdf((i - 0.5) / n) for i in range(1, n + 1)])
     return float(np.mean(np.abs(x - q)))
 
 
@@ -178,7 +180,7 @@ class Functional:
 
     def mean(self, dim: SphereDim) -> float:
         """Expectation: mu_d times the chaos-0 coefficient."""
-        return (self.beta[0] if self.beta is not None else float(ndtr(self.z))) * dim.mu_d
+        return (self.beta[0] if self.beta is not None else normal_cdf(self.z)) * dim.mu_d
 
     def variance(self, ell: int, d: int) -> float:
         """Sum over chaoses q >= 2 of coefficient^2 * Var[h_{ell;q,d}]; 0 raises."""

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.fft import irfft, rfft
 
 from .quadrature import panel_nodes
 from .specfun import SphereDim, bessel_j, bessel_j_zeros, dim_harmonics
@@ -119,11 +120,11 @@ def gegenbauer_moment(ell: int, q: int, d: int, rng: str = "full") -> MomentResu
     spec = np.zeros(m // 2 + 1)
     spec[:ell + 1] = 0.5 * m * _ctx(ell, d)
     spec[0] *= 2.0
-    g = np.fft.irfft(spec, m)
+    g = irfft(spec, m)
     i, h = np.arange(m), m // 2
     sin = np.sin(math.pi / h * np.minimum(i % h, -i % h))  # angles in [0, pi/2]: relative accuracy
     w = np.where(i < h, sin, -sin) ** (d - 1)
-    f = np.fft.rfft(g ** q * w) / m
+    f = rfft(g ** q * w) / m
     k = np.arange(1, f.size)
     e_ikb = np.array([1.0, 1j, -1.0, -1j])[k * quarter_turns % 4]  # exact
     value = float((f[0] * b + 2.0 * np.sum(f[1:] * (e_ikb - 1.0) / (1j * k))).real)

@@ -29,12 +29,15 @@ def _openblas_threads():
     None when numpy links another BLAS."""
     import numpy as np
 
-    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("lib*openblas*")):
         try:
             handle = ctypes.CDLL(str(lib))
         except OSError:
             continue
-        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+        # the symbols carry the library's name: libopenblas64_*.so exports
+        # openblas_get_num_threads64_
+        prefix = lib.name[3:lib.name.index("openblas") + len("openblas")]
+        for suffix in ("64_", ""):
             get = getattr(handle, f"{prefix}_get_num_threads{suffix}", None)
             put = getattr(handle, f"{prefix}_set_num_threads{suffix}", None)
             if get is not None and put is not None:

@@ -40,12 +40,11 @@ import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
-from .moments import variance_h
+from .moments import ToleranceNotMetError, variance_h
 # panel_nodes has no caller here; perfbench/spans.py wraps this binding
 from .quadrature import gauss_jacobi_rule, panel_nodes
-from .specfun import GegenbauerCtx, SphereDim, dim_harmonics, hermite, orthonormal_jacobi
+from .specfun import GegenbauerCtx, SphereDim, _jacobi_rows, dim_harmonics, hermite, normal_cdf
 
 NODE_BUDGET = 2_000_000
 
@@ -86,7 +85,7 @@ def _orthogonality_check(dim, colat_t, colat_w, sub_weight, exact_degree):
     sums = sub_weight * (table[1:] @ colat_w)
     worst = float(np.max(np.abs(sums))) if sums.size else 0.0
     if worst > 1e-11 * dim.mu_d:
-        raise RuntimeError(f"grid orthogonality check failed: max |int G_k| = {worst:.3e}")
+        raise ToleranceNotMetError(f"grid orthogonality check failed: max |int G_k| = {worst:.3e}")
 
 
 def _azimuth(n_phi: int) -> np.ndarray:
@@ -157,9 +156,10 @@ def _profile_stack(ell: int, dim: SphereDim, t: np.ndarray, lo: int) -> np.ndarr
     m = np.arange(ell + 1)
     s = np.sqrt(np.maximum(0.0, 1.0 - t * t))
     # row m runs the recurrence for alpha = m + d/2 - 1 from sin^m * p_0, so
-    # it never leaves the double range; its degree k is lam_{m+k,m}
+    # it never leaves the double range; its degree k is lam_{m+k,m}, read only
+    # up to e = ell, so step k runs rows m <= ell - k alone
     lam = np.zeros((ell + 1 - lo, ell + 1, t.size))
-    rows = orthonormal_jacobi(ell, m[:, None] + (d / 2.0 - 1.0), t, scale=s ** m[:, None])
+    rows = _jacobi_rows(ell, m[:, None] + (d / 2.0 - 1.0), t, s ** m[:, None], triangular=True)
     for k, p in enumerate(rows):
         rm = m[max(0, lo - k):ell + 1 - k]
         lam[rm + k - lo, rm] = p[rm]
@@ -278,7 +278,7 @@ def hermite_projection(M, q: int) -> float:
     if isinstance(M, tuple) and len(M) == 2 and M[0] == "indicator":
         z = float(M[1])
         if q == 0:
-            return float(ndtr(z))
+            return normal_cdf(z)
         # phi underflows to 0 beyond 42, where the clip keeps H_{q-1} finite
         x = min(max(z, -42.0), 42.0)
         return -math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi) * hermite(q - 1, x)

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -251,6 +252,18 @@ def test_excursion_zero_variance_exits_2(tmp_path, capsys, command, z, reps):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_grid_failing_its_orthogonality_check_exits_1(tmp_path, capsys, monkeypatch):
+    import sphclt.simulate as simulate
+
+    rule = simulate.gauss_jacobi_rule
+    monkeypatch.setattr(simulate, "gauss_jacobi_rule", lambda n, d: (rule(n, d)[0] + 1e-6, rule(n, d)[1]))
+    code = run_cli("simulate", "--kind", "h", "--d", "2", "--q", "2", "--ell", "8", "--reps", "3",
+                   "--seed", "1", "--out-dir", str(tmp_path))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "orthogonality check failed" in err
+
+
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_nonfinite_z_is_a_usage_error(tmp_path, capsys, source):
     args = ["excursion", "--ell", "16", "--reps", "200", "--seed", "1", "--out-dir", str(tmp_path)]
@@ -402,3 +415,29 @@ def test_simulate_normalizes_once_through_the_sampling_driver(tmp_path, monkeypa
     assert [float(r["raw"]) for r in rows] == expect.tolist()
     scale = math.sqrt(variance(f, 16, 2))
     assert [float(r["normalized"]) for r in rows] == ((expect - f.mean(grid.dim)) / scale).tolist()
+
+
+def test_cli_commands_never_load_scipy(tmp_path):
+    # every command runs on numpy and the standard library; SciPy serves the tests only
+    import sphclt
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sphclt.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    runs = [
+        ["moments", "--d", "2", "--q", "3", "--ell", "64..256"],
+        ["moments", "--d", "3", "--q", "3", "--ell", "32..128"],
+        ["contractions", "--d", "2", "--q", "3", "--ell", "8"],
+        ["clt", "--kind", "h", "--d", "2", "--q", "2", "--ell", "8,16", "--reps", "200", "--seed", "1"],
+        ["excursion", "--d", "2", "--z", "1.0", "--ell", "16", "--reps", "200", "--seed", "1"],
+        ["simulate", "--kind", "h", "--d", "2", "--q", "2", "--ell", "8", "--reps", "4", "--seed", "1"],
+    ]
+    argvs = [run + ["--out-dir", str(tmp_path / str(i))] for i, run in enumerate(runs)]
+    code = ("import json, sys\n"
+            "import sphclt.cli\n"
+            "codes = [sphclt.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))")
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    codes, scipy_modules = json.loads(out.stdout)
+    assert codes == [0] * len(runs)
+    assert scipy_modules == []

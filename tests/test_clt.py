@@ -68,6 +68,18 @@ def test_kolmogorov_duplicate_median_shift():
     assert abs(kolmogorov_distance(dup) - base) <= 1.0 / x.size + 1e-12
 
 
+@pytest.mark.parametrize("n", [2, 201, 4000])
+def test_distances_match_their_scipy_forms(n):
+    # the stdlib normal cdf and quantiles give SciPy's ndtr/ndtri statistics
+    x = np.sort(np.random.Generator(np.random.Philox(key=n)).standard_normal(n) * 1.3 + 0.1)
+    i = np.arange(1, n + 1)
+    cdf = ndtr(x)
+    dk = np.max(np.maximum(i / n - cdf, cdf - (i - 1) / n))
+    dw = np.mean(np.abs(x - ndtri((i - 0.5) / n)))
+    assert abs(kolmogorov_distance(x) - dk) <= 1e-15
+    assert abs(wasserstein_distance(x) - dw) <= 1e-15
+
+
 # ------------------------------------------------------------------
 # Wasserstein distance
 # ------------------------------------------------------------------

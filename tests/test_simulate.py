@@ -28,7 +28,7 @@ from sphclt.simulate import (
     sample_field,
     FieldRealization,
 )
-from sphclt.specfun import GegenbauerCtx, SphereDim, dim_harmonics, hermite
+from sphclt.specfun import GegenbauerCtx, SphereDim, dim_harmonics, hermite, orthonormal_jacobi
 
 
 def phi(z):
@@ -167,6 +167,33 @@ def test_level_synthesis_matches_per_m_recursion(d, ell, degree):
         (3, dim_harmonics(ell, d)))
     ref = _synthesize_per_m(grid, ell, coeffs)
     assert np.max(np.abs(_synthesize_batch(grid, ell, coeffs) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def _rectangular_profile_stack(ell, dim, t, lo):
+    """`_profile_stack` as it was when every row ran to degree ell."""
+    d = dim.d
+    m = np.arange(ell + 1)
+    s = np.sqrt(np.maximum(0.0, 1.0 - t * t))
+    lam = np.zeros((ell + 1 - lo, ell + 1, t.size))
+    rows = orthonormal_jacobi(ell, m[:, None] + (d / 2.0 - 1.0), t, scale=s ** m[:, None])
+    for k, p in enumerate(rows):
+        rm = m[max(0, lo - k):ell + 1 - k]
+        lam[rm + k - lo, rm] = p[rm]
+    n_sub = np.array([simulate._n_harmonics(j, d - 1) for j in m], dtype=float)
+    n_e = np.array([simulate._n_harmonics(e, d) for e in range(lo, ell + 1)], dtype=float)
+    lam *= np.sqrt(dim.mu_d * n_sub / (n_e[:, None] * dim.mu_dm1))[:, :, None]
+    return lam.transpose(0, 2, 1)
+
+
+@pytest.mark.parametrize("d, ell", [(2, 64), (3, 12), (4, 6)])
+def test_triangular_profile_stack_is_bitwise_the_rectangular_one(d, ell):
+    # row m is advanced only to degree ell - m, and each row's arithmetic is unchanged
+    level = build_grid(d, 2 * ell)
+    while level is not None:
+        for lo in (0, ell):
+            new = _profile_stack(ell, level.dim, level.colat_t, lo)
+            assert np.array_equal(new, _rectangular_profile_stack(ell, level.dim, level.colat_t, lo))
+        level = level.sub
 
 
 def test_profile_table_d2_matches_scipy_harmonics():

@@ -20,6 +20,7 @@ from sphclt.specfun import (
     bessel_j_zeros,
     dim_harmonics,
     hermite,
+    normal_cdf,
     sphere_volume,
 )
 
@@ -194,12 +195,47 @@ def test_bessel_half_integer_closed_forms():
     np.testing.assert_allclose(bessel_j(1.5, x), expect_3half, atol=1e-12)
 
 
-@pytest.mark.parametrize("nu", [0.5, 1.5, 2.5])
-def test_bessel_half_integer_against_mpmath(nu):
+def _mpmath_besselj(nu, x):
     mpmath = pytest.importorskip("mpmath")
-    x = np.geomspace(0.01, 1e5, 400)
-    ref = np.array([float(mpmath.besselj(nu, mpmath.mpf(float(v)))) for v in x])
-    np.testing.assert_allclose(bessel_j(nu, x), ref, rtol=0, atol=1e-14)
+    with mpmath.workdps(30):
+        return np.array([float(mpmath.besselj(nu, mpmath.mpf(float(v)))) for v in x])
+
+
+# dense points where the scheme switches: power series or Bessel's integral
+# below, Hankel's expansion above
+BESSEL_POINTS = np.concatenate((np.geomspace(0.01, 1e5, 400), np.linspace(3.9, 4.1, 81),
+                                np.linspace(24.9, 25.1, 81), [0.0]))
+
+
+@pytest.mark.parametrize("nu", [0.5, 1.5, 2.5, 3.5])
+def test_bessel_half_integer_against_mpmath(nu):
+    np.testing.assert_allclose(bessel_j(nu, BESSEL_POINTS), _mpmath_besselj(nu, BESSEL_POINTS),
+                               rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("nu", [0.0, 1.0, 2.0, 3.0])
+def test_bessel_integer_against_mpmath(nu):
+    np.testing.assert_allclose(bessel_j(nu, BESSEL_POINTS), _mpmath_besselj(nu, BESSEL_POINTS),
+                               rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("nu", [11.5, 12.0])
+def test_bessel_top_orders_against_mpmath(nu):
+    # half-integer orders above 4 switch to the power series at x = nu
+    x = np.concatenate((BESSEL_POINTS, np.linspace(nu - 0.1, nu + 0.1, 41)))
+    np.testing.assert_allclose(bessel_j(nu, x), _mpmath_besselj(nu, x), rtol=0, atol=1e-14)
+
+
+def test_normal_cdf_matches_scipy():
+    from scipy.special import ndtr
+    # in the far left tail both lose relative digits to the rounding of x^2/2
+    x = np.linspace(-40.0, 10.0, 2001)
+    np.testing.assert_allclose(normal_cdf(x), ndtr(x), rtol=0, atol=2.3e-16)
+    x = np.linspace(-5.0, 10.0, 1501)
+    np.testing.assert_allclose(normal_cdf(x), ndtr(x), rtol=1e-14, atol=0)
+    assert normal_cdf(0.3) == pytest.approx(float(ndtr(0.3)), rel=1e-15, abs=0)
+    assert isinstance(normal_cdf(0.3), float)
+    assert normal_cdf(x.reshape(1, -1)).shape == (1, x.size)
 
 
 def test_bessel_order_validation():
@@ -207,5 +243,7 @@ def test_bessel_order_validation():
         bessel_j(0.3, 1.0)
     with pytest.raises(ValueError):
         bessel_j(-1.0, 1.0)
+    with pytest.raises(ValueError):
+        bessel_j(12.5, 1.0)
     with pytest.raises(ValueError):
         bessel_j(0.0, -0.1)
