@@ -3,6 +3,14 @@ variance asymptotics of Hermite functionals, spectral contraction norms with
 explicit Berry-Esseen bounds, and Monte Carlo verification of the
 quantitative central limit theorems (including excursion areas)."""
 
+import os
+
+# sphclt spreads work over its own thread pool (`parallel.ordered_map`) and
+# never wants OpenBLAS's: its idle workers spin and burn CPU.  The count is
+# read when numpy loads, so this must run before any module imports numpy;
+# a value the user set is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 __version__ = "0.1.0"
 
 from .specfun import (

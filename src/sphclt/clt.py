@@ -4,10 +4,15 @@ One `Functional` spec defines each kind (Hermite functionals h_{ell;q},
 finite Hermite polynomials, the excursion area) by its grid degree,
 reduction, mean, chaos variance and bound.  One driver, `_samples`, draws
 the raw values for `simulate`, `clt` and `excursion` alike: fixed chunks of
-replicas go to the workers, and inside a chunk each replica is synthesized
-and reduced alone, so a field is reduced while it is still in cache and no
-(replicas, nodes) block is ever held.  The per-realization `functional_*`
-helpers evaluate the same spec on one `FieldRealization`.
+replicas go to the workers, and a chunk runs in blocks of replicas of about
+BLOCK_VALUES field values, which fit in the L2 cache.  Each block is
+synthesized and reduced in buffers allocated once per worker, so its fields
+are reduced while they are still in cache and no (replicas, nodes) array of
+a whole chunk is ever held.  The block size depends only on the grid, and
+every replica is synthesized and reduced by the same BLAS calls as it would
+be alone, so no value depends on the block or the worker count.  The
+per-realization `functional_*` helpers evaluate the same spec on one
+`FieldRealization`.
 
 Distances to the standard normal:
   - Kolmogorov: sup over the sorted sample of |F_n - Phi|, evaluated at both
@@ -31,6 +36,7 @@ rate comparisons are one-sided: decaying faster than predicted is a pass.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -41,7 +47,14 @@ import numpy as np
 from .contractions import berry_esseen_bound, poly_bound
 from .moments import ZeroVarianceError, fit_line, variance_h
 from .parallel import fixed_chunks, ordered_map
-from .simulate import FieldRealization, SphereGrid, _sample_batch, build_grid, excursion_variance
+from .simulate import (
+    FieldRealization,
+    SphereGrid,
+    _sample_batch,
+    _synthesis_buffers,
+    build_grid,
+    excursion_variance,
+)
 # hermite has no caller here; perfbench/spans.py wraps this binding
 from .specfun import SphereDim, hermite, normal_cdf
 
@@ -50,6 +63,8 @@ CLT_EXCLUDED_PAIRS = ((3, 3), (3, 4), (4, 3), (5, 3))
 # the indicator of kind S is not a polynomial: its grids are exact to 4*ell
 EXCURSION_DEGREE_FACTOR = 4
 HERMITE_CONVERSION_CAP = 16
+# field values per sampling block: 512 KB of doubles, inside a 2 MB L2 cache
+BLOCK_VALUES = 2 ** 16
 
 
 def kolmogorov_distance(samples) -> float:
@@ -69,9 +84,17 @@ def wasserstein_distance(samples) -> float:
     n = x.size
     if n < 2:
         raise ValueError("need at least two samples")
+    return float(np.mean(np.abs(x - _normal_quantiles(n))))
+
+
+@functools.lru_cache(maxsize=8)
+def _normal_quantiles(n: int) -> np.ndarray:
+    """Phi^{-1}((i - 1/2)/n) for i = 1..n, read-only: a sweep reuses one
+    vector per replica count."""
     inv_cdf = NormalDist().inv_cdf
     q = np.array([inv_cdf((i - 0.5) / n) for i in range(1, n + 1)])
-    return float(np.mean(np.abs(x - q)))
+    q.flags.writeable = False
+    return q
 
 
 # ------------------------------------------------------------------
@@ -158,25 +181,30 @@ class Functional:
         top = EXCURSION_DEGREE_FACTOR if self.beta is None else len(self.beta) - 1
         return max(1, top * ell)
 
-    def reduce(self, fields, weights):
+    def reduce(self, fields, weights, out=None):
         """Quadrature value of the functional over the last axis of `fields`.
 
-        Kinds h and Z evaluate p(T) by Horner's rule in place, in one working
-        buffer the size of `fields`, and skip the zero coefficients.
+        The integrand is evaluated in one working array of the shape of
+        `fields`, `out` when given: kinds h and Z evaluate p(T) by Horner's
+        rule in place and skip the zero coefficients.  Each row is summed as
+        its own (1, N) @ (N,) product, so its value does not depend on the
+        rows it is batched with.
         """
+        acc = np.empty(np.shape(fields)) if out is None else out
         if self.monomial is None:
-            return (fields <= self.z) @ weights
-        *low, top = self.monomial
-        if not low:
-            return np.full(np.shape(fields), top) @ weights
-        acc = np.multiply(fields, top)
-        for c in low[:0:-1]:  # c_{Q-1}, ..., c_1
-            if c != 0.0:
-                acc += c
-            acc *= fields
-        if low[0] != 0.0:
-            acc += low[0]
-        return acc @ weights
+            np.less_equal(fields, self.z, out=acc)
+        elif len(self.monomial) == 1:
+            acc.fill(self.monomial[0])
+        else:
+            *low, top = self.monomial
+            np.multiply(fields, top, out=acc)
+            for c in low[:0:-1]:  # c_{Q-1}, ..., c_1
+                if c != 0.0:
+                    acc += c
+                acc *= fields
+            if low[0] != 0.0:
+                acc += low[0]
+        return (acc[..., None, :] @ weights)[..., 0]
 
     def mean(self, dim: SphereDim) -> float:
         """Expectation: mu_d times the chaos-0 coefficient."""
@@ -281,15 +309,33 @@ class CltReport:
 
 def _samples(f: Functional, grid: SphereGrid, ell: int, seed: int, replicas: int,
              threads: int) -> np.ndarray:
-    """Raw values of f for replicas 0..replicas-1: fixed chunks of replicas
-    go to the workers, and each replica is synthesized and reduced alone."""
+    """Raw values of f for replicas 0..replicas-1.
+
+    Fixed chunks of replicas go to the workers.  A chunk runs in blocks of
+    max(1, BLOCK_VALUES // N) replicas, each one `_sample_batch` and one
+    `Functional.reduce` call.  Their buffers are allocated once per worker:
+    a chunk takes a set left by a finished chunk, so the memory is not
+    handed back to the system and faulted in again for every chunk."""
     # an empty batch fills the synthesis tables of the grid and its
     # sub-grids once, before worker threads race to build them
     _sample_batch(grid, ell, seed, ())
+    block = max(1, BLOCK_VALUES // grid.n_nodes)
+    rows = min(block, replicas)
+    spare = []  # buffer sets of finished chunks; list.pop and append are atomic
 
     def chunk_values(bounds):
-        return np.concatenate([f.reduce(_sample_batch(grid, ell, seed, (rep,)), grid.weights)
-                               for rep in range(*bounds)])
+        lo, hi = bounds
+        try:
+            work, acc = spare.pop()
+        except IndexError:
+            work, acc = _synthesis_buffers(grid, ell, rows), np.empty((rows, grid.n_nodes))
+        values = np.empty(hi - lo)
+        for start in range(lo, hi, block):
+            stop = min(start + block, hi)
+            fields = _sample_batch(grid, ell, seed, range(start, stop), work)
+            values[start - lo:stop - lo] = f.reduce(fields, grid.weights, acc[:stop - start])
+        spare.append((work, acc))
+        return values
 
     return np.concatenate(ordered_map(chunk_values, fixed_chunks(replicas), threads))
 

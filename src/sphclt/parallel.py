@@ -5,6 +5,12 @@ the worker count), each chunk is pure, and results are merged in chunk order.
 OpenBLAS runs on one thread while a map runs, whatever the worker count, so
 no BLAS call splits its sums differently between runs.  Consequently any
 `threads` setting produces bit-identical output.
+
+The package sets OPENBLAS_NUM_THREADS=1 before numpy loads (a value set
+beforehand is kept), so OpenBLAS normally starts no thread pool at all: the
+workers here do the parallel work, and idle BLAS threads would only spin.
+`single_threaded_blas` stays as the guard for processes that loaded numpy
+first, so the contract above does not depend on import order.
 """
 
 from __future__ import annotations

@@ -219,7 +219,22 @@ def _synthesis_plan(grid: SphereGrid, ell: int):
     return plans[ell]
 
 
-def _synthesize_batch(grid: SphereGrid, ell: int, coeffs: np.ndarray) -> np.ndarray:
+def _synthesis_buffers(grid: SphereGrid, ell: int, rows: int) -> tuple[np.ndarray, ...]:
+    """Working arrays of `_synthesize_batch` for up to `rows` replicas: the
+    draws with their zero column, the two circle products and one matmul
+    result per level, the last of which holds the fields."""
+    cos_idx, _, _, _, lams = _synthesis_plan(grid, ell)
+    draws = np.zeros((rows, dim_harmonics(ell, grid.dim.d) + 1))
+    shape = (rows, *cos_idx.shape, grid.n_phi)
+    buffers = [draws, np.empty(shape), np.empty(shape)]
+    for lam in lams:
+        *batch, _, n_sub = shape
+        buffers.append(np.empty((*batch, lam.shape[-2], n_sub)))
+        shape = (*batch, lam.shape[-2] * n_sub)
+    return tuple(buffers)
+
+
+def _synthesize_batch(grid: SphereGrid, ell: int, coeffs: np.ndarray, work=None) -> np.ndarray:
     """Field values (R, N) from rows of n_{ell;d} standard normal draws.
 
     The recursion T = sum_m lam_m U_m runs one level at a time, every field
@@ -228,28 +243,37 @@ def _synthesize_batch(grid: SphereGrid, ell: int, coeffs: np.ndarray) -> np.ndar
     U_m of degree e taking stack[e] of that level's profiles.  Zero padding
     keeps every level a dense array, (ell+1)^(d-1) * n_phi values per replica
     at the circle, which is at most N for grids exact to degree 2*ell.
+
+    Every array is written into `work`, buffers of `_synthesis_buffers` for
+    at least R rows, or into new ones; the result is a view of the last.
+    The stacked matmul makes one gemm per replica, so a replica's values do
+    not depend on the rows it shares a batch with.
     """
     cos_idx, sin_idx, cos_m, sin_m, lams = _synthesis_plan(grid, ell)
-    R = coeffs.shape[0]
-    draws = np.concatenate((coeffs, np.zeros((R, 1))), axis=1)
-    fields = draws[:, cos_idx, None] * cos_m + draws[:, sin_idx, None] * sin_m
-    for lam in lams:
-        fields = np.matmul(lam, fields)
+    R, n = coeffs.shape
+    draws, circle, sines, *levels = _synthesis_buffers(grid, ell, R) if work is None else work
+    draws = draws[:R]
+    draws[:, :n] = coeffs
+    fields = np.multiply(draws[:, cos_idx, None], cos_m, out=circle[:R])
+    fields += np.multiply(draws[:, sin_idx, None], sin_m, out=sines[:R])
+    for lam, out in zip(lams, levels):
+        fields = np.matmul(lam, fields, out=out[:R])
         *batch, n_t, n_sub = fields.shape
         fields = fields.reshape(*batch, n_t * n_sub)
     return fields.reshape(R, grid.n_nodes)
 
 
-def _sample_batch(grid: SphereGrid, ell: int, seed: int, replicas) -> np.ndarray:
+def _sample_batch(grid: SphereGrid, ell: int, seed: int, replicas, work=None) -> np.ndarray:
     """Field values (len(replicas), N); the single entry point for sampling.
 
-    The sampling driver `clt._samples` passes one replica per call, so a
-    field is reduced before the next is drawn."""
+    `clt._samples` passes one block of replicas per call and the same
+    `work` buffers (see `_synthesize_batch`) for every block of a worker,
+    so a block is reduced before the next is drawn."""
     n = dim_harmonics(ell, grid.dim.d)
     draws = np.empty((len(replicas), n))
     for row, rep in enumerate(replicas):
-        draws[row] = _replica_rng(seed, rep).standard_normal(n)
-    return _synthesize_batch(grid, ell, draws)
+        _replica_rng(seed, rep).standard_normal(out=draws[row])
+    return _synthesize_batch(grid, ell, draws, work)
 
 
 def sample_field(d: int, ell: int, grid: SphereGrid, seed: int, replica: int = 0) -> FieldRealization:

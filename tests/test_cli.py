@@ -441,3 +441,37 @@ def test_cli_commands_never_load_scipy(tmp_path):
     codes, scipy_modules = json.loads(out.stdout)
     assert codes == [0] * len(runs)
     assert scipy_modules == []
+
+
+def _run_with_blas_env(tmp_path, blas_env):
+    # a fresh interpreter: OpenBLAS reads its thread count when numpy loads
+    import sphclt
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sphclt.__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env.update(blas_env, PYTHONPATH=os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")])))
+    code = ("import json, os, sys\n"
+            "import sphclt.cli\n"
+            "from sphclt import parallel\n"
+            "blas = parallel._openblas_threads()\n"
+            "exit_code = sphclt.cli.main(['moments', '--d', '2', '--q', '4', '--ell', '16..64',\n"
+            "                             '--out-dir', sys.argv[1]])\n"
+            "print(json.dumps([exit_code, blas and blas[0](), len(os.listdir('/proc/self/task')),\n"
+            "                  os.environ['OPENBLAS_NUM_THREADS']]))")
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout)
+
+
+def test_no_blas_thread_pool(tmp_path):
+    # sphclt asks OpenBLAS for one thread before numpy loads: its own pool
+    # does the parallel work, and idle BLAS workers spin; a count the user
+    # set beforehand is kept
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no /proc/self/task to count threads")
+    exit_code, blas_threads, tasks, env = _run_with_blas_env(tmp_path / "unset", {})
+    if blas_threads is None:
+        pytest.skip("numpy does not bundle OpenBLAS here")
+    assert (exit_code, blas_threads, tasks, env) == (0, 1, 1, "1")
+    exit_code, _, _, env = _run_with_blas_env(tmp_path / "set", {"OPENBLAS_NUM_THREADS": "2"})
+    assert (exit_code, env) == (0, "2")

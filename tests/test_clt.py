@@ -3,6 +3,7 @@
 import math
 import sys
 import tracemalloc
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -11,9 +12,11 @@ from hypothesis import strategies as st
 from scipy.special import ndtr, ndtri
 
 from sphclt.clt import (
+    BLOCK_VALUES,
     CltReport,
     CltRow,
     Functional,
+    _normal_quantiles,
     _samples,
     clt_sweep,
     functional_excursion,
@@ -24,6 +27,7 @@ from sphclt.clt import (
     wasserstein_distance,
 )
 from sphclt.moments import ZeroVarianceError
+from sphclt.parallel import CHUNK, single_threaded_blas
 from sphclt.simulate import _sample_batch, build_grid, sample_field
 from sphclt.specfun import hermite
 
@@ -83,6 +87,18 @@ def test_distances_match_their_scipy_forms(n):
 # ------------------------------------------------------------------
 # Wasserstein distance
 # ------------------------------------------------------------------
+
+def test_normal_quantiles_are_the_loop_cached_and_read_only():
+    inv_cdf = NormalDist().inv_cdf
+    for n in (2, 7, 2000):
+        q = _normal_quantiles(n)
+        loop = np.array([inv_cdf((i - 0.5) / n) for i in range(1, n + 1)])
+        assert q.tobytes() == loop.tobytes()
+        assert _normal_quantiles(n) is q
+        assert not q.flags.writeable
+        with pytest.raises(ValueError):
+            q[0] = 0.0
+
 
 def test_wasserstein_degenerate_closed_form():
     c = 0.7
@@ -161,6 +177,45 @@ def test_samples_hold_one_field_at_a_time():
         tracemalloc.stop()
     assert raw.shape == (64,)
     assert peak < 8 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("f, d, ell, replicas, block", [
+    (Functional.of("h", q=3), 2, 16, 150, 53),     # a partial last block in every chunk
+    (Functional.of("h", q=3), 2, 64, 70, 3),       # 64 = 21 * 3 + 1
+    (Functional.of("h", q=3), 2, 128, 3, 1),
+    (Functional.of("h", q=3), 2, 16, 5, 53),       # one block shorter than B
+    (Functional.of("Z", betas=BETAS), 2, 16, 70, 30),
+    (Functional.of("S", z=1.0), 2, 16, 70, 30),
+    (Functional.of("S", z=1.0), 3, 6, 70, 15),
+    (Functional.of("h", q=3), 3, 6, 70, 34),
+    (Functional.of("h", q=2), 4, 4, 70, 58),
+], ids=["h-d2-53", "h-d2-3", "h-d2-1", "h-d2-short", "Z-d2-30", "S-d2-30", "S-d3-15", "h-d3-34",
+        "h-d4-58"])
+def test_blocks_equal_the_one_replica_path_bitwise(f, d, ell, replicas, block, threads):
+    # a replica's value never depends on the block, chunk or thread it runs
+    # in; as in `_samples`, the one-replica path runs BLAS on one thread
+    grid = build_grid(d, f.degree(ell))
+    assert max(1, BLOCK_VALUES // grid.n_nodes) == block
+    assert replicas % CHUNK != 0
+    with single_threaded_blas():
+        one = [f.reduce(_sample_batch(grid, ell, 13, (r,)), grid.weights) for r in range(replicas)]
+    assert np.array_equal(_samples(f, grid, ell, 13, replicas, threads), np.concatenate(one))
+
+
+def test_workers_share_buffer_sets_safely():
+    # chunks hand their buffer sets on to the next chunk of any worker; more
+    # workers than cores and a short switch interval widen any race
+    f = Functional.of("h", q=3)
+    grid = build_grid(2, f.degree(16))
+    one = _samples(f, grid, 16, 5, 20 * CHUNK + 7, 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        four = _samples(f, grid, 16, 5, 20 * CHUNK + 7, 4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(four, one)
 
 
 @pytest.mark.parametrize("kind, params", [
