@@ -55,7 +55,6 @@ from .simulate import (
     SphereGrid,
     build_grid,
     excursion_variance,
-    hermite_projection,
     recover_harmonic_coeffs,
     sample_field,
 )

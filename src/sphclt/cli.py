@@ -180,6 +180,8 @@ def build_config(command: str, args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(command=command, **values)
     if cfg.z is not None and not math.isfinite(cfg.z):
         raise UsageError(f"z must be finite, got {cfg.z}")
+    if cfg.seed is not None and not 0 <= cfg.seed < 2 ** 128:
+        raise UsageError(f"seed must satisfy 0 <= seed < 2**128, got {cfg.seed}")
     if cfg.replicas < 1 or cfg.threads < 1:
         raise UsageError(f"replicas and threads must be >= 1, got {cfg.replicas} and {cfg.threads}")
     if cfg.seed is None and command in _SWEEPS:
@@ -414,7 +416,7 @@ def _write_sweep_outputs(cfg: RunConfig, report: CltReport, base: str, checks):
 
 def _sweep_checks(report: CltReport) -> list[dict]:
     """Explicit-bound consistency where a bound exists; for kind S the sample
-    mean and variance against mu_d*Phi(z) and the chaos prediction."""
+    mean and variance against mu_d*Phi(z) and the exact `excursion_variance`."""
     checks = []
     for r in report.rows:
         if r.explicit_bound is not None:
@@ -434,7 +436,7 @@ def _sweep_checks(report: CltReport) -> list[dict]:
             checks.append(_check(
                 f"excursion_variance_ell{r.ell}",
                 abs(r.sample_var - r.predicted_var) <= 4.0 * var_se,
-                f"sample var {r.sample_var:.6f} vs chaos prediction {r.predicted_var:.6f} (4se = {4 * var_se:.6f})",
+                f"sample var {r.sample_var:.6f} vs exact prediction {r.predicted_var:.6f} (4se = {4 * var_se:.6f})",
             ))
     return checks
 

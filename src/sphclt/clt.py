@@ -2,7 +2,7 @@
 
 One `Functional` spec defines each kind (Hermite functionals h_{ell;q},
 finite Hermite polynomials, the excursion area) by its grid degree,
-reduction, mean, chaos variance and bound.  One driver, `_samples`, draws
+reduction, mean, variance and bound.  One function, `_samples`, draws
 the raw values for `simulate`, `clt` and `excursion` alike: fixed chunks of
 replicas go to the workers, and a chunk runs in blocks of replicas of about
 BLOCK_VALUES field values, which fit in the L2 cache.  Each block is
@@ -171,8 +171,8 @@ class Functional:
             return cls("Z", "Z", beta=tuple(float(b) for b in monomial_to_hermite(betas)),
                        monomial=tuple(float(b) for b in betas))
         if kind == "S":
-            if z is None:
-                raise ValueError("kind S requires a level z")
+            if z is None or not math.isfinite(z):
+                raise ValueError(f"kind S requires a finite level z, got {z}")
             return cls("S", f"S(z={z:g})", z=z)
         raise ValueError(f"kind must be 'h', 'Z' or 'S', got {kind!r}")
 
@@ -211,7 +211,8 @@ class Functional:
         return (self.beta[0] if self.beta is not None else normal_cdf(self.z)) * dim.mu_d
 
     def variance(self, ell: int, d: int) -> float:
-        """Sum over chaoses q >= 2 of coefficient^2 * Var[h_{ell;q,d}]; 0 raises."""
+        """Kinds h and Z: the sum over chaoses q >= 2 of beta_q^2 Var[h_{ell;q,d}];
+        kind S: the exact `excursion_variance`.  0 raises."""
         if self.beta is None:
             var = excursion_variance(ell, d, self.z)
         else:

@@ -1,8 +1,8 @@
 """Shared deterministic quadrature rules.
 
 Three building blocks:
-  - composite Gauss-Legendre panels on an interval (the reference rule
-    that the Bessel-constant sums map onto each zero interval),
+  - composite Gauss-Legendre panels on an interval (the Bessel-constant
+    sums map one onto each zero interval; the excursion variance uses both),
   - exact-degree Gauss-Jacobi rules for the weight (1-t^2)^{d/2-1} that the
     surface measure of S^d induces on t = cos(theta); cached per (n, d),
   - a root-free half-range rule for the same weight on [0, 1], exact for

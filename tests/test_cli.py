@@ -242,8 +242,8 @@ def test_clt_kind_S_runs_excursion_checks(tmp_path):
 
 @pytest.mark.parametrize("command, z, reps", [("simulate", "50", "3"), ("clt", "40", "200")])
 def test_excursion_zero_variance_exits_2(tmp_path, capsys, command, z, reps):
-    # phi(z) underflows beyond |z| ~ 38, so every chaos coefficient is 0 and
-    # the excursion area cannot be normalized
+    # exp(-z^2 / 2) underflows beyond |z| ~ 38, so the variance is 0 and the
+    # excursion area cannot be normalized
     code = run_cli(command, "--kind", "S", "--z", z, "--ell", "16", "--reps", reps,
                    "--seed", "1", "--out-dir", str(tmp_path))
     assert code == 2
@@ -330,6 +330,22 @@ def test_degenerate_counts_are_usage_errors(tmp_path, capsys, source, key, flag,
     assert run_cli(*args) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "must be >= 1" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("source, value", [("flag", "-1"), ("flag", str(2 ** 128)), ("config", "-5")])
+def test_seed_out_of_range_is_a_usage_error_naming_the_seed(tmp_path, capsys, source, value):
+    # numpy accepts 0 <= seed < 2**128; the check runs before any grid is built
+    args = ["excursion", "--z", "1", "--ell", "8", "--reps", "200", "--out-dir", str(tmp_path)]
+    if source == "flag":
+        args += ["--seed", value]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"seed = {value}\n")
+        args += ["--config", str(cfg)]
+    assert run_cli(*args) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"seed must satisfy 0 <= seed < 2**128, got {value}" in err
     assert not list(tmp_path.glob("*.csv"))
 
 

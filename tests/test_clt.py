@@ -220,16 +220,20 @@ def test_workers_share_buffer_sets_safely():
 
 @pytest.mark.parametrize("kind, params", [
     ("x", {"q": 2}), ("h", {}), ("h", {"q": -1}), ("Z", {}), ("Z", {"betas": ()}), ("S", {}),
+    ("S", {"z": math.nan}), ("S", {"z": math.inf}),
 ])
 def test_functional_of_rejects_bad_specs(kind, params):
     with pytest.raises(ValueError):
         Functional.of(kind, **params)
+    if kind == "S":  # a sweep fails before it draws anything, not with NaN rows
+        with pytest.raises(ValueError):
+            clt_sweep(kind, 2, [4, 8], 200, 1, **params)
 
 
 @pytest.mark.parametrize("f, ell", [
     (Functional.of("h", q=3), 5),                    # odd chaos at odd ell
     (Functional.of("Z", betas=(1.0, 0.5)), 8),       # no chaos of order >= 2
-    (Functional.of("S", z=-60.0), 8),                # phi(z) underflows: every J_q is 0
+    (Functional.of("S", z=-60.0), 8),                # exp(-z^2 / 2) underflows to 0
 ], ids=["h", "Z", "S"])
 def test_zero_variance_raises_for_every_kind(f, ell):
     with pytest.raises(ZeroVarianceError):
