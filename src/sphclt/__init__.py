@@ -26,10 +26,8 @@ from .moments import (
     BesselConstant,
     DivergentIntegralError,
     MomentResult,
-    RateMismatchError,
     SlopeRecord,
     ToleranceNotMetError,
-    asymptotic_ratio,
     bessel_constant,
     gegenbauer_moment,
     log_divergence_check,

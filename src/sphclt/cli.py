@@ -184,8 +184,14 @@ def build_config(command: str, args: argparse.Namespace) -> RunConfig:
         raise UsageError(f"seed must satisfy 0 <= seed < 2**128, got {cfg.seed}")
     if cfg.replicas < 1 or cfg.threads < 1:
         raise UsageError(f"replicas and threads must be >= 1, got {cfg.replicas} and {cfg.threads}")
+    if any(a >= b for a, b in zip(cfg.ell, cfg.ell[1:])):
+        raise UsageError(f"--ell must be strictly increasing, got {','.join(map(str, cfg.ell))}")
     if cfg.seed is None and command in _SWEEPS:
         cfg = replace(cfg, seed=secrets.randbits(63))
+    try:  # before any computation, so a bad path fails at once
+        Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot create --out-dir {cfg.out_dir!r}: {exc.strerror}") from exc
     return cfg
 
 
@@ -211,12 +217,14 @@ def write_csv(path: Path, header, rows):
             writer.writerow([_fmt(x) for x in row])
 
 
-def write_manifest(path: Path, cfg: RunConfig, outputs, checks, summary=None):
+def write_manifest(path: Path, cfg: RunConfig, outputs, checks, summary=None) -> bool:
+    """Write the manifest; returns its `all_passed`."""
     config_echo = {
         f.name: getattr(cfg, f.name)
         for f in fields(RunConfig)
         if f.name != "threads"  # execution detail; kept out for byte-identical reruns
     }
+    all_passed = all(c["passed"] for c in checks)
     doc = {
         "format_version": FORMAT_VERSION,
         "tool": {"name": "sphclt", "version": __version__},
@@ -224,17 +232,21 @@ def write_manifest(path: Path, cfg: RunConfig, outputs, checks, summary=None):
         "config": config_echo,
         "outputs": sorted(str(o) for o in outputs),
         "checks": checks,
-        "all_passed": all(c["passed"] for c in checks) if checks else True,
+        "all_passed": all_passed,
     }
     if summary is not None:
         doc["summary"] = summary
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True, default=_json_default) + "\n")
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return all_passed
 
 
-def _json_default(obj):
-    if isinstance(obj, tuple):
-        return list(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)}")
+def _write_outputs(cfg: RunConfig, base: str, header, rows, checks, summary=None, extra=()) -> int:
+    """Write `{base}.csv` and `{base}.manifest.json`, which also lists the
+    `extra` outputs; returns the exit code, 0 when every check passed, else 1."""
+    out = Path(cfg.out_dir)
+    write_csv(out / f"{base}.csv", header, rows)
+    passed = write_manifest(out / f"{base}.manifest.json", cfg, [f"{base}.csv", *extra], checks, summary)
+    return 0 if passed else 1
 
 
 def _check(name: str, passed: bool, detail: str) -> dict:
@@ -274,8 +286,8 @@ def cmd_moments(cfg: RunConfig) -> int:
             ratio = float(ell) ** d * moment / const.value
         rows.append(("moment", d, q, ell, moment, err, variance, c_val, ratio))
 
-    if const is not None and q >= 3 and rows[-1][8] is not None:
-        final_ratio = rows[-1][8]
+    final_ratio = rows[-1][8]  # at the largest ell: build_config keeps --ell increasing
+    if final_ratio is not None:
         checks.append(_check(
             "asymptotic_ratio_final",
             abs(final_ratio - 1.0) <= RATIO_TOL,
@@ -283,28 +295,27 @@ def cmd_moments(cfg: RunConfig) -> int:
         ))
 
     summary = {}
-    ells = list(cfg.ell)
-    dyadic = (len(ells) >= 3 and all(l & (l - 1) == 0 for l in ells)
-              and ells == sorted(set(ells)) and max(ells) >= 4096)
-    if (d, q) == (2, 4) and dyadic:
-        rec = log_divergence_check(ells)
-        rows.append(("log_slope", d, q, None, rec.slope, rec.stderr, None, None, None))
-        checks.append(_check(
-            "log_divergence_slope",
-            abs(rec.slope - 576.0) <= SLOPE_TOL * 576.0,
-            f"slope of Var*ell^2 vs log(ell) = {rec.slope:.2f} (target 576 +- {SLOPE_TOL:.0%})",
-        ))
-        summary["log_slope"] = {"slope": rec.slope, "stderr": rec.stderr, "intercept": rec.intercept}
+    if (d, q) == (2, 4):
+        try:
+            rec = log_divergence_check(cfg.ell)
+        except ValueError as exc:  # the multipoles cannot carry the slope fit
+            summary["log_slope"] = {"skipped": str(exc)}
+        else:
+            rows.append(("log_slope", d, q, None, rec.slope, rec.stderr, None, None, None))
+            checks.append(_check(
+                "log_divergence_slope",
+                abs(rec.slope - 576.0) <= SLOPE_TOL * 576.0,
+                f"slope of Var*ell^2 vs log(ell) = {rec.slope:.2f} (target 576 +- {SLOPE_TOL:.0%})",
+            ))
+            summary["log_slope"] = {"slope": rec.slope, "stderr": rec.stderr,
+                                    "intercept": rec.intercept}
 
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / f"moments_d{d}_q{q}.csv"
-    write_csv(csv_path, ("kind", "d", "q", "ell", "moment", "err_est", "variance", "c_qd", "ratio"), rows)
     if const is not None:
         summary["c_qd"] = {"value": const.value, "mode": const.convergence_mode,
                            "zeros_used": const.zeros_used, "err_est": const.err_est}
-    write_manifest(out / f"moments_d{d}_q{q}.manifest.json", cfg, [csv_path.name], checks, summary)
-    return 0 if all(c["passed"] for c in checks) else 1
+    return _write_outputs(cfg, f"moments_d{d}_q{q}",
+                          ("kind", "d", "q", "ell", "moment", "err_est", "variance", "c_qd", "ratio"),
+                          rows, checks, summary)
 
 
 def cmd_contractions(cfg: RunConfig) -> int:
@@ -334,12 +345,9 @@ def cmd_contractions(cfg: RunConfig) -> int:
                 f"K(2;1) vs mu^4/n^3 relative deviation {rel:.3e}",
             ))
 
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / f"contractions_d{d}_q{q}.csv"
-    write_csv(csv_path, ("d", "q", "r", "ell", "K", "bound_tv", "bound_k", "bound_w", "rate_theoretical"), rows)
-    write_manifest(out / f"contractions_d{d}_q{q}.manifest.json", cfg, [csv_path.name], checks)
-    return 0 if all(c["passed"] for c in checks) else 1
+    return _write_outputs(cfg, f"contractions_d{d}_q{q}",
+                          ("d", "q", "r", "ell", "K", "bound_tv", "bound_k", "bound_w", "rate_theoretical"),
+                          rows, checks)
 
 
 def _functional(cfg: RunConfig) -> Functional:
@@ -368,14 +376,10 @@ def cmd_simulate(cfg: RunConfig) -> int:
     rows = [(rep, d, f.label, ell, cfg.z, value, scaled)
             for rep, (value, scaled) in enumerate(zip(raw, normalized))]
 
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / f"simulate_{f.kind}_d{d}_ell{ell}.csv"
-    write_csv(csv_path, ("replica", "d", "q_or_kind", "ell", "z", "raw", "normalized"), rows)
     summary = {"grid": {"d": d, "n_nodes": grid.n_nodes, "exact_degree": grid.exact_degree,
                         "weight_sum": float(grid.weights.sum())}}
-    write_manifest(out / f"simulate_{f.kind}_d{d}_ell{ell}.manifest.json", cfg, [csv_path.name], [], summary)
-    return 0
+    return _write_outputs(cfg, f"simulate_{f.kind}_d{d}_ell{ell}",
+                          ("replica", "d", "q_or_kind", "ell", "z", "raw", "normalized"), rows, [], summary)
 
 
 _REPORT_HEADER = ("kind", "d", "q", "z") + tuple(f.name for f in fields(CltRow))
@@ -386,20 +390,14 @@ def _report_rows(report: CltReport):
         yield (report.kind, report.d, report.q, report.z) + astuple(r)
 
 
-def _write_sweep_outputs(cfg: RunConfig, report: CltReport, base: str, checks):
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / f"{base}.csv"
-    write_csv(csv_path, _REPORT_HEADER, _report_rows(report))
-    outputs = [csv_path.name]
-    for metric, attr in (("dk", "empirical_dK"), ("dw", "empirical_dW")):
-        dat_path = out / f"{base}_log{metric}.dat"
+def _write_sweep_outputs(cfg: RunConfig, report: CltReport, base: str, checks) -> int:
+    dats = [f"{base}_logdk.dat", f"{base}_logdw.dat"]
+    for name, attr in zip(dats, ("empirical_dK", "empirical_dW")):
         lines = [
             f"{repr(math.log(r.ell))} {repr(math.log(getattr(r, attr)))}"
             for r in report.rows if getattr(r, attr) > 0.0
         ]
-        dat_path.write_text("\n".join(lines) + "\n")
-        outputs.append(dat_path.name)
+        (Path(cfg.out_dir) / name).write_text("\n".join(lines) + "\n")
 
     summary = {"warnings": list(report.warnings)}
     try:
@@ -411,7 +409,7 @@ def _write_sweep_outputs(cfg: RunConfig, report: CltReport, base: str, checks):
         }
     except ValueError as exc:
         summary["rate_fit"] = {"skipped": str(exc)}
-    write_manifest(out / f"{base}.manifest.json", cfg, outputs, checks, summary)
+    return _write_outputs(cfg, base, _REPORT_HEADER, _report_rows(report), checks, summary, dats)
 
 
 def _sweep_checks(report: CltReport) -> list[dict]:
@@ -453,9 +451,7 @@ def cmd_clt(cfg: RunConfig) -> int:
         base = f"clt_{kind}_d{cfg.d}_{name_part}"
     report = clt_sweep(kind, cfg.d, list(cfg.ell), cfg.replicas, cfg.seed, q=cfg.q,
                        betas=cfg.betas, z=cfg.z, threads=cfg.threads, allow_odd=cfg.allow_odd)
-    checks = _sweep_checks(report)
-    _write_sweep_outputs(cfg, report, base, checks)
-    return 0 if all(c["passed"] for c in checks) else 1
+    return _write_sweep_outputs(cfg, report, base, _sweep_checks(report))
 
 
 # ------------------------------------------------------------------

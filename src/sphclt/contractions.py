@@ -36,16 +36,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .moments import ZeroVarianceError, variance_h
+from .moments import DegreeCapError, ZeroVarianceError, variance_h
 # gauss_jacobi_rule has no caller here; perfbench/spans.py wraps this binding
 from .quadrature import gauss_jacobi_rule, half_range_rule
 from .specfun import GegenbauerCtx, SphereDim, dim_harmonics, orthonormal_jacobi
 
 DEGREE_CAP = 12288
-
-
-class DegreeCapError(ValueError):
-    """Requested expansion degree exceeds the configured cap."""
 
 
 @dataclass(frozen=True)

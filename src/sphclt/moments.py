@@ -8,15 +8,18 @@ The central quantities are
 and the large-ell limits  ell^d * m_half -> c(q, d)  with
     c(q, d) = (2^{d/2-1} (d/2-1)!)^q * integral_0^inf J_{d/2-1}(psi)^q
               psi^{d-1-q(d/2-1)} dpsi.
+The ratio ell^d * m_half / c(q, d) is formed by `sphclt moments` alone, for
+q >= 3: at q = 2 the half-range moment decays like ell^{-(d-1)} instead.
 
 Moment integrals are exact up to rounding: G^q sin^{d-1} theta is a
 trigonometric polynomial of degree q*ell + d - 1, so one FFT of its samples
 at 2 (q*ell + d) equispaced angles integrates it exactly; the reported error
-estimate is an a-priori rounding bound.  The infinite Bessel integrals are
-summed zero-interval by zero-interval: for odd q the panel sums alternate and
-are accelerated by iterated averaging, for even q the non-oscillating part of
-the tail (the mean of cos^q over a period) is integrated in closed form and
-the remainder averaged.  Panel sums are accumulated in a fixed order, so
+estimate is an a-priori rounding bound.  q*ell is capped at
+MOMENT_DEGREE_CAP.  The infinite Bessel integrals are summed zero-interval by
+zero-interval: for odd q the panel sums alternate and are accelerated by
+iterated averaging, for even q the non-oscillating part of the tail (the mean
+of cos^q over a period) is integrated in closed form and the remainder
+averaged.  Panel sums are accumulated in a fixed order, so
 results are identical no matter how callers parallelize.
 
 Convergence regimes for c(q, d): q = 2 has a closed form; q > 2d/(d-1) is
@@ -39,6 +42,8 @@ from .specfun import SphereDim, bessel_j, bessel_j_zeros, dim_harmonics
 # c(q, d) converges when successive zero budgets agree to BESSEL_TOL
 BESSEL_TOL = 1e-9
 BESSEL_MAX_ZEROS = 16384
+# gegenbauer_moment needs about 380 bytes per unit of q*ell (400 MB at the cap)
+MOMENT_DEGREE_CAP = 2 ** 20
 
 
 class ToleranceNotMetError(Exception):
@@ -49,8 +54,8 @@ class DivergentIntegralError(ValueError):
     """The requested Bessel constant does not exist (divergent integral)."""
 
 
-class RateMismatchError(ValueError):
-    """The requested asymptotic comparison uses the wrong power of ell."""
+class DegreeCapError(ValueError):
+    """A requested polynomial degree exceeds its cap."""
 
 
 class ZeroVarianceError(ValueError):
@@ -114,6 +119,8 @@ def gegenbauer_moment(ell: int, q: int, d: int, rng: str = "full") -> MomentResu
         raise ValueError(f"need ell >= 1, q >= 1, d >= 2, got ({ell}, {q}, {d})")
     if rng not in ("full", "half"):
         raise ValueError(f"range must be 'full' or 'half', got {rng!r}")
+    if q * ell > MOMENT_DEGREE_CAP:
+        raise DegreeCapError(f"moment degree q*ell = {q * ell} exceeds cap {MOMENT_DEGREE_CAP}")
     quarter_turns = 2 if rng == "full" else 1
     b = quarter_turns * math.pi / 2.0
     m = 2 * (q * ell + d)
@@ -236,35 +243,6 @@ def bessel_constant(q: int, d: int) -> BesselConstant:
         if n_zeros > BESSEL_MAX_ZEROS:
             raise ToleranceNotMetError(f"c(q={q}, d={d}) = {prefactor * value:.12g} did not converge "
                                        f"to {BESSEL_TOL} within {BESSEL_MAX_ZEROS} zero intervals")
-
-
-@dataclass(frozen=True)
-class RatioRow:
-    ell: int
-    moment: float
-    moment_err: float
-    ratio: float
-
-
-def asymptotic_ratio(q: int, d: int, ell_list) -> tuple[BesselConstant, list[RatioRow]]:
-    """Table of ell^d * m_half(ell, q, d) / c(q, d) along ell_list.
-
-    The ratio tends to 1.  q = 2 is rejected: its half-range moment decays
-    like ell^{-(d-1)}, one power slower than the ell^{-d} regime this
-    comparison normalizes by.
-    """
-    if q == 2:
-        raise RateMismatchError(
-            "q = 2 moments decay like ell^-(d-1); the ell^d normalization does not apply"
-        )
-    const = bessel_constant(q, d)
-    if const.value == 0.0:
-        raise ZeroDivisionError(f"c(q={q}, d={d}) is zero; ratio undefined")
-    rows = []
-    for ell in ell_list:
-        m = gegenbauer_moment(ell, q, d, "half")
-        rows.append(RatioRow(ell, m.value, m.err_est, float(ell) ** d * m.value / const.value))
-    return const, rows
 
 
 def fit_line(x, y) -> tuple[float, float, float]:

@@ -5,6 +5,7 @@ console/pipe.  Statistical criteria fix their seeds, so every run is
 identical.
 """
 
+import csv
 import math
 import time
 
@@ -18,12 +19,7 @@ from sphclt.contractions import (
     kernel_contraction,
     mc_kernel_contraction,
 )
-from sphclt.moments import (
-    asymptotic_ratio,
-    gegenbauer_moment,
-    log_divergence_check,
-    variance_h,
-)
+from sphclt.moments import gegenbauer_moment, log_divergence_check, variance_h
 from sphclt.specfun import SphereDim, dim_harmonics
 
 SEED = 7
@@ -63,7 +59,8 @@ def test_criterion_02_variance_closed_form():
     report(2, rel <= 1e-10, f"Var[h(ell=2,q=2,d=2)] = {got!r}, 32 pi^2/5 = {expect!r}")
 
 
-def test_criterion_03_moment_asymptotics():
+def test_criterion_03_moment_asymptotics(tmp_path):
+    # the ratio column ell^d * m_half / c(q, d) that `sphclt moments` writes
     t0 = time.time()
     cases = {
         (2, 3): [256, 512, 1024, 2048],
@@ -76,12 +73,15 @@ def test_criterion_03_moment_asymptotics():
     }
     all_ok, details = True, []
     for (d, q), ells in sorted(cases.items()):
-        _, rows = asymptotic_ratio(q, d, ells)
-        devs = [abs(r.ratio - 1.0) for r in rows]
+        cli_main(["moments", "--d", str(d), "--q", str(q), "--ell", ",".join(map(str, ells)),
+                  "--out-dir", str(tmp_path)])
+        with open(tmp_path / f"moments_d{d}_q{q}.csv", newline="") as fh:
+            ratios = [float(row["ratio"]) for row in csv.DictReader(fh)]
+        devs = [abs(r - 1.0) for r in ratios]
         monotone = all(a > b for a, b in zip(devs, devs[1:]))
-        in_band = 0.95 <= rows[-1].ratio <= 1.05
+        in_band = len(ratios) == len(ells) and 0.95 <= ratios[-1] <= 1.05
         all_ok &= monotone and in_band
-        details.append(f"(d={d},q={q}): {rows[-1].ratio:.4f}{'' if monotone else ' NOT-MONOTONE'}")
+        details.append(f"(d={d},q={q}): {ratios[-1]:.4f}{'' if monotone else ' NOT-MONOTONE'}")
     elapsed = time.time() - t0
     report(3, all_ok and elapsed < 180.0, "; ".join(details) + f"; {elapsed:.1f}s")
 

@@ -491,3 +491,83 @@ def test_no_blas_thread_pool(tmp_path):
     assert (exit_code, blas_threads, tasks, env) == (0, 1, 1, "1")
     exit_code, _, _, env = _run_with_blas_env(tmp_path / "set", {"OPENBLAS_NUM_THREADS": "2"})
     assert (exit_code, env) == (0, "2")
+
+
+@pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "below-file"])
+def test_out_dir_on_a_file_exits_2_before_computing(tmp_path, capsys, monkeypatch, sub):
+    import sphclt.cli as cli
+
+    def never(*args):
+        raise AssertionError("computed before the output directory was checked")
+    monkeypatch.setattr(cli, "bessel_constant", never)
+    monkeypatch.setattr(cli, "gegenbauer_moment", never)
+    out_dir = tmp_path / "afile"
+    out_dir.touch()
+    if sub:
+        out_dir = out_dir / sub
+    assert run_cli("moments", "--d", "2", "--q", "3", "--ell", "16", "--out-dir", str(out_dir)) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--out-dir" in err
+
+
+@pytest.mark.parametrize("command, args, source", [
+    ("moments", ("--q", "3"), "flag"), ("moments", ("--q", "3"), "config"),
+    ("contractions", ("--q", "2"), "flag"), ("clt", ("--q", "2", "--reps", "200", "--seed", "1"), "flag"),
+])
+def test_ell_not_strictly_increasing_is_a_usage_error(tmp_path, capsys, command, args, source):
+    # the final ratio check reads the last row, which must be the largest ell
+    if source == "flag":
+        args += ("--ell", "64,16")
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("ell = 16,16\n")
+        args += ("--config", str(cfg))
+    assert run_cli(command, *args, "--out-dir", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--ell must be strictly increasing" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_moment_degree_cap_exits_2(tmp_path, capsys):
+    assert run_cli("moments", "--d", "2", "--q", "3", "--ell", "1000000000000",
+                   "--out-dir", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "exceeds cap" in err
+
+
+def test_moments_log_slope_skipped_says_why(tmp_path):
+    assert run_cli("moments", "--d", "2", "--q", "4", "--ell", "16,32,64",
+                   "--out-dir", str(tmp_path)) == 0
+    manifest = json.loads((tmp_path / "moments_d2_q4.manifest.json").read_text())
+    assert manifest["summary"]["log_slope"] == {
+        "skipped": "need max(ell) >= 4096 to be in the asymptotic regime"}
+    assert [r["kind"] for r in read_rows(tmp_path / "moments_d2_q4.csv")] == ["moment"] * 3
+
+
+def _perturb_contractions(monkeypatch):
+    import sphclt.cli as cli
+    monkeypatch.setattr(cli, "dim_harmonics", lambda ell, d: dim_harmonics(ell, d) + 1)
+
+
+@pytest.mark.parametrize("args, base, fault, expected", [
+    (("moments", "--q", "3", "--ell", "512"), "moments_d2_q3", None, 0),
+    (("moments", "--q", "3", "--ell", "16"), "moments_d2_q3", None, 1),
+    (("contractions", "--q", "2", "--ell", "8"), "contractions_d2_q2", None, 0),
+    (("contractions", "--q", "2", "--ell", "8"), "contractions_d2_q2", _perturb_contractions, 1),
+    (("simulate", "--q", "2", "--ell", "8", "--reps", "3", "--seed", "1"), "simulate_h_d2_ell8",
+     None, 0),
+    (("clt", "--q", "2", "--ell", "8,16", "--reps", "250", "--seed", "5"), "clt_h_d2_q2", None, 0),
+    (("clt", "--kind", "S", "--z", "20", "--ell", "16", "--reps", "200", "--seed", "1"),
+     "clt_S_d2_z20", None, 1),
+    (("excursion", "--z", "1", "--ell", "16", "--reps", "300", "--seed", "7"), "excursion_d2_z1",
+     None, 0),
+    (("excursion", "--z", "20", "--ell", "16", "--reps", "200", "--seed", "1"), "excursion_d2_z20",
+     None, 1),
+], ids=["moments-pass", "moments-fail", "contractions-pass", "contractions-fail", "simulate-pass",
+        "clt-pass", "clt-fail", "excursion-pass", "excursion-fail"])
+def test_exit_code_follows_all_passed(tmp_path, monkeypatch, args, base, fault, expected):
+    if fault is not None:
+        fault(monkeypatch)
+    code = run_cli(*args, "--out-dir", str(tmp_path))
+    manifest = json.loads((tmp_path / f"{base}.manifest.json").read_text())
+    assert code == expected and code == (0 if manifest["all_passed"] else 1)

@@ -8,6 +8,7 @@ ell^d * moment over dyadic ell for the even-power case (where quadosc's
 alternating-tail assumption fails).
 """
 
+import csv
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -22,10 +23,11 @@ try:
 except ImportError:  # the oracle tests skip themselves
     mpmath = None
 
+from sphclt.cli import main as cli_main
 from sphclt.moments import (
+    MOMENT_DEGREE_CAP,
+    DegreeCapError,
     DivergentIntegralError,
-    RateMismatchError,
-    asymptotic_ratio,
     bessel_constant,
     gegenbauer_moment,
     log_divergence_check,
@@ -208,6 +210,12 @@ def test_moment_validation():
         gegenbauer_moment(2, 2, 2, "most")
 
 
+def test_moment_degree_cap():
+    # raised before any array is made
+    with pytest.raises(DegreeCapError, match="exceeds cap"):
+        gegenbauer_moment(MOMENT_DEGREE_CAP // 3 + 1, 3, 2, "half")
+
+
 # ------------------------------------------------------------------
 # variance_h
 # ------------------------------------------------------------------
@@ -270,16 +278,15 @@ def test_constant_divergent_cases():
 # asymptotic ratios & log divergence
 # ------------------------------------------------------------------
 
-def test_ratio_rejects_q2():
-    with pytest.raises(RateMismatchError):
-        asymptotic_ratio(2, 3, [8, 16])
-
-
-def test_ratio_tends_to_one():
-    _, rows = asymptotic_ratio(3, 2, [128, 256, 512])
-    devs = [abs(r.ratio - 1.0) for r in rows]
-    assert devs == sorted(devs, reverse=True)
-    assert rows[-1].ratio == pytest.approx(1.0, abs=0.01)
+def test_ratio_tends_to_one(tmp_path):
+    # the ratio column ell^d * m_half / c(q, d) that `sphclt moments` writes
+    assert cli_main(["moments", "--d", "2", "--q", "3", "--ell", "128,256,512",
+                     "--out-dir", str(tmp_path)]) == 0
+    with open(tmp_path / "moments_d2_q3.csv", newline="") as fh:
+        ratios = [float(row["ratio"]) for row in csv.DictReader(fh)]
+    devs = [abs(r - 1.0) for r in ratios]
+    assert len(devs) == 3 and devs == sorted(devs, reverse=True)
+    assert ratios[-1] == pytest.approx(1.0, abs=0.01)
 
 
 def test_log_slope_settles_on_576_far_out():
