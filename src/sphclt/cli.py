@@ -3,16 +3,19 @@
 Subcommands drive the computational modules and emit CSV tables plus a JSON
 manifest per run.  Configuration comes from an optional line-oriented file
 (`key = value`, `#` comments) merged with flags; flags win, unknown keys are
-rejected, and the manifest echoes every resolved value so a run can be
-reproduced from its manifest alone.
+rejected, one parser per key reads a flag's text and a config line alike, and
+the manifest echoes every resolved value so a run can be reproduced from its
+manifest alone.
 
 Reproducibility rules: all randomness flows from one master seed (drawn from
 OS entropy and recorded when --seed is absent); --threads only caps workers
 and is deliberately kept out of the manifest, so reruns with the same seed
 are byte-identical whatever the worker count.  No timestamps are written.
 
-Exit codes: 0 all requested checks passed, 1 a check or tolerance failed,
-2 usage error.
+Exit codes: 0 every check passed; 1 a check failed and its manifest was
+written; 2 a usage error (`UsageError`); 3 a numerical fault
+(`NumericalError`).  `main` prints one line for a `SphcltError` and returns
+its class's code; any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -42,19 +45,11 @@ from .clt import (
     rate_fit,
 )
 from .contractions import berry_esseen_bound, contraction_table, rate_theoretical
-from .moments import (
-    DivergentIntegralError,
-    ToleranceNotMetError,
-    ZeroVarianceError,
-    bessel_constant,
-    gegenbauer_moment,
-    log_divergence_check,
-    variance_h,
-)
+from .moments import bessel_constant, gegenbauer_moment, log_divergence_check, variance_h
 # excursion_variance and sample_field have no caller here; perfbench/spans.py
 # wraps these bindings
 from .simulate import build_grid, excursion_variance, sample_field
-from .specfun import SphereDim, dim_harmonics
+from .specfun import DivergentIntegralError, SphcltError, SphereDim, UsageError, ZeroVarianceError, dim_harmonics
 
 FORMAT_VERSION = "1"
 # the tolerances of the `moments` checks are fixed, so `all_passed` means the
@@ -63,28 +58,19 @@ RATIO_TOL = 0.05
 SLOPE_TOL = 0.10
 
 
-class UsageError(Exception):
-    pass
-
-
 def parse_ell_spec(text: str) -> tuple[int, ...]:
     """Multipole list: '16,64,128' or dyadic range '256..8192'."""
     text = text.strip()
-    if ".." in text:
-        lo_s, hi_s = text.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
-        if lo < 1 or hi < lo:
-            raise UsageError(f"bad multipole range {text!r}")
-        out = []
-        val = lo
-        while val <= hi:
-            out.append(val)
-            val *= 2
-        return tuple(out)
+    kind = "range" if ".." in text else "list"
     try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip())
-    except ValueError as exc:
-        raise UsageError(f"bad multipole list {text!r}") from exc
+        if kind == "list":
+            return tuple(int(tok) for tok in text.split(",") if tok.strip())
+        lo, hi = (int(part) for part in text.split("..", 1))
+    except ValueError:
+        lo = hi = 0  # not integers: rejected below
+    if lo < 1 or hi < lo:
+        raise UsageError(f"bad multipole {kind} {text!r}")
+    return tuple(lo << k for k in range((hi // lo).bit_length()))  # lo * 2^k <= hi
 
 
 def parse_betas_spec(text: str) -> tuple[float, ...]:
@@ -149,8 +135,16 @@ def _keys(command: str):
     return [f for f in fields(RunConfig) if command in f.metadata.get("commands", ())]
 
 
+def _parse(f, raw: str, source: str):
+    """Key `f` from its text; a bad text is a one-line UsageError naming its `source`."""
+    try:
+        return f.metadata["parse"](raw)
+    except ValueError as exc:  # UsageError included
+        raise UsageError(f"{source}: {exc}") from None
+
+
 def read_config_file(path: str, command: str) -> dict:
-    parsers = {f.name: f.metadata["parse"] for f in _keys(command)}
+    keys = {f.name: f for f in _keys(command)}
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -163,9 +157,9 @@ def read_config_file(path: str, command: str) -> dict:
         if "=" not in stripped:
             raise UsageError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in parsers:
+        if key not in keys:
             raise UsageError(f"{path}:{lineno}: unknown key {key!r} for command {command!r}")
-        values[key] = parsers[key](raw)
+        values[key] = _parse(keys[key], raw, f"{path}:{lineno}: {key}")
     return values
 
 
@@ -174,10 +168,14 @@ def build_config(command: str, args: argparse.Namespace) -> RunConfig:
     if getattr(args, "config", None):
         values.update(read_config_file(args.config, command))
     for f in _keys(command):
-        flag_val = getattr(args, f.name, None)
-        if flag_val is not None:
-            values[f.name] = flag_val
+        raw = getattr(args, f.name, None)
+        if raw is not None:
+            values[f.name] = _parse(f, raw, f.metadata["flag"])
     cfg = RunConfig(command=command, **values)
+    if not cfg.ell:
+        raise UsageError(f"{command} requires --ell")
+    if command in ("moments", "contractions") and (cfg.q is None or cfg.q < 2):
+        raise UsageError(f"{command} requires --q >= 2")
     if cfg.z is not None and not math.isfinite(cfg.z):
         raise UsageError(f"z must be finite, got {cfg.z}")
     if cfg.seed is not None and not 0 <= cfg.seed < 2 ** 128:
@@ -258,10 +256,6 @@ def _check(name: str, passed: bool, detail: str) -> dict:
 # ------------------------------------------------------------------
 
 def cmd_moments(cfg: RunConfig) -> int:
-    if cfg.q is None or cfg.q < 2:
-        raise UsageError("moments requires --q >= 2 (q = 0, 1 are identically degenerate)")
-    if not cfg.ell:
-        raise UsageError("moments requires --ell")
     d, q = cfg.d, cfg.q
     dim = SphereDim(d)
     checks = []
@@ -274,19 +268,15 @@ def cmd_moments(cfg: RunConfig) -> int:
     rows = []
     for ell in cfg.ell:
         if q == 2:
-            half = dim.mu_d / (2.0 * dim.mu_dm1 * dim_harmonics(ell, d))
-            moment, err = half, 0.0
+            moment = dim.mu_d / (2.0 * dim.mu_dm1 * dim_harmonics(ell, d))
         else:
-            res = gegenbauer_moment(ell, q, d, "half")
-            moment, err = res.value, res.err_est
+            moment = gegenbauer_moment(ell, q, d, "half").value
         variance = variance_h(ell, q, d)
         c_val = const.value if const is not None else None
-        ratio = None
-        if const is not None and const.value != 0.0 and q >= 3:
-            ratio = float(ell) ** d * moment / const.value
-        rows.append(("moment", d, q, ell, moment, err, variance, c_val, ratio))
+        ratio = float(ell) ** d * moment / c_val if c_val and q >= 3 else None
+        rows.append(("moment", d, q, ell, moment, variance, c_val, ratio))
 
-    final_ratio = rows[-1][8]  # at the largest ell: build_config keeps --ell increasing
+    final_ratio = rows[-1][7]  # at the largest ell: build_config keeps --ell increasing
     if final_ratio is not None:
         checks.append(_check(
             "asymptotic_ratio_final",
@@ -298,10 +288,10 @@ def cmd_moments(cfg: RunConfig) -> int:
     if (d, q) == (2, 4):
         try:
             rec = log_divergence_check(cfg.ell)
-        except ValueError as exc:  # the multipoles cannot carry the slope fit
+        except UsageError as exc:  # the multipoles cannot carry the slope fit
             summary["log_slope"] = {"skipped": str(exc)}
         else:
-            rows.append(("log_slope", d, q, None, rec.slope, rec.stderr, None, None, None))
+            rows.append(("log_slope", d, q, None, rec.slope, None, None, None))
             checks.append(_check(
                 "log_divergence_slope",
                 abs(rec.slope - 576.0) <= SLOPE_TOL * 576.0,
@@ -314,15 +304,11 @@ def cmd_moments(cfg: RunConfig) -> int:
         summary["c_qd"] = {"value": const.value, "mode": const.convergence_mode,
                            "zeros_used": const.zeros_used, "err_est": const.err_est}
     return _write_outputs(cfg, f"moments_d{d}_q{q}",
-                          ("kind", "d", "q", "ell", "moment", "err_est", "variance", "c_qd", "ratio"),
+                          ("kind", "d", "q", "ell", "moment", "variance", "c_qd", "ratio"),
                           rows, checks, summary)
 
 
 def cmd_contractions(cfg: RunConfig) -> int:
-    if cfg.q is None or cfg.q < 2:
-        raise UsageError("contractions requires --q >= 2")
-    if not cfg.ell:
-        raise UsageError("contractions requires --ell")
     d, q = cfg.d, cfg.q
     dim = SphereDim(d)
     checks = []
@@ -407,7 +393,7 @@ def _write_sweep_outputs(cfg: RunConfig, report: CltReport, base: str, checks) -
             "decays_at_least_as_fast": fit.decays_at_least_as_fast,
             "n_used": fit.n_used, "n_below_floor": fit.n_below_floor,
         }
-    except ValueError as exc:
+    except UsageError as exc:
         summary["rate_fit"] = {"skipped": str(exc)}
     return _write_outputs(cfg, base, _REPORT_HEADER, _report_rows(report), checks, summary, dats)
 
@@ -442,8 +428,6 @@ def _sweep_checks(report: CltReport) -> list[dict]:
 def cmd_clt(cfg: RunConfig) -> int:
     """Serves `clt` and `excursion`, which is the kind S sweep under its own file names."""
     kind = _functional(cfg).kind
-    if not cfg.ell:
-        raise UsageError(f"{cfg.command} requires --ell")
     if cfg.command == "excursion":
         base = f"excursion_d{cfg.d}_z{cfg.z:g}"
     else:
@@ -477,32 +461,21 @@ def make_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=help_text)
         for f in _keys(command):
             meta = f.metadata
-            if meta["parse"] is _parse_bool:
-                p.add_argument(meta["flag"], dest=f.name, action="store_const", const=True,
-                               help=meta["help"])
-            else:
-                p.add_argument(meta["flag"], dest=f.name, type=meta["parse"],
-                               choices=meta["choices"], help=meta["help"])
+            # every value reaches build_config as text, a switch's as "true"
+            extra = (dict(action="store_const", const="true") if meta["parse"] is _parse_bool
+                     else dict(choices=meta["choices"]))
+            p.add_argument(meta["flag"], dest=f.name, help=meta["help"], **extra)
         p.add_argument("--config", help="line-oriented config file (key = value); flags win")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
+    args = make_parser().parse_args(argv)
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:  # from a flag's parser: argparse lets it through
-        print(f"sphclt: {exc}", file=sys.stderr)
-        return 2
-    try:
-        cfg = build_config(args.command, args)
-        return _COMMANDS[args.command][0](cfg)
-    except (UsageError, ValueError) as exc:  # DivergentIntegralError etc. are ValueErrors
+        return _COMMANDS[args.command][0](build_config(args.command, args))
+    except SphcltError as exc:
         print(f"sphclt {args.command}: {exc}", file=sys.stderr)
-        return 2
-    except ToleranceNotMetError as exc:
-        print(f"sphclt {args.command}: {exc}", file=sys.stderr)
-        return 1
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -45,7 +45,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .contractions import berry_esseen_bound, poly_bound
-from .moments import ZeroVarianceError, fit_line, variance_h
+from .moments import fit_line, variance_h
 from .parallel import fixed_chunks, ordered_map
 from .simulate import (
     FieldRealization,
@@ -56,7 +56,8 @@ from .simulate import (
     excursion_variance,
 )
 # hermite has no caller here; perfbench/spans.py wraps this binding
-from .specfun import SphereDim, hermite, normal_cdf
+from .specfun import (FACTORIAL_MAX_ORDER, NumericalError, SphereDim, UsageError, ZeroVarianceError, hermite,
+                      normal_cdf)
 
 # (d, q) pairs where the known fourth-cumulant bounds do not secure a CLT.
 CLT_EXCLUDED_PAIRS = ((3, 3), (3, 4), (4, 3), (5, 3))
@@ -72,7 +73,7 @@ def kolmogorov_distance(samples) -> float:
     x = np.sort(np.asarray(samples, dtype=float))
     n = x.size
     if n < 2:
-        raise ValueError("need at least two samples")
+        raise UsageError("need at least two samples")
     cdf = normal_cdf(x)
     i = np.arange(1, n + 1)
     return float(np.max(np.maximum(i / n - cdf, cdf - (i - 1) / n)))
@@ -83,7 +84,7 @@ def wasserstein_distance(samples) -> float:
     x = np.sort(np.asarray(samples, dtype=float))
     n = x.size
     if n < 2:
-        raise ValueError("need at least two samples")
+        raise UsageError("need at least two samples")
     return float(np.mean(np.abs(x - _normal_quantiles(n))))
 
 
@@ -116,7 +117,7 @@ def monomial_to_hermite(b_coeffs) -> np.ndarray:
     b = np.asarray(b_coeffs, dtype=float)
     Q = b.size - 1
     if Q > HERMITE_CONVERSION_CAP:
-        raise ValueError(f"monomial degree {Q} exceeds conversion cap {HERMITE_CONVERSION_CAP}")
+        raise UsageError(f"monomial degree {Q} exceeds conversion cap {HERMITE_CONVERSION_CAP}")
     beta = np.zeros_like(b)
     for q in range(Q + 1):
         if b[q] == 0.0:
@@ -161,20 +162,22 @@ class Functional:
     def of(cls, kind: str, q: int | None = None, betas=None, z: float | None = None) -> Functional:
         if kind == "h":
             if q is None or q < 0:
-                raise ValueError(f"kind h requires a Hermite order q >= 0, got {q}")
+                raise UsageError(f"kind h requires a Hermite order q >= 0, got {q}")
+            if q > FACTORIAL_MAX_ORDER:  # Var h_q and, from about 290, H_q's coefficients overflow
+                raise NumericalError(f"{q}! overflows a float (the limit is {FACTORIAL_MAX_ORDER}!)")
             return cls("h", f"h{q}", beta=(0.0,) * q + (1.0,), monomial=hermite_to_monomial(q))
         if kind == "Z":
             if betas is None or len(betas) == 0:
-                raise ValueError("kind Z requires monomial coefficients betas (b0,b1,...)")
+                raise UsageError("kind Z requires monomial coefficients betas (b0,b1,...)")
             if not all(math.isfinite(float(b)) for b in betas):
-                raise ValueError(f"betas must be finite, got {tuple(betas)}")
+                raise UsageError(f"betas must be finite, got {tuple(betas)}")
             return cls("Z", "Z", beta=tuple(float(b) for b in monomial_to_hermite(betas)),
                        monomial=tuple(float(b) for b in betas))
         if kind == "S":
             if z is None or not math.isfinite(z):
-                raise ValueError(f"kind S requires a finite level z, got {z}")
+                raise UsageError(f"kind S requires a finite level z, got {z}")
             return cls("S", f"S(z={z:g})", z=z)
-        raise ValueError(f"kind must be 'h', 'Z' or 'S', got {kind!r}")
+        raise UsageError(f"kind must be 'h', 'Z' or 'S', got {kind!r}")
 
     def degree(self, ell: int) -> int:
         """Grid degree, at least 1: exact for h and Z, EXCURSION_DEGREE_FACTOR * ell for S."""
@@ -212,12 +215,12 @@ class Functional:
 
     def variance(self, ell: int, d: int) -> float:
         """Kinds h and Z: the sum over chaoses q >= 2 of beta_q^2 Var[h_{ell;q,d}];
-        kind S: the exact `excursion_variance`.  0 raises."""
+        kind S: the exact `excursion_variance`.  0 raises, as does the NaN of kind S once z^2 overflows."""
         if self.beta is None:
             var = excursion_variance(ell, d, self.z)
         else:
             var = sum(b * b * variance_h(ell, j, d) for j, b in _hermite_betas(self.beta).items())
-        if var <= 0.0:
+        if not var > 0.0:
             raise ZeroVarianceError(f"{self.label} has zero variance at (ell={ell}, d={d})")
         return var
 
@@ -354,12 +357,12 @@ def clt_sweep(kind: str, d: int, ell_list, replicas: int, seed: int,
     """
     f = Functional.of(kind, q, betas, z)
     if replicas < 200:
-        raise ValueError(f"need at least 200 replicas per row, got {replicas}")
+        raise UsageError(f"need at least 200 replicas per row, got {replicas}")
     ells = [int(l) for l in ell_list]
     if sorted(ells) != ells or len(set(ells)) != len(ells):
-        raise ValueError("ell_list must be strictly increasing")
+        raise UsageError("ell_list must be strictly increasing")
     if not allow_odd and any(l % 2 for l in ells):
-        raise ValueError("odd multipoles kill odd chaoses; pass allow_odd=True to sweep them anyway")
+        raise UsageError("odd multipoles kill odd chaoses; pass allow_odd=True to sweep them anyway")
 
     warns: list[str] = []
     if kind == "h" and (d, q) in CLT_EXCLUDED_PAIRS:
@@ -421,7 +424,7 @@ def rate_fit(report: CltReport) -> RateFit:
     usable = [r for r in report.rows if r.empirical_dK >= 3.0 * r.mc_stderr_scale]
     n_below = len(report.rows) - len(usable)
     if len(usable) < 3:
-        raise ValueError(f"need >= 3 rows above the MC floor, have {len(usable)}")
+        raise UsageError(f"need >= 3 rows above the MC floor, have {len(usable)}")
     lx = np.log([r.ell for r in usable])
     slope, intercept, stderr = fit_line(lx, np.log([r.empirical_dK for r in usable]))
     theory_slope = fit_line(lx, np.log([r.theoretical_rate for r in usable]))[0]

@@ -36,12 +36,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .moments import DegreeCapError, ZeroVarianceError, variance_h
+from .moments import variance_h
 # gauss_jacobi_rule has no caller here; perfbench/spans.py wraps this binding
 from .quadrature import gauss_jacobi_rule, half_range_rule
-from .specfun import GegenbauerCtx, SphereDim, dim_harmonics, orthonormal_jacobi
+from .specfun import (DegreeCapError, GegenbauerCtx, NumericalError, SphereDim, UsageError, ZeroVarianceError,
+                      dim_harmonics, orthonormal_jacobi)
 
 DEGREE_CAP = 12288
+# poly_bound's integer factors, such as (r-1)!^2 C(q-1,r-1)^4 (2q-2r)!, overflow a float beyond this order
+BOUND_MAX_ORDER = 80
 
 
 @dataclass(frozen=True)
@@ -81,7 +84,7 @@ def _expand_power_cached(ell: int, p: int, d: int) -> SpectralCoeffs:
 def expand_power(ell: int, p: int, d: int) -> SpectralCoeffs:
     """Expansion of G_{ell;d}^p over G_{0..p*ell;d} (cached per (ell, p, d))."""
     if ell < 0 or p < 1 or d < 2:
-        raise ValueError(f"need ell >= 0, p >= 1, d >= 2, got ({ell}, {p}, {d})")
+        raise UsageError(f"need ell >= 0, p >= 1, d >= 2, got ({ell}, {p}, {d})")
     if p * ell > DEGREE_CAP:
         raise DegreeCapError(f"expansion degree {p * ell} exceeds cap {DEGREE_CAP}")
     return _expand_power_cached(ell, p, d)
@@ -94,7 +97,7 @@ def contraction_norm(left: SpectralCoeffs, right: SpectralCoeffs) -> float:
     and q-r copies from `right` on alternating edges.
     """
     if left.dim.d != right.dim.d:
-        raise ValueError("expansions live on different spheres")
+        raise UsageError("expansions live on different spheres")
     dim = left.dim
     kmax = min(left.degree, right.degree)
     b = left.coeffs[: kmax + 1]
@@ -106,7 +109,7 @@ def contraction_norm(left: SpectralCoeffs, right: SpectralCoeffs) -> float:
 def kernel_contraction(ell: int, q: int, r: int, d: int) -> float:
     """Contraction norm K(ell, q; r) = ||g_q tensor_r g_q||^2, r = 1..q-1."""
     if not 1 <= r <= q - 1:
-        raise ValueError(f"need 1 <= r <= q-1, got r={r}, q={q}")
+        raise UsageError(f"need 1 <= r <= q-1, got r={r}, q={q}")
     r = min(r, q - r)  # the formula is symmetric; compute each pair once
     return contraction_norm(expand_power(ell, r, d), expand_power(ell, q - r, d))
 
@@ -134,7 +137,7 @@ def cross_contraction(ell: int, q1: int, q2: int, d: int) -> float:
     q2 - q1 = 1 (orthogonality of distinct eigenspaces).
     """
     if not 2 <= q1 < q2:
-        raise ValueError(f"need 2 <= q1 < q2, got ({q1}, {q2})")
+        raise UsageError(f"need 2 <= q1 < q2, got ({q1}, {q2})")
     if q2 - q1 == 1:
         return 0.0
     dim = SphereDim(d)
@@ -169,14 +172,14 @@ def berry_esseen_bound(ell: int, q: int, d: int) -> BoundRecord:
     """Explicit normal-approximation bounds for h_{ell;q,d} / sigma: the
     single-chaos case of `poly_bound`."""
     if q < 2:
-        raise ValueError(f"need q >= 2, got {q}")
+        raise UsageError(f"need q >= 2, got {q}")
     return poly_bound(ell, d, {q: 1.0})
 
 
 def rate_theoretical(ell: int, q: int, d: int) -> float:
     """Tabulated convergence rate R(ell; q, d) of the quantitative CLT."""
     if q < 2 or d < 2 or ell < 2:
-        raise ValueError(f"need ell >= 2, q >= 2, d >= 2, got ({ell}, {q}, {d})")
+        raise UsageError(f"need ell >= 2, q >= 2, d >= 2, got ({ell}, {q}, {d})")
     if d == 2:
         if q in (2, 3):
             return ell ** -0.5
@@ -204,9 +207,11 @@ def poly_bound(ell: int, d: int, betas: dict[int, float]) -> BoundRecord:
     """
     betas = {int(q): float(b) for q, b in betas.items() if b != 0.0}
     if not betas:
-        raise ValueError("all polynomial coefficients are zero")
+        raise UsageError("all polynomial coefficients are zero")
     if min(betas) < 2:
-        raise ValueError("Hermite coefficients start at q = 2")
+        raise UsageError("Hermite coefficients start at q = 2")
+    if max(betas) > BOUND_MAX_ORDER:
+        raise NumericalError(f"chaos order {max(betas)} exceeds {BOUND_MAX_ORDER}: the bound's factorials overflow")
     variance = sum(b * b * variance_h(ell, q, d) for q, b in betas.items())
     if variance == 0.0:
         raise ZeroVarianceError("polynomial has zero variance (odd-odd components only)")
@@ -263,7 +268,7 @@ def poly_rate(ell: int, d: int, betas: dict[int, float]) -> float:
     otherwise the slowest Hermite-component rate present."""
     betas = {int(q): float(b) for q, b in betas.items() if b != 0.0}
     if not betas:
-        raise ValueError("all polynomial coefficients are zero")
+        raise UsageError("all polynomial coefficients are zero")
     if betas.get(2, 0.0) != 0.0:
         return rate_theoretical(ell, 2, d)
     return max(rate_theoretical(ell, q, d) for q in betas)
@@ -282,7 +287,7 @@ def mc_kernel_contraction(ell: int, q: int, r: int, d: int, n_samples: int, seed
     scales by mu_d^4.  Returns (estimate, standard_error).
     """
     if not 1 <= r <= q - 1:
-        raise ValueError(f"need 1 <= r <= q-1, got r={r}, q={q}")
+        raise UsageError(f"need 1 <= r <= q-1, got r={r}, q={q}")
     dim = SphereDim(d)
     ctx = GegenbauerCtx(ell, dim)
     rng = np.random.Generator(np.random.Philox(key=seed))

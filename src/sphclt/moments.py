@@ -13,8 +13,7 @@ q >= 3: at q = 2 the half-range moment decays like ell^{-(d-1)} instead.
 
 Moment integrals are exact up to rounding: G^q sin^{d-1} theta is a
 trigonometric polynomial of degree q*ell + d - 1, so one FFT of its samples
-at 2 (q*ell + d) equispaced angles integrates it exactly; the reported error
-estimate is an a-priori rounding bound.  q*ell is capped at
+at 2 (q*ell + d) equispaced angles integrates it exactly.  q*ell is capped at
 MOMENT_DEGREE_CAP.  The infinite Bessel integrals are summed zero-interval by
 zero-interval: for odd q the panel sums alternate and are accelerated by
 iterated averaging, for even q the non-oscillating part of the tail (the mean
@@ -37,7 +36,10 @@ import numpy as np
 from numpy.fft import irfft, rfft
 
 from .quadrature import panel_nodes
-from .specfun import SphereDim, bessel_j, bessel_j_zeros, dim_harmonics
+# ZeroVarianceError has no caller here; it stays bound for code that imports it from this module
+from .specfun import (BESSEL_MAX_ORDER, DegreeCapError, DivergentIntegralError, NumericalError, SphereDim,
+                      ToleranceNotMetError, UsageError, ZeroVarianceError, bessel_j, bessel_j_zeros, dim_harmonics,
+                      float_factorial)
 
 # c(q, d) converges when successive zero budgets agree to BESSEL_TOL
 BESSEL_TOL = 1e-9
@@ -46,26 +48,9 @@ BESSEL_MAX_ZEROS = 16384
 MOMENT_DEGREE_CAP = 2 ** 20
 
 
-class ToleranceNotMetError(Exception):
-    """A Bessel constant missed its tolerance within the zero budget."""
-
-
-class DivergentIntegralError(ValueError):
-    """The requested Bessel constant does not exist (divergent integral)."""
-
-
-class DegreeCapError(ValueError):
-    """A requested polynomial degree exceeds its cap."""
-
-
-class ZeroVarianceError(ValueError):
-    """Normalization impossible: the functional is almost surely zero."""
-
-
 @dataclass(frozen=True)
 class MomentResult:
     value: float
-    err_est: float
     panels: int
 
 
@@ -102,23 +87,11 @@ def gegenbauer_moment(ell: int, q: int, d: int, rng: str = "full") -> MomentResu
         integral_0^b F = Re[f_0 b + 2 sum_{k >= 1} f_k (e^{ikb} - 1) / (ik)].
     G is sampled by one inverse FFT of `_ctx`; `panels` holds M.  Results are
     memoized, so the table, variance and slope of one run share each moment.
-
-    The rule has no truncation error; `err_est` bounds its rounding to first
-    order.  Each c_m, from at most 2 ell + 3 rounded factors and a rounded sum,
-    has relative error below (ell + log2 M) eps; as c >= 0 and sum c = 1, a
-    sample of G moves by as much, plus eps log2 M from the inverse FFT.  The
-    power, the weight (sines of angles in [0, pi/2]) and the forward FFT add
-    (q + d + log2 M) eps relative to |F_j|.  The f_k enter with factors of
-    moduli b and 4/k, summing to at most L = b + 4 (1 + ln(M/2)).  With A_p
-    the sample mean of |G|^p |sin|^{d-1},
-        |error| <= L eps [q (ell + 2 log2 M) A_{q-1} + (q + d + log2 M) A_q].
-    This is loose: 4e-7 relative at (4097, 3, 2, "half") for an error of
-    8e-15.  Absolute errors near eps limit (8192, 2, 6) = 1.7e-18 to 4e-9.
     """
     if ell < 1 or q < 1 or d < 2:
-        raise ValueError(f"need ell >= 1, q >= 1, d >= 2, got ({ell}, {q}, {d})")
+        raise UsageError(f"need ell >= 1, q >= 1, d >= 2, got ({ell}, {q}, {d})")
     if rng not in ("full", "half"):
-        raise ValueError(f"range must be 'full' or 'half', got {rng!r}")
+        raise UsageError(f"range must be 'full' or 'half', got {rng!r}")
     if q * ell > MOMENT_DEGREE_CAP:
         raise DegreeCapError(f"moment degree q*ell = {q * ell} exceeds cap {MOMENT_DEGREE_CAP}")
     quarter_turns = 2 if rng == "full" else 1
@@ -135,10 +108,7 @@ def gegenbauer_moment(ell: int, q: int, d: int, rng: str = "full") -> MomentResu
     k = np.arange(1, f.size)
     e_ikb = np.array([1.0, 1j, -1.0, -1j])[k * quarter_turns % 4]  # exact
     value = float((f[0] * b + 2.0 * np.sum(f[1:] * (e_ikb - 1.0) / (1j * k))).real)
-    log_m, gw = math.log2(m), np.abs(g) ** (q - 1) * np.abs(w)
-    err = (b + 4.0 * (1.0 + math.log(h))) * np.finfo(float).eps * np.mean(
-        gw * (q * (ell + 2.0 * log_m) + (q + d + log_m) * np.abs(g)))
-    return MomentResult(value=value, err_est=float(err), panels=m)
+    return MomentResult(value=value, panels=m)
 
 
 def variance_h(ell: int, q: int, d: int) -> float:
@@ -149,7 +119,7 @@ def variance_h(ell: int, q: int, d: int) -> float:
     2 mu_d^2 / n_{ell;d}, never by quadrature.
     """
     if ell < 1 or q < 0 or d < 2:
-        raise ValueError(f"need ell >= 1, q >= 0, d >= 2, got ({ell}, {q}, {d})")
+        raise UsageError(f"need ell >= 1, q >= 0, d >= 2, got ({ell}, {q}, {d})")
     if q in (0, 1):
         return 0.0
     if (ell % 2 == 1) and (q % 2 == 1):
@@ -159,7 +129,7 @@ def variance_h(ell: int, q: int, d: int) -> float:
         return 2.0 * dim.mu_d ** 2 / dim_harmonics(ell, d)
     # symmetric integrand: full range equals twice the half range
     half = gegenbauer_moment(ell, q, d, "half")
-    return math.factorial(q) * dim.mu_d * dim.mu_dm1 * 2.0 * half.value
+    return float_factorial(q) * dim.mu_d * dim.mu_dm1 * 2.0 * half.value
 
 
 # ------------------------------------------------------------------
@@ -207,10 +177,10 @@ def bessel_constant(q: int, d: int) -> BesselConstant:
     non-oscillating component (even q).  (2, 4) is log-divergent and raises.
     """
     if q < 2 or d < 2:
-        raise ValueError(f"need q >= 2 and d >= 2, got ({q}, {d})")
+        raise UsageError(f"need q >= 2 and d >= 2, got ({q}, {d})")
     dim = SphereDim(d)
     if q == 2:
-        value = math.factorial(d - 1) * dim.mu_d / (4.0 * dim.mu_dm1)
+        value = float_factorial(d - 1) * dim.mu_d / (4.0 * dim.mu_dm1)
         return BesselConstant(q, d, value, "closed-form", 0)
 
     conditional = (d, q) in ((3, 3), (2, 3))
@@ -220,6 +190,8 @@ def bessel_constant(q: int, d: int) -> BesselConstant:
         )
 
     nu = d / 2.0 - 1.0
+    if nu > BESSEL_MAX_ORDER:  # checked before the prefactor, which overflows first
+        raise NumericalError(f"c(q={q}, d={d}) needs the Bessel order {nu:g}, beyond {BESSEL_MAX_ORDER:g}")
     p = (d - 1) - q * nu
     prefactor = (2.0 ** nu * math.gamma(d / 2.0)) ** q
     mode = "conditional" if conditional else "absolute"
@@ -273,11 +245,11 @@ def log_divergence_check(ell_list) -> SlopeRecord:
     """
     ells = [int(l) for l in ell_list]
     if any(l & (l - 1) for l in ells) or ells != sorted(ells) or len(set(ells)) != len(ells):
-        raise ValueError("ell_list must be strictly increasing powers of two")
+        raise UsageError("ell_list must be strictly increasing powers of two")
     if len(ells) < 3:
-        raise ValueError("need at least three multipoles for a slope")
+        raise UsageError("need at least three multipoles for a slope")
     if max(ells) < 4096:
-        raise ValueError("need max(ell) >= 4096 to be in the asymptotic regime")
+        raise UsageError("need max(ell) >= 4096 to be in the asymptotic regime")
     y = np.array([variance_h(l, 4, 2) * l * l for l in ells])
     slope, intercept, stderr = fit_line(np.log(np.array(ells, dtype=float)), y)
     return SlopeRecord(slope, stderr, intercept, tuple(ells), tuple(float(v) for v in y))

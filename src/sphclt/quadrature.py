@@ -25,7 +25,7 @@ import numpy as np
 from numpy.fft import fft
 from numpy.polynomial.legendre import leggauss
 
-from .specfun import orthonormal_jacobi
+from .specfun import UsageError, orthonormal_jacobi
 
 
 def panel_nodes(a: float, b: float, n_panels: int, nodes_per_panel: int = 10):
@@ -35,7 +35,7 @@ def panel_nodes(a: float, b: float, n_panels: int, nodes_per_panel: int = 10):
     2*nodes_per_panel - 1 within each panel.
     """
     if n_panels < 1:
-        raise ValueError("need at least one panel")
+        raise UsageError("need at least one panel")
     x, w = leggauss(nodes_per_panel)
     edges = np.linspace(a, b, n_panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
@@ -87,9 +87,9 @@ def gauss_jacobi_rule(n: int, d: int):
     polynomials, which keep full relative accuracy at every n.
     """
     if n < 1:
-        raise ValueError("need at least one node")
+        raise UsageError("need at least one node")
     if d < 2:
-        raise ValueError(f"sphere dimension must be >= 2, got {d}")
+        raise UsageError(f"sphere dimension must be >= 2, got {d}")
     alpha = d / 2.0 - 1.0
     upper = _jacobi_zeros(n, alpha)[::-1]
     if n % 2:
@@ -116,9 +116,9 @@ def half_range_rule(degree: int, d: int):
     the weight function vanishes.  Returns (t, w), t decreasing in (0, 1).
     """
     if degree < 0:
-        raise ValueError(f"need degree >= 0, got {degree}")
+        raise UsageError(f"need degree >= 0, got {degree}")
     if d < 2:
-        raise ValueError(f"sphere dimension must be >= 2, got {d}")
+        raise UsageError(f"sphere dimension must be >= 2, got {d}")
     sigma = (d - 1) % 2
     n = degree // 2 + (d - 1 - sigma) // 2 + 1
     # m_0 = pi/2 or 1, then m_{j+1} / m_j = -(sigma/2 - j) / (sigma/2 + j + 1)

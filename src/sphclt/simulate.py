@@ -41,15 +41,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # variance_h and hermite have no caller here; perfbench/spans.py wraps these bindings
-from .moments import ToleranceNotMetError, variance_h
+from .moments import variance_h
 from .quadrature import gauss_jacobi_rule, panel_nodes
-from .specfun import GegenbauerCtx, SphereDim, _jacobi_rows, dim_harmonics, hermite
+from .specfun import (GegenbauerCtx, NodeBudgetError, SphereDim, ToleranceNotMetError, UsageError, _jacobi_rows,
+                      dim_harmonics, hermite)
 
 NODE_BUDGET = 2_000_000
-
-
-class NodeBudgetError(ValueError):
-    """Requested grid exceeds the node budget."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,11 +92,12 @@ def build_grid(d: int, target_degree: int) -> SphereGrid:
     """Product quadrature grid on S^d exact at least to `target_degree`, of at
     most NODE_BUDGET nodes."""
     if target_degree < 1:
-        raise ValueError(f"target degree must be >= 1, got {target_degree}")
-    if d < 2:
-        raise ValueError(f"sphere dimension must be >= 2, got {d}")
+        raise UsageError(f"target degree must be >= 1, got {target_degree}")
+    SphereDim(d)  # validates d
     n_phi = target_degree + 1
     n_t = target_degree // 2 + 1
+    if n_phi * n_t ** (d - 1) > NODE_BUDGET:  # before any array is made
+        raise NodeBudgetError(f"grid of {n_phi} x {n_t}^{d - 1} nodes exceeds the budget of {NODE_BUDGET}")
     phi = _azimuth(n_phi)
     # the circle S^1, then one colatitude rule per level
     nodes = np.column_stack((np.cos(phi), np.sin(phi)))
@@ -108,8 +106,6 @@ def build_grid(d: int, target_degree: int) -> SphereGrid:
     grid = None
     for k in range(2, d + 1):
         n_sub = weights.size
-        if n_t * n_sub > NODE_BUDGET:
-            raise NodeBudgetError(f"grid would need {n_t * n_sub} nodes (budget {NODE_BUDGET})")
         t, w_t = gauss_jacobi_rule(n_t, k)
         dim = SphereDim(k)
         exact = min(2 * n_t - 1, exact)
@@ -278,9 +274,9 @@ def _sample_batch(grid: SphereGrid, ell: int, seed: int, replicas, work=None) ->
 def sample_field(d: int, ell: int, grid: SphereGrid, seed: int, replica: int = 0) -> FieldRealization:
     """One realization of the degree-ell Gaussian eigenfunction on the grid."""
     if grid.dim.d != d:
-        raise ValueError(f"grid dimension {grid.dim.d} does not match d={d}")
+        raise UsageError(f"grid dimension {grid.dim.d} does not match d={d}")
     if ell < 1:
-        raise ValueError(f"multipole must be >= 1, got {ell}")
+        raise UsageError(f"multipole must be >= 1, got {ell}")
     values = _sample_batch(grid, ell, seed, [replica])[0]
     return FieldRealization(grid=grid, values=values, ell=ell, seed=seed, replica=replica)
 
@@ -305,7 +301,7 @@ def excursion_variance(ell: int, d: int, z: float) -> float:
     panel keep the bound for z = 0 (exactly 0) and |z| >= 0.1, not below: 3e-7 at 0.01.
     """
     if ell < 1:
-        raise ValueError(f"multipole must be >= 1, got {ell}")
+        raise UsageError(f"multipole must be >= 1, got {ell}")
     dim = SphereDim(d)
     n = ell // 2 + 2
     edges = 0.5 * math.pi / n * 0.5 ** np.arange(20 if ell % 2 else 0, -1, -1)
@@ -341,7 +337,7 @@ def recover_harmonic_coeffs(realization: FieldRealization) -> np.ndarray:
     """
     grid, ell = realization.grid, realization.ell
     if grid.exact_degree < 2 * ell:
-        raise ValueError(f"recovery at ell={ell} needs a grid exact to degree {2 * ell}, "
+        raise UsageError(f"recovery at ell={ell} needs a grid exact to degree {2 * ell}, "
                          f"this one is exact to degree {grid.exact_degree}")
     cos_idx, sin_idx, cos_m, sin_m, lams = _synthesis_plan(grid, ell)
     fields = realization.values * grid.weights

@@ -25,12 +25,62 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# the largest float exceeds n! up to this n, and Gamma((d + 1) / 2) up to this d
+FACTORIAL_MAX_ORDER = 170
+SPHERE_MAX_DIM = 342
+
+
+class SphcltError(Exception):
+    """Base of every error sphclt raises on purpose; each subclass declares the
+    exit code the command line returns for it.  Any other exception is a bug."""
+    exit_code: int
+
+
+class UsageError(SphcltError, ValueError):
+    """An input outside its domain: a bad argument, flag or config value."""
+    exit_code = 2
+
+
+class ZeroVarianceError(UsageError):
+    """Normalization impossible: the functional is almost surely zero."""
+
+
+class NumericalError(SphcltError):
+    """A valid input beyond what the numerics can compute: a degree, node or
+    float-range limit, a divergent integral or a missed tolerance."""
+    exit_code = 3
+
+
+class DegreeCapError(NumericalError):
+    """A requested polynomial degree exceeds its cap."""
+
+
+class NodeBudgetError(NumericalError):
+    """Requested grid exceeds the node budget."""
+
+
+class DivergentIntegralError(NumericalError):
+    """The requested Bessel constant does not exist (divergent integral)."""
+
+
+class ToleranceNotMetError(NumericalError):
+    """A computation missed its tolerance within its budget."""
+
 
 def sphere_volume(d: int) -> float:
     """Hypersurface volume mu_d of the unit d-sphere embedded in R^{d+1}."""
     if d < 0:
-        raise ValueError(f"sphere dimension must be >= 0, got {d}")
+        raise UsageError(f"sphere dimension must be >= 0, got {d}")
+    if d > SPHERE_MAX_DIM:
+        raise NumericalError(f"sphere dimension {d} exceeds {SPHERE_MAX_DIM}: Gamma((d+1)/2) overflows a float")
     return 2.0 * math.pi ** ((d + 1) / 2.0) / math.gamma((d + 1) / 2.0)
+
+
+def float_factorial(n: int) -> float:
+    """n! as a float, which exists for n <= FACTORIAL_MAX_ORDER."""
+    if n > FACTORIAL_MAX_ORDER:
+        raise NumericalError(f"{n}! overflows a float (the limit is {FACTORIAL_MAX_ORDER}!)")
+    return float(math.factorial(n))
 
 
 def normal_cdf(x):
@@ -52,7 +102,7 @@ class SphereDim:
 
     def __post_init__(self):
         if self.d < 2:
-            raise ValueError(f"sphere dimension must be >= 2, got {self.d}")
+            raise UsageError(f"sphere dimension must be >= 2, got {self.d}")
         object.__setattr__(self, "mu_d", sphere_volume(self.d))
         object.__setattr__(self, "mu_dm1", sphere_volume(self.d - 1))
 
@@ -64,12 +114,12 @@ def dim_harmonics(ell: int, d: int) -> int:
     Python integers make the arithmetic exact for any (ell, d).
     """
     if ell < 1:
-        raise ValueError(f"multipole must be >= 1, got {ell}")
+        raise UsageError(f"multipole must be >= 1, got {ell}")
     if d < 2:
-        raise ValueError(f"sphere dimension must be >= 2, got {d}")
+        raise UsageError(f"sphere dimension must be >= 2, got {d}")
     num = (2 * ell + d - 1) * math.comb(ell + d - 2, ell - 1)
     if num % ell:
-        raise ArithmeticError(f"harmonic dimension not integral for ell={ell}, d={d}")
+        raise NumericalError(f"harmonic dimension not integral for ell={ell}, d={d}")
     return num // ell
 
 
@@ -91,7 +141,7 @@ class GegenbauerCtx:
 
     def __post_init__(self):
         if self.ell < 0:
-            raise ValueError(f"multipole must be >= 0, got {self.ell}")
+            raise UsageError(f"multipole must be >= 0, got {self.ell}")
         n = np.arange(1, max(self.ell, 1), dtype=float)
         den = n + self.dim.d - 1
         object.__setattr__(self, "rec_a", (2 * n + self.dim.d - 1) / den)
@@ -166,7 +216,7 @@ def _jacobi_rows(n: int, alpha, t, scale, triangular: bool):
 def hermite(q: int, t):
     """Probabilists' Hermite polynomial H_q(t) by the three-term recurrence."""
     if q < 0:
-        raise ValueError(f"Hermite order must be >= 0, got {q}")
+        raise UsageError(f"Hermite order must be >= 0, got {q}")
     t = np.asarray(t, dtype=float)
     prev = np.ones_like(t)
     if q == 0:
@@ -253,15 +303,15 @@ def bessel_j(nu: float, x):
     the top orders 11.5 and 12 (tested).
     """
     if nu < 0 or nu > BESSEL_MAX_ORDER:
-        raise ValueError(f"unsupported Bessel order {nu}: must be in [0, {BESSEL_MAX_ORDER:g}]")
+        raise UsageError(f"unsupported Bessel order {nu}: must be in [0, {BESSEL_MAX_ORDER:g}]")
     two_nu = 2 * nu
     if abs(two_nu - round(two_nu)) > 1e-9:
-        raise ValueError(f"unsupported Bessel order {nu}: only integer/half-integer orders arise")
+        raise UsageError(f"unsupported Bessel order {nu}: only integer/half-integer orders arise")
     nu = round(two_nu) / 2.0
     scalar = np.isscalar(x)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(x < 0):
-        raise ValueError("bessel_j requires x >= 0")
+        raise UsageError("bessel_j requires x >= 0")
     integer = nu.is_integer()
     far = x >= (HANKEL_X if integer else max(SERIES_X, nu))
     out = np.empty_like(x)

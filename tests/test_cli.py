@@ -70,12 +70,20 @@ def test_config_file_merge_and_rejection(tmp_path):
     (("moments", "--q", "3", "--ell", "8..2"), "'8..2'"),
     (("clt", "--kind", "Z", "--betas", "1,x", "--ell", "8"), "'1,x'"),
     (("moments", "--q", "3", "--ell", "8", "--config", "missing.cfg"), "missing.cfg"),
+    (("moments", "--q", "3", "--ell", "10.."), "bad multipole range '10..'"),
+    (("moments", "--q", "3", "--ell", "..8"), "bad multipole range '..8'"),
+    (("moments", "--q", "3", "--ell", "4..x"), "bad multipole range '4..x'"),
+    (("moments", "--q", "3", "--config", "run.cfg"), "bad multipole range '10..'"),
+    (("moments", "--q", "x", "--ell", "8"), "--q: invalid literal for int()"),
 ])
 def test_bad_value_or_config_exits_2_with_one_line(tmp_path, capsys, monkeypatch, args, named):
+    # a flag's text and a config line go through one parser per key, so a
+    # bad value is one line from sphclt, never argparse's usage message
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text("ell = 10..\n")
     assert run_cli(*args, "--out-dir", str(tmp_path)) == 2
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and named in err
+    assert err.count("\n") == 1 and named in err and "usage:" not in err
 
 
 def test_flags_win_over_config(tmp_path):
@@ -140,7 +148,7 @@ def test_moments_q2_closed_form(tmp_path):
     dim = SphereDim(3)
     expect = dim.mu_d / (2 * dim.mu_dm1 * dim_harmonics(4, 3))
     assert float(rows[0]["moment"]) == pytest.approx(expect, rel=1e-12)
-    assert rows[0]["err_est"] == "0.0"
+    assert "err_est" not in rows[0]
     assert float(rows[0]["c_qd"]) == pytest.approx(math.pi / 4, rel=1e-12)
     assert rows[0]["ratio"] == ""
     manifest = json.loads((tmp_path / "moments_d3_q2.manifest.json").read_text())
@@ -240,10 +248,12 @@ def test_clt_kind_S_runs_excursion_checks(tmp_path):
     assert {"excursion_mean_ell16", "excursion_variance_ell16"} <= failed
 
 
-@pytest.mark.parametrize("command, z, reps", [("simulate", "50", "3"), ("clt", "40", "200")])
+@pytest.mark.parametrize("command, z, reps", [("simulate", "50", "3"), ("clt", "40", "200"),
+                                             ("simulate", "1e300", "3")])
 def test_excursion_zero_variance_exits_2(tmp_path, capsys, command, z, reps):
     # exp(-z^2 / 2) underflows beyond |z| ~ 38, so the variance is 0 and the
-    # excursion area cannot be normalized
+    # excursion area cannot be normalized; beyond |z| ~ 1e154 z^2 overflows
+    # and the variance integral is NaN, which must not pass either
     code = run_cli(command, "--kind", "S", "--z", z, "--ell", "16", "--reps", reps,
                    "--seed", "1", "--out-dir", str(tmp_path))
     assert code == 2
@@ -252,14 +262,15 @@ def test_excursion_zero_variance_exits_2(tmp_path, capsys, command, z, reps):
     assert not list(tmp_path.glob("*.csv"))
 
 
-def test_grid_failing_its_orthogonality_check_exits_1(tmp_path, capsys, monkeypatch):
+def test_grid_failing_its_orthogonality_check_exits_3(tmp_path, capsys, monkeypatch):
+    # a missed tolerance is a numerical fault, not a failed check of a claim
     import sphclt.simulate as simulate
 
     rule = simulate.gauss_jacobi_rule
     monkeypatch.setattr(simulate, "gauss_jacobi_rule", lambda n, d: (rule(n, d)[0] + 1e-6, rule(n, d)[1]))
     code = run_cli("simulate", "--kind", "h", "--d", "2", "--q", "2", "--ell", "8", "--reps", "3",
                    "--seed", "1", "--out-dir", str(tmp_path))
-    assert code == 1
+    assert code == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "orthogonality check failed" in err
 
@@ -528,9 +539,9 @@ def test_ell_not_strictly_increasing_is_a_usage_error(tmp_path, capsys, command,
     assert not list(tmp_path.glob("*.csv"))
 
 
-def test_moment_degree_cap_exits_2(tmp_path, capsys):
+def test_moment_degree_cap_exits_3(tmp_path, capsys):
     assert run_cli("moments", "--d", "2", "--q", "3", "--ell", "1000000000000",
-                   "--out-dir", str(tmp_path)) == 2
+                   "--out-dir", str(tmp_path)) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "exceeds cap" in err
 
@@ -565,9 +576,73 @@ def _perturb_contractions(monkeypatch):
      None, 1),
 ], ids=["moments-pass", "moments-fail", "contractions-pass", "contractions-fail", "simulate-pass",
         "clt-pass", "clt-fail", "excursion-pass", "excursion-fail"])
-def test_exit_code_follows_all_passed(tmp_path, monkeypatch, args, base, fault, expected):
+def test_exit_code_follows_all_passed(tmp_path, capsys, monkeypatch, args, base, fault, expected):
+    # 0 and 1 are the verdict of the checks, written to the manifest; only
+    # errors, exits 2 and 3, print to stderr
     if fault is not None:
         fault(monkeypatch)
     code = run_cli(*args, "--out-dir", str(tmp_path))
     manifest = json.loads((tmp_path / f"{base}.manifest.json").read_text())
     assert code == expected and code == (0 if manifest["all_passed"] else 1)
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("args, named", [
+    (("moments", "--d", "2", "--q", "171", "--ell", "16"), "171! overflows a float"),
+    (("simulate", "--kind", "h", "--q", "171", "--d", "2", "--ell", "2", "--reps", "2", "--seed", "1"),
+     "171! overflows a float"),
+    (("contractions", "--d", "2", "--q", "85", "--ell", "2"), "chaos order 85 exceeds 80"),
+    (("clt", "--kind", "h", "--q", "90", "--d", "2", "--ell", "2,4", "--reps", "200", "--seed", "1"),
+     "chaos order 90 exceeds 80"),
+    (("moments", "--d", "27", "--q", "3", "--ell", "4"), "Bessel order 12.5, beyond 12"),
+    (("moments", "--d", "171", "--q", "3", "--ell", "4"), "Bessel order 84.5, beyond 12"),
+    (("moments", "--d", "400", "--q", "3", "--ell", "4"), "sphere dimension 400 exceeds 342"),
+    (("contractions", "--d", "400", "--q", "3", "--ell", "4"), "sphere dimension 400 exceeds 342"),
+    (("simulate", "--d", "3", "--q", "2", "--ell", "200", "--reps", "1", "--seed", "1"),
+     "exceeds the budget of 2000000"),
+    (("simulate", "--q", "3", "--ell", "99999999999999999998", "--reps", "2", "--seed", "1"),
+     "exceeds the budget of 2000000"),
+], ids=["variance-q171", "simulate-q171", "bound-q85", "clt-bound-q90", "bessel-d27", "bessel-d171",
+        "volume-moments-d400", "volume-contractions-d400", "node-budget", "node-budget-azimuths"])
+def test_numerical_faults_exit_3_with_one_line(tmp_path, capsys, args, named):
+    # each limit is checked before the computation it guards, so the run
+    # ends in one line naming the limit, not in an OverflowError traceback
+    assert run_cli(*args, "--out-dir", str(tmp_path)) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and named in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_an_error_outside_the_hierarchy_propagates(tmp_path, monkeypatch):
+    # only a SphcltError carries an exit code; any other exception is a bug,
+    # a ValueError included, and keeps its traceback
+    import sphclt.cli as cli
+
+    def boom(*args):
+        raise ValueError("boom")
+    monkeypatch.setattr(cli, "contraction_table", boom)
+    with pytest.raises(ValueError, match="boom"):
+        run_cli("contractions", "--q", "2", "--ell", "8", "--out-dir", str(tmp_path))
+
+
+def test_every_raise_names_a_sphclt_error():
+    # a new exception raised anywhere in the package must be a SphcltError
+    # subclass with its own exit code, so `main` maps it and only it
+    import ast
+    import importlib
+    from pathlib import Path
+
+    import sphclt
+    from sphclt.specfun import SphcltError
+
+    raised = []
+    for path in sorted(Path(sphclt.__file__).parent.glob("*.py")):
+        module = importlib.import_module(f"sphclt.{path.stem}" if path.stem != "__init__" else "sphclt")
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                cls = getattr(module, ast.unparse(exc), None)
+                raised.append(cls)
+                assert (isinstance(cls, type) and issubclass(cls, SphcltError)
+                        and cls.exit_code in (2, 3)), f"{path.name}:{node.lineno}: raise {ast.unparse(exc)}"
+    assert len(raised) > 60

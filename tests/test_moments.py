@@ -176,19 +176,6 @@ def test_moment_odd_cube_against_legendre_oracle(ell):
         legendre_p3_half(ell), rel=1e-12)
 
 
-def test_moment_err_est_bounds_oracle_error():
-    # err_est is an a-priori rounding bound; the rule has no truncation error
-    pytest.importorskip("mpmath")
-    cases = [((ell, 4, 2, "half"), wigner_p4_half(ell)) for ell in (256, 1024, 4096, 8192)]
-    cases += [((ell, 2, d, "full"), q2_moment(ell, d))
-              for d in (2, 3, 4, 5) for ell in (1, 2, 5, 16, 33, 64, 1024, 4096)]
-    cases += [((ell, q, d, "half"), quad_half_moment(ell, q, d)) for ell, q, d in ODD_HALF_CASES]
-    cases += [((ell, 3, 2, "half"), legendre_p3_half(ell)) for ell in (1025, 4097)]
-    for key, oracle in cases:
-        res = gegenbauer_moment(*key)
-        assert abs(res.value - oracle) <= res.err_est, key
-
-
 def test_moment_memoized_per_key(tmp_path, monkeypatch):
     # the moments table and variance_h share one evaluation of the rule per
     # (ell, q, d, rng); each evaluation fetches the coefficients once
