@@ -43,7 +43,6 @@ from .contractions import (
     cross_contraction,
     expand_power,
     kernel_contraction,
-    mc_kernel_contraction,
     poly_bound,
     poly_rate,
     rate_theoretical,
@@ -53,7 +52,6 @@ from .simulate import (
     SphereGrid,
     build_grid,
     excursion_variance,
-    recover_harmonic_coeffs,
     sample_field,
 )
 from .clt import (

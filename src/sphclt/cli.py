@@ -49,13 +49,17 @@ from .moments import bessel_constant, gegenbauer_moment, log_divergence_check, v
 # excursion_variance and sample_field have no caller here; perfbench/spans.py
 # wraps these bindings
 from .simulate import build_grid, excursion_variance, sample_field
-from .specfun import DivergentIntegralError, SphcltError, SphereDim, UsageError, ZeroVarianceError, dim_harmonics
+from .specfun import (DivergentIntegralError, NumericalError, SphcltError, SphereDim, UsageError, ZeroVarianceError,
+                      dim_harmonics, float_harmonics)
 
 FORMAT_VERSION = "1"
 # the tolerances of the `moments` checks are fixed, so `all_passed` means the
 # same thing for every run
 RATIO_TOL = 0.05
 SLOPE_TOL = 0.10
+# `simulate` holds about 200 bytes per replica in its CSV rows, the sweeps about
+# 60 (tracemalloc peaks at 1e5 replicas, ell = 2): this many stay below 1 GB
+MAX_REPLICAS = 5_000_000
 
 
 def parse_ell_spec(text: str) -> tuple[int, ...]:
@@ -182,6 +186,8 @@ def build_config(command: str, args: argparse.Namespace) -> RunConfig:
         raise UsageError(f"seed must satisfy 0 <= seed < 2**128, got {cfg.seed}")
     if cfg.replicas < 1 or cfg.threads < 1:
         raise UsageError(f"replicas and threads must be >= 1, got {cfg.replicas} and {cfg.threads}")
+    if cfg.replicas > MAX_REPLICAS:  # before fixed_chunks lists the chunks of such a count
+        raise NumericalError(f"{cfg.replicas} replicas exceed the limit of {MAX_REPLICAS}, about 1 GB of samples")
     if any(a >= b for a, b in zip(cfg.ell, cfg.ell[1:])):
         raise UsageError(f"--ell must be strictly increasing, got {','.join(map(str, cfg.ell))}")
     if cfg.seed is None and command in _SWEEPS:
@@ -268,7 +274,7 @@ def cmd_moments(cfg: RunConfig) -> int:
     rows = []
     for ell in cfg.ell:
         if q == 2:
-            moment = dim.mu_d / (2.0 * dim.mu_dm1 * dim_harmonics(ell, d))
+            moment = dim.mu_d / (2.0 * dim.mu_dm1 * float_harmonics(ell, d))
         else:
             moment = gegenbauer_moment(ell, q, d, "half").value
         variance = variance_h(ell, q, d)
@@ -324,7 +330,10 @@ def cmd_contractions(cfg: RunConfig) -> int:
         for r in range(1, q):
             rows.append((d, q, r, ell, float(table.K_values[r - 1]), tv, k, w, rate))
         if q == 2:
-            exact = dim.mu_d ** 4 / dim_harmonics(ell, d) ** 3
+            n = dim_harmonics(ell, d)
+            if 4.0 * math.log(dim.mu_d) - 3.0 * math.log(n) < math.log(sys.float_info.min):
+                raise NumericalError(f"mu_d^4 / n^3 at (ell={ell}, d={d}) is below the least normal float")
+            exact = dim.mu_d ** 4 / n ** 3
             rel = abs(float(table.K_values[0]) / exact - 1.0)
             checks.append(_check(
                 f"contraction_closed_form_ell{ell}", rel <= 1e-10,

@@ -44,6 +44,7 @@ from statistics import NormalDist
 
 import numpy as np
 
+# berry_esseen_bound has no caller here; perfbench/spans.py wraps this binding
 from .contractions import berry_esseen_bound, poly_bound
 from .moments import fit_line, variance_h
 from .parallel import fixed_chunks, ordered_map
@@ -215,7 +216,7 @@ class Functional:
 
     def variance(self, ell: int, d: int) -> float:
         """Kinds h and Z: the sum over chaoses q >= 2 of beta_q^2 Var[h_{ell;q,d}];
-        kind S: the exact `excursion_variance`.  0 raises, as does the NaN of kind S once z^2 overflows."""
+        kind S: the exact `excursion_variance`.  0 raises."""
         if self.beta is None:
             var = excursion_variance(ell, d, self.z)
         else:
@@ -228,10 +229,7 @@ class Functional:
         """(explicit d_K bound, or None for S, and the theoretical rate)."""
         if self.beta is None:
             return None, ell ** -0.5
-        if self.kind == "h":
-            rec = berry_esseen_bound(ell, len(self.beta) - 1, d)
-        else:
-            rec = poly_bound(ell, d, _hermite_betas(self.beta))
+        rec = poly_bound(ell, d, _hermite_betas(self.beta))
         return rec.bound_k, rec.rate
 
     def exact(self, ell: int, grid: SphereGrid) -> bool:
@@ -304,9 +302,7 @@ class CltReport:
     kind: str                    # "h" | "Z" | "S"
     d: int
     q: int | None
-    betas: tuple | None
     z: float | None
-    seed: int
     rows: tuple[CltRow, ...]
     warnings: tuple[str, ...] = ()
 
@@ -393,9 +389,7 @@ def clt_sweep(kind: str, d: int, ell_list, replicas: int, seed: int,
             predicted_var=var,
         ))
 
-    return CltReport(kind=kind, d=d, q=q,
-                     betas=tuple(betas) if betas is not None else None,
-                     z=z, seed=seed, rows=tuple(rows), warnings=tuple(warns))
+    return CltReport(kind=kind, d=d, q=q, z=z, rows=tuple(rows), warnings=tuple(warns))
 
 
 # ------------------------------------------------------------------

@@ -14,9 +14,7 @@ spectral sum
 
     K(ell, q; r) = mu_d * sum_k (b_k^{(r)} b_k^{(q-r)})^2 (mu_d / n_{k;d})^3,
 
-an O(q*ell) quantity instead of a 4d-dimensional integral.  A brute-force
-Monte Carlo evaluation of the same 4-point integral is kept alongside as an
-independent check.
+an O(q*ell) quantity instead of a 4d-dimensional integral.
 
 The normal-approximation bounds expose the raw fourth-moment sum and each
 probability metric's prefactor separately: for the normalized h_{ell;q,d},
@@ -40,7 +38,7 @@ from .moments import variance_h
 # gauss_jacobi_rule has no caller here; perfbench/spans.py wraps this binding
 from .quadrature import gauss_jacobi_rule, half_range_rule
 from .specfun import (DegreeCapError, GegenbauerCtx, NumericalError, SphereDim, UsageError, ZeroVarianceError,
-                      dim_harmonics, orthonormal_jacobi)
+                      dim_harmonics, float_harmonics, orthonormal_jacobi)
 
 DEGREE_CAP = 12288
 # poly_bound's integer factors, such as (r-1)!^2 C(q-1,r-1)^4 (2q-2r)!, overflow a float beyond this order
@@ -102,6 +100,7 @@ def contraction_norm(left: SpectralCoeffs, right: SpectralCoeffs) -> float:
     kmax = min(left.degree, right.degree)
     b = left.coeffs[: kmax + 1]
     c = right.coeffs[: kmax + 1]
+    float_harmonics(max(kmax, 1), dim.d)  # n_k grows with k: the largest must fit a float
     n_k = np.array([1.0] + [dim_harmonics(k, dim.d) for k in range(1, kmax + 1)])
     return float(dim.mu_d * np.sum((b * c) ** 2 * (dim.mu_d / n_k) ** 3))
 
@@ -272,40 +271,3 @@ def poly_rate(ell: int, d: int, betas: dict[int, float]) -> float:
     if betas.get(2, 0.0) != 0.0:
         return rate_theoretical(ell, 2, d)
     return max(rate_theoretical(ell, q, d) for q in betas)
-
-
-# ------------------------------------------------------------------
-# Monte Carlo oracle for the 4-point integral
-# ------------------------------------------------------------------
-
-def mc_kernel_contraction(ell: int, q: int, r: int, d: int, n_samples: int, seed: int = 0):
-    """Brute-force estimate of K(ell, q; r) from uniform 4-point samples,
-    drawn in batches of 200 000.
-
-    Samples x_1..x_4 uniformly on S^d (normalized Gaussians), averages the
-    cyclic product G^r(x1.x2) G^{q-r}(x2.x3) G^r(x3.x4) G^{q-r}(x4.x1) and
-    scales by mu_d^4.  Returns (estimate, standard_error).
-    """
-    if not 1 <= r <= q - 1:
-        raise UsageError(f"need 1 <= r <= q-1, got r={r}, q={q}")
-    dim = SphereDim(d)
-    ctx = GegenbauerCtx(ell, dim)
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < n_samples:
-        m = min(200_000, n_samples - done)
-        x = rng.standard_normal((4, m, d + 1))
-        x /= np.linalg.norm(x, axis=2, keepdims=True)
-        prod = np.ones(m)
-        for i, p in ((0, r), (1, q - r), (2, r), (3, q - r)):
-            dots = np.einsum("ij,ij->i", x[i], x[(i + 1) % 4])
-            prod *= ctx.evaluate(np.clip(dots, -1.0, 1.0)) ** p
-        total += float(np.sum(prod))
-        total_sq += float(np.sum(prod * prod))
-        done += m
-    mean = total / n_samples
-    var = max(total_sq / n_samples - mean * mean, 0.0) / n_samples
-    scale = dim.mu_d ** 4
-    return scale * mean, scale * math.sqrt(var)

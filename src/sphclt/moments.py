@@ -38,8 +38,8 @@ from numpy.fft import irfft, rfft
 from .quadrature import panel_nodes
 # ZeroVarianceError has no caller here; it stays bound for code that imports it from this module
 from .specfun import (BESSEL_MAX_ORDER, DegreeCapError, DivergentIntegralError, NumericalError, SphereDim,
-                      ToleranceNotMetError, UsageError, ZeroVarianceError, bessel_j, bessel_j_zeros, dim_harmonics,
-                      float_factorial)
+                      ToleranceNotMetError, UsageError, ZeroVarianceError, bessel_j, bessel_j_zeros, float_factorial,
+                      float_harmonics)
 
 # c(q, d) converges when successive zero budgets agree to BESSEL_TOL
 BESSEL_TOL = 1e-9
@@ -126,7 +126,7 @@ def variance_h(ell: int, q: int, d: int) -> float:
         return 0.0
     dim = SphereDim(d)
     if q == 2:
-        return 2.0 * dim.mu_d ** 2 / dim_harmonics(ell, d)
+        return 2.0 * dim.mu_d ** 2 / float_harmonics(ell, d)
     # symmetric integrand: full range equals twice the half range
     half = gegenbauer_moment(ell, q, d, "half")
     return float_factorial(q) * dim.mu_d * dim.mu_dm1 * 2.0 * half.value
@@ -233,8 +233,6 @@ class SlopeRecord:
     slope: float
     stderr: float
     intercept: float
-    ells: tuple
-    scaled_variances: tuple
 
 
 def log_divergence_check(ell_list) -> SlopeRecord:
@@ -252,4 +250,4 @@ def log_divergence_check(ell_list) -> SlopeRecord:
         raise UsageError("need max(ell) >= 4096 to be in the asymptotic regime")
     y = np.array([variance_h(l, 4, 2) * l * l for l in ells])
     slope, intercept, stderr = fit_line(np.log(np.array(ells, dtype=float)), y)
-    return SlopeRecord(slope, stderr, intercept, tuple(ells), tuple(float(v) for v in y))
+    return SlopeRecord(slope, stderr, intercept)

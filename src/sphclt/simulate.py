@@ -24,7 +24,7 @@ O(d) array operations, not one per U_m.
 
 One plan per (grid, ell) holds all the recursion reads; each level's profile
 stack comes from one Jacobi pass, which gives lam_{e,m} for every degree e at
-once.  Coefficient recovery is the plan's adjoint, so it works at every d.
+once.
 
 Every replica derives its generator from (master seed, replica index) through
 a counter-based construction (Philox with the replica in the high counter
@@ -51,17 +51,17 @@ NODE_BUDGET = 2_000_000
 
 @dataclass(frozen=True, eq=False)
 class SphereGrid:
-    """Quadrature grid on S^d: unit-vector nodes, positive weights summing to
-    mu_d, and the largest polynomial degree integrated exactly.
+    """Quadrature grid on S^d: positive weights summing to mu_d, and the
+    largest polynomial degree integrated exactly.
 
     Node (sin theta * xi, cos theta) pairs each colatitude node t = cos theta
     (outer index) with each node xi of `sub`, the grid on S^{d-1} (inner
-    index).  At d = 2 `sub` is None: the sub-sphere is the circle of `n_phi`
-    uniform azimuths.  Grids compare by identity; synthesis plans are cached
-    per grid object."""
+    index); the weights and the synthesized fields follow that order.  At
+    d = 2 `sub` is None: the sub-sphere is the circle of `n_phi` uniform
+    azimuths.  Grids compare by identity; synthesis plans are cached per grid
+    object."""
 
     dim: SphereDim
-    nodes: np.ndarray = field(repr=False, compare=False)    # (N, d+1)
     weights: np.ndarray = field(repr=False, compare=False)  # (N,)
     exact_degree: int
     colat_t: np.ndarray = field(repr=False, compare=False)
@@ -71,7 +71,7 @@ class SphereGrid:
 
     @property
     def n_nodes(self) -> int:
-        return self.nodes.shape[0]
+        return self.weights.size
 
 
 def _orthogonality_check(dim, colat_t, colat_w, sub_weight, exact_degree):
@@ -98,9 +98,7 @@ def build_grid(d: int, target_degree: int) -> SphereGrid:
     n_t = target_degree // 2 + 1
     if n_phi * n_t ** (d - 1) > NODE_BUDGET:  # before any array is made
         raise NodeBudgetError(f"grid of {n_phi} x {n_t}^{d - 1} nodes exceeds the budget of {NODE_BUDGET}")
-    phi = _azimuth(n_phi)
     # the circle S^1, then one colatitude rule per level
-    nodes = np.column_stack((np.cos(phi), np.sin(phi)))
     weights = np.full(n_phi, 2.0 * math.pi / n_phi)
     exact = n_phi - 1
     grid = None
@@ -110,11 +108,8 @@ def build_grid(d: int, target_degree: int) -> SphereGrid:
         dim = SphereDim(k)
         exact = min(2 * n_t - 1, exact)
         _orthogonality_check(dim, t, w_t, float(np.sum(weights)), exact)
-        s = np.sqrt(1.0 - t * t)
-        nodes = np.column_stack((np.repeat(s, n_sub)[:, None] * np.tile(nodes, (n_t, 1)),
-                                 np.repeat(t, n_sub)))
         weights = np.repeat(w_t, n_sub) * np.tile(weights, n_t)
-        grid = SphereGrid(dim, nodes, weights, exact, t, w_t, grid, n_phi)
+        grid = SphereGrid(dim, weights, exact, t, w_t, grid, n_phi)
     return grid
 
 
@@ -299,10 +294,14 @@ def excursion_variance(ell: int, d: int, z: float) -> float:
     (against rules of twice the panels and nodes; d <= 5, ell <= 256, |z| <= 4).
     At odd ell G reaches -1, where C_z is not analytic; 20 halvings of the first
     panel keep the bound for z = 0 (exactly 0) and |z| >= 0.1, not below: 3e-7 at 0.01.
+    From |z| = 39 it is 0 without arithmetic: Var S_z <= mu_d^2 Phi(-|z|) is below
+    the least positive float there at every d, and z^2 overflows from |z| ~ 1e154.
     """
     if ell < 1:
         raise UsageError(f"multipole must be >= 1, got {ell}")
     dim = SphereDim(d)
+    if abs(z) >= 39.0:
+        return 0.0
     n = ell // 2 + 2
     edges = 0.5 * math.pi / n * 0.5 ** np.arange(20 if ell % 2 else 0, -1, -1)
     rules = [panel_nodes(lo, hi, 1, 24) for lo, hi in zip(np.append(0.0, edges[:-1]), edges)]
@@ -319,34 +318,3 @@ def excursion_variance(ell: int, d: int, z: float) -> float:
     g += 2.0 * math.exp(-zz) * np.sin(0.5 * u) ** 2
     c = (2 - ell % 2) * np.sum(a * (g @ v), axis=0)
     return dim.mu_d * dim.mu_dm1 / (2.0 * math.pi) * float(w * np.sin(theta) ** (d - 1) @ c)
-
-
-# ------------------------------------------------------------------
-# harmonic analysis on the grid
-# ------------------------------------------------------------------
-
-def recover_harmonic_coeffs(realization: FieldRealization) -> np.ndarray:
-    """Coefficients <T, Y_j> recovered by grid quadrature, at every d.
-
-    Returns the n_{ell;d} vector ordered like the synthesis draws, exact up
-    to rounding; a grid whose exact degree is below 2*ell raises.  The
-    synthesis basis functions are sqrt(mu_d / n_{ell;d}) times orthonormal
-    harmonics, so <T, basis> is divided by that factor.  This is the adjoint of the plan:
-    the weighted field goes down the transposed profile stacks to the circle,
-    is projected on cos(m phi) and sin(m phi), and lands on the leaf draws.
-    """
-    grid, ell = realization.grid, realization.ell
-    if grid.exact_degree < 2 * ell:
-        raise UsageError(f"recovery at ell={ell} needs a grid exact to degree {2 * ell}, "
-                         f"this one is exact to degree {grid.exact_degree}")
-    cos_idx, sin_idx, cos_m, sin_m, lams = _synthesis_plan(grid, ell)
-    fields = realization.values * grid.weights
-    for lam in reversed(lams):
-        fields = fields.reshape(*fields.shape[:-1], lam.shape[1], -1)
-        fields = np.matmul(lam.transpose(0, 2, 1), fields)
-    leaves = fields.reshape(cos_idx.shape + (grid.n_phi,))
-    n = dim_harmonics(ell, grid.dim.d)
-    out = np.zeros(n + 1)
-    out[sin_idx] = np.einsum("...mp,mp->...m", leaves, sin_m)
-    out[cos_idx] = np.einsum("...mp,mp->...m", leaves, cos_m)
-    return out[:n] / math.sqrt(grid.dim.mu_d / n)

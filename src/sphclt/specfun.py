@@ -21,6 +21,7 @@ construction and safe to share across workers.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -121,6 +122,14 @@ def dim_harmonics(ell: int, d: int) -> int:
     if num % ell:
         raise NumericalError(f"harmonic dimension not integral for ell={ell}, d={d}")
     return num // ell
+
+
+def float_harmonics(ell: int, d: int) -> float:
+    """n_{ell;d} as a float, which exists while it is at most the largest float."""
+    n = dim_harmonics(ell, d)
+    if n > sys.float_info.max:  # an exact comparison of int and float
+        raise NumericalError(f"n_{{{ell};{d}}}, the number of degree-{ell} harmonics on S^{d}, overflows a float")
+    return float(n)
 
 
 @dataclass(frozen=True)

@@ -17,10 +17,11 @@ from sphclt.contractions import (
     contraction_table,
     cross_contraction,
     kernel_contraction,
-    mc_kernel_contraction,
 )
 from sphclt.moments import gegenbauer_moment, log_divergence_check, variance_h
 from sphclt.specfun import SphereDim, dim_harmonics
+
+from oracles import mc_kernel_contraction
 
 SEED = 7
 

@@ -1,18 +1,22 @@
 """CLI surface: parsing, config files, outputs, exit codes, determinism."""
 
+import argparse
 import csv
 import json
 import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 from sphclt.cli import (
     _COMMANDS,
+    MAX_REPLICAS,
     UsageError,
     _keys,
+    build_config,
     main,
     parse_betas_spec,
     parse_ell_spec,
@@ -248,12 +252,13 @@ def test_clt_kind_S_runs_excursion_checks(tmp_path):
     assert {"excursion_mean_ell16", "excursion_variance_ell16"} <= failed
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("command, z, reps", [("simulate", "50", "3"), ("clt", "40", "200"),
-                                             ("simulate", "1e300", "3")])
+                                             ("simulate", "1.2e154", "3"), ("simulate", "1e300", "3")])
 def test_excursion_zero_variance_exits_2(tmp_path, capsys, command, z, reps):
     # exp(-z^2 / 2) underflows beyond |z| ~ 38, so the variance is 0 and the
-    # excursion area cannot be normalized; beyond |z| ~ 1e154 z^2 overflows
-    # and the variance integral is NaN, which must not pass either
+    # excursion area cannot be normalized; from |z| ~ 1e154 z^2 overflows,
+    # which must end in the same line and raise no numpy warning on the way
     code = run_cli(command, "--kind", "S", "--z", z, "--ell", "16", "--reps", reps,
                    "--seed", "1", "--out-dir", str(tmp_path))
     assert code == 2
@@ -602,8 +607,14 @@ def test_exit_code_follows_all_passed(tmp_path, capsys, monkeypatch, args, base,
      "exceeds the budget of 2000000"),
     (("simulate", "--q", "3", "--ell", "99999999999999999998", "--reps", "2", "--seed", "1"),
      "exceeds the budget of 2000000"),
+    (("contractions", "--d", "45", "--q", "2", "--ell", "4000"), "below the least normal float"),
+    (("contractions", "--d", "171", "--q", "2", "--ell", "4"), "below the least normal float"),
+    (("moments", "--d", "171", "--q", "2", "--ell", "5000"), "n_{5000;171}, the number of degree-5000 "
+     "harmonics on S^171, overflows a float"),
+    (("contractions", "--d", "171", "--q", "2", "--ell", "5000"), "harmonics on S^171, overflows a float"),
 ], ids=["variance-q171", "simulate-q171", "bound-q85", "clt-bound-q90", "bessel-d27", "bessel-d171",
-        "volume-moments-d400", "volume-contractions-d400", "node-budget", "node-budget-azimuths"])
+        "volume-moments-d400", "volume-contractions-d400", "node-budget", "node-budget-azimuths",
+        "q2-closed-form-d45", "q2-closed-form-d171", "q2-moment-d171", "q2-contraction-norm-d171"])
 def test_numerical_faults_exit_3_with_one_line(tmp_path, capsys, args, named):
     # each limit is checked before the computation it guards, so the run
     # ends in one line naming the limit, not in an OverflowError traceback
@@ -611,6 +622,20 @@ def test_numerical_faults_exit_3_with_one_line(tmp_path, capsys, args, named):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and named in err
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("reps", ["5000001", "99999999999999999999"])
+def test_replica_count_above_the_limit_exits_3_at_once(tmp_path, capsys, reps):
+    # rejected in build_config, before fixed_chunks could list the chunks of
+    # such a count
+    start = time.perf_counter()
+    code = run_cli("clt", "--q", "2", "--ell", "2", "--reps", reps, "--seed", "1", "--out-dir", str(tmp_path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"exceed the limit of {MAX_REPLICAS}" in err
+    args = argparse.Namespace(q="2", ell="2", replicas=str(MAX_REPLICAS), seed="1", out_dir=str(tmp_path))
+    assert build_config("clt", args).replicas == MAX_REPLICAS  # the limit itself is allowed
 
 
 def test_an_error_outside_the_hierarchy_propagates(tmp_path, monkeypatch):
@@ -646,3 +671,35 @@ def test_every_raise_names_a_sphclt_error():
                 assert (isinstance(cls, type) and issubclass(cls, SphcltError)
                         and cls.exit_code in (2, 3)), f"{path.name}:{node.lineno}: raise {ast.unparse(exc)}"
     assert len(raised) > 60
+
+
+def test_every_top_level_definition_is_used_in_the_package():
+    # src/ holds only what a command runs: a top-level function or class that
+    # no module of the package names outside its own body (by a Name, an
+    # Attribute or an import) belongs in tests/oracles.py or nowhere;
+    # __init__.py only re-exports, so it neither defines nor uses
+    import ast
+    from pathlib import Path
+
+    import sphclt
+
+    defined, used = {}, set()
+    for path in sorted(Path(sphclt.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for top in ast.parse(path.read_text()).body:
+            owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+            if owner is not None:
+                defined[owner] = f"{path.name}:{top.lineno}"
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    names = [node.id]
+                elif isinstance(node, ast.Attribute):
+                    names = [node.attr]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [alias.name for alias in node.names]
+                else:
+                    continue
+                used.update(name for name in names if name != owner)
+    assert len(defined) > 80
+    assert sorted(f"{where} {name}" for name, where in defined.items() if name not in used) == []

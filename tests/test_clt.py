@@ -348,7 +348,7 @@ def _synthetic_report(ells, dks, replicas=10_000):
                sample_var=1.0, predicted_mean=0.0, predicted_var=1.0)
         for ell, dk in zip(ells, dks)
     )
-    return CltReport(kind="h", d=2, q=3, betas=None, z=None, seed=0, rows=rows)
+    return CltReport(kind="h", d=2, q=3, z=None, rows=rows)
 
 
 def test_rate_fit_synthetic_power_law():

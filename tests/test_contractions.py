@@ -19,13 +19,14 @@ from sphclt.contractions import (
     cross_contraction,
     expand_power,
     kernel_contraction,
-    mc_kernel_contraction,
     poly_bound,
     poly_rate,
     rate_theoretical,
 )
 from sphclt.moments import gegenbauer_moment, variance_h
 from sphclt.specfun import SphereDim, dim_harmonics
+
+from oracles import mc_kernel_contraction
 
 MU = {d: SphereDim(d) for d in (2, 3, 4, 5)}
 
