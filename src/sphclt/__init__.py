@@ -13,60 +13,10 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "0.1.0"
 
-from .specfun import (
-    GegenbauerCtx,
-    SphereDim,
-    bessel_j,
-    bessel_j_zeros,
-    dim_harmonics,
-    hermite,
-    sphere_volume,
-)
-from .moments import (
-    BesselConstant,
-    DivergentIntegralError,
-    MomentResult,
-    SlopeRecord,
-    ToleranceNotMetError,
-    bessel_constant,
-    gegenbauer_moment,
-    log_divergence_check,
-    variance_h,
-)
-from .contractions import (
-    BoundRecord,
-    ContractionTable,
-    SpectralCoeffs,
-    berry_esseen_bound,
-    contraction_norm,
-    contraction_table,
-    cross_contraction,
-    expand_power,
-    kernel_contraction,
-    poly_bound,
-    poly_rate,
-    rate_theoretical,
-)
-from .simulate import (
-    FieldRealization,
-    SphereGrid,
-    build_grid,
-    excursion_variance,
-    sample_field,
-)
-from .clt import (
-    CLT_EXCLUDED_PAIRS,
-    CltReport,
-    CltRow,
-    Functional,
-    FunctionalSample,
-    RateFit,
-    clt_sweep,
-    functional_excursion,
-    functional_h,
-    functional_Z,
-    kolmogorov_distance,
-    monomial_to_hermite,
-    rate_fit,
-    wasserstein_distance,
-)
+# the computations behind the commands' columns and checks, and the errors
+# they raise; everything else is reached through its module
+from .specfun import NumericalError, SphcltError, UsageError
+from .moments import bessel_constant, gegenbauer_moment, log_divergence_check, variance_h
+from .contractions import berry_esseen_bound, contraction_table, poly_bound, rate_theoretical
+from .simulate import build_grid, excursion_variance
+from .clt import clt_sweep, kolmogorov_distance, rate_fit, wasserstein_distance

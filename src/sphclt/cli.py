@@ -279,7 +279,10 @@ def cmd_moments(cfg: RunConfig) -> int:
             moment = gegenbauer_moment(ell, q, d, "half").value
         variance = variance_h(ell, q, d)
         c_val = const.value if const is not None else None
-        ratio = float(ell) ** d * moment / c_val if c_val and q >= 3 else None
+        try:
+            ratio = float(ell) ** d * moment / c_val if c_val and q >= 3 else None
+        except OverflowError:
+            raise NumericalError(f"ell^d = {ell}^{d} in the ratio column overflows a float") from None
         rows.append(("moment", d, q, ell, moment, variance, c_val, ratio))
 
     final_ratio = rows[-1][7]  # at the largest ell: build_config keeps --ell increasing
@@ -293,18 +296,17 @@ def cmd_moments(cfg: RunConfig) -> int:
     summary = {}
     if (d, q) == (2, 4):
         try:
-            rec = log_divergence_check(cfg.ell)
+            slope, intercept, stderr = log_divergence_check(cfg.ell)
         except UsageError as exc:  # the multipoles cannot carry the slope fit
             summary["log_slope"] = {"skipped": str(exc)}
         else:
-            rows.append(("log_slope", d, q, None, rec.slope, None, None, None))
+            rows.append(("log_slope", d, q, None, slope, None, None, None))
             checks.append(_check(
                 "log_divergence_slope",
-                abs(rec.slope - 576.0) <= SLOPE_TOL * 576.0,
-                f"slope of Var*ell^2 vs log(ell) = {rec.slope:.2f} (target 576 +- {SLOPE_TOL:.0%})",
+                abs(slope - 576.0) <= SLOPE_TOL * 576.0,
+                f"slope of Var*ell^2 vs log(ell) = {slope:.2f} (target 576 +- {SLOPE_TOL:.0%})",
             ))
-            summary["log_slope"] = {"slope": rec.slope, "stderr": rec.stderr,
-                                    "intercept": rec.intercept}
+            summary["log_slope"] = {"slope": slope, "stderr": stderr, "intercept": intercept}
 
     if const is not None:
         summary["c_qd"] = {"value": const.value, "mode": const.convergence_mode,
@@ -320,7 +322,7 @@ def cmd_contractions(cfg: RunConfig) -> int:
     checks = []
     rows = []
     for ell in cfg.ell:
-        table = contraction_table(ell, q, d)
+        K = contraction_table(ell, q, d)
         try:
             bound = berry_esseen_bound(ell, q, d)
             tv, k, w = bound.bound_tv, bound.bound_k, bound.bound_w
@@ -328,13 +330,10 @@ def cmd_contractions(cfg: RunConfig) -> int:
             tv = k = w = None
         rate = rate_theoretical(ell, q, d)
         for r in range(1, q):
-            rows.append((d, q, r, ell, float(table.K_values[r - 1]), tv, k, w, rate))
-        if q == 2:
-            n = dim_harmonics(ell, d)
-            if 4.0 * math.log(dim.mu_d) - 3.0 * math.log(n) < math.log(sys.float_info.min):
-                raise NumericalError(f"mu_d^4 / n^3 at (ell={ell}, d={d}) is below the least normal float")
-            exact = dim.mu_d ** 4 / n ** 3
-            rel = abs(float(table.K_values[0]) / exact - 1.0)
+            rows.append((d, q, r, ell, float(K[r - 1]), tv, k, w, rate))
+        if q == 2:  # contraction_table has raised if K, and so mu_d^4 / n^3, underflows
+            exact = dim.mu_d ** 4 / dim_harmonics(ell, d) ** 3
+            rel = abs(float(K[0]) / exact - 1.0)
             checks.append(_check(
                 f"contraction_closed_form_ell{ell}", rel <= 1e-10,
                 f"K(2;1) vs mu^4/n^3 relative deviation {rel:.3e}",
@@ -460,8 +459,16 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An unknown flag or a flag without its value ends in one stderr line and
+    exit 2, as a `UsageError` does, not in argparse's usage message."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: {message}\n")
+
+
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sphclt",
         description="Variance asymptotics and quantitative CLTs for random spherical eigenfunctions",
     )

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -360,12 +359,10 @@ def clt_sweep(kind: str, d: int, ell_list, replicas: int, seed: int,
     if not allow_odd and any(l % 2 for l in ells):
         raise UsageError("odd multipoles kill odd chaoses; pass allow_odd=True to sweep them anyway")
 
-    warns: list[str] = []
+    warns: list[str] = []  # the manifest records them; stderr carries only errors
     if kind == "h" and (d, q) in CLT_EXCLUDED_PAIRS:
-        msg = (f"(d={d}, q={q}) is outside the proven CLT range; "
-               "the fourth-cumulant bounds do not guarantee convergence")
-        warnings.warn(msg)
-        warns.append(msg)
+        warns.append(f"(d={d}, q={q}) is outside the proven CLT range; "
+                     "the fourth-cumulant bounds do not guarantee convergence")
 
     rows = []
     for ell in ells:
@@ -400,7 +397,6 @@ def clt_sweep(kind: str, d: int, ell_list, replicas: int, seed: int,
 class RateFit:
     slope: float
     stderr: float
-    intercept: float
     theory_slope: float
     decays_at_least_as_fast: bool
     n_used: int
@@ -420,10 +416,10 @@ def rate_fit(report: CltReport) -> RateFit:
     if len(usable) < 3:
         raise UsageError(f"need >= 3 rows above the MC floor, have {len(usable)}")
     lx = np.log([r.ell for r in usable])
-    slope, intercept, stderr = fit_line(lx, np.log([r.empirical_dK for r in usable]))
+    slope, _, stderr = fit_line(lx, np.log([r.empirical_dK for r in usable]))
     theory_slope = fit_line(lx, np.log([r.theoretical_rate for r in usable]))[0]
     return RateFit(
-        slope=slope, stderr=stderr, intercept=intercept, theory_slope=theory_slope,
+        slope=slope, stderr=stderr, theory_slope=theory_slope,
         decays_at_least_as_fast=slope <= theory_slope + 2.0 * stderr,
         n_used=len(usable), n_below_floor=n_below,
     )

@@ -16,8 +16,8 @@ spectral sum
 
 an O(q*ell) quantity instead of a 4d-dimensional integral.
 
-The normal-approximation bounds expose the raw fourth-moment sum and each
-probability metric's prefactor separately: for the normalized h_{ell;q,d},
+The normal-approximation bounds rest on the fourth-moment sum S, with one
+prefactor per probability metric: for the normalized h_{ell;q,d},
 
     S = (1/q^2) sum_{r=1}^{q-1} r^2 (r!)^2 C(q,r)^4 (2q-2r)! K(ell, q; r),
     d_TV <= 2 sqrt(S)/sigma^2,  d_K <= sqrt(S)/sigma^2,
@@ -29,7 +29,8 @@ with sigma^2 the exact variance of h_{ell;q,d}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -45,30 +46,15 @@ DEGREE_CAP = 12288
 BOUND_MAX_ORDER = 80
 
 
-@dataclass(frozen=True)
-class SpectralCoeffs:
-    """Coefficients of G_{ell;d}^p in the normalized Gegenbauer family."""
-
-    ell: int
-    p: int
-    dim: SphereDim
-    coeffs: np.ndarray = field(repr=False, compare=False)  # index k = 0 .. p*ell
-
-    @property
-    def degree(self) -> int:
-        return self.p * self.ell
-
-
 @lru_cache(maxsize=512)
-def _expand_power_cached(ell: int, p: int, d: int) -> SpectralCoeffs:
-    dim = SphereDim(d)
+def _expand_power_cached(ell: int, p: int, d: int) -> np.ndarray:
     deg = p * ell
     # G^p G_k is even for k = deg (mod 2), of degree <= 2 deg, so for those k
     # b_k = <G^p, G_k>_w / <G_k, G_k>_w = <G^p, p_k>_w p_k(1), with p_k
     # orthonormal for the weight, is twice the half-range sum; t = 1 rides
     # along at weight 0
     t, w = half_range_rule(2 * deg, d)
-    power_w = np.append(2.0 * GegenbauerCtx(ell, dim).evaluate(t) ** p * w, 0.0)
+    power_w = np.append(2.0 * GegenbauerCtx(ell, SphereDim(d)).evaluate(t) ** p * w, 0.0)
     # the opposite parity vanishes, which the half-range sum does not show:
     # those k are skipped, though the recurrence still passes through them
     coeffs = np.zeros(deg + 1)
@@ -76,11 +62,12 @@ def _expand_power_cached(ell: int, p: int, d: int) -> SpectralCoeffs:
         if (deg - k) % 2 == 0:
             coeffs[k] = (pk @ power_w) * pk[-1]
     coeffs.setflags(write=False)
-    return SpectralCoeffs(ell=ell, p=p, dim=dim, coeffs=coeffs)
+    return coeffs
 
 
-def expand_power(ell: int, p: int, d: int) -> SpectralCoeffs:
-    """Expansion of G_{ell;d}^p over G_{0..p*ell;d} (cached per (ell, p, d))."""
+def expand_power(ell: int, p: int, d: int) -> np.ndarray:
+    """Coefficients b_0..b_{p*ell} of G_{ell;d}^p over G_{0..p*ell;d}, read-only
+    (cached per (ell, p, d))."""
     if ell < 0 or p < 1 or d < 2:
         raise UsageError(f"need ell >= 0, p >= 1, d >= 2, got ({ell}, {p}, {d})")
     if p * ell > DEGREE_CAP:
@@ -88,44 +75,32 @@ def expand_power(ell: int, p: int, d: int) -> SpectralCoeffs:
     return _expand_power_cached(ell, p, d)
 
 
-def contraction_norm(left: SpectralCoeffs, right: SpectralCoeffs) -> float:
-    """mu_d * sum_k (b_k c_k)^2 (mu_d / n_k)^3 for two expansions on one sphere.
+def contraction_norm(b: np.ndarray, c: np.ndarray, d: int) -> float:
+    """mu_d * sum_k (b_k c_k)^2 (mu_d / n_k)^3 for two expansions on S^d.
 
-    This is the raw 4-point cyclic integral with r copies of G from `left`
-    and q-r copies from `right` on alternating edges.
+    This is the raw 4-point cyclic integral with r copies of G behind `b`
+    and q-r copies behind `c` on alternating edges.  A sum that underflows
+    the normal floats while some b_k c_k is nonzero raises: only the exact
+    parity zeros give 0.
     """
-    if left.dim.d != right.dim.d:
-        raise UsageError("expansions live on different spheres")
-    dim = left.dim
-    kmax = min(left.degree, right.degree)
-    b = left.coeffs[: kmax + 1]
-    c = right.coeffs[: kmax + 1]
-    float_harmonics(max(kmax, 1), dim.d)  # n_k grows with k: the largest must fit a float
-    n_k = np.array([1.0] + [dim_harmonics(k, dim.d) for k in range(1, kmax + 1)])
-    return float(dim.mu_d * np.sum((b * c) ** 2 * (dim.mu_d / n_k) ** 3))
+    kmax = min(b.size, c.size) - 1
+    bc = b[: kmax + 1] * c[: kmax + 1]
+    mu_d = SphereDim(d).mu_d
+    float_harmonics(max(kmax, 1), d)  # n_k grows with k: the largest must fit a float
+    n_k = np.array([1.0] + [dim_harmonics(k, d) for k in range(1, kmax + 1)])
+    total = float(mu_d * np.sum(bc ** 2 * (mu_d / n_k) ** 3))
+    if total < sys.float_info.min and np.any(bc != 0.0):
+        raise NumericalError(f"the contraction norm at degree {kmax} on S^{d} is below the least normal float")
+    return total
 
 
-def kernel_contraction(ell: int, q: int, r: int, d: int) -> float:
-    """Contraction norm K(ell, q; r) = ||g_q tensor_r g_q||^2, r = 1..q-1."""
-    if not 1 <= r <= q - 1:
-        raise UsageError(f"need 1 <= r <= q-1, got r={r}, q={q}")
-    r = min(r, q - r)  # the formula is symmetric; compute each pair once
-    return contraction_norm(expand_power(ell, r, d), expand_power(ell, q - r, d))
-
-
-@dataclass(frozen=True)
-class ContractionTable:
-    ell: int
-    q: int
-    dim: SphereDim
-    K_values: np.ndarray = field(repr=False)  # index r-1 for r = 1 .. q-1
-
-
-def contraction_table(ell: int, q: int, d: int) -> ContractionTable:
-    """All K(ell, q; r) for r = 1..q-1, mirrored so symmetry is exact."""
-    half = [kernel_contraction(ell, q, r, d) for r in range(1, q // 2 + 1)]
-    vals = half + half[: (q - 1) - len(half)][::-1]
-    return ContractionTable(ell, q, SphereDim(d), np.array(vals))
+def contraction_table(ell: int, q: int, d: int) -> np.ndarray:
+    """Contraction norms K(ell, q; r) = ||g_q tensor_r g_q||^2 at index r-1,
+    r = 1..q-1.  The norm is symmetric in r and q-r: each pair is computed
+    once and mirrored, so the symmetry is exact."""
+    half = [contraction_norm(expand_power(ell, r, d), expand_power(ell, q - r, d), d)
+            for r in range(1, q // 2 + 1)]
+    return np.array(half + half[: (q - 1) - len(half)][::-1])
 
 
 def cross_contraction(ell: int, q1: int, q2: int, d: int) -> float:
@@ -141,7 +116,7 @@ def cross_contraction(ell: int, q1: int, q2: int, d: int) -> float:
         return 0.0
     dim = SphereDim(d)
     var1 = variance_h(ell, q1, d)
-    b0 = expand_power(ell, q2 - q1, d).coeffs[0]
+    b0 = expand_power(ell, q2 - q1, d)[0]
     return var1 ** 2 / math.factorial(q1) ** 2 * dim.mu_d ** 2 * float(b0)
 
 
@@ -151,19 +126,11 @@ def cross_contraction(ell: int, q1: int, q2: int, d: int) -> float:
 
 @dataclass(frozen=True)
 class BoundRecord:
-    """Distance bounds for a normalized functional, with the raw ingredients.
+    """Distance bounds for a normalized functional, and its theoretical rate."""
 
-    fourth_moment_sum is the quantity under the square root before metric
-    prefactors; variance is the exact normalization sigma^2.
-    """
-
-    ell: int
-    d: int
     bound_tv: float
     bound_k: float
     bound_w: float
-    fourth_moment_sum: float
-    variance: float
     rate: float
 
 
@@ -221,7 +188,7 @@ def poly_bound(ell: int, d: int, betas: dict[int, float]) -> BoundRecord:
         # Var <Dh_q, -DL^{-1} h_q> bound
         return q * q * sum(
             math.factorial(r - 1) ** 2 * math.comb(q - 1, r - 1) ** 4
-            * math.factorial(2 * q - 2 * r) * tables[q].K_values[r - 1]
+            * math.factorial(2 * q - 2 * r) * tables[q][r - 1]
             for r in range(1, q)
         )
 
@@ -234,7 +201,7 @@ def poly_bound(ell: int, d: int, betas: dict[int, float]) -> BoundRecord:
         mixed = 0.5 * q1 * q1 * sum(
             math.factorial(r - 1) ** 2 * math.comb(q1 - 1, r - 1) ** 2
             * math.comb(q2 - 1, r - 1) ** 2 * math.factorial(q1 + q2 - 2 * r)
-            * (tables[q1].K_values[r - 1] + tables[q2].K_values[r - 1])
+            * (tables[q1][r - 1] + tables[q2][r - 1])
             for r in range(1, q1)
         )
         return top + mixed
@@ -251,15 +218,8 @@ def poly_bound(ell: int, d: int, betas: dict[int, float]) -> BoundRecord:
                 v = var_inner_cross(q2, q1)
             root_sum += abs(betas[q1] * betas[q2]) * math.sqrt(v)
     root = root_sum / variance
-    return BoundRecord(
-        ell=ell, d=d,
-        bound_tv=2.0 * root,
-        bound_k=root,
-        bound_w=math.sqrt(2.0 / math.pi) * root,
-        fourth_moment_sum=root_sum ** 2,
-        variance=variance,
-        rate=poly_rate(ell, d, betas),
-    )
+    return BoundRecord(bound_tv=2.0 * root, bound_k=root, bound_w=math.sqrt(2.0 / math.pi) * root,
+                       rate=poly_rate(ell, d, betas))
 
 
 def poly_rate(ell: int, d: int, betas: dict[int, float]) -> float:

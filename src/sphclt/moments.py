@@ -21,14 +21,15 @@ of cos^q over a period) is integrated in closed form and the remainder
 averaged.  Panel sums are accumulated in a fixed order, so
 results are identical no matter how callers parallelize.
 
-Convergence regimes for c(q, d): q = 2 has a closed form; q > 2d/(d-1) is
-absolutely convergent; (d, q) = (3, 3) and (2, 3) are conditionally
-convergent; (2, 4) is logarithmically divergent and rejected.
+Convergence regimes for c(q, d): q = 2 and q = 3 have closed forms; every
+other q > 2d/(d-1) is absolutely convergent; (2, 4) is logarithmically
+divergent and rejected.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -36,10 +37,8 @@ import numpy as np
 from numpy.fft import irfft, rfft
 
 from .quadrature import panel_nodes
-# ZeroVarianceError has no caller here; it stays bound for code that imports it from this module
 from .specfun import (BESSEL_MAX_ORDER, DegreeCapError, DivergentIntegralError, NumericalError, SphereDim,
-                      ToleranceNotMetError, UsageError, ZeroVarianceError, bessel_j, bessel_j_zeros, float_factorial,
-                      float_harmonics)
+                      ToleranceNotMetError, UsageError, bessel_j, bessel_j_zeros, float_factorial, float_harmonics)
 
 # c(q, d) converges when successive zero budgets agree to BESSEL_TOL
 BESSEL_TOL = 1e-9
@@ -59,7 +58,7 @@ class BesselConstant:
     q: int
     d: int
     value: float
-    convergence_mode: str  # "closed-form" | "absolute" | "conditional"
+    convergence_mode: str  # "closed-form" | "absolute"
     zeros_used: int
     err_est: float = 0.0
 
@@ -161,7 +160,9 @@ def _bessel_integral_partial_sums(nu, q, p, n_zeros):
     width = np.diff(edges)
     psi = lo[:, None] + width[:, None] * x[None, :]
     wts = width[:, None] * w[None, :]
-    vals = bessel_j(nu, psi.ravel()) ** q * psi.ravel() ** p
+    t = psi.ravel()
+    # J_nu(t) t^-nu tends to 1 / (2^nu Gamma(nu+1)) as t -> 0, where t^p alone overflows at large q
+    vals = (bessel_j(nu, t) * t ** -nu) ** q * t ** (p + q * nu)
     per_interval = np.sum(vals.reshape(psi.shape) * wts, axis=1)
     return zeros, np.cumsum(per_interval)
 
@@ -170,31 +171,37 @@ def bessel_constant(q: int, d: int) -> BesselConstant:
     """Limiting constant c(q, d) of the half-range moment asymptotics, to
     BESSEL_TOL within BESSEL_MAX_ZEROS zero intervals.
 
-    q = 2 uses the closed form (d-1)! mu_d / (4 mu_{d-1}).  Otherwise the
-    infinite oscillatory integral is summed over zero intervals of J_{d/2-1}
-    with averaging acceleration (odd q, including the conditionally
-    convergent (3,3) and (2,3) cases) or an explicit closed-form tail for the
-    non-oscillating component (even q).  (2, 4) is log-divergent and raises.
+    q = 2 uses the closed form (d-1)! mu_d / (4 mu_{d-1}).  q = 3 uses the
+    three-Bessel integral with unit sides (DLMF §10.22(v), triangle
+    area Delta = sqrt(3)/4), which with nu = d/2 - 1 gives
+        c(3, d) = 2 * 3^{nu - 1/2} Gamma(nu + 1)^3 / (sqrt(pi) Gamma(nu + 1/2)).
+    Otherwise the absolutely convergent oscillatory integral is summed over
+    zero intervals of J_{d/2-1} with averaging acceleration (odd q) or an
+    explicit closed-form tail for the non-oscillating component (even q).
+    (2, 4) is log-divergent and raises.
     """
     if q < 2 or d < 2:
         raise UsageError(f"need q >= 2 and d >= 2, got ({q}, {d})")
     dim = SphereDim(d)
+    nu = d / 2.0 - 1.0
     if q == 2:
         value = float_factorial(d - 1) * dim.mu_d / (4.0 * dim.mu_dm1)
         return BesselConstant(q, d, value, "closed-form", 0)
+    if q == 3:
+        g = math.gamma(nu + 1.0)
+        value = 2.0 * 3.0 ** (nu - 0.5) * g * (g / math.gamma(nu + 0.5)) * g / math.sqrt(math.pi)
+        if not math.isfinite(value):
+            raise NumericalError(f"c(q=3, d={d}) overflows a float")
+        return BesselConstant(q, d, value, "closed-form", 0)
 
-    conditional = (d, q) in ((3, 3), (2, 3))
-    if not (q * (d - 1) > 2 * d or conditional):
-        raise DivergentIntegralError(
-            f"c(q={q}, d={d}) diverges: needs q > 2d/(d-1) or one of the conditional pairs"
-        )
-
-    nu = d / 2.0 - 1.0
-    if nu > BESSEL_MAX_ORDER:  # checked before the prefactor, which overflows first
+    if not q * (d - 1) > 2 * d:
+        raise DivergentIntegralError(f"c(q={q}, d={d}) diverges: needs q > 2d/(d-1)")
+    if nu > BESSEL_MAX_ORDER:
         raise NumericalError(f"c(q={q}, d={d}) needs the Bessel order {nu:g}, beyond {BESSEL_MAX_ORDER:g}")
+    if q * (nu * math.log(2.0) + math.lgamma(d / 2.0)) > math.log(sys.float_info.max):
+        raise NumericalError(f"c(q={q}, d={d}) needs (2^nu Gamma(d/2))^q, which overflows a float")
     p = (d - 1) - q * nu
     prefactor = (2.0 ** nu * math.gamma(d / 2.0)) ** q
-    mode = "conditional" if conditional else "absolute"
 
     n_zeros = 512
     prev = None
@@ -209,7 +216,7 @@ def bessel_constant(q: int, d: int) -> BesselConstant:
         value, spread = _averaged_tail(sums)
         if prev is not None and abs(value - prev) < BESSEL_TOL and spread < BESSEL_TOL:
             err = abs(value - prev) + spread
-            return BesselConstant(q, d, prefactor * value, mode, n_zeros, prefactor * err)
+            return BesselConstant(q, d, prefactor * value, "absolute", n_zeros, prefactor * err)
         prev = value
         n_zeros *= 2
         if n_zeros > BESSEL_MAX_ZEROS:
@@ -228,15 +235,9 @@ def fit_line(x, y) -> tuple[float, float, float]:
     return slope, intercept, math.sqrt(float(np.sum(resid ** 2)) / max(x.size - 2, 1) / sxx)
 
 
-@dataclass(frozen=True)
-class SlopeRecord:
-    slope: float
-    stderr: float
-    intercept: float
-
-
-def log_divergence_check(ell_list) -> SlopeRecord:
-    """Regression slope of Var[h_{ell;4,2}] * ell^2 against log ell.
+def log_divergence_check(ell_list) -> tuple[float, float, float]:
+    """(slope, intercept, standard error of the slope) of the regression of
+    Var[h_{ell;4,2}] * ell^2 against log ell.
 
     The d = 2, q = 4 variance grows like 24^2 log(ell) / ell^2, so the slope
     estimates 576.  ell_list must be increasing powers of two reaching 4096.
@@ -249,5 +250,4 @@ def log_divergence_check(ell_list) -> SlopeRecord:
     if max(ells) < 4096:
         raise UsageError("need max(ell) >= 4096 to be in the asymptotic regime")
     y = np.array([variance_h(l, 4, 2) * l * l for l in ells])
-    slope, intercept, stderr = fit_line(np.log(np.array(ells, dtype=float)), y)
-    return SlopeRecord(slope, stderr, intercept)
+    return fit_line(np.log(np.array(ells, dtype=float)), y)

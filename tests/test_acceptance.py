@@ -13,11 +13,7 @@ import pytest
 
 from sphclt.clt import clt_sweep
 from sphclt.cli import main as cli_main
-from sphclt.contractions import (
-    contraction_table,
-    cross_contraction,
-    kernel_contraction,
-)
+from sphclt.contractions import contraction_table, cross_contraction
 from sphclt.moments import gegenbauer_moment, log_divergence_check, variance_h
 from sphclt.specfun import SphereDim, dim_harmonics
 
@@ -89,10 +85,10 @@ def test_criterion_03_moment_asymptotics(tmp_path):
 
 def test_criterion_04_log_divergence_slope():
     t0 = time.time()
-    rec = log_divergence_check([256, 512, 1024, 2048, 4096, 8192])
+    slope, _, stderr = log_divergence_check([256, 512, 1024, 2048, 4096, 8192])
     elapsed = time.time() - t0
-    ok = abs(rec.slope - 576.0) <= 0.10 * 576.0 and elapsed < 120.0
-    report(4, ok, f"slope {rec.slope:.2f} +- {rec.stderr:.2f} vs 576 (10%); {elapsed:.1f}s")
+    ok = abs(slope - 576.0) <= 0.10 * 576.0 and elapsed < 120.0
+    report(4, ok, f"slope {slope:.2f} +- {stderr:.2f} vs 576 (10%); {elapsed:.1f}s")
 
 
 def test_criterion_05_contraction_closed_form_and_symmetry():
@@ -100,13 +96,13 @@ def test_criterion_05_contraction_closed_form_and_symmetry():
     for d in (2, 3, 4, 5):
         dim = SphereDim(d)
         for ell in range(1, 65):
-            got = kernel_contraction(ell, 2, 1, d)
+            got = contraction_table(ell, 2, d)[0]
             expect = dim.mu_d ** 4 / dim_harmonics(ell, d) ** 3
             worst = max(worst, abs(got / expect - 1.0))
     symmetric = True
     for (ell, q, d) in ((8, 4, 2), (6, 5, 3), (12, 7, 2)):
         table = contraction_table(ell, q, d)
-        symmetric &= all(table.K_values[r - 1] == table.K_values[q - r - 1] for r in range(1, q))
+        symmetric &= all(table[r - 1] == table[q - r - 1] for r in range(1, q))
     report(5, worst <= 1e-10 and symmetric,
            f"max relative deviation {worst:.2e}; symmetry exact: {symmetric}")
 
@@ -115,8 +111,9 @@ def test_criterion_06_mc_oracle_equivalence():
     t0 = time.time()
     all_ok, details = True, []
     for q in (3, 4):
+        table = contraction_table(4, q, 2)
         for r in range(1, q):
-            spectral = kernel_contraction(4, q, r, 2)
+            spectral = table[r - 1]
             est, se = mc_kernel_contraction(4, q, r, 2, n_samples=1_000_000, seed=SEED)
             z = (est - spectral) / se
             all_ok &= abs(z) <= 3.0
@@ -128,7 +125,7 @@ def test_criterion_06_mc_oracle_equivalence():
 def test_criterion_07_bound_order_compliance():
     all_ok, details = True, []
     for q in (5, 7):
-        scaled = [kernel_contraction(ell, q, 1, 2) * ell ** 4.5
+        scaled = [contraction_table(ell, q, 2)[0] * ell ** 4.5
                   for ell in (8, 16, 32, 64, 128, 256)]
         top = scaled[-3:]
         no_increase = top[0] >= top[1] >= top[2]

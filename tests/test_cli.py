@@ -189,6 +189,7 @@ def test_contractions_odd_odd_blank_bounds(tmp_path):
     assert code == 0
     rows = read_rows(tmp_path / "contractions_d2_q3.csv")
     assert rows and all(r["bound_tv"] == r["bound_k"] == r["bound_w"] == "" for r in rows)
+    assert [r["K"] for r in rows] == ["0.0", "0.0"]  # the exact parity zeros, not an underflow
 
 
 def test_contractions_bound_fault_propagates(tmp_path, monkeypatch):
@@ -579,8 +580,11 @@ def _perturb_contractions(monkeypatch):
      None, 0),
     (("excursion", "--z", "20", "--ell", "16", "--reps", "200", "--seed", "1"), "excursion_d2_z20",
      None, 1),
+    (("contractions", "--d", "2", "--q", "3", "--ell", "5"), "contractions_d2_q3", None, 0),
+    (("clt", "--d", "3", "--q", "3", "--ell", "4", "--reps", "200", "--seed", "1"), "clt_h_d3_q3", None, 0),
 ], ids=["moments-pass", "moments-fail", "contractions-pass", "contractions-fail", "simulate-pass",
-        "clt-pass", "clt-fail", "excursion-pass", "excursion-fail"])
+        "clt-pass", "clt-fail", "excursion-pass", "excursion-fail", "contractions-parity-zero",
+        "clt-excluded-pair"])
 def test_exit_code_follows_all_passed(tmp_path, capsys, monkeypatch, args, base, fault, expected):
     # 0 and 1 are the verdict of the checks, written to the manifest; only
     # errors, exits 2 and 3, print to stderr
@@ -599,8 +603,11 @@ def test_exit_code_follows_all_passed(tmp_path, capsys, monkeypatch, args, base,
     (("contractions", "--d", "2", "--q", "85", "--ell", "2"), "chaos order 85 exceeds 80"),
     (("clt", "--kind", "h", "--q", "90", "--d", "2", "--ell", "2,4", "--reps", "200", "--seed", "1"),
      "chaos order 90 exceeds 80"),
-    (("moments", "--d", "27", "--q", "3", "--ell", "4"), "Bessel order 12.5, beyond 12"),
-    (("moments", "--d", "171", "--q", "3", "--ell", "4"), "Bessel order 84.5, beyond 12"),
+    (("moments", "--d", "27", "--q", "4", "--ell", "4"), "Bessel order 12.5, beyond 12"),
+    (("moments", "--d", "171", "--q", "4", "--ell", "4"), "Bessel order 84.5, beyond 12"),
+    (("moments", "--d", "177", "--q", "3", "--ell", "4"), "c(q=3, d=177) overflows a float"),
+    (("moments", "--d", "100", "--q", "3", "--ell", "2048"), "ell^d = 2048^100 in the ratio column overflows"),
+    (("moments", "--d", "26", "--q", "40", "--ell", "5"), "(2^nu Gamma(d/2))^q, which overflows a float"),
     (("moments", "--d", "400", "--q", "3", "--ell", "4"), "sphere dimension 400 exceeds 342"),
     (("contractions", "--d", "400", "--q", "3", "--ell", "4"), "sphere dimension 400 exceeds 342"),
     (("simulate", "--d", "3", "--q", "2", "--ell", "200", "--reps", "1", "--seed", "1"),
@@ -609,12 +616,14 @@ def test_exit_code_follows_all_passed(tmp_path, capsys, monkeypatch, args, base,
      "exceeds the budget of 2000000"),
     (("contractions", "--d", "45", "--q", "2", "--ell", "4000"), "below the least normal float"),
     (("contractions", "--d", "171", "--q", "2", "--ell", "4"), "below the least normal float"),
+    (("contractions", "--d", "45", "--q", "3", "--ell", "4000"), "below the least normal float"),
     (("moments", "--d", "171", "--q", "2", "--ell", "5000"), "n_{5000;171}, the number of degree-5000 "
      "harmonics on S^171, overflows a float"),
     (("contractions", "--d", "171", "--q", "2", "--ell", "5000"), "harmonics on S^171, overflows a float"),
 ], ids=["variance-q171", "simulate-q171", "bound-q85", "clt-bound-q90", "bessel-d27", "bessel-d171",
-        "volume-moments-d400", "volume-contractions-d400", "node-budget", "node-budget-azimuths",
-        "q2-closed-form-d45", "q2-closed-form-d171", "q2-moment-d171", "q2-contraction-norm-d171"])
+        "closed-form-q3-d177", "ratio-d100", "bessel-prefactor-q40", "volume-moments-d400", "volume-contractions-d400", "node-budget",
+        "node-budget-azimuths", "q2-closed-form-d45", "q2-closed-form-d171", "contraction-norm-d45-q3", "q2-moment-d171",
+        "q2-contraction-norm-d171"])
 def test_numerical_faults_exit_3_with_one_line(tmp_path, capsys, args, named):
     # each limit is checked before the computation it guards, so the run
     # ends in one line naming the limit, not in an OverflowError traceback

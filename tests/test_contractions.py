@@ -18,13 +18,12 @@ from sphclt.contractions import (
     contraction_table,
     cross_contraction,
     expand_power,
-    kernel_contraction,
     poly_bound,
     poly_rate,
     rate_theoretical,
 )
 from sphclt.moments import gegenbauer_moment, variance_h
-from sphclt.specfun import SphereDim, dim_harmonics
+from sphclt.specfun import NumericalError, SphereDim, dim_harmonics
 
 from oracles import mc_kernel_contraction
 
@@ -36,36 +35,34 @@ MU = {d: SphereDim(d) for d in (2, 3, 4, 5)}
 # ------------------------------------------------------------------
 
 def test_expand_power_identity():
-    sc = expand_power(3, 1, 2)
-    np.testing.assert_allclose(sc.coeffs, [0, 0, 0, 1], atol=1e-13)
+    np.testing.assert_allclose(expand_power(3, 1, 2), [0, 0, 0, 1], atol=1e-13)
 
 
 def test_expand_power_cos_squared():
     # G_{1;2} = cos theta, cos^2 = 1/3 + (2/3) P_2
-    sc = expand_power(1, 2, 2)
-    np.testing.assert_allclose(sc.coeffs, [1 / 3, 0, 2 / 3], atol=1e-13)
+    np.testing.assert_allclose(expand_power(1, 2, 2), [1 / 3, 0, 2 / 3], atol=1e-13)
 
 
 def test_expand_power_legendre_linearization():
     # P_2^2 = (1/5) P_0 + (2/7) P_2 + (18/35) P_4
-    sc = expand_power(2, 2, 2)
-    np.testing.assert_allclose(sc.coeffs, [1 / 5, 0, 2 / 7, 0, 18 / 35], atol=1e-13)
+    np.testing.assert_allclose(expand_power(2, 2, 2), [1 / 5, 0, 2 / 7, 0, 18 / 35], atol=1e-13)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 @pytest.mark.parametrize("ell,p", [(3, 2), (5, 3), (8, 4), (2, 6)])
 def test_expand_power_invariants(ell, p, d):
-    sc = expand_power(ell, p, d)
+    b = expand_power(ell, p, d)
     deg = p * ell
-    assert sc.coeffs.size == deg + 1
+    assert b.size == deg + 1
+    assert not b.flags.writeable  # shared through the cache
     # evaluate both sides at t = 1
-    assert sc.coeffs.sum() == pytest.approx(1.0, abs=1e-10)
+    assert b.sum() == pytest.approx(1.0, abs=1e-10)
     # opposite parity rows are identically zero
     parity = (np.arange(deg + 1) - deg) % 2 == 1
-    assert np.all(sc.coeffs[parity] == 0.0)
+    assert np.all(b[parity] == 0.0)
     # b_0 equals the normalized full-range moment
     full = gegenbauer_moment(ell, p, d, "full").value
-    assert sc.coeffs[0] == pytest.approx(MU[d].mu_dm1 / MU[d].mu_d * full, abs=1e-10)
+    assert b[0] == pytest.approx(MU[d].mu_dm1 / MU[d].mu_d * full, abs=1e-10)
 
 
 def test_expand_power_degree_cap():
@@ -76,7 +73,7 @@ def test_expand_power_degree_cap():
 @pytest.mark.parametrize("ell,p", [(1024, 4), (2048, 2)])
 def test_expand_power_sum_at_high_degree(ell, p):
     # sum_k b_k = G(1)^p = 1 rests on every weight of the half-range rule
-    assert abs(expand_power(ell, p, 2).coeffs.sum() - 1.0) < 1e-10
+    assert abs(expand_power(ell, p, 2).sum() - 1.0) < 1e-10
 
 
 def _parseval(b, d):
@@ -86,7 +83,7 @@ def _parseval(b, d):
 
 
 def test_expand_power_parseval_at_high_degree():
-    b = expand_power(1024, 4, 2).coeffs
+    b = expand_power(1024, 4, 2)
     assert _parseval(b, 2) == pytest.approx(gegenbauer_moment(1024, 8, 2, "full").value, rel=1e-9)
 
 
@@ -96,7 +93,7 @@ def test_expand_power_parseval_at_high_degree():
 # (1024, 3, 4) gives sum b - 1 = 1e-4
 @pytest.mark.parametrize("ell,p,d,tol", [(2048, 6, 2, 1e-8), (1024, 3, 4, 1e-9), (1365, 3, 3, 1e-9)])
 def test_expand_power_sum_and_parseval(ell, p, d, tol):
-    b = expand_power(ell, p, d).coeffs
+    b = expand_power(ell, p, d)
     assert abs(b.sum() - 1.0) < tol
     full = gegenbauer_moment(ell, 2 * p, d, "full").value
     assert _parseval(b, d) == pytest.approx(full, rel=tol)
@@ -114,7 +111,7 @@ def test_expand_power_matches_gauss_jacobi_reference(d):
     ref = np.array([(pk @ power_w) * pk[-1]
                     for pk in orthonormal_jacobi(deg, d / 2.0 - 1.0, np.append(t, 1.0))])
     ref[(np.arange(deg + 1) - deg) % 2 == 1] = 0.0
-    b = expand_power(ell, p, d).coeffs
+    b = expand_power(ell, p, d)
     assert np.max(np.abs(b - ref)) < 1e-9 * np.max(np.abs(ref))
 
 
@@ -123,7 +120,7 @@ def test_spectral_variance_cross_check():
     for d in (2, 3, 4, 5):
         for ell in (2, 7, 16, 32):
             for q in (2, 3, 4, 6):
-                b0 = expand_power(ell, q, d).coeffs[0]
+                b0 = expand_power(ell, q, d)[0]
                 spectral = math.factorial(q) * MU[d].mu_d ** 2 * b0
                 exact = variance_h(ell, q, d)
                 if exact == 0.0:
@@ -140,39 +137,46 @@ def test_spectral_variance_cross_check():
 def test_contraction_q2_closed_form(d):
     for ell in (1, 3, 16, 64):
         expect = MU[d].mu_d ** 4 / dim_harmonics(ell, d) ** 3
-        assert kernel_contraction(ell, 2, 1, d) == pytest.approx(expect, rel=1e-10)
+        assert contraction_table(ell, 2, d)[0] == pytest.approx(expect, rel=1e-10)
 
 
 def test_contraction_symmetry_exact():
     for q in (3, 4, 5, 7):
         table = contraction_table(6, q, 2)
+        assert table.shape == (q - 1,)
         for r in range(1, q):
-            assert table.K_values[r - 1] == table.K_values[q - r - 1]  # bitwise
+            assert table[r - 1] == table[q - r - 1]  # bitwise
 
 
 def test_contraction_homogeneity():
     # doubling every coefficient multiplies the norm by 2^4
     left = expand_power(4, 2, 2)
     right = expand_power(4, 3, 2)
-    base = contraction_norm(left, right)
-    import dataclasses
-    scaled = dataclasses.replace(left, coeffs=2.0 * left.coeffs)
-    assert contraction_norm(scaled, right) == pytest.approx(4.0 * base, rel=1e-14)
-    scaled_r = dataclasses.replace(right, coeffs=2.0 * right.coeffs)
-    assert contraction_norm(scaled, scaled_r) == pytest.approx(16.0 * base, rel=1e-14)
+    base = contraction_norm(left, right, 2)
+    assert contraction_norm(2.0 * left, right, 2) == pytest.approx(4.0 * base, rel=1e-14)
+    assert contraction_norm(2.0 * left, 2.0 * right, 2) == pytest.approx(16.0 * base, rel=1e-14)
+
+
+def test_contraction_underflow_raises_but_parity_zero_passes():
+    # at d = 171 (mu_d / n_k)^3 underflows although the b_k c_k are not small
+    with pytest.raises(NumericalError, match="below the least normal float"):
+        contraction_table(8, 3, 171)
+    # odd ell, odd q: every b_k c_k is exactly 0, and so is the norm
+    assert contraction_norm(expand_power(5, 1, 2), expand_power(5, 2, 2), 2) == 0.0
+    np.testing.assert_array_equal(contraction_table(5, 3, 2), [0.0, 0.0])
 
 
 def test_contraction_positive():
-    table = contraction_table(8, 5, 3)
-    assert np.all(table.K_values >= 0.0)
+    assert np.all(contraction_table(8, 5, 3) >= 0.0)
 
 
 @pytest.mark.parametrize("ell", [1, 2, 3, 4])
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_contraction_against_mc_oracle(ell, q):
     # every order r of every (ell <= 4, q <= 4) table matches brute force
+    table = contraction_table(ell, q, 2)
     for r in range(1, q):
-        spectral = kernel_contraction(ell, q, r, 2)
+        spectral = table[r - 1]
         est, se = mc_kernel_contraction(ell, q, r, 2, n_samples=150_000, seed=2024 + r)
         assert abs(est - spectral) <= 3.0 * se
 
@@ -180,11 +184,11 @@ def test_contraction_against_mc_oracle(ell, q):
 def test_contraction_decay_bounds_d2():
     # one-sided: K(3;r) * ell^5 bounded for d = 2 over a dyadic range
     for r in (1, 2):
-        scaled = [kernel_contraction(ell, 3, r, 2) * ell ** 5 for ell in (8, 16, 32, 64, 128)]
+        scaled = [contraction_table(ell, 3, 2)[r - 1] * ell ** 5 for ell in (8, 16, 32, 64, 128)]
         assert max(scaled) <= 2.0 * scaled[0] + 1e-12
     # every order of the q = 5 table obeys the ell^{-9/2} envelope
     for r in (1, 2):
-        scaled = [kernel_contraction(ell, 5, r, 2) * ell ** 4.5 for ell in (8, 16, 32, 64)]
+        scaled = [contraction_table(ell, 5, 2)[r - 1] * ell ** 4.5 for ell in (8, 16, 32, 64)]
         assert max(scaled) <= scaled[0] + 1e-12
 
 
@@ -192,7 +196,7 @@ def test_contraction_decay_bounds_d2():
 def test_contraction_decay_bounds_higher_d(d):
     # K(5;1) * ell^{2d + (d-1)/2} stays bounded (upper bounds, not slopes)
     exponent = 2 * d + (d - 1) / 2.0
-    scaled = [kernel_contraction(ell, 5, 1, d) * float(ell) ** exponent
+    scaled = [contraction_table(ell, 5, d)[0] * float(ell) ** exponent
               for ell in (8, 16, 32, 64)]
     assert max(scaled) <= scaled[0] + 1e-12
 
@@ -237,8 +241,8 @@ def test_berry_esseen_prefactors():
     b = berry_esseen_bound(8, 3, 2)
     assert b.bound_k == pytest.approx(b.bound_tv / 2.0, rel=1e-14)
     assert b.bound_w == pytest.approx(math.sqrt(2 / math.pi) * b.bound_k, rel=1e-14)
-    assert b.fourth_moment_sum > 0.0
-    assert b.variance == pytest.approx(variance_h(8, 3, 2), rel=1e-14)
+    assert b.bound_k > 0.0
+    assert b.rate == rate_theoretical(8, 3, 2)
 
 
 def test_berry_esseen_zero_variance():
@@ -247,8 +251,8 @@ def test_berry_esseen_zero_variance():
 
 
 def test_zero_variance_error_is_one_class():
-    from sphclt import clt, moments
-    assert ZeroVarianceError is clt.ZeroVarianceError is moments.ZeroVarianceError
+    from sphclt import clt, specfun
+    assert ZeroVarianceError is clt.ZeroVarianceError is specfun.ZeroVarianceError
 
 
 def test_berry_esseen_rate_q3_d2():
@@ -270,12 +274,12 @@ def test_poly_bound_single_term_matches_hermite_bound():
     # oracle: S = (1/q^2) sum_r r^2 (r!)^2 C(q,r)^4 (2q-2r)! K(ell, q; r), the
     # form in the module docstring; poly_bound sums it via r C(q,r) = q C(q-1,r-1)
     for (ell, q) in ((8, 3), (6, 4), (64, 5)):
-        K = contraction_table(ell, q, 2).K_values
+        K = contraction_table(ell, q, 2)
         S = sum(r ** 2 * math.factorial(r) ** 2 * math.comb(q, r) ** 4
                 * math.factorial(2 * q - 2 * r) * K[r - 1] for r in range(1, q)) / q ** 2
         single = poly_bound(ell, 2, {q: 2.5})
         direct = berry_esseen_bound(ell, q, 2)
-        assert direct.fourth_moment_sum == pytest.approx(S, rel=1e-13)
+        assert (direct.bound_k * variance_h(ell, q, 2)) ** 2 == pytest.approx(S, rel=1e-13)
         assert direct.bound_k == pytest.approx(math.sqrt(S) / variance_h(ell, q, 2), rel=1e-13)
         assert single.bound_k == pytest.approx(direct.bound_k, rel=1e-12)
         assert single.bound_tv == pytest.approx(direct.bound_tv, rel=1e-12)

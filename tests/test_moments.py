@@ -246,15 +246,44 @@ def test_constant_against_frozen_oracles(qd):
 
 
 def test_constant_modes():
-    assert bessel_constant(3, 3).convergence_mode == "conditional"
-    assert bessel_constant(3, 2).convergence_mode == "conditional"
+    for d in (2, 3, 4, 27):
+        c = bessel_constant(3, d)
+        assert (c.convergence_mode, c.zeros_used) == ("closed-form", 0)
     assert bessel_constant(5, 2).convergence_mode == "absolute"
-    assert bessel_constant(3, 4).convergence_mode == "absolute"
+    assert bessel_constant(4, 3).convergence_mode == "absolute"
+
+
+@pytest.mark.parametrize("d", [2, 6])
+def test_constant_q3_closed_form_against_quadrature(d):
+    # (2^nu Gamma(nu+1))^3 int_0^inf J_nu^3 psi^{1-nu}, nu = d/2 - 1, by
+    # mpmath's oscillatory quadrature; conditionally convergent at d = 2
+    pytest.importorskip("mpmath")
+    with mpmath.workdps(15):
+        nu = mpmath.mpf(d) / 2 - 1
+        integral = mpmath.quadosc(lambda x: mpmath.besselj(nu, x) ** 3 * x ** (1 - nu), [0, mpmath.inf], omega=1)
+        expect = float((2 ** nu * mpmath.gamma(nu + 1)) ** 3 * integral)
+    assert bessel_constant(3, d).value == pytest.approx(expect, rel=1e-13)
+
+
+def test_constant_q3_float_range():
+    from sphclt.specfun import NumericalError
+    assert math.isfinite(bessel_constant(3, 176).value)
+    with pytest.raises(NumericalError, match="overflows a float"):
+        bessel_constant(3, 177)
+
+
+def test_constant_large_q_is_finite():
+    # near psi = 0 the integrand J^q psi^p is J_nu^q psi^{-q nu} psi^{d-1}; taken as
+    # written, psi^{-q nu} overflows at q = 40, d = 12 and the sum turns to nan
+    c = bessel_constant(40, 12)
+    ell = 4096
+    assert c.convergence_mode == "absolute" and math.isfinite(c.value)
+    assert ell ** 12 * gegenbauer_moment(ell, 40, 12, "half").value / c.value == pytest.approx(1.0, abs=0.02)
 
 
 def test_constant_divergent_cases():
-    # (2, 4) is the one log-divergent integer pair; everything else with
-    # q >= 3 satisfies q(d-1) > 2d or is conditionally convergent
+    # (2, 4) is the one log-divergent integer pair; q = 3 has a closed form,
+    # and every other q >= 4 satisfies q(d-1) > 2d
     with pytest.raises(DivergentIntegralError):
         bessel_constant(4, 2)
     with pytest.raises(ValueError):

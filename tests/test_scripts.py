@@ -1,4 +1,4 @@
-"""Smoke tests: the experiment scripts run to completion."""
+"""Smoke tests: the experiment script and the README example run to completion."""
 
 import os
 import subprocess
@@ -18,3 +18,11 @@ def test_bound_tables_script_runs():
                          capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
     assert "fitted bound slope" in out.stdout
+
+
+def test_readme_library_example_runs(capsys):
+    # the example imports only names the package exports
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out

@@ -23,7 +23,7 @@ from sphclt.clt import (
     functional_Z,
     monomial_to_hermite,
 )
-from sphclt.moments import ZeroVarianceError, gegenbauer_moment, variance_h
+from sphclt.moments import gegenbauer_moment, variance_h
 from sphclt.quadrature import panel_nodes
 from sphclt.simulate import (
     NodeBudgetError,
@@ -36,7 +36,7 @@ from sphclt.simulate import (
     sample_field,
     FieldRealization,
 )
-from sphclt.specfun import GegenbauerCtx, SphereDim, dim_harmonics, hermite, orthonormal_jacobi
+from sphclt.specfun import GegenbauerCtx, SphereDim, ZeroVarianceError, dim_harmonics, hermite, orthonormal_jacobi
 
 from oracles import grid_nodes, recover_harmonic_coeffs
 
