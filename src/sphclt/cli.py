@@ -46,8 +46,8 @@ from .clt import (
 )
 from .contractions import berry_esseen_bound, contraction_table, rate_theoretical
 from .moments import bessel_constant, gegenbauer_moment, log_divergence_check, variance_h
-# excursion_variance and sample_field have no caller here; perfbench/spans.py
-# wraps these bindings
+# build_grid, excursion_variance and sample_field have no caller here;
+# perfbench/spans.py wraps these bindings
 from .simulate import build_grid, excursion_variance, sample_field
 from .specfun import (DivergentIntegralError, NumericalError, SphcltError, SphereDim, UsageError, ZeroVarianceError,
                       dim_harmonics, float_harmonics)
@@ -358,7 +358,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     if ell % 2 and not cfg.allow_odd:
         raise UsageError("odd multipole; pass --allow-odd to simulate it anyway")
     d = cfg.d
-    grid = build_grid(d, f.degree(ell))
+    grid = f.grid(ell, d)
     try:
         var = f.variance(ell, d)
     except ZeroVarianceError:
@@ -370,8 +370,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     rows = [(rep, d, f.label, ell, cfg.z, value, scaled)
             for rep, (value, scaled) in enumerate(zip(raw, normalized))]
 
-    summary = {"grid": {"d": d, "n_nodes": grid.n_nodes, "exact_degree": grid.exact_degree,
-                        "weight_sum": float(grid.weights.sum())}}
+    summary = {"grid": grid.summary()}
     return _write_outputs(cfg, f"simulate_{f.kind}_d{d}_ell{ell}",
                           ("replica", "d", "q_or_kind", "ell", "z", "raw", "normalized"), rows, [], summary)
 
@@ -393,7 +392,7 @@ def _write_sweep_outputs(cfg: RunConfig, report: CltReport, base: str, checks) -
         ]
         (Path(cfg.out_dir) / name).write_text("\n".join(lines) + "\n")
 
-    summary = {"warnings": list(report.warnings)}
+    summary = {"warnings": list(report.warnings), "grids": list(report.grids)}
     try:
         fit = rate_fit(report)
         summary["rate_fit"] = {

@@ -3,14 +3,15 @@
 One `Functional` spec defines each kind (Hermite functionals h_{ell;q},
 finite Hermite polynomials, the excursion area) by its grid degree,
 reduction, mean, variance and bound.  One function, `_samples`, draws
-the raw values for `simulate`, `clt` and `excursion` alike: fixed chunks of
-replicas go to the workers, and a chunk runs in blocks of replicas of about
-BLOCK_VALUES field values, which fit in the L2 cache.  Each block is
+the raw values for `simulate`, `clt` and `excursion` alike, on the rule
+that `Functional.grid` picks: fixed chunks of replicas go to the workers,
+and a chunk runs in blocks of replicas whose largest synthesis array holds
+about BLOCK_VALUES values, which fit in the L2 cache.  Each block is
 synthesized and reduced in buffers allocated once per worker, so its fields
 are reduced while they are still in cache and no (replicas, nodes) array of
-a whole chunk is ever held.  The block size depends only on the grid, and
-every replica is synthesized and reduced by the same BLAS calls as it would
-be alone, so no value depends on the block or the worker count.  The
+a whole chunk is ever held.  The block size depends only on the grid and
+ell, and every replica is synthesized and reduced by the same BLAS calls as
+it would be alone, so no value depends on the block or the worker count.  The
 per-realization `functional_*` helpers evaluate the same spec on one
 `FieldRealization`.
 
@@ -50,10 +51,12 @@ from .parallel import fixed_chunks, ordered_map
 from .simulate import (
     FieldRealization,
     SphereGrid,
+    _replica_values,
     _sample_batch,
     _synthesis_buffers,
     build_grid,
     excursion_variance,
+    fold_grid,
 )
 # hermite has no caller here; perfbench/spans.py wraps this binding
 from .specfun import (FACTORIAL_MAX_ORDER, NumericalError, SphereDim, UsageError, ZeroVarianceError, hermite,
@@ -64,7 +67,8 @@ CLT_EXCLUDED_PAIRS = ((3, 3), (3, 4), (4, 3), (5, 3))
 # the indicator of kind S is not a polynomial: its grids are exact to 4*ell
 EXCURSION_DEGREE_FACTOR = 4
 HERMITE_CONVERSION_CAP = 16
-# field values per sampling block: 512 KB of doubles, inside a 2 MB L2 cache
+# values of the largest synthesis array per sampling block: 512 KB of doubles,
+# inside a 2 MB L2 cache
 BLOCK_VALUES = 2 ** 16
 
 
@@ -183,6 +187,14 @@ class Functional:
         """Grid degree, at least 1: exact for h and Z, EXCURSION_DEGREE_FACTOR * ell for S."""
         top = EXCURSION_DEGREE_FACTOR if self.beta is None else len(self.beta) - 1
         return max(1, top * ell)
+
+    def grid(self, ell: int, d: int) -> SphereGrid:
+        """The rule `simulate` and the sweeps integrate on: `build_grid` to
+        `degree(ell)`, folded onto its northern half (`fold_grid`) for kinds
+        h and Z at even ell, where p(T) is even under x -> -x and the fold
+        is exact.  The indicator of kind S and odd ell keep the full grid."""
+        grid = build_grid(d, self.degree(ell))
+        return fold_grid(grid) if self.beta is not None and ell % 2 == 0 else grid
 
     def reduce(self, fields, weights, out=None):
         """Quadrature value of the functional over the last axis of `fields`.
@@ -304,6 +316,7 @@ class CltReport:
     z: float | None
     rows: tuple[CltRow, ...]
     warnings: tuple[str, ...] = ()
+    grids: tuple[dict, ...] = ()  # per row: ell and the rule's `SphereGrid.summary`
 
 
 def _samples(f: Functional, grid: SphereGrid, ell: int, seed: int, replicas: int,
@@ -311,14 +324,16 @@ def _samples(f: Functional, grid: SphereGrid, ell: int, seed: int, replicas: int
     """Raw values of f for replicas 0..replicas-1.
 
     Fixed chunks of replicas go to the workers.  A chunk runs in blocks of
-    max(1, BLOCK_VALUES // N) replicas, each one `_sample_batch` and one
-    `Functional.reduce` call.  Their buffers are allocated once per worker:
-    a chunk takes a set left by a finished chunk, so the memory is not
-    handed back to the system and faulted in again for every chunk."""
+    max(1, BLOCK_VALUES // V) replicas, V the values of a replica's largest
+    synthesis array (`_replica_values`, N or more), each block one
+    `_sample_batch` and one `Functional.reduce` call.  Their buffers are
+    allocated once per worker: a chunk takes a set left by a finished
+    chunk, so the memory is not handed back to the system and faulted in
+    again for every chunk."""
     # an empty batch fills the synthesis tables of the grid and its
     # sub-grids once, before worker threads race to build them
     _sample_batch(grid, ell, seed, ())
-    block = max(1, BLOCK_VALUES // grid.n_nodes)
+    block = max(1, BLOCK_VALUES // _replica_values(grid, ell))
     rows = min(block, replicas)
     spare = []  # buffer sets of finished chunks; list.pop and append are atomic
 
@@ -364,9 +379,10 @@ def clt_sweep(kind: str, d: int, ell_list, replicas: int, seed: int,
         warns.append(f"(d={d}, q={q}) is outside the proven CLT range; "
                      "the fourth-cumulant bounds do not guarantee convergence")
 
-    rows = []
+    rows, grids = [], []
     for ell in ells:
-        grid = build_grid(d, f.degree(ell))
+        grid = f.grid(ell, d)
+        grids.append({"ell": ell, **grid.summary()})
         var = f.variance(ell, d)
         mean = f.mean(grid.dim)
         raw = _samples(f, grid, ell, seed, replicas, threads)
@@ -386,7 +402,7 @@ def clt_sweep(kind: str, d: int, ell_list, replicas: int, seed: int,
             predicted_var=var,
         ))
 
-    return CltReport(kind=kind, d=d, q=q, z=z, rows=tuple(rows), warnings=tuple(warns))
+    return CltReport(kind=kind, d=d, q=q, z=z, rows=tuple(rows), warnings=tuple(warns), grids=tuple(grids))
 
 
 # ------------------------------------------------------------------

@@ -8,6 +8,17 @@ exact degree D integrates every polynomial of degree <= D on the sphere
 exactly, so Hermite functionals of a degree-ell field are quadrature-exact
 whenever q*ell <= D.
 
+Kinds h and Z at even ell integrate on half of that grid (`fold_grid`).  A
+degree-ell field has T(-x) = (-1)^ell T(x), so at even ell every p(T) is even
+under x -> -x.  The south ring at -t, a copy of the sub-grid scaled by
+sin theta, holds the same polynomial in the sub-sphere's coordinates as the
+north ring at t, reflected by xi -> -xi; the sub-grid integrates both
+exactly, and exactly alike, up to its exact degree.  So the colatitude nodes
+t > 0 with doubled weights, and t = 0 with its own, integrate every even
+polynomial of degree <= D exactly, and the sampler never synthesizes the
+south half.  The indicator of kind S is not a polynomial and odd ell breaks
+the symmetry, so both keep the full grid.
+
 Fields are unit variance with covariance G_{ell;d}(cos distance).  One
 recursion synthesizes them for every d, because hyperspherical harmonics
 separate in the colatitude (Dai & Xu 2013, section 1.5):
@@ -28,7 +39,11 @@ once.
 
 Every replica derives its generator from (master seed, replica index) through
 a counter-based construction (Philox with the replica in the high counter
-word), so samples are reproducible regardless of batching or worker count.
+words), so samples are reproducible regardless of batching or worker count.
+A worker keeps one Philox with its buffers and resets its state for each
+replica, which gives the stream of a new Philox(key=seed, counter=replica <<
+128) bit for bit without building one (and drawing a SeedSequence from OS
+entropy, as a BitGenerator built without a seed does) per replica.
 Multipole sweeps default to even ell; odd multipoles kill the odd-q chaoses.
 """
 
@@ -36,7 +51,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -58,8 +73,10 @@ class SphereGrid:
     (outer index) with each node xi of `sub`, the grid on S^{d-1} (inner
     index); the weights and the synthesized fields follow that order.  At
     d = 2 `sub` is None: the sub-sphere is the circle of `n_phi` uniform
-    azimuths.  Grids compare by identity; synthesis plans are cached per grid
-    object."""
+    azimuths.  A `folded` grid keeps the colatitude nodes t >= 0 alone and
+    is exact to `exact_degree` for integrands even under x -> -x only (see
+    `fold_grid`).  Grids compare by identity; synthesis plans are cached per
+    grid object."""
 
     dim: SphereDim
     weights: np.ndarray = field(repr=False, compare=False)  # (N,)
@@ -68,10 +85,16 @@ class SphereGrid:
     colat_w: np.ndarray = field(repr=False, compare=False)
     sub: SphereGrid | None = field(repr=False, compare=False)
     n_phi: int
+    folded: bool = False
 
     @property
     def n_nodes(self) -> int:
         return self.weights.size
+
+    def summary(self) -> dict:
+        """The rule as a manifest records it."""
+        return {"d": self.dim.d, "n_nodes": self.n_nodes, "exact_degree": self.exact_degree,
+                "folded": self.folded, "weight_sum": float(self.weights.sum())}
 
 
 def _orthogonality_check(dim, colat_t, colat_w, sub_weight, exact_degree):
@@ -113,6 +136,20 @@ def build_grid(d: int, target_degree: int) -> SphereGrid:
     return grid
 
 
+def fold_grid(grid: SphereGrid) -> SphereGrid:
+    """`grid` on its colatitude nodes t >= 0: the others' weights go to
+    their mirror images, which `gauss_jacobi_rule` makes exact, so each
+    t > 0 weighs double and t = 0, at an odd node count, once.  Exact to
+    `grid.exact_degree` for integrands even under x -> -x (see the module
+    docstring), and for no other."""
+    north = grid.colat_t >= 0.0
+    t = grid.colat_t[north]
+    w_t = np.where(t > 0.0, 2.0, 1.0) * grid.colat_w[north]
+    sub_w = grid.sub.weights if grid.sub is not None else np.full(grid.n_phi, 2.0 * math.pi / grid.n_phi)
+    weights = np.repeat(w_t, sub_w.size) * np.tile(sub_w, t.size)
+    return replace(grid, weights=weights, colat_t=t, colat_w=w_t, folded=True)
+
+
 # ------------------------------------------------------------------
 # field synthesis
 # ------------------------------------------------------------------
@@ -126,10 +163,22 @@ class FieldRealization:
     replica: int
 
 
-def _replica_rng(seed: int, replica: int) -> np.random.Generator:
-    # counter-based: replica occupies the high counter words, so streams for
-    # different replicas can never overlap whatever their length
-    return np.random.Generator(np.random.Philox(key=seed, counter=replica << 128))
+_WORD = (1 << 64) - 1
+
+
+def _reseed(bit_generator: np.random.Philox, seed: int, replica: int) -> None:
+    """Put `bit_generator` in the state of a new Philox(key=seed,
+    counter=replica << 128): the 128-bit key and 256-bit counter as 64-bit
+    words, least significant first, and an empty output buffer.  The
+    replica occupies the high counter words, so streams for different
+    replicas can never overlap whatever their length."""
+    if not 0 <= seed < 1 << 128:
+        raise UsageError(f"seed must satisfy 0 <= seed < 2**128, got {seed}")
+    bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, replica & _WORD, replica >> 64], "key": [seed & _WORD, seed >> 64]},
+        "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
 
 
 def _n_harmonics(m: int, k: int) -> int:
@@ -162,6 +211,32 @@ def _profile_stack(ell: int, dim: SphereDim, t: np.ndarray, lo: int) -> np.ndarr
 
 
 _PLANS: "weakref.WeakKeyDictionary[SphereGrid, dict]" = weakref.WeakKeyDictionary()
+
+
+def _levels(grid: SphereGrid) -> list[SphereGrid]:
+    """The grids of S^2, ..., S^d that `grid` stacks, S^2 first."""
+    chain = [grid]
+    while chain[-1].sub is not None:
+        chain.append(chain[-1].sub)
+    return chain[::-1]
+
+
+def _replica_values(grid: SphereGrid, ell: int) -> int:
+    """Values one replica holds in the largest array of its synthesis.
+
+    The circle products hold (ell+1)^(d-1) * n_phi; each level's matmul
+    trades one factor ell+1 for that level's colatitude node count, the top
+    one ending at N.  For small grid degrees the circle far outgrows N, so
+    NODE_BUDGET bounds this count too: NodeBudgetError, before any table or
+    buffer is allocated."""
+    size = largest = (ell + 1) ** (grid.dim.d - 1) * grid.n_phi
+    for level in _levels(grid):
+        size = size // (ell + 1) * level.colat_t.size
+        largest = max(largest, size)
+    if largest > NODE_BUDGET:
+        raise NodeBudgetError(f"synthesizing a degree-{ell} field on S^{grid.dim.d} takes {largest} values "
+                              f"per replica, over the budget of {NODE_BUDGET}")
+    return largest
 
 
 def _leaf_draws(ell: int, d: int):
@@ -199,24 +274,26 @@ def _synthesis_plan(grid: SphereGrid, ell: int):
     holds lam_{ell} alone."""
     plans = _PLANS.setdefault(grid, {})
     if ell not in plans:
-        chain = [grid]
-        while chain[-1].sub is not None:
-            chain.append(chain[-1].sub)
+        if grid.folded and ell % 2:
+            raise UsageError(f"a folded grid holds even integrands alone; fields of odd ell={ell} are not")
+        _replica_values(grid, ell)  # raises before any table is built
         lams = [_profile_stack(ell, level.dim, level.colat_t, ell if level is grid else 0)
-                for level in reversed(chain)]
+                for level in _levels(grid)]
         m_phi = np.arange(ell + 1)[:, None] * _azimuth(grid.n_phi)[None, :]
         plans[ell] = (*_leaf_draws(ell, grid.dim.d), np.cos(m_phi), np.sin(m_phi), lams)
     return plans[ell]
 
 
-def _synthesis_buffers(grid: SphereGrid, ell: int, rows: int) -> tuple[np.ndarray, ...]:
-    """Working arrays of `_synthesize_batch` for up to `rows` replicas: the
-    draws with their zero column, the two circle products and one matmul
-    result per level, the last of which holds the fields."""
+def _synthesis_buffers(grid: SphereGrid, ell: int, rows: int) -> tuple:
+    """Working set of `_sample_batch` for up to `rows` replicas: a generator
+    on one Philox that `_reseed` moves to each replica's stream, the draws
+    with their zero column, the two circle products and one matmul result
+    per level, the last of which holds the fields."""
     cos_idx, _, _, _, lams = _synthesis_plan(grid, ell)
     draws = np.zeros((rows, dim_harmonics(ell, grid.dim.d) + 1))
     shape = (rows, *cos_idx.shape, grid.n_phi)
-    buffers = [draws, np.empty(shape), np.empty(shape)]
+    # seeded, so that building it reads no OS entropy; `_reseed` sets its state before every draw
+    buffers = [np.random.Generator(np.random.Philox(0)), draws, np.empty(shape), np.empty(shape)]
     for lam in lams:
         *batch, _, n_sub = shape
         buffers.append(np.empty((*batch, lam.shape[-2], n_sub)))
@@ -232,7 +309,7 @@ def _synthesize_batch(grid: SphereGrid, ell: int, coeffs: np.ndarray, work=None)
     `_leaf_draws`) in one broadcast, then one stacked matmul per level, each
     U_m of degree e taking stack[e] of that level's profiles.  Zero padding
     keeps every level a dense array, (ell+1)^(d-1) * n_phi values per replica
-    at the circle, which is at most N for grids exact to degree 2*ell.
+    at the circle, which `_replica_values` holds to the node budget.
 
     Every array is written into `work`, buffers of `_synthesis_buffers` for
     at least R rows, or into new ones; the result is a view of the last.
@@ -241,7 +318,7 @@ def _synthesize_batch(grid: SphereGrid, ell: int, coeffs: np.ndarray, work=None)
     """
     cos_idx, sin_idx, cos_m, sin_m, lams = _synthesis_plan(grid, ell)
     R, n = coeffs.shape
-    draws, circle, sines, *levels = _synthesis_buffers(grid, ell, R) if work is None else work
+    _, draws, circle, sines, *levels = _synthesis_buffers(grid, ell, R) if work is None else work
     draws = draws[:R]
     draws[:, :n] = coeffs
     fields = np.multiply(draws[:, cos_idx, None], cos_m, out=circle[:R])
@@ -257,12 +334,16 @@ def _sample_batch(grid: SphereGrid, ell: int, seed: int, replicas, work=None) ->
     """Field values (len(replicas), N); the single entry point for sampling.
 
     `clt._samples` passes one block of replicas per call and the same
-    `work` buffers (see `_synthesize_batch`) for every block of a worker,
-    so a block is reduced before the next is drawn."""
-    n = dim_harmonics(ell, grid.dim.d)
-    draws = np.empty((len(replicas), n))
+    `work` set (see `_synthesis_buffers`) for every block of a worker, so a
+    block is reduced before the next is drawn.  The generator of the work
+    set is reseeded for each replica."""
+    if work is None:  # the plan, and so the budget check, comes before any buffer
+        work = _synthesis_buffers(grid, ell, len(replicas))
+    gen = work[0]
+    draws = np.empty((len(replicas), dim_harmonics(ell, grid.dim.d)))
     for row, rep in enumerate(replicas):
-        _replica_rng(seed, rep).standard_normal(out=draws[row])
+        _reseed(gen.bit_generator, seed, rep)
+        gen.standard_normal(out=draws[row])
     return _synthesize_batch(grid, ell, draws, work)
 
 
@@ -288,14 +369,21 @@ def excursion_variance(ell: int, d: int, z: float) -> float:
         C_z(rho) = Phi_2(z, z; rho) - Phi(z)^2 = (1/2pi) integral_0^{arcsin rho} e^{-z^2/(1+sin u)} du
     (Sheppard's arcsin(rho) / (2 pi) at z = 0), taken less its linear term
     phi(z)^2 rho, whose integral against G is 0.  Folded onto [0, pi/2] by
-    G(-t) = (-1)^ell G(t), theta takes ell // 2 + 2 Gauss-Legendre panels of 24 nodes, u one of 48.
+    G(-t) = (-1)^ell G(t), theta takes ell // 2 + 2 Gauss-Legendre panels of 24 nodes.
+    At even ell u takes one rule of 48 nodes.  At odd ell the two halves sum to
+        C_z(rho) + C_z(-rho) = (1/2pi) integral_0^{arcsin rho} e^{-z^2/(1+sin u)} - e^{-z^2/(1-sin u)} du,
+    whose second term turns on within about |z| of u = pi/2, which arcsin G
+    reaches at theta = 0: the u rule there has 21 panels of 16 nodes,
+    halving toward arcsin G, and the first theta panel is halved 20 times.
 
     Relative error: below 1e-10 at even ell, where the integrand is analytic
     (against rules of twice the panels and nodes; d <= 5, ell <= 256, |z| <= 4).
-    At odd ell G reaches -1, where C_z is not analytic; 20 halvings of the first
-    panel keep the bound for z = 0 (exactly 0) and |z| >= 0.1, not below: 3e-7 at 0.01.
-    From |z| = 39 it is 0 without arithmetic: Var S_z <= mu_d^2 Phi(-|z|) is below
-    the least positive float there at every d, and z^2 overflows from |z| ~ 1e154.
+    At odd ell it is exactly 0 at z = 0 and, for 1e-3 <= |z| <= 4 (d = 2, 3,
+    5; ell <= 33), within 3e-10 of scipy's adaptive quad, which is then the
+    limit: rules of twice the panels and nodes agree to 3e-12 (down to
+    |z| = 1e-4, ell <= 65).  From |z| = 39 it is 0 without arithmetic:
+    Var S_z <= mu_d^2 Phi(-|z|) is below the least positive float there at
+    every d, and z^2 overflows from |z| ~ 1e154.
     """
     if ell < 1:
         raise UsageError(f"multipole must be >= 1, got {ell}")
@@ -308,13 +396,22 @@ def excursion_variance(ell: int, d: int, z: float) -> float:
     rules.append(panel_nodes(edges[-1], 0.5 * math.pi, n - 1, 24))
     theta, w = (np.concatenate(part) for part in zip(*rules))
     a = np.arcsin(np.clip(GegenbauerCtx(ell, dim).evaluate(np.cos(theta)), -1.0, 1.0))
-    a = np.stack((a, -a)) if ell % 2 else a[None]  # the angles at theta and pi - theta
-    x, v = panel_nodes(0.0, 1.0, 1, 48)
-    u = np.multiply.outer(a, x)
-    # e^{-z^2/(1+sin u)} - e^{-z^2} cos u by expm1 and sin^2: no cancellation or overflow
     zz = z * z
-    e = -zz / (1.0 + np.sin(u))
-    g = -np.sign(e + zz) * np.exp(np.maximum(e, -zz)) * np.expm1(-np.abs(e + zz))
-    g += 2.0 * math.exp(-zz) * np.sin(0.5 * u) ** 2
-    c = (2 - ell % 2) * np.sum(a * (g @ v), axis=0)
+    if ell % 2:
+        ends = 1.0 - 0.5 ** np.arange(21)
+        x, v = (np.concatenate(part) for part in zip(*(
+            panel_nodes(lo, hi, 1, 16) for lo, hi in zip(ends, np.append(ends[1:], 1.0)))))
+        u = np.multiply.outer(a, x)
+        # by |sin u| and expm1: no cancellation, and 0 at z = 0
+        s = np.abs(np.sin(u))
+        g = -np.sign(u) * np.exp(-zz / (1.0 + s)) * np.expm1(-2.0 * zz * s / np.cos(u) ** 2)
+        c = a * (g @ v)
+    else:
+        x, v = panel_nodes(0.0, 1.0, 1, 48)
+        u = np.multiply.outer(a, x)
+        # e^{-z^2/(1+sin u)} - e^{-z^2} cos u by expm1 and sin^2: no cancellation or overflow
+        e = -zz / (1.0 + np.sin(u))
+        g = -np.sign(e + zz) * np.exp(np.maximum(e, -zz)) * np.expm1(-np.abs(e + zz))
+        g += 2.0 * math.exp(-zz) * np.sin(0.5 * u) ** 2
+        c = 2 * (a * (g @ v))
     return dim.mu_d * dim.mu_dm1 / (2.0 * math.pi) * float(w * np.sin(theta) ** (d - 1) @ c)

@@ -398,6 +398,26 @@ def test_simulate_manifest_grid_descriptor(tmp_path):
     grid = manifest["summary"]["grid"]
     assert grid["weight_sum"] == pytest.approx(4 * math.pi, rel=1e-12)
     assert grid["exact_degree"] >= 32
+    assert grid["folded"] is False and grid["n_nodes"] == 33 * 17
+
+
+def test_manifests_describe_the_rule_they_integrated_on(tmp_path):
+    # h at even ell integrates on the folded rule: the colatitude nodes t >= 0
+    run_cli("simulate", "--kind", "h", "--q", "3", "--d", "2", "--ell", "8",
+            "--reps", "3", "--seed", "1", "--out-dir", str(tmp_path))
+    grid = json.loads((tmp_path / "simulate_h_d2_ell8.manifest.json").read_text())["summary"]["grid"]
+    assert grid == {"d": 2, "n_nodes": 25 * 7, "exact_degree": 24, "folded": True,
+                    "weight_sum": pytest.approx(4 * math.pi, rel=1e-12)}
+    # odd ell keeps the full rule
+    run_cli("clt", "--kind", "h", "--q", "2", "--d", "3", "--ell", "3,4", "--allow-odd",
+            "--reps", "200", "--seed", "1", "--out-dir", str(tmp_path))
+    grids = json.loads((tmp_path / "clt_h_d3_q2.manifest.json").read_text())["summary"]["grids"]
+    assert [(g["ell"], g["n_nodes"], g["exact_degree"], g["folded"]) for g in grids] == [
+        (3, 7 * 4 * 4, 6, False), (4, 9 * 5 * 3, 8, True)]
+    run_cli("excursion", "--d", "2", "--z", "1", "--ell", "3,4", "--allow-odd",
+            "--reps", "200", "--seed", "1", "--out-dir", str(tmp_path))
+    grids = json.loads((tmp_path / "excursion_d2_z1.manifest.json").read_text())["summary"]["grids"]
+    assert [(g["ell"], g["n_nodes"], g["folded"]) for g in grids] == [(3, 13 * 7, False), (4, 17 * 9, False)]
 
 
 def test_cli_determinism_across_threads(tmp_path):
@@ -442,7 +462,7 @@ def test_simulate_normalizes_once_through_the_sampling_driver(tmp_path, monkeypa
                    "--reps", "70", "--seed", "8", "--out-dir", str(tmp_path)) == 0
     assert calls == [("Z", 16, 2)]
     f = clt.Functional.of("Z", betas=(0.0, 0.0, 1.0, 0.0, 1.0))
-    grid = clt.build_grid(2, f.degree(16))
+    grid = f.grid(16, 2)
     expect = clt._samples(f, grid, 16, 8, 70, 1)
     rows = read_rows(tmp_path / "simulate_Z_d2_ell16.csv")
     assert [float(r["raw"]) for r in rows] == expect.tolist()
@@ -614,6 +634,15 @@ def test_exit_code_follows_all_passed(tmp_path, capsys, monkeypatch, args, base,
      "exceeds the budget of 2000000"),
     (("simulate", "--q", "3", "--ell", "99999999999999999998", "--reps", "2", "--seed", "1"),
      "exceeds the budget of 2000000"),
+    # a grid of degree 1 has 2 nodes, but the synthesis arrays of these
+    # fields are dense in (ell+1)^(d-1): 468 GiB, 72 GiB and beyond numpy's
+    # array size
+    (("simulate", "--d", "12", "--q", "0", "--betas", "0,1", "--ell", "8", "--reps", "300", "--seed", "1"),
+     "takes 62762119218 values per replica, over the budget of 2000000"),
+    (("simulate", "--d", "7", "--q", "0", "--ell", "16", "--reps", "200", "--seed", "1"),
+     "takes 48275138 values per replica, over the budget of 2000000"),
+    (("simulate", "--d", "40", "--q", "0", "--ell", "2", "--reps", "200", "--seed", "0"),
+     "over the budget of 2000000"),
     (("contractions", "--d", "45", "--q", "2", "--ell", "4000"), "below the least normal float"),
     (("contractions", "--d", "171", "--q", "2", "--ell", "4"), "below the least normal float"),
     (("contractions", "--d", "45", "--q", "3", "--ell", "4000"), "below the least normal float"),
@@ -622,7 +651,8 @@ def test_exit_code_follows_all_passed(tmp_path, capsys, monkeypatch, args, base,
     (("contractions", "--d", "171", "--q", "2", "--ell", "5000"), "harmonics on S^171, overflows a float"),
 ], ids=["variance-q171", "simulate-q171", "bound-q85", "clt-bound-q90", "bessel-d27", "bessel-d171",
         "closed-form-q3-d177", "ratio-d100", "bessel-prefactor-q40", "volume-moments-d400", "volume-contractions-d400", "node-budget",
-        "node-budget-azimuths", "q2-closed-form-d45", "q2-closed-form-d171", "contraction-norm-d45-q3", "q2-moment-d171",
+        "node-budget-azimuths", "synthesis-budget-d12", "synthesis-budget-d7", "synthesis-budget-d40",
+        "q2-closed-form-d45", "q2-closed-form-d171", "contraction-norm-d45-q3", "q2-moment-d171",
         "q2-contraction-norm-d171"])
 def test_numerical_faults_exit_3_with_one_line(tmp_path, capsys, args, named):
     # each limit is checked before the computation it guards, so the run

@@ -27,7 +27,7 @@ from sphclt.clt import (
     wasserstein_distance,
 )
 from sphclt.parallel import CHUNK, single_threaded_blas
-from sphclt.simulate import _sample_batch, build_grid, sample_field
+from sphclt.simulate import _replica_values, _sample_batch, build_grid, sample_field
 from sphclt.specfun import ZeroVarianceError, hermite
 
 
@@ -179,23 +179,32 @@ def test_samples_hold_one_field_at_a_time():
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-@pytest.mark.parametrize("f, d, ell, replicas, block", [
-    (Functional.of("h", q=3), 2, 16, 150, 53),     # a partial last block in every chunk
-    (Functional.of("h", q=3), 2, 64, 70, 3),       # 64 = 21 * 3 + 1
-    (Functional.of("h", q=3), 2, 128, 3, 1),
-    (Functional.of("h", q=3), 2, 16, 5, 53),       # one block shorter than B
-    (Functional.of("Z", betas=BETAS), 2, 16, 70, 30),
-    (Functional.of("S", z=1.0), 2, 16, 70, 30),
-    (Functional.of("S", z=1.0), 3, 6, 70, 15),
-    (Functional.of("h", q=3), 3, 6, 70, 34),
-    (Functional.of("h", q=2), 4, 4, 70, 58),
+@pytest.mark.parametrize("f, d, ell, replicas, block, fold", [
+    (Functional.of("h", q=3), 2, 16, 150, 53, False),   # a partial last block in every chunk
+    (Functional.of("h", q=3), 2, 64, 70, 3, False),     # 64 = 21 * 3 + 1
+    (Functional.of("h", q=3), 2, 128, 3, 1, False),
+    (Functional.of("h", q=3), 2, 16, 5, 53, False),     # one block shorter than B
+    (Functional.of("Z", betas=BETAS), 2, 16, 70, 30, False),
+    (Functional.of("S", z=1.0), 2, 16, 70, 30, False),
+    (Functional.of("S", z=1.0), 3, 6, 70, 15, False),
+    (Functional.of("h", q=3), 3, 6, 70, 34, False),
+    (Functional.of("h", q=2), 4, 4, 70, 58, False),
+    # on the rules `Functional.grid` folds, the circle products, or at
+    # d >= 3 the level below the top, hold more values than the N nodes
+    (Functional.of("h", q=3), 2, 16, 150, 78, True),    # circle 17 * 49 > N = 13 * 49
+    (Functional.of("h", q=3), 2, 64, 70, 5, True),      # 64 = 12 * 5 + 4
+    (Functional.of("Z", betas=BETAS), 2, 16, 70, 59, True),
+    (Functional.of("h", q=3), 3, 6, 70, 49, True),      # level 2: 7 * 10 * 19 > N = 5 * 10 * 19
+    (Functional.of("h", q=2), 4, 4, 70, 58, True),
 ], ids=["h-d2-53", "h-d2-3", "h-d2-1", "h-d2-short", "Z-d2-30", "S-d2-30", "S-d3-15", "h-d3-34",
-        "h-d4-58"])
-def test_blocks_equal_the_one_replica_path_bitwise(f, d, ell, replicas, block, threads):
+        "h-d4-58", "h-d2-fold-78", "h-d2-fold-5", "Z-d2-fold-59", "h-d3-fold-49", "h-d4-fold-58"])
+def test_blocks_equal_the_one_replica_path_bitwise(f, d, ell, replicas, block, fold, threads):
     # a replica's value never depends on the block, chunk or thread it runs
-    # in; as in `_samples`, the one-replica path runs BLAS on one thread
-    grid = build_grid(d, f.degree(ell))
-    assert max(1, BLOCK_VALUES // grid.n_nodes) == block
+    # in; as in `_samples`, the one-replica path runs BLAS on one thread and
+    # integrates on the same rule
+    grid = f.grid(ell, d) if fold else build_grid(d, f.degree(ell))
+    assert grid.folded == fold
+    assert max(1, BLOCK_VALUES // _replica_values(grid, ell)) == block
     assert replicas % CHUNK != 0
     with single_threaded_blas():
         one = [f.reduce(_sample_batch(grid, ell, 13, (r,)), grid.weights) for r in range(replicas)]
@@ -268,7 +277,8 @@ def test_sweep_builds_each_table_once(monkeypatch):
         four = clt_sweep("h", 3, [8], 256, 1, q=2, threads=4)
     finally:
         sys.setswitchinterval(interval)
-    assert sorted(calls) == [(2, 8, 9, 0), (3, 8, 9, 8)]
+    # the top table holds the 5 colatitude nodes t >= 0 of the folded rule, not all 9
+    assert sorted(calls) == [(2, 8, 9, 0), (3, 8, 5, 8)]
     assert clt_sweep("h", 3, [8], 256, 1, q=2, threads=1) == four
 
 

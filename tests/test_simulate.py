@@ -12,7 +12,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import ndtr, sph_harm_y
+from scipy.integrate import quad
+from scipy.special import eval_legendre, ndtr, sph_harm_y
 
 import sphclt.simulate as simulate
 from sphclt.clt import (
@@ -25,18 +26,23 @@ from sphclt.clt import (
 )
 from sphclt.moments import gegenbauer_moment, variance_h
 from sphclt.quadrature import panel_nodes
+from sphclt.cli import MAX_REPLICAS
 from sphclt.simulate import (
     NodeBudgetError,
     _profile_stack,
+    _reseed,
     _sample_batch,
+    _synthesis_buffers,
     _synthesis_plan,
     _synthesize_batch,
     build_grid,
     excursion_variance,
+    fold_grid,
     sample_field,
     FieldRealization,
 )
-from sphclt.specfun import GegenbauerCtx, SphereDim, ZeroVarianceError, dim_harmonics, hermite, orthonormal_jacobi
+from sphclt.specfun import (GegenbauerCtx, SphereDim, UsageError, ZeroVarianceError, dim_harmonics, hermite,
+                            orthonormal_jacobi)
 
 from oracles import grid_nodes, recover_harmonic_coeffs
 
@@ -93,6 +99,72 @@ def test_grid_node_budget():
         build_grid(2, 4000)  # 8 006 001 nodes; raises before any is allocated
 
 
+def _monomial_exponents(n_vars, max_degree):
+    """Exponent tuples of every monomial in n_vars variables of degree <= max_degree."""
+    if n_vars == 0:
+        return [()]
+    return [(k,) + rest for k in range(max_degree + 1) for rest in _monomial_exponents(n_vars - 1, max_degree - k)]
+
+
+@pytest.mark.parametrize("d, degree", [(2, 12), (2, 13), (3, 10), (4, 8), (5, 6)])
+def test_folded_rule_equals_the_full_rule_on_even_monomials(d, degree):
+    # every monomial of even degree <= exact_degree in the embedding
+    # coordinates, odd node counts (with the equator t = 0) and even ones
+    full = build_grid(d, degree)
+    folded = fold_grid(full)
+    assert folded.folded and folded.exact_degree == full.exact_degree
+    assert folded.colat_t.size == full.colat_t.size // 2 + full.colat_t.size % 2
+    assert np.all(folded.colat_t >= 0.0)
+    x_full, x_fold = grid_nodes(full), grid_nodes(folded)
+    checked = 0
+    for powers in _monomial_exponents(d + 1, full.exact_degree):
+        if sum(powers) % 2:
+            continue
+        m_full = np.prod(x_full ** np.array(powers), axis=1)
+        m_fold = np.prod(x_fold ** np.array(powers), axis=1)
+        scale = float(np.abs(m_full) @ full.weights)
+        assert abs(float(m_fold @ folded.weights) - float(m_full @ full.weights)) <= 1e-13 * scale, powers
+        checked += 1
+    assert checked > 40
+    # an odd integrand is not one the fold holds: x_d integrates to 0 on the
+    # full rule, to twice its northern half on the folded one
+    assert abs(float(x_full[:, -1] @ full.weights)) < 1e-13
+    assert float(x_fold[:, -1] @ folded.weights) > 0.1
+
+
+@pytest.mark.parametrize("f, d, ell", [
+    (Functional.of("h", q=2), 2, 16), (Functional.of("h", q=3), 2, 16), (Functional.of("h", q=4), 2, 16),
+    (Functional.of("Z", betas=(0.5, 0.0, 1.0, 0.0, 1.0)), 2, 8),
+    (Functional.of("Z", betas=(0.5, 0.0, 1.0, 0.0, 1.0)), 3, 6),
+    (Functional.of("Z", betas=(0.5, 0.0, 1.0, 0.0, 1.0)), 4, 4),
+], ids=["h2-d2", "h3-d2", "h4-d2", "Z-d2", "Z-d3", "Z-d4"])
+def test_folded_samples_agree_with_the_full_rule(f, d, ell):
+    # the same fields, integrated on half the nodes: equal up to rounding
+    folded = f.grid(ell, d)
+    assert folded.folded
+    full = build_grid(d, f.degree(ell))
+    raw_full = _samples(f, full, ell, 17, 150, 1)
+    raw_fold = _samples(f, folded, ell, 17, 150, 1)
+    sd = float(np.std(raw_full, ddof=1))
+    assert np.max(np.abs(raw_fold - raw_full)) <= 1e-12 * sd
+
+
+@pytest.mark.parametrize("f, ell", [
+    (Functional.of("S", z=1.0), 8), (Functional.of("S", z=0.0), 16),
+    (Functional.of("h", q=2), 5), (Functional.of("Z", betas=(0.0, 0.0, 1.0)), 7),
+], ids=["S-8", "S-16", "h-odd", "Z-odd"])
+def test_kind_S_and_odd_ell_never_fold(f, ell):
+    grid = f.grid(ell, 2)
+    assert not grid.folded
+    assert grid.n_nodes == build_grid(2, f.degree(ell)).n_nodes
+
+
+def test_a_folded_grid_refuses_odd_fields():
+    folded = Functional.of("h", q=2).grid(8, 2)
+    with pytest.raises(UsageError):
+        _sample_batch(folded, 5, 1, range(2))
+
+
 # ------------------------------------------------------------------
 # sampling
 # ------------------------------------------------------------------
@@ -104,6 +176,53 @@ def test_sampling_deterministic():
     assert np.array_equal(a.values, b.values)
     c = sample_field(2, 8, grid, seed=11, replica=4)
     assert not np.array_equal(a.values, c.values)
+
+
+def _state_words(bit_generator):
+    state = bit_generator.state
+    return ([int(w) for w in state["state"]["counter"]], [int(w) for w in state["state"]["key"]],
+            [int(w) for w in state["buffer"]], state["buffer_pos"], state["has_uint32"], state["uinteger"])
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2 ** 64 + 5, 2 ** 128 - 1])
+def test_reseeded_stream_is_a_new_philox_bit_for_bit(seed):
+    # the worker's one Philox, moved to each replica's stream, against a new
+    # generator per replica; 5000 normals take more than 5000 words of the
+    # stream, so the ziggurat rejected some draws and fell through to its tail
+    gen = _synthesis_buffers(build_grid(2, 8), 4, 1)[0]
+    for replica in (0, 63, MAX_REPLICAS - 1):
+        gen.integers(0, 2 ** 32, size=3, dtype=np.uint32)  # leaves half a word and a part-used buffer
+        _reseed(gen.bit_generator, seed, replica)
+        fresh = np.random.Philox(key=seed, counter=replica << 128)
+        assert _state_words(gen.bit_generator) == _state_words(fresh)
+        draws = gen.standard_normal(5000)
+        assert np.array_equal(draws, np.random.Generator(fresh).standard_normal(5000))
+        counter = gen.bit_generator.state["state"]["counter"]
+        assert int(counter[0]) * 4 > 5000 and int(counter[2]) == replica
+
+
+def test_sampling_with_and_without_worker_buffers_is_bitwise_equal():
+    grid = build_grid(3, 8)
+    work = _synthesis_buffers(grid, 4, 3)
+    for replicas in (range(3), [5, 2**40, 7]):
+        assert np.array_equal(_sample_batch(grid, 4, 2 ** 64 + 9, replicas, work),
+                              _sample_batch(grid, 4, 2 ** 64 + 9, replicas))
+
+
+@pytest.mark.parametrize("d, ell, wanted", [(12, 8, 2 * 9 ** 11), (7, 16, 2 * 17 ** 6), (40, 2, 2 * 3 ** 39)])
+def test_synthesis_above_the_budget_raises_before_allocating(d, ell, wanted):
+    # a grid of degree 1 has 2 nodes, but the circle products of a degree-ell
+    # field hold (ell+1)^(d-1) * n_phi values per replica
+    grid = build_grid(d, 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(NodeBudgetError, match=f"takes {wanted} values per replica"):
+            _sample_batch(grid, ell, 1, range(2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert grid not in simulate._PLANS or ell not in simulate._PLANS[grid]
 
 
 def test_sampling_d2_statistics():
@@ -257,7 +376,7 @@ def test_recovery_returns_the_replica_draws(d, ell):
     grid = build_grid(d, 2 * ell)
     coefs = recover_harmonic_coeffs(sample_field(d, ell, grid, seed, rep))
     n = dim_harmonics(ell, d)
-    draws = simulate._replica_rng(seed, rep).standard_normal(n)
+    draws = np.random.Generator(np.random.Philox(key=seed, counter=rep << 128)).standard_normal(n)
     scale = math.sqrt(grid.dim.mu_d / n)
     assert np.max(np.abs(coefs / scale - draws)) < 1e-12
 
@@ -458,6 +577,40 @@ def test_hermite_projection_matches_parts_oracle(z, q):
 def test_excursion_variance_matches_mpmath_double_integral(d, ell, z):
     assert excursion_variance(ell, d, z) == pytest.approx(
         excursion_variance_oracle(ell, d, z), rel=EXCURSION_RTOL)
+
+
+def excursion_variance_scipy_d2(ell, z):
+    """Var S_z on S^2 by scipy's adaptive quad: theta over panels between the
+    zeros of the Legendre polynomial and graded toward both poles, u over
+    [0, arcsin P_ell(cos theta)] with break points at |z| multiples from the
+    ends, where e^{-z^2/(1+sin u)} turns on within about |z| of -pi/2."""
+    zz = z * z
+
+    def g(u):
+        return math.exp(-zz / (1.0 + math.sin(u))) - math.exp(-zz) * math.cos(u) if math.sin(u) > -1.0 else 0.0
+
+    def inner(theta):
+        a = math.asin(min(1.0, max(-1.0, float(eval_legendre(ell, math.cos(theta))))))
+        points = [a + math.copysign(k * abs(z), -a) for k in (1, 3, 10, 30, 100)]
+        points = [p for p in points if min(0.0, a) < p < max(0.0, a)] or None
+        return quad(g, 0.0, a, points=points, epsabs=1e-17, epsrel=1e-14, limit=400)[0] * math.sin(theta)
+
+    breaks = set(np.linspace(0.0, math.pi, 4 * ell + 3))
+    breaks |= {e for k in (0.1, 0.3, 1, 3, 10, 30, 100) for e in (k * abs(z), math.pi - k * abs(z))}
+    breaks = sorted(b for b in breaks if 0.0 <= b <= math.pi)
+    total = sum(quad(inner, lo, hi, epsabs=1e-17, epsrel=1e-13, limit=400)[0] for lo, hi in zip(breaks, breaks[1:]))
+    return 4.0 * math.pi * 2.0 * math.pi / (2.0 * math.pi) * total
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("ell, z", [(1, 0.01), (5, 0.01), (1, 0.001), (3, -0.01), (1, 1.0)])
+def test_excursion_variance_at_odd_ell_and_small_level_matches_scipy(ell, z):
+    # at odd ell the upper limit arcsin G of the u integral reaches pi/2 at
+    # theta = 0, where the mirrored term e^{-z^2/(1-sin u)} turns on within
+    # about |z|; the u rule is halved toward it, so small levels keep their
+    # accuracy (the rule of one 48-node panel was off by 2.8e-7 at z = 0.01
+    # and 1.6e-5 at 0.001)
+    assert excursion_variance(ell, 2, z) == pytest.approx(excursion_variance_scipy_d2(ell, z), rel=1e-9)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
