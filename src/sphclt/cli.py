@@ -4,8 +4,8 @@ Subcommands drive the computational modules and emit CSV tables plus a JSON
 manifest per run.  Configuration comes from an optional line-oriented file
 (`key = value`, `#` comments) merged with flags; flags win, unknown keys are
 rejected, one parser per key reads a flag's text and a config line alike, and
-the manifest echoes every resolved value so a run can be reproduced from its
-manifest alone.
+the manifest echoes the resolved value of every key the command takes so a
+run can be reproduced from its manifest alone.
 
 Reproducibility rules: all randomness flows from one master seed (drawn from
 OS entropy and recorded when --seed is absent); --threads only caps workers
@@ -85,15 +85,6 @@ def parse_betas_spec(text: str) -> tuple[float, ...]:
         raise UsageError(f"bad coefficient list {text!r}") from exc
 
 
-def _parse_bool(raw: str) -> bool:
-    word = raw.strip().lower()
-    if word in ("1", "true", "yes", "on"):
-        return True
-    if word in ("0", "false", "no", "off"):
-        return False
-    raise UsageError(f"bad boolean {raw!r} (use true/false, yes/no, on/off or 1/0)")
-
-
 _SWEEPS = ("simulate", "clt", "excursion")
 _ALL = ("moments", "contractions") + _SWEEPS
 
@@ -128,8 +119,6 @@ class RunConfig:
     seed: int | None = _key(None, "--seed", int,
                             "master seed; drawn from entropy and recorded if absent", _SWEEPS)
     replicas: int = _key(2000, "--reps", int, "replicas per multipole (default 2000)", _SWEEPS)
-    allow_odd: bool = _key(False, "--allow-odd", _parse_bool,
-                           "permit odd multipoles (odd chaoses vanish there)", _SWEEPS)
     out_dir: str = _key(".", "--out-dir", str, "output directory (default .)", _ALL)
     threads: int = _key(1, "--threads", int, "worker cap; outputs do not depend on it", _ALL)
 
@@ -223,11 +212,10 @@ def write_csv(path: Path, header, rows):
 
 def write_manifest(path: Path, cfg: RunConfig, outputs, checks, summary=None) -> bool:
     """Write the manifest; returns its `all_passed`."""
-    config_echo = {
-        f.name: getattr(cfg, f.name)
-        for f in fields(RunConfig)
-        if f.name != "threads"  # execution detail; kept out for byte-identical reruns
-    }
+    # the command and the keys it takes, less threads: an execution detail,
+    # kept out for byte-identical reruns
+    config_echo = {"command": cfg.command}
+    config_echo.update((f.name, getattr(cfg, f.name)) for f in _keys(cfg.command) if f.name != "threads")
     all_passed = all(c["passed"] for c in checks)
     doc = {
         "format_version": FORMAT_VERSION,
@@ -355,8 +343,6 @@ def cmd_simulate(cfg: RunConfig) -> int:
     if len(cfg.ell) != 1:
         raise UsageError("simulate runs one multipole at a time; pass --ell with a single value")
     ell = cfg.ell[0]
-    if ell % 2 and not cfg.allow_odd:
-        raise UsageError("odd multipole; pass --allow-odd to simulate it anyway")
     d = cfg.d
     grid = f.grid(ell, d)
     try:
@@ -394,12 +380,7 @@ def _write_sweep_outputs(cfg: RunConfig, report: CltReport, base: str, checks) -
 
     summary = {"warnings": list(report.warnings), "grids": list(report.grids)}
     try:
-        fit = rate_fit(report)
-        summary["rate_fit"] = {
-            "slope": fit.slope, "stderr": fit.stderr, "theory_slope": fit.theory_slope,
-            "decays_at_least_as_fast": fit.decays_at_least_as_fast,
-            "n_used": fit.n_used, "n_below_floor": fit.n_below_floor,
-        }
+        summary["rate_fit"] = rate_fit(report)
     except UsageError as exc:
         summary["rate_fit"] = {"skipped": str(exc)}
     return _write_outputs(cfg, base, _REPORT_HEADER, _report_rows(report), checks, summary, dats)
@@ -441,7 +422,7 @@ def cmd_clt(cfg: RunConfig) -> int:
         name_part = f"q{cfg.q}" if kind == "h" else ("poly" if kind == "Z" else f"z{cfg.z:g}")
         base = f"clt_{kind}_d{cfg.d}_{name_part}"
     report = clt_sweep(kind, cfg.d, list(cfg.ell), cfg.replicas, cfg.seed, q=cfg.q,
-                       betas=cfg.betas, z=cfg.z, threads=cfg.threads, allow_odd=cfg.allow_odd)
+                       betas=cfg.betas, z=cfg.z, threads=cfg.threads)
     return _write_sweep_outputs(cfg, report, base, _sweep_checks(report))
 
 
@@ -476,10 +457,7 @@ def make_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=help_text)
         for f in _keys(command):
             meta = f.metadata
-            # every value reaches build_config as text, a switch's as "true"
-            extra = (dict(action="store_const", const="true") if meta["parse"] is _parse_bool
-                     else dict(choices=meta["choices"]))
-            p.add_argument(meta["flag"], dest=f.name, help=meta["help"], **extra)
+            p.add_argument(meta["flag"], dest=f.name, help=meta["help"], choices=meta["choices"])
         p.add_argument("--config", help="line-oriented config file (key = value); flags win")
     return parser
 

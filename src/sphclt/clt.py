@@ -356,14 +356,18 @@ def _samples(f: Functional, grid: SphereGrid, ell: int, seed: int, replicas: int
 
 def clt_sweep(kind: str, d: int, ell_list, replicas: int, seed: int,
               q: int | None = None, betas=None, z: float | None = None,
-              threads: int = 1, allow_odd: bool = False) -> CltReport:
+              threads: int = 1) -> CltReport:
     """Simulate the requested functional across ell_list and tabulate
     empirical Kolmogorov/Wasserstein distances against rates and bounds.
 
     kind "h" needs q, kind "Z" needs monomial coefficients `betas` (index =
-    power), kind "S" needs the level z.  Multipoles must be even unless
-    allow_odd is set.  Replica chunks are fixed-size and BLAS runs on one
-    thread, so `threads` never changes any output value.
+    power), kind "S" needs the level z.  Odd multipoles need no opt-in: there
+    T(-x) = -T(x) and the odd chaoses vanish, so a functional left with zero
+    variance (h at odd q, Z whose chaoses of order >= 2 are all odd, S at
+    z = 0) raises `ZeroVarianceError`; h and Z at ell = 1, which have no
+    bound, raise `UsageError`.  Both come before the row draws a replica.
+    Replica chunks are fixed-size and BLAS runs on one thread, so `threads`
+    never changes any output value.
     """
     f = Functional.of(kind, q, betas, z)
     if replicas < 200:
@@ -371,8 +375,6 @@ def clt_sweep(kind: str, d: int, ell_list, replicas: int, seed: int,
     ells = [int(l) for l in ell_list]
     if sorted(ells) != ells or len(set(ells)) != len(ells):
         raise UsageError("ell_list must be strictly increasing")
-    if not allow_odd and any(l % 2 for l in ells):
-        raise UsageError("odd multipoles kill odd chaoses; pass allow_odd=True to sweep them anyway")
 
     warns: list[str] = []  # the manifest records them; stderr carries only errors
     if kind == "h" and (d, q) in CLT_EXCLUDED_PAIRS:
@@ -384,10 +386,10 @@ def clt_sweep(kind: str, d: int, ell_list, replicas: int, seed: int,
         grid = f.grid(ell, d)
         grids.append({"ell": ell, **grid.summary()})
         var = f.variance(ell, d)
+        explicit, rate = f.bound(ell, d)  # raises at ell = 1 for h and Z: before any replica is drawn
         mean = f.mean(grid.dim)
         raw = _samples(f, grid, ell, seed, replicas, threads)
         normalized = (raw - mean) / math.sqrt(var)
-        explicit, rate = f.bound(ell, d)
         rows.append(CltRow(
             ell=ell, replicas=replicas,
             empirical_dK=kolmogorov_distance(normalized),
@@ -409,18 +411,10 @@ def clt_sweep(kind: str, d: int, ell_list, replicas: int, seed: int,
 # rate diagnostics
 # ------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RateFit:
-    slope: float
-    stderr: float
-    theory_slope: float
-    decays_at_least_as_fast: bool
-    n_used: int
-    n_below_floor: int
-
-
-def rate_fit(report: CltReport) -> RateFit:
-    """Log-log slope of empirical d_K against ell, floor-filtered.
+def rate_fit(report: CltReport) -> dict:
+    """Log-log slope of empirical d_K against ell, floor-filtered: the
+    manifest's `rate_fit` record, keyed slope, stderr, theory_slope,
+    decays_at_least_as_fast, n_used and n_below_floor.
 
     Rows with d_K below 3 * (0.5/sqrt(replicas)) are Kolmogorov noise and are
     excluded.  The comparison flag is one-sided: measured slope no larger
@@ -434,8 +428,6 @@ def rate_fit(report: CltReport) -> RateFit:
     lx = np.log([r.ell for r in usable])
     slope, _, stderr = fit_line(lx, np.log([r.empirical_dK for r in usable]))
     theory_slope = fit_line(lx, np.log([r.theoretical_rate for r in usable]))[0]
-    return RateFit(
-        slope=slope, stderr=stderr, theory_slope=theory_slope,
-        decays_at_least_as_fast=slope <= theory_slope + 2.0 * stderr,
-        n_used=len(usable), n_below_floor=n_below,
-    )
+    return {"slope": slope, "stderr": stderr, "theory_slope": theory_slope,
+            "decays_at_least_as_fast": slope <= theory_slope + 2.0 * stderr,
+            "n_used": len(usable), "n_below_floor": n_below}

@@ -60,14 +60,10 @@ def test_config_file_merge_and_rejection(tmp_path):
     bad.write_text("qq = 3\n")
     with pytest.raises(UsageError, match="unknown key"):
         read_config_file(str(bad), "moments")
-    # booleans: a word outside the yes/no vocabularies is named, not read as False
-    flag = tmp_path / "flag.cfg"
-    for word, value in (("yes", True), ("off", False)):
-        flag.write_text(f"allow_odd = {word}\n")
-        assert read_config_file(str(flag), "clt") == {"allow_odd": value}
-    flag.write_text("allow_odd = maybe\n")
-    with pytest.raises(UsageError, match="'maybe'"):
-        read_config_file(str(flag), "clt")
+    # odd multipoles need no opt-in, so the old switch is an unknown key
+    bad.write_text("allow_odd = true\n")
+    with pytest.raises(UsageError, match="unknown key 'allow_odd'"):
+        read_config_file(str(bad), "clt")
 
 
 @pytest.mark.parametrize("args, named", [
@@ -102,7 +98,7 @@ def test_flags_win_over_config(tmp_path):
 
 def test_settable_keys_per_command():
     # pinned, so that a new option has to edit this test
-    sweep = ["z", "ell", "seed", "replicas", "allow_odd", "out_dir", "threads"]
+    sweep = ["z", "ell", "seed", "replicas", "out_dir", "threads"]
     assert {command: [f.name for f in _keys(command)] for command in _COMMANDS} == {
         "moments": ["d", "q", "ell", "out_dir", "threads"],
         "contractions": ["d", "q", "ell", "out_dir", "threads"],
@@ -118,10 +114,11 @@ _RUNNABLE = {"moments": ("--q", "3", "--ell", "8"), "simulate": ("--q", "3", "--
 
 @pytest.mark.parametrize("command, flag", [("moments", "--ratio-tol"), ("moments", "--slope-tol"),
                                            ("clt", "--excursion-qmax"),
-                                           ("excursion", "--excursion-qmax")])
+                                           ("excursion", "--excursion-qmax"), ("clt", "--allow-odd")])
 def test_fixed_check_settings_are_not_flags(tmp_path, capsys, command, flag):
     # the check tolerances and the excursion chaos truncation are constants,
-    # so all_passed means the same thing for every run
+    # so all_passed means the same thing for every run; odd multipoles need
+    # no switch
     with pytest.raises(SystemExit) as exc:
         run_cli(command, *_RUNNABLE[command], flag, "0.5", "--out-dir", str(tmp_path))
     assert exc.value.code == 2
@@ -387,7 +384,7 @@ def test_cli_entry_point_help():
     sub_help = subprocess.run([sys.executable, "-m", "sphclt.cli", "clt", "--help"],
                               capture_output=True, text=True)
     for flag in ("--kind", "--d", "--q", "--betas", "--z", "--ell", "--reps", "--seed",
-                 "--threads", "--config", "--out-dir", "--allow-odd"):
+                 "--threads", "--config", "--out-dir"):
         assert flag in sub_help.stdout
 
 
@@ -409,15 +406,54 @@ def test_manifests_describe_the_rule_they_integrated_on(tmp_path):
     assert grid == {"d": 2, "n_nodes": 25 * 7, "exact_degree": 24, "folded": True,
                     "weight_sum": pytest.approx(4 * math.pi, rel=1e-12)}
     # odd ell keeps the full rule
-    run_cli("clt", "--kind", "h", "--q", "2", "--d", "3", "--ell", "3,4", "--allow-odd",
+    run_cli("clt", "--kind", "h", "--q", "2", "--d", "3", "--ell", "3,4",
             "--reps", "200", "--seed", "1", "--out-dir", str(tmp_path))
     grids = json.loads((tmp_path / "clt_h_d3_q2.manifest.json").read_text())["summary"]["grids"]
     assert [(g["ell"], g["n_nodes"], g["exact_degree"], g["folded"]) for g in grids] == [
         (3, 7 * 4 * 4, 6, False), (4, 9 * 5 * 3, 8, True)]
-    run_cli("excursion", "--d", "2", "--z", "1", "--ell", "3,4", "--allow-odd",
+    run_cli("excursion", "--d", "2", "--z", "1", "--ell", "3,4",
             "--reps", "200", "--seed", "1", "--out-dir", str(tmp_path))
     grids = json.loads((tmp_path / "excursion_d2_z1.manifest.json").read_text())["summary"]["grids"]
     assert [(g["ell"], g["n_nodes"], g["folded"]) for g in grids] == [(3, 13 * 7, False), (4, 17 * 9, False)]
+
+
+@pytest.mark.parametrize("args, base", [
+    (("moments", "--q", "3", "--ell", "8"), "moments_d2_q3"),
+    (("contractions", "--q", "3", "--ell", "8"), "contractions_d2_q3"),
+    (("simulate", "--q", "3", "--ell", "8", "--reps", "2", "--seed", "1"), "simulate_h_d2_ell8"),
+    (("clt", "--q", "2", "--ell", "8", "--reps", "200", "--seed", "1"), "clt_h_d2_q2"),
+    (("excursion", "--z", "1", "--ell", "8", "--reps", "200", "--seed", "1"), "excursion_d2_z1"),
+])
+def test_manifest_echoes_the_keys_its_command_takes(tmp_path, args, base):
+    run_cli(*args, "--out-dir", str(tmp_path))
+    config = json.loads((tmp_path / f"{base}.manifest.json").read_text())["config"]
+    assert set(config) == {"command"} | {f.name for f in _keys(args[0])} - {"threads"}
+
+
+@pytest.mark.parametrize("args, code, err", [
+    # ell = 3 integrates on the full rule, 4 on the folded one
+    (("clt", "--kind", "h", "--q", "2", "--d", "3", "--ell", "3,4", "--reps", "200"), 0, ""),
+    (("clt", "--kind", "h", "--q", "3", "--ell", "5,7", "--reps", "200"), 2,
+     "h3 has zero variance at (ell=5, d=2)"),
+    (("clt", "--kind", "Z", "--betas", "0,1,0,1", "--ell", "3,5", "--reps", "200"), 2,
+     "Z has zero variance at (ell=3, d=2)"),
+    (("excursion", "--z", "1", "--ell", "3,5,7", "--reps", "2000", "--threads", "2"), 0, ""),
+    (("excursion", "--z", "0", "--ell", "3,5", "--reps", "200"), 2, "S(z=0) has zero variance at (ell=3, d=2)"),
+    (("simulate", "--kind", "h", "--q", "3", "--ell", "5", "--reps", "3"), 0, ""),
+    (("clt", "--kind", "h", "--q", "4", "--ell", "1,2", "--reps", "2000"), 2, "got (1, 4, 2)"),
+])
+def test_odd_multipoles_run_unless_nothing_is_left_to_measure(tmp_path, capsys, args, code, err):
+    assert run_cli(*args, "--seed", "3", "--out-dir", str(tmp_path)) == code
+    stderr = capsys.readouterr().err
+    assert err in stderr and stderr.count("\n") == (code != 0)
+    if code:
+        assert not list(tmp_path.iterdir())  # refused before any output
+        return
+    manifest = json.loads(next(tmp_path.glob("*.manifest.json")).read_text())
+    assert manifest["all_passed"]
+    if args[0] == "simulate":  # h3 is a.s. 0 at odd ell: raw values only
+        rows = read_rows(tmp_path / "simulate_h_d2_ell5.csv")
+        assert len(rows) == 3 and all(r["normalized"] == "" for r in rows)
 
 
 def test_cli_determinism_across_threads(tmp_path):

@@ -59,16 +59,14 @@ def argv(draw):
         if f.name == "out_dir" or (f.name not in required and not draw(st.booleans())):
             continue
         flag, bad = f.metadata["flag"], draw(st.integers(0, 5)) == 0
-        if f.name == "allow_odd":
-            args.append(flag)
-        elif f.name == "ell":
+        if f.name == "ell":
             valid = st.sampled_from(["2", "4", "6"]) if command == "simulate" else _VALID_ELL
             args += [flag, draw(_BAD_ELL if bad else valid)]
         else:
             args += [flag, draw(st.sampled_from(values[f.name][bad]))]
     if draw(st.integers(0, 9)) == 0:  # a flag the command does not take, or one without its value
         args += draw(st.sampled_from([["--q", "3"], ["--z", "1"], ["--ratio-tol", "0.5"], ["--z", "-1e300"],
-                                      ["--seed"]]))
+                                      ["--seed"], ["--allow-odd"]]))
     return args
 
 

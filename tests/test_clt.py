@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr, ndtri
 
+from sphclt import clt
 from sphclt.clt import (
     BLOCK_VALUES,
     CltReport,
@@ -28,7 +29,7 @@ from sphclt.clt import (
 )
 from sphclt.parallel import CHUNK, single_threaded_blas
 from sphclt.simulate import _replica_values, _sample_batch, build_grid, sample_field
-from sphclt.specfun import ZeroVarianceError, hermite
+from sphclt.specfun import UsageError, ZeroVarianceError, hermite
 
 
 # ------------------------------------------------------------------
@@ -304,12 +305,25 @@ def test_ordered_map_runs_blas_on_one_thread_and_restores_it(threads):
 def test_sweep_validation():
     with pytest.raises(ValueError):
         clt_sweep("h", 2, [8], 100, seed=0, q=2)  # replicas < 200
-    with pytest.raises(ValueError):
-        clt_sweep("h", 2, [7, 8], 300, seed=0, q=2)  # odd ell without flag
+    # odd ell needs no opt-in; the odd chaoses vanish there, so h2 keeps its
+    # variance and h3 has none
+    assert [r.ell for r in clt_sweep("h", 2, [7, 8], 300, seed=0, q=2).rows] == [7, 8]
+    with pytest.raises(ZeroVarianceError, match=r"h3 has zero variance at \(ell=7, d=2\)"):
+        clt_sweep("h", 2, [7], 300, seed=0, q=3)
     with pytest.raises(ValueError):
         clt_sweep("h", 2, [16, 8], 300, seed=0, q=2)  # not increasing
     with pytest.raises(ValueError):
         clt_sweep("x", 2, [8], 300, seed=0)
+
+
+def test_sweep_without_a_bound_fails_before_drawing(monkeypatch):
+    # h and Z have no bound at ell = 1: the sweep refuses before any replica
+    def no_draws(*args):
+        raise AssertionError("a replica was drawn")
+
+    monkeypatch.setattr(clt, "_samples", no_draws)
+    with pytest.raises(UsageError, match=r"got \(1, 4, 2\)"):
+        clt_sweep("h", 2, [1, 2], 200, 1, q=4)
 
 
 def test_sweep_excluded_pair_warning():
@@ -363,23 +377,23 @@ def _synthetic_report(ells, dks, replicas=10_000):
 def test_rate_fit_synthetic_power_law():
     ells = [16, 32, 64, 128]
     fit = rate_fit(_synthetic_report(ells, [ell ** -0.5 for ell in ells]))
-    assert fit.slope == pytest.approx(-0.5, abs=1e-12)
-    assert fit.stderr == pytest.approx(0.0, abs=1e-12)
-    assert fit.decays_at_least_as_fast
+    assert fit["slope"] == pytest.approx(-0.5, abs=1e-12)
+    assert fit["stderr"] == pytest.approx(0.0, abs=1e-12)
+    assert fit["decays_at_least_as_fast"]
 
 
 def test_rate_fit_constant_column():
     ells = [16, 32, 64, 128]
     fit = rate_fit(_synthetic_report(ells, [0.3] * 4))
-    assert fit.slope == pytest.approx(0.0, abs=1e-12)
-    assert not fit.decays_at_least_as_fast
+    assert fit["slope"] == pytest.approx(0.0, abs=1e-12)
+    assert not fit["decays_at_least_as_fast"]
 
 
 def test_rate_fit_floor_exclusion():
     ells = [16, 32, 64, 128, 256]
     dks = [0.3, 0.2, 0.1, 1e-4, 1e-5]  # last two under the MC floor
     fit = rate_fit(_synthetic_report(ells, dks))
-    assert fit.n_below_floor == 2
-    assert fit.n_used == 3
+    assert fit["n_below_floor"] == 2
+    assert fit["n_used"] == 3
     with pytest.raises(ValueError):
         rate_fit(_synthetic_report([16, 32], [0.3, 0.2]))

@@ -603,13 +603,14 @@ def excursion_variance_scipy_d2(ell, z):
 
 
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
-@pytest.mark.parametrize("ell, z", [(1, 0.01), (5, 0.01), (1, 0.001), (3, -0.01), (1, 1.0)])
+@pytest.mark.parametrize("ell, z", [(1, 0.01), (5, 0.01), (1, 0.001), (3, -0.01), (1, 1.0),
+                                    (33, 0.01), (65, 0.01)])
 def test_excursion_variance_at_odd_ell_and_small_level_matches_scipy(ell, z):
     # at odd ell the upper limit arcsin G of the u integral reaches pi/2 at
     # theta = 0, where the mirrored term e^{-z^2/(1-sin u)} turns on within
-    # about |z|; the u rule is halved toward it, so small levels keep their
-    # accuracy (the rule of one 48-node panel was off by 2.8e-7 at z = 0.01
-    # and 1.6e-5 at 0.001)
+    # about |z|; on the first theta panel the u rule is halved toward it, so
+    # small levels keep their accuracy (the rule of one 48-node panel was off
+    # by 2.8e-7 at z = 0.01 and 1.6e-5 at 0.001)
     assert excursion_variance(ell, 2, z) == pytest.approx(excursion_variance_scipy_d2(ell, z), rel=1e-9)
 
 
