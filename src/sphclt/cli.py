@@ -44,7 +44,7 @@ from .clt import (
     functional_Z,
     rate_fit,
 )
-from .contractions import berry_esseen_bound, contraction_table, rate_theoretical
+from .contractions import berry_esseen_bound, contraction_table, expand_power, rate_theoretical
 from .moments import bessel_constant, gegenbauer_moment, log_divergence_check, variance_h
 # build_grid, excursion_variance and sample_field have no caller here;
 # perfbench/spans.py wraps these bindings
@@ -310,12 +310,13 @@ def cmd_contractions(cfg: RunConfig) -> int:
     checks = []
     rows = []
     for ell in cfg.ell:
-        K = contraction_table(ell, q, d)
+        # the bound first: it rejects a chaos order beyond BOUND_MAX_ORDER before any expansion
         try:
             bound = berry_esseen_bound(ell, q, d)
             tv, k, w = bound.bound_tv, bound.bound_k, bound.bound_w
         except ZeroVarianceError:  # h is a.s. zero (odd ell, odd q): no bound
             tv = k = w = None
+        K = contraction_table(ell, q, d)
         rate = rate_theoretical(ell, q, d)
         for r in range(1, q):
             rows.append((d, q, r, ell, float(K[r - 1]), tv, k, w, rate))
@@ -325,6 +326,16 @@ def cmd_contractions(cfg: RunConfig) -> int:
             checks.append(_check(
                 f"contraction_closed_form_ell{ell}", rel <= 1e-10,
                 f"K(2;1) vs mu^4/n^3 relative deviation {rel:.3e}",
+            ))
+        if ell % 2 == 0 or q % 2 == 0:  # else the parity makes the variance exactly 0
+            # int G^q = int G^{q-1} G_ell, and contraction_table has cached G^{q-1}
+            b_ell = float(expand_power(ell, q - 1, d)[ell])
+            spectral = math.factorial(q) * dim.mu_d ** 2 * b_ell / float_harmonics(ell, d)
+            variance = variance_h(ell, q, d)
+            rel = abs(variance - spectral) / spectral if spectral > 0.0 else math.inf
+            checks.append(_check(
+                f"variance_spectral_ell{ell}", rel <= 1e-9,
+                f"Var h vs q! mu_d^2 b_ell^(q-1) / n relative deviation {rel:.3e}",
             ))
 
     return _write_outputs(cfg, f"contractions_d{d}_q{q}",

@@ -5,8 +5,10 @@ orthogonal Gegenbauer family,
 
     G_{ell;d}(t)^p = sum_k b_k G_{k;d}(t),    k = 0 .. p*ell,
 
-computed one degree k at a time, in O(p*ell) memory, with a root-free
-half-range rule (`quadrature.half_range_rule`) exact for G^p G_k.
+built one power at a time as G^p = G^{p-1} G_ell.  The product of two
+Gegenbauer polynomials is a finite sum of them with positive coefficients in
+closed form (Rogers-Dougall, DLMF 18.18.22), so every b_k is a sum of
+positive terms, accurate to about 1e-14 relative, in O(p*ell) memory.
 Convolving two Gegenbauer kernels over S^d reproduces a single one (each
 pairing contributes a factor mu_d / n_{k;d} and a Kronecker delta), so the
 4-point cyclic integral behind the order-r contraction collapses to the
@@ -37,30 +39,50 @@ import numpy as np
 
 from .moments import variance_h
 # gauss_jacobi_rule has no caller here; perfbench/spans.py wraps this binding
-from .quadrature import gauss_jacobi_rule, half_range_rule
-from .specfun import (DegreeCapError, GegenbauerCtx, NumericalError, SphereDim, UsageError, ZeroVarianceError,
-                      dim_harmonics, float_harmonics, orthonormal_jacobi)
+from .quadrature import gauss_jacobi_rule
+from .specfun import (DegreeCapError, NumericalError, SphereDim, UsageError, ZeroVarianceError, dim_harmonics,
+                      float_harmonics)
 
 DEGREE_CAP = 12288
 # poly_bound's integer factors, such as (r-1)!^2 C(q-1,r-1)^4 (2q-2r)!, overflow a float beyond this order
 BOUND_MAX_ORDER = 80
 
 
+def _log_rising_ratio(x: float, y: float, n: int) -> np.ndarray:
+    """log((x)_k / (y)_k) for k = 0..n, summed in extended precision where
+    numpy has it: the ratio of consecutive terms is 1 + (x - y)/(y + k)."""
+    k = np.arange(n, dtype=np.longdouble)
+    return np.concatenate(([0.0], np.cumsum(np.log1p((x - y) / (y + k)))))
+
+
 @lru_cache(maxsize=512)
 def _expand_power_cached(ell: int, p: int, d: int) -> np.ndarray:
     deg = p * ell
-    # G^p G_k is even for k = deg (mod 2), of degree <= 2 deg, so for those k
-    # b_k = <G^p, G_k>_w / <G_k, G_k>_w = <G^p, p_k>_w p_k(1), with p_k
-    # orthonormal for the weight, is twice the half-range sum; t = 1 rides
-    # along at weight 0
-    t, w = half_range_rule(2 * deg, d)
-    power_w = np.append(2.0 * GegenbauerCtx(ell, SphereDim(d)).evaluate(t) ** p * w, 0.0)
-    # the opposite parity vanishes, which the half-range sum does not show:
-    # those k are skipped, though the recurrence still passes through them
     coeffs = np.zeros(deg + 1)
-    for k, pk in enumerate(orthonormal_jacobi(deg, d / 2.0 - 1.0, np.append(t, 1.0))):
-        if (deg - k) % 2 == 0:
-            coeffs[k] = (pk @ power_w) * pk[-1]
+    if p == 1:
+        coeffs[ell] = 1.0
+        coeffs.setflags(write=False)
+        return coeffs
+    prev = _expand_power_cached(ell, p - 1, d)
+    # G_j G_ell = sum_s c(j, ell, s) G_{N-2s}, N = j + ell, s = 0..min(j, ell), with
+    #   c = (N+lam-2s)/(N+lam-s) a_s a_{j-s} a_{ell-s} (2lam)_{N-s}/(lam)_{N-s} j! ell!/((2lam)_j (2lam)_ell),
+    # a_k = (lam)_k / k!: Rogers-Dougall (DLMF 18.18.22) over G_k(1) = 1.  Every
+    # term is positive, so each b_k is a sum without cancellation
+    lam = (d - 1) / 2.0
+    log_a = _log_rising_ratio(lam, 1.0, deg)
+    log_f = _log_rising_ratio(1.0, 2.0 * lam, deg)
+    log_lk = np.log(np.arange(deg + 1, dtype=np.longdouble) + lam)
+    # the factors of c indexed by j - s: a_{j-s} (2lam)_{N-s} / ((lam)_{N-s} (N+lam-s))
+    shift = (log_a[:deg - ell + 1] + _log_rising_ratio(2.0 * lam, lam, deg)[ell:] - log_lk[ell:]).astype(float)
+    nz = np.flatnonzero(prev)
+    scale = (np.log(prev[nz]) + log_f[nz] + log_f[ell]).astype(float)
+    log_a, log_lk = log_a.astype(float), log_lk.astype(float)
+    for j, c in zip(nz.tolist(), scale.tolist()):
+        n, top = min(j, ell), j + ell
+        # s = n - i for i = 0..n, which lands on G_{top-2n+2i}; the opposite
+        # parity is never written and stays exactly 0
+        terms = log_a[n::-1] + log_a[ell - n:ell + 1] + shift[j - n:j + 1] + log_lk[top - 2 * n:top + 1:2]
+        coeffs[top - 2 * n:top + 1:2] += np.exp(terms + c)
     coeffs.setflags(write=False)
     return coeffs
 
@@ -72,6 +94,8 @@ def expand_power(ell: int, p: int, d: int) -> np.ndarray:
         raise UsageError(f"need ell >= 0, p >= 1, d >= 2, got ({ell}, {p}, {d})")
     if p * ell > DEGREE_CAP:
         raise DegreeCapError(f"expansion degree {p * ell} exceeds cap {DEGREE_CAP}")
+    for r in range(2, p):  # bottom-up, so that each power recurses one level deep
+        _expand_power_cached(ell, r, d)
     return _expand_power_cached(ell, p, d)
 
 

@@ -1,12 +1,10 @@
 """Shared deterministic quadrature rules.
 
-Three building blocks:
+Two building blocks:
   - composite Gauss-Legendre panels on an interval (the Bessel-constant
     sums map one onto each zero interval; the excursion variance uses both),
   - exact-degree Gauss-Jacobi rules for the weight (1-t^2)^{d/2-1} that the
-    surface measure of S^d induces on t = cos(theta); cached per (n, d),
-  - a root-free half-range rule for the same weight on [0, 1], exact for
-    even polynomials, whose weights come from closed-form moments by one FFT.
+    surface measure of S^d induces on t = cos(theta); cached per (n, d).
 
 Gauss-Legendre nodes come from numpy.  Gauss-Jacobi nodes are zeros of the
 orthonormal polynomial, found by Newton's method on its recurrence, and the
@@ -22,7 +20,6 @@ from collections import deque
 from functools import lru_cache
 
 import numpy as np
-from numpy.fft import fft
 from numpy.polynomial.legendre import leggauss
 
 from .specfun import UsageError, orthonormal_jacobi
@@ -97,36 +94,3 @@ def gauss_jacobi_rule(n: int, d: int):
     # p_k(-t)^2 = p_k(t)^2, so the weights too are computed on t >= 0 and mirrored
     w = 1.0 / sum(p * p for p in orthonormal_jacobi(n - 1, alpha, upper))
     return np.concatenate((-upper[::-1][:n // 2], upper)), np.concatenate((w[::-1][:n // 2], w))
-
-
-def half_range_rule(degree: int, d: int):
-    """Rule for integral_0^1 f(t) (1-t^2)^{d/2-1} dt, exact for even
-    polynomials f of degree <= `degree`; it needs no roots.
-
-    Under t = cos theta the integral is that of g(theta) sin^sigma theta over
-    (0, pi/2), sigma = (d-1) mod 2, with g = f(cos) sin^{d-1-sigma} a cosine
-    polynomial in 2 theta of degree J = degree/2 + (d-1-sigma)/2.  The
-    n = J + 1 midpoints theta_i = (i + 1/2) pi / (2n) interpolate g exactly
-    (Fejer's first rule in 2 theta), so the weights are
-        w_i = sin^{d-1-sigma} theta_i * v_i,
-        v_i = (1/n) [m_0 + 2 sum_{j=1}^{n-1} m_j cos(2 j theta_i)],
-    one DCT-III of the moments m_j = integral_0^{pi/2} cos(2 j psi) sin^sigma psi
-    dpsi (Waldvogel 2006, BIT 46:195).  Keeping the even power of the sine
-    outside the DCT keeps each weight relatively accurate near t = 1, where
-    the weight function vanishes.  Returns (t, w), t decreasing in (0, 1).
-    """
-    if degree < 0:
-        raise UsageError(f"need degree >= 0, got {degree}")
-    if d < 2:
-        raise UsageError(f"sphere dimension must be >= 2, got {d}")
-    sigma = (d - 1) % 2
-    n = degree // 2 + (d - 1 - sigma) // 2 + 1
-    # m_0 = pi/2 or 1, then m_{j+1} / m_j = -(sigma/2 - j) / (sigma/2 + j + 1)
-    j = np.arange(n - 1.0)
-    m = np.cumprod(np.concatenate(([1.0 if sigma else 0.5 * math.pi],
-                                   (j - 0.5 * sigma) / (0.5 * sigma + j + 1.0))))
-    m[0] *= 0.5
-    # the DCT-III as the real part of one zero-padded FFT of length 2n
-    v = 2.0 / n * fft(m * np.exp(-0.5j * math.pi / n * np.arange(n)), 2 * n)[:n].real
-    theta = (np.arange(n) + 0.5) * (0.5 * math.pi / n)
-    return np.cos(theta), np.sin(theta) ** (d - 1 - sigma) * v

@@ -187,6 +187,20 @@ def test_contractions_odd_odd_blank_bounds(tmp_path):
     rows = read_rows(tmp_path / "contractions_d2_q3.csv")
     assert rows and all(r["bound_tv"] == r["bound_k"] == r["bound_w"] == "" for r in rows)
     assert [r["K"] for r in rows] == ["0.0", "0.0"]  # the exact parity zeros, not an underflow
+    manifest = json.loads((tmp_path / "contractions_d2_q3.manifest.json").read_text())
+    assert manifest["checks"] == []  # the variance is exactly 0: nothing to compare
+
+
+@pytest.mark.parametrize("d, ell, expected", [(60, 400, 1), (60, 100, 1), (30, 400, 1), (20, 400, 0)])
+def test_contractions_variance_spectral_check(tmp_path, d, ell, expected):
+    # Var h_{ell;q} = q! mu_d^2 b_ell^(q-1) / n_ell; at large d the moment
+    # behind variance_h loses the weight near the equator, and the run fails
+    # (at d = 60, ell = 400 its bound_k was negative)
+    code = run_cli("contractions", "--d", str(d), "--q", "3", "--ell", str(ell), "--out-dir", str(tmp_path))
+    assert code == expected
+    manifest = json.loads((tmp_path / f"contractions_d{d}_q3.manifest.json").read_text())
+    [check] = [c for c in manifest["checks"] if c["name"] == f"variance_spectral_ell{ell}"]
+    assert check["passed"] is (expected == 0)
 
 
 def test_contractions_bound_fault_propagates(tmp_path, monkeypatch):

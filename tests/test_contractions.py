@@ -1,11 +1,14 @@
 """Spectral expansions, contraction norms, bounds and rates.
 
 The Monte Carlo evaluation of the 4-point cyclic integral doubles as the
-independent oracle for the spectral collapse; the Legendre linearization of
-P_2^2 is checked against its textbook coefficients.
+independent oracle for the spectral collapse.  The expansions of G^p are
+checked against the Legendre linearization of P_2^2, the exact Wigner 3j
+squares of P_ell^2, and a projection by quadrature (`oracles.project_power`).
 """
 
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ import pytest
 from sphclt.contractions import (
     DegreeCapError,
     ZeroVarianceError,
+    _expand_power_cached,
     berry_esseen_bound,
     contraction_norm,
     contraction_table,
@@ -25,7 +29,7 @@ from sphclt.contractions import (
 from sphclt.moments import gegenbauer_moment, variance_h
 from sphclt.specfun import NumericalError, SphereDim, dim_harmonics
 
-from oracles import mc_kernel_contraction
+from oracles import mc_kernel_contraction, project_power
 
 MU = {d: SphereDim(d) for d in (2, 3, 4, 5)}
 
@@ -70,10 +74,65 @@ def test_expand_power_degree_cap():
         expand_power(4097, 3, 2)
 
 
+def _assert_exact_identities(ell, p, d, tol=1e-13):
+    # sum_k b_k = G(1)^p = 1; every Rogers-Dougall term is positive; and
+    # b_0^(p) = int G^p / int 1 = <G^{p-1}, G_ell> / <1, 1> = b_ell^(p-1) / n_ell
+    b = expand_power(ell, p, d)
+    assert abs(b.sum() - 1.0) < tol
+    assert np.all(b >= 0.0)
+    assert b[0] * dim_harmonics(ell, d) == pytest.approx(expand_power(ell, p - 1, d)[ell], rel=tol)
+
+
 @pytest.mark.parametrize("ell,p", [(1024, 4), (2048, 2)])
 def test_expand_power_sum_at_high_degree(ell, p):
-    # sum_k b_k = G(1)^p = 1 rests on every weight of the half-range rule
-    assert abs(expand_power(ell, p, 2).sum() - 1.0) < 1e-10
+    _assert_exact_identities(ell, p, 2)
+
+
+@pytest.mark.parametrize("d", [45, 171, 342])
+@pytest.mark.parametrize("ell", [4, 64, 400])
+@pytest.mark.parametrize("p", [2, 3])
+def test_expand_power_at_large_dimension(ell, p, d):
+    # a projection by quadrature loses the mass near the equator here: at
+    # (400, 2, 342) its sum b - 1 is -5e6; a warning would fail the suite
+    _assert_exact_identities(ell, p, d, tol=1e-12)
+
+
+def _wigner_3j_square(ell, k):
+    """(ell ell k; 0 0 0)^2 for even k, exactly:
+    k!^2 (2 ell - k)! / (2 ell + k + 1)! * (g! / ((g - ell)!^2 (g - k)!))^2, g = ell + k/2."""
+    f = math.factorial
+    g = ell + k // 2
+    return (Fraction(f(k) ** 2 * f(2 * ell - k), f(2 * ell + k + 1))
+            * Fraction(f(g), f(g - ell) ** 2 * f(g - k)) ** 2)
+
+
+@pytest.mark.parametrize("ell", [2, 7, 40, 150, 400])
+def test_expand_power_wigner_3j_at_d2(ell):
+    # P_ell^2 = sum_k (2k + 1) (ell ell k; 0 0 0)^2 P_k
+    b = expand_power(ell, 2, 2)
+    for k in range(0, 2 * ell + 1, 2):
+        exact = float((2 * k + 1) * _wigner_3j_square(ell, k))
+        assert abs(b[k] / exact - 1.0) <= 5e-14, k
+
+
+def test_expand_power_memory_stays_linear():
+    # the whole chain p = 1..6 at the cap holds a few 1-D arrays of length
+    # p * ell (1.5 MB in all); a (j, s) table of the last product would take 84 MB
+    _expand_power_cached.cache_clear()
+    tracemalloc.start()
+    try:
+        expand_power(2048, 6, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+
+
+def test_expand_power_high_power_recurses_one_level():
+    # each power takes the one below from the cache; built bottom-up, the
+    # chain never nests deeper than one call, at any p
+    _expand_power_cached.cache_clear()
+    assert expand_power(0, 2000, 3).tolist() == [1.0]
 
 
 def _parseval(b, d):
@@ -83,25 +142,28 @@ def _parseval(b, d):
 
 
 def test_expand_power_parseval_at_high_degree():
-    b = expand_power(1024, 4, 2)
-    assert _parseval(b, 2) == pytest.approx(gegenbauer_moment(1024, 8, 2, "full").value, rel=1e-9)
+    full = gegenbauer_moment(1024, 8, 2, "full").value
+    for b in (expand_power(1024, 4, 2), project_power(1024, 4, 2)):
+        assert _parseval(b, 2) == pytest.approx(full, rel=1e-9)
 
 
 # (2048, 6, 2) sits at DEGREE_CAP = 12288.  At (1024, 3, 4) and (1365, 3, 3)
-# the half-range weights need sin^{d-1-sigma} theta kept out of the FFT;
-# folded into it, the weights near t = 1 lose relative accuracy and
-# (1024, 3, 4) gives sum b - 1 = 1e-4
+# the half-range weights of the projection need sin^{d-1-sigma} theta kept
+# out of the FFT; folded into it, the weights near t = 1 lose relative
+# accuracy and (1024, 3, 4) gives sum b - 1 = 1e-4
 @pytest.mark.parametrize("ell,p,d,tol", [(2048, 6, 2, 1e-8), (1024, 3, 4, 1e-9), (1365, 3, 3, 1e-9)])
 def test_expand_power_sum_and_parseval(ell, p, d, tol):
-    b = expand_power(ell, p, d)
-    assert abs(b.sum() - 1.0) < tol
+    _assert_exact_identities(ell, p, d)
     full = gegenbauer_moment(ell, 2 * p, d, "full").value
-    assert _parseval(b, d) == pytest.approx(full, rel=tol)
+    for b in (expand_power(ell, p, d), project_power(ell, p, d)):
+        assert abs(b.sum() - 1.0) < tol
+        assert _parseval(b, d) == pytest.approx(full, rel=tol)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_expand_power_matches_gauss_jacobi_reference(d):
-    # the same projection on the full-range (p*ell + 2)-point Gauss-Jacobi rule
+    # both expansions against a projection on the full-range (p*ell + 2)-point
+    # Gauss-Jacobi rule
     from sphclt.quadrature import gauss_jacobi_rule
     from sphclt.specfun import GegenbauerCtx, orthonormal_jacobi
     ell, p = 1024, 3
@@ -111,8 +173,8 @@ def test_expand_power_matches_gauss_jacobi_reference(d):
     ref = np.array([(pk @ power_w) * pk[-1]
                     for pk in orthonormal_jacobi(deg, d / 2.0 - 1.0, np.append(t, 1.0))])
     ref[(np.arange(deg + 1) - deg) % 2 == 1] = 0.0
-    b = expand_power(ell, p, d)
-    assert np.max(np.abs(b - ref)) < 1e-9 * np.max(np.abs(ref))
+    for b in (expand_power(ell, p, d), project_power(ell, p, d)):
+        assert np.max(np.abs(b - ref)) < 1e-9 * np.max(np.abs(ref))
 
 
 def test_spectral_variance_cross_check():

