@@ -44,19 +44,21 @@ from .clt import (
     functional_Z,
     rate_fit,
 )
-from .contractions import berry_esseen_bound, contraction_table, expand_power, rate_theoretical
-from .moments import bessel_constant, gegenbauer_moment, log_divergence_check, variance_h
+from .contractions import berry_esseen_bound, contraction_table, rate_theoretical
+from .moments import (bessel_constant, dougall_coefficient, expand_power, gegenbauer_moment, log_divergence_check,
+                      variance_h)
 # build_grid, excursion_variance and sample_field have no caller here;
 # perfbench/spans.py wraps these bindings
 from .simulate import build_grid, excursion_variance, sample_field
 from .specfun import (DivergentIntegralError, NumericalError, SphcltError, SphereDim, UsageError, ZeroVarianceError,
-                      dim_harmonics, float_harmonics)
+                      dim_harmonics, float_factorial, float_harmonics)
 
 FORMAT_VERSION = "1"
 # the tolerances of the `moments` checks are fixed, so `all_passed` means the
 # same thing for every run
 RATIO_TOL = 0.05
 SLOPE_TOL = 0.10
+EXPANSION_SUM_TOL = 1e-12
 # `simulate` holds about 200 bytes per replica in its CSV rows, the sweeps about
 # 60 (tracemalloc peaks at 1e5 replicas, ell = 2): this many stay below 1 GB
 MAX_REPLICAS = 5_000_000
@@ -261,11 +263,19 @@ def cmd_moments(cfg: RunConfig) -> int:
 
     rows = []
     for ell in cfg.ell:
-        if q == 2:
-            moment = dim.mu_d / (2.0 * dim.mu_dm1 * float_harmonics(ell, d))
-        else:
-            moment = gegenbauer_moment(ell, q, d, "half").value
         variance = variance_h(ell, q, d)
+        if q * ell % 2:  # G^q is odd: the FFT, since the expansion of the half moment cancels
+            moment = gegenbauer_moment(ell, q, d, "half").value
+        else:  # G^q is even, so the half range holds half the full moment
+            moment = variance / (2.0 * float_factorial(q) * dim.mu_d * dim.mu_dm1)
+            if q >= 3:  # G_ell(1) = 1, so the expansions behind the variance sum to 1
+                powers = sorted({q // 2, q - q // 2})
+                dev = max(abs(float(np.sum(expand_power(ell, p, d))) - 1.0) for p in powers)
+                checks.append(_check(
+                    f"expansion_sum_ell{ell}", dev <= EXPANSION_SUM_TOL,
+                    f"max |sum_k b_k^(p) - 1| over p = {', '.join(map(str, powers))}: {dev:.3e} "
+                    f"(tol {EXPANSION_SUM_TOL})",
+                ))
         c_val = const.value if const is not None else None
         try:
             ratio = float(ell) ** d * moment / c_val if c_val and q >= 3 else None
@@ -328,14 +338,19 @@ def cmd_contractions(cfg: RunConfig) -> int:
                 f"K(2;1) vs mu^4/n^3 relative deviation {rel:.3e}",
             ))
         if ell % 2 == 0 or q % 2 == 0:  # else the parity makes the variance exactly 0
-            # int G^q = int G^{q-1} G_ell, and contraction_table has cached G^{q-1}
-            b_ell = float(expand_power(ell, q - 1, d)[ell])
+            # int G^q = int G^{q-1} G_ell: the r = 1 form of the sum behind variance_h, which
+            # contraction_table has cached; at q = 3 that is the same sum, so its one term
+            # b_ell^(2) comes from the scalar closed form instead
+            if q == 3:
+                b_ell, source = dougall_coefficient(ell, ell, ell // 2, d), "c(ell, ell, ell/2)"
+            else:
+                b_ell, source = float(expand_power(ell, q - 1, d)[ell]), f"b_ell^({q - 1})"
             spectral = math.factorial(q) * dim.mu_d ** 2 * b_ell / float_harmonics(ell, d)
             variance = variance_h(ell, q, d)
             rel = abs(variance - spectral) / spectral if spectral > 0.0 else math.inf
             checks.append(_check(
                 f"variance_spectral_ell{ell}", rel <= 1e-9,
-                f"Var h vs q! mu_d^2 b_ell^(q-1) / n relative deviation {rel:.3e}",
+                f"Var h vs q! mu_d^2 {source} / n relative deviation {rel:.3e}",
             ))
 
     return _write_outputs(cfg, f"contractions_d{d}_q{q}",

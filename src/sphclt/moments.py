@@ -1,5 +1,5 @@
-"""Gegenbauer moment integrals, exact variance identities and the limiting
-Bessel constants.
+"""Gegenbauer moment integrals, the expansions of powers of G, exact variance
+identities and the limiting Bessel constants.
 
 The central quantities are
     m(ell, q, d)   = integral of G_{ell;d}(cos theta)^q (sin theta)^{d-1}
@@ -11,10 +11,23 @@ and the large-ell limits  ell^d * m_half -> c(q, d)  with
 The ratio ell^d * m_half / c(q, d) is formed by `sphclt moments` alone, for
 q >= 3: at q = 2 the half-range moment decays like ell^{-(d-1)} instead.
 
-Moment integrals are exact up to rounding: G^q sin^{d-1} theta is a
-trigonometric polynomial of degree q*ell + d - 1, so one FFT of its samples
-at 2 (q*ell + d) equispaced angles integrates it exactly.  q*ell is capped at
-MOMENT_DEGREE_CAP.  The infinite Bessel integrals are summed zero-interval by
+Powers of G are expanded in the orthogonal Gegenbauer family,
+    G_{ell;d}(t)^p = sum_k b_k^{(p)} G_{k;d}(t),    k = 0 .. p*ell,
+one power at a time as G^p = G^{p-1} G_ell.  The product of two Gegenbauer
+polynomials is a finite sum of them with positive coefficients in closed form
+(Rogers-Dougall, DLMF 18.18.22), so every b_k is a sum of positive terms,
+accurate to about 1e-14 relative, in O(p*ell) memory.  G^2 takes one O(ell)
+pass; each higher power costs O(ell) per nonzero coefficient of the one below.
+The G_k are orthogonal, with integral mu_d / (mu_{d-1} n_{k;d}) of G_k^2, so
+    Var[h_{ell;q,d}] = q! mu_d^2 sum_k b_k^{(r)} b_k^{(q-r)} / n_{k;d}
+for any 1 <= r < q.  At r = floor(q/2) every term is positive and only degree
+ceil(q/2)*ell is expanded: one O(ell) pass up to q = 4.
+
+At even q*ell, G^q is even, so m_half = m_full / 2 follows from the variance.
+At odd q*ell the expansion of m_half alternates in sign and cancels; there
+G^q sin^{d-1} theta is a trigonometric polynomial of degree q*ell + d - 1, so
+one FFT of its samples at 2 (q*ell + d) equispaced angles integrates it
+exactly.  The infinite Bessel integrals are summed zero-interval by
 zero-interval: for odd q the panel sums alternate and are accelerated by
 iterated averaging, for even q the non-oscillating part of the tail (the mean
 of cos^q over a period) is integrated in closed form and the remainder
@@ -38,13 +51,17 @@ from numpy.fft import irfft, rfft
 
 from .quadrature import panel_nodes
 from .specfun import (BESSEL_MAX_ORDER, DegreeCapError, DivergentIntegralError, NumericalError, SphereDim,
-                      ToleranceNotMetError, UsageError, bessel_j, bessel_j_zeros, float_factorial, float_harmonics)
+                      ToleranceNotMetError, UsageError, bessel_j, bessel_j_zeros, float_factorial, float_harmonics,
+                      harmonics_table)
 
 # c(q, d) converges when successive zero budgets agree to BESSEL_TOL
 BESSEL_TOL = 1e-9
 BESSEL_MAX_ZEROS = 16384
-# gegenbauer_moment needs about 380 bytes per unit of q*ell (400 MB at the cap)
+# gegenbauer_moment needs about 380 bytes per unit of q*ell (400 MB at the cap);
+# the O(ell) expansion of G^2 shares the cap on its degree 2*ell
 MOMENT_DEGREE_CAP = 2 ** 20
+# from G^3 on, expand_power does O(p ell^2) work: p*ell is capped here
+DEGREE_CAP = 12288
 
 
 @dataclass(frozen=True)
@@ -85,7 +102,8 @@ def gegenbauer_moment(ell: int, q: int, d: int, rng: str = "full") -> MomentResu
     Fourier coefficients f_k without aliasing, and
         integral_0^b F = Re[f_0 b + 2 sum_{k >= 1} f_k (e^{ikb} - 1) / (ik)].
     G is sampled by one inverse FFT of `_ctx`; `panels` holds M.  Results are
-    memoized, so the table, variance and slope of one run share each moment.
+    memoized.  `sphclt moments` takes only its odd-q*ell half moments from
+    here: every other moment follows from `variance_h`.
     """
     if ell < 1 or q < 1 or d < 2:
         raise UsageError(f"need ell >= 1, q >= 1, d >= 2, got ({ell}, {q}, {d})")
@@ -110,12 +128,85 @@ def gegenbauer_moment(ell: int, q: int, d: int, rng: str = "full") -> MomentResu
     return MomentResult(value=value, panels=m)
 
 
+def _log_rising_ratio(x: float, y: float, n: int) -> np.ndarray:
+    """log((x)_k / (y)_k) for k = 0..n, summed in extended precision where
+    numpy has it: the ratio of consecutive terms is 1 + (x - y)/(y + k)."""
+    k = np.arange(n, dtype=np.longdouble)
+    return np.concatenate(([0.0], np.cumsum(np.log1p((x - y) / (y + k)))))
+
+
+@lru_cache(maxsize=512)
+def _expand_power_cached(ell: int, p: int, d: int) -> np.ndarray:
+    deg = p * ell
+    coeffs = np.zeros(deg + 1)
+    if p == 1:
+        coeffs[ell] = 1.0
+        coeffs.setflags(write=False)
+        return coeffs
+    prev = _expand_power_cached(ell, p - 1, d)
+    # G_j G_ell = sum_s c(j, ell, s) G_{N-2s}, N = j + ell, s = 0..min(j, ell), with
+    #   c = (N+lam-2s)/(N+lam-s) a_s a_{j-s} a_{ell-s} (2lam)_{N-s}/(lam)_{N-s} j! ell!/((2lam)_j (2lam)_ell),
+    # a_k = (lam)_k / k!: Rogers-Dougall (DLMF 18.18.22) over G_k(1) = 1.  Every
+    # term is positive, so each b_k is a sum without cancellation
+    lam = (d - 1) / 2.0
+    log_a = _log_rising_ratio(lam, 1.0, deg)
+    log_f = _log_rising_ratio(1.0, 2.0 * lam, deg)
+    log_lk = np.log(np.arange(deg + 1, dtype=np.longdouble) + lam)
+    # the factors of c indexed by j - s: a_{j-s} (2lam)_{N-s} / ((lam)_{N-s} (N+lam-s))
+    shift = (log_a[:deg - ell + 1] + _log_rising_ratio(2.0 * lam, lam, deg)[ell:] - log_lk[ell:]).astype(float)
+    nz = np.flatnonzero(prev)
+    scale = (np.log(prev[nz]) + log_f[nz] + log_f[ell]).astype(float)
+    log_a, log_lk = log_a.astype(float), log_lk.astype(float)
+    for j, c in zip(nz.tolist(), scale.tolist()):
+        n, top = min(j, ell), j + ell
+        # s = n - i for i = 0..n, which lands on G_{top-2n+2i}; the opposite
+        # parity is never written and stays exactly 0
+        terms = log_a[n::-1] + log_a[ell - n:ell + 1] + shift[j - n:j + 1] + log_lk[top - 2 * n:top + 1:2]
+        coeffs[top - 2 * n:top + 1:2] += np.exp(terms + c)
+    coeffs.setflags(write=False)
+    return coeffs
+
+
+def expand_power(ell: int, p: int, d: int) -> np.ndarray:
+    """Coefficients b_0..b_{p*ell} of G_{ell;d}^p over G_{0..p*ell;d}, read-only
+    (cached per (ell, p, d)).  The degree is capped by the cost of the
+    expansion: MOMENT_DEGREE_CAP up to p = 2, DEGREE_CAP beyond."""
+    if ell < 0 or p < 1 or d < 2:
+        raise UsageError(f"need ell >= 0, p >= 1, d >= 2, got ({ell}, {p}, {d})")
+    cap, name = (MOMENT_DEGREE_CAP, "MOMENT_DEGREE_CAP") if p <= 2 else (DEGREE_CAP, "DEGREE_CAP")
+    if p * ell > cap:
+        raise DegreeCapError(f"expansion degree p*ell = {p * ell} of G^{p} exceeds cap {name} = {cap}")
+    for r in range(2, p):  # bottom-up, so that each power recurses one level deep
+        _expand_power_cached(ell, r, d)
+    return _expand_power_cached(ell, p, d)
+
+
+def dougall_coefficient(j: int, ell: int, s: int, d: int) -> float:
+    """c(j, ell, s) of the comment in `_expand_power_cached`, the coefficient
+    of G_{j+ell-2s} in G_j G_ell, as one product of `math.lgamma` terms: a
+    scalar reference for the expansions, about 1e-11 relative at degree 2048."""
+    lam = (d - 1) / 2.0
+
+    def log_rising(x, k):
+        return math.lgamma(x + k) - math.lgamma(x)
+
+    def log_a(k):
+        return log_rising(lam, k) - math.lgamma(k + 1.0)
+
+    n = j + ell
+    return math.exp(math.log((n + lam - 2 * s) / (n + lam - s)) + log_a(s) + log_a(j - s) + log_a(ell - s)
+                    + log_rising(2.0 * lam, n - s) - log_rising(lam, n - s)
+                    + math.lgamma(j + 1.0) + math.lgamma(ell + 1.0)
+                    - log_rising(2.0 * lam, j) - log_rising(2.0 * lam, ell))
+
+
 def variance_h(ell: int, q: int, d: int) -> float:
-    """Var[h_{ell;q,d}] = q! mu_d mu_{d-1} * full-range moment.
+    """Var[h_{ell;q,d}] = q! mu_d^2 sum_k b_k^{(r)} b_k^{(q-r)} / n_{k;d} at
+    r = floor(q/2), with n_0 = 1.
 
     q = 0 and q = 1 give 0 (constant and mean-zero linear term); odd ell with
     odd q gives exactly 0 by parity; q = 2 is served by the exact identity
-    2 mu_d^2 / n_{ell;d}, never by quadrature.
+    2 mu_d^2 / n_{ell;d}.
     """
     if ell < 1 or q < 0 or d < 2:
         raise UsageError(f"need ell >= 1, q >= 0, d >= 2, got ({ell}, {q}, {d})")
@@ -126,9 +217,10 @@ def variance_h(ell: int, q: int, d: int) -> float:
     dim = SphereDim(d)
     if q == 2:
         return 2.0 * dim.mu_d ** 2 / float_harmonics(ell, d)
-    # symmetric integrand: full range equals twice the half range
-    half = gegenbauer_moment(ell, q, d, "half")
-    return float_factorial(q) * dim.mu_d * dim.mu_dm1 * 2.0 * half.value
+    r = q // 2
+    c = expand_power(ell, q - r, d)  # the higher power first: its cap is checked before any work
+    b = expand_power(ell, r, d)
+    return float_factorial(q) * dim.mu_d ** 2 * float(np.sum(b * c[:b.size] / harmonics_table(r * ell, d)))
 
 
 # ------------------------------------------------------------------

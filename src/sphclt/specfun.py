@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -130,6 +131,28 @@ def float_harmonics(ell: int, d: int) -> float:
     if n > sys.float_info.max:  # an exact comparison of int and float
         raise NumericalError(f"n_{{{ell};{d}}}, the number of degree-{ell} harmonics on S^{d}, overflows a float")
     return float(n)
+
+
+@lru_cache(maxsize=64)
+def harmonics_table(kmax: int, d: int) -> np.ndarray:
+    """n_{k;d} for k = 0..kmax (n_0 = 1) as read-only floats, each equal to
+    float(dim_harmonics(k, d)).
+
+    n_k = (2k + d - 1) C(k + d - 2, d - 2) / (d - 1) is built in integers, by
+    C(k + j, j) = C(k + j - 1, j - 1) (k + j) / j for j = 1..d-2, so every
+    division is exact; no intermediate exceeds (d - 1) n_kmax.  They run
+    in int64 where that bound fits and in Python integers beyond it, and one
+    correctly rounded conversion makes the floats.
+    """
+    float_harmonics(max(kmax, 1), d)  # n_k grows with k: the largest must fit a float
+    fits = (d - 1) * dim_harmonics(max(kmax, 1), d) < 2 ** 63
+    k = np.arange(kmax + 1, dtype=np.int64 if fits else object)
+    c = np.ones_like(k)
+    for j in range(1, d - 1):
+        c = c * (k + j) // j
+    n = ((2 * k + d - 1) * c // (d - 1)).astype(float)
+    n.setflags(write=False)
+    return n
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,13 @@
 - `half_range_rule` and `project_power`: the Gegenbauer expansion of G^p by
   quadrature, one degree k at a time on a root-free half-range rule, an
   independent check of the Rogers-Dougall recursion in
-  `sphclt.contractions.expand_power`.
+  `sphclt.moments.expand_power`.
+- `dougall_exact`: one Rogers-Dougall coefficient in exact rationals, the
+  reference for the variance sums at large d.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from numpy.fft import fft
@@ -148,3 +151,26 @@ def project_power(ell: int, p: int, d: int) -> np.ndarray:
         if (deg - k) % 2 == 0:
             coeffs[k] = (pk @ power_w) * pk[-1]
     return coeffs
+
+
+def dougall_exact(j: int, ell: int, s: int, d: int) -> Fraction:
+    """c(j, ell, s), the coefficient of G_{j+ell-2s;d} in G_{j;d} G_{ell;d},
+    in exact rationals: with lam = (d-1)/2, N = j + ell and a_k = (lam)_k / k!,
+        c = (N+lam-2s)/(N+lam-s) a_s a_{j-s} a_{ell-s} (2lam)_{N-s}/(lam)_{N-s}
+            * j! ell! / ((2lam)_j (2lam)_ell)
+    (Rogers-Dougall, DLMF 18.18.22, over G_k(1) = 1)."""
+    lam = Fraction(d - 1, 2)
+    n = j + ell
+
+    def rising(x, k):
+        out = Fraction(1)
+        for i in range(k):
+            out *= x + i
+        return out
+
+    def a(k):
+        return rising(lam, k) / math.factorial(k)
+
+    return ((n + lam - 2 * s) / (n + lam - s) * a(s) * a(j - s) * a(ell - s)
+            * rising(2 * lam, n - s) / rising(lam, n - s)
+            * math.factorial(j) * math.factorial(ell) / (rising(2 * lam, j) * rising(2 * lam, ell)))

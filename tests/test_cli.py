@@ -191,16 +191,19 @@ def test_contractions_odd_odd_blank_bounds(tmp_path):
     assert manifest["checks"] == []  # the variance is exactly 0: nothing to compare
 
 
-@pytest.mark.parametrize("d, ell, expected", [(60, 400, 1), (60, 100, 1), (30, 400, 1), (20, 400, 0)])
+@pytest.mark.parametrize("d, ell, expected", [(60, 400, 0), (60, 100, 0), (30, 400, 0), (20, 400, 0)])
 def test_contractions_variance_spectral_check(tmp_path, d, ell, expected):
-    # Var h_{ell;q} = q! mu_d^2 b_ell^(q-1) / n_ell; at large d the moment
-    # behind variance_h loses the weight near the equator, and the run fails
-    # (at d = 60, ell = 400 its bound_k was negative)
+    # at q = 3 the check compares Var h = 6 mu_d^2 b_ell^(2) / n_ell with the
+    # one Rogers-Dougall coefficient b_ell^(2) in closed form.  An FFT moment
+    # once behind variance_h lost the weight near the equator at large d, and
+    # these runs failed (at d = 60, ell = 400 its bound_k was negative)
     code = run_cli("contractions", "--d", str(d), "--q", "3", "--ell", str(ell), "--out-dir", str(tmp_path))
     assert code == expected
     manifest = json.loads((tmp_path / f"contractions_d{d}_q3.manifest.json").read_text())
     [check] = [c for c in manifest["checks"] if c["name"] == f"variance_spectral_ell{ell}"]
     assert check["passed"] is (expected == 0)
+    rows = read_rows(tmp_path / f"contractions_d{d}_q3.csv")
+    assert all(float(r["bound_k"]) > 0.0 for r in rows)
 
 
 def test_contractions_bound_fault_propagates(tmp_path, monkeypatch):
@@ -620,6 +623,37 @@ def test_moment_degree_cap_exits_3(tmp_path, capsys):
                    "--out-dir", str(tmp_path)) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "exceeds cap" in err
+
+
+def test_moments_beyond_the_expansion_cap_exits_3(tmp_path, capsys):
+    # Var h at q = 5 expands G^3, whose O(ell^2) pass DEGREE_CAP bounds
+    assert run_cli("moments", "--q", "5", "--ell", "8192", "--out-dir", str(tmp_path)) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "DEGREE_CAP" in err
+
+
+def test_moments_large_d_variance(tmp_path):
+    # Var h_{400;3,60} = 6 mu_d^2 b_400^(2) / n_400, here against b^(2) in exact
+    # rationals; an FFT moment once wrote -1.4e-83.  The run exits 1 on the
+    # asymptotic ratio alone: ell = 400 is far from the limit at d = 60
+    from oracles import dougall_exact
+    assert run_cli("moments", "--d", "60", "--q", "3", "--ell", "400", "--out-dir", str(tmp_path)) == 1
+    [row] = read_rows(tmp_path / "moments_d60_q3.csv")
+    exact = 6 * SphereDim(60).mu_d ** 2 * float(dougall_exact(400, 400, 200, 60) / dim_harmonics(400, 60))
+    assert float(row["variance"]) == pytest.approx(exact, rel=1e-12)
+    manifest = json.loads((tmp_path / "moments_d60_q3.manifest.json").read_text())
+    assert {c["name"]: c["passed"] for c in manifest["checks"]} == {
+        "expansion_sum_ell400": True, "asymptotic_ratio_final": False}
+
+
+def test_moments_expansion_sum_check_at_even_q_ell(tmp_path):
+    # the expansions behind the variance sum to G_ell(1)^p = 1; at odd q*ell the
+    # half moment comes from the FFT and no expansion is checked
+    run_cli("moments", "--d", "3", "--q", "5", "--ell", "8,9", "--out-dir", str(tmp_path))
+    manifest = json.loads((tmp_path / "moments_d3_q5.manifest.json").read_text())
+    [check] = [c for c in manifest["checks"] if c["name"].startswith("expansion_sum")]
+    assert check["name"] == "expansion_sum_ell8" and check["passed"]
+    assert "over p = 2, 3" in check["detail"]
 
 
 def test_moments_log_slope_skipped_says_why(tmp_path):

@@ -14,20 +14,16 @@ import numpy as np
 import pytest
 
 from sphclt.contractions import (
-    DegreeCapError,
-    ZeroVarianceError,
-    _expand_power_cached,
     berry_esseen_bound,
     contraction_norm,
     contraction_table,
     cross_contraction,
-    expand_power,
     poly_bound,
     poly_rate,
     rate_theoretical,
 )
-from sphclt.moments import gegenbauer_moment, variance_h
-from sphclt.specfun import NumericalError, SphereDim, dim_harmonics
+from sphclt.moments import MOMENT_DEGREE_CAP, _expand_power_cached, expand_power, gegenbauer_moment, variance_h
+from sphclt.specfun import DegreeCapError, NumericalError, SphereDim, ZeroVarianceError, dim_harmonics
 
 from oracles import mc_kernel_contraction, project_power
 
@@ -70,8 +66,16 @@ def test_expand_power_invariants(ell, p, d):
 
 
 def test_expand_power_degree_cap():
-    with pytest.raises(DegreeCapError):
+    with pytest.raises(DegreeCapError, match="DEGREE_CAP = 12288"):
         expand_power(4097, 3, 2)
+
+
+def test_expand_power_square_is_capped_by_the_moment_cap():
+    # G^2 is one O(ell) pass: its degree passes DEGREE_CAP, up to MOMENT_DEGREE_CAP
+    b = expand_power(8192, 2, 2)
+    assert b.size == 16385 and b.sum() == pytest.approx(1.0, abs=1e-13)
+    with pytest.raises(DegreeCapError, match="MOMENT_DEGREE_CAP"):
+        expand_power(MOMENT_DEGREE_CAP // 2 + 1, 2, 2)
 
 
 def _assert_exact_identities(ell, p, d, tol=1e-13):

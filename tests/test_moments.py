@@ -29,11 +29,15 @@ from sphclt.moments import (
     DegreeCapError,
     DivergentIntegralError,
     bessel_constant,
+    dougall_coefficient,
+    expand_power,
     gegenbauer_moment,
     log_divergence_check,
     variance_h,
 )
 from sphclt.specfun import SphereDim, dim_harmonics
+
+from oracles import dougall_exact
 
 MU = {d: SphereDim(d) for d in (2, 3, 4, 5)}
 
@@ -177,17 +181,28 @@ def test_moment_odd_cube_against_legendre_oracle(ell):
 
 
 def test_moment_memoized_per_key(tmp_path, monkeypatch):
-    # the moments table and variance_h share one evaluation of the rule per
-    # (ell, q, d, rng); each evaluation fetches the coefficients once
+    # the FFT runs only for a half moment at odd q*ell, once per key; every
+    # other moment comes from the variance, whose expansions are built once
+    # per (ell, p, d) and shared with the expansion-sum check
     from sphclt import moments
     from sphclt.cli import main
     calls = []
     original = moments._ctx
     monkeypatch.setattr(moments, "_ctx", lambda ell, d: calls.append((ell, d)) or original(ell, d))
     gegenbauer_moment.cache_clear()
-    assert main(["moments", "--d", "2", "--q", "4", "--ell", "16,32",
-                 "--out-dir", str(tmp_path)]) == 0
-    assert sorted(calls) == [(16, 2), (32, 2)]
+    moments._expand_power_cached.cache_clear()
+
+    def run(q, ells):
+        return main(["moments", "--d", "2", "--q", str(q), "--ell", ells, "--out-dir", str(tmp_path)])
+
+    assert run(4, "16,32") == 0
+    assert calls == []
+    assert moments._expand_power_cached.cache_info().misses == 4  # G^1 and G^2 at each ell
+    assert run(4, "16,32") == 0
+    assert moments._expand_power_cached.cache_info().misses == 4
+    run(3, "15,16,17")  # exits 1 on the asymptotic ratio at ell = 17
+    assert sorted(calls) == [(15, 2), (17, 2)]
+    assert moments._expand_power_cached.cache_info().misses == 4  # G^2 at ell = 16 is reused
 
 
 def test_moment_validation():
@@ -222,6 +237,33 @@ def test_variance_matches_full_moment():
         full = gegenbauer_moment(ell, q, d, "full").value
         expect = math.factorial(q) * MU[d].mu_d * MU[d].mu_dm1 * full
         assert variance_h(ell, q, d) == pytest.approx(expect, rel=1e-11)
+
+
+@pytest.mark.parametrize("d", [30, 60])
+@pytest.mark.parametrize("q, ell", [(3, 100), (3, 400), (4, 10), (4, 40)])
+def test_variance_against_exact_dougall_sums(q, ell, d):
+    # Var h = q! mu_d^2 sum_k b_k^(r) b_k^(q-r) / n_k; at q = 3 (r = 1) the sum
+    # is b_ell^(2) / n_ell, at q = 4 (r = 2) it is sum_k (b_k^(2))^2 / n_k, with
+    # b^(2) in exact rationals.  An FFT moment once behind variance_h gave a
+    # negative variance at (400, 3, 60) and one 2.9 % low at (400, 3, 30)
+    if q == 3:
+        total = dougall_exact(ell, ell, ell // 2, d) / dim_harmonics(ell, d)
+    else:
+        total = sum(dougall_exact(ell, ell, s, d) ** 2 / (dim_harmonics(2 * ell - 2 * s, d) if s < ell else 1)
+                    for s in range(ell + 1))
+    expect = math.factorial(q) * SphereDim(d).mu_d ** 2 * float(total)
+    assert variance_h(ell, q, d) == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize("ell, d", [(7, 3), (40, 30), (400, 60), (2048, 2)])
+def test_dougall_coefficient_against_exact_and_expansion(ell, d):
+    # the lgamma closed form that `sphclt contractions` checks Var h against
+    # at q = 3; s = floor(ell/2) lands on b_ell^(2) at even ell, on b_{ell+1}^(2) at odd
+    s = ell // 2
+    value = dougall_coefficient(ell, ell, s, d)
+    assert value == pytest.approx(expand_power(ell, 2, d)[2 * ell - 2 * s], rel=1e-10)
+    if ell <= 400:
+        assert value == pytest.approx(float(dougall_exact(ell, ell, s, d)), rel=1e-11)
 
 
 # ------------------------------------------------------------------

@@ -18,7 +18,9 @@ from sphclt.specfun import (
     SphereDim,
     bessel_j,
     bessel_j_zeros,
+    NumericalError,
     dim_harmonics,
+    harmonics_table,
     hermite,
     normal_cdf,
     sphere_volume,
@@ -88,6 +90,22 @@ def test_dim_harmonics_binomial_identity(ell, d):
     # independent identity: dim of degree-ell harmonics in d+1 variables
     expect = math.comb(ell + d, d) - math.comb(ell + d - 2, d)
     assert dim_harmonics(ell, d) == expect
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 30, 60, 171])
+@pytest.mark.parametrize("kmax", [0, 20, 400])
+def test_harmonics_table_is_the_float_of_each_exact_count(kmax, d):
+    # bit for bit, through int64 (d <= 4, and d = 30 up to kmax = 20) and
+    # through Python integers beyond; a RuntimeWarning would fail the suite
+    n = harmonics_table(kmax, d)
+    assert n.dtype == np.float64 and not n.flags.writeable
+    assert n.tolist() == [1.0] + [float(dim_harmonics(k, d)) for k in range(1, kmax + 1)]
+
+
+@pytest.mark.parametrize("kmax, d", [(8192, 171), (2048, 342)])
+def test_harmonics_table_beyond_the_float_range_raises(kmax, d):
+    with pytest.raises(NumericalError, match="overflows a float"):
+        harmonics_table(kmax, d)
 
 
 # ------------------------------------------------------------------
