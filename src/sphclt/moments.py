@@ -23,16 +23,17 @@ The G_k are orthogonal, with integral mu_d / (mu_{d-1} n_{k;d}) of G_k^2, so
 for any 1 <= r < q.  At r = floor(q/2) every term is positive and only degree
 ceil(q/2)*ell is expanded: one O(ell) pass up to q = 4.
 
-At even q*ell, G^q is even, so m_half = m_full / 2 follows from the variance.
-At odd q*ell the expansion of m_half alternates in sign and cancels; there
-G^q sin^{d-1} theta is a trigonometric polynomial of degree q*ell + d - 1, so
-one FFT of its samples at 2 (q*ell + d) equispaced angles integrates it
-exactly.  The infinite Bessel integrals are summed zero-interval by
-zero-interval: for odd q the panel sums alternate and are accelerated by
-iterated averaging, for even q the non-oscillating part of the tail (the mean
-of cos^q over a period) is integrated in closed form and the remainder
-averaged.  Panel sums are accumulated in a fixed order, so
-results are identical no matter how callers parallelize.
+Every moment comes from these expansions: at even q*ell, G^q is even and
+m_half = m_full / 2 = Var / (2 q! mu_d mu_{d-1}); at odd q*ell a
+Sturm-Liouville identity turns m_half into one sum over the b_j of G^{q-1}
+whose terms barely cancel.
+
+The infinite Bessel integrals are summed zero-interval by zero-interval: for
+odd q the panel sums alternate and are accelerated by iterated averaging, for
+even q the non-oscillating part of the tail (the mean of cos^q over a period)
+is integrated in closed form and the remainder averaged.  Panel sums are
+accumulated in a fixed order, so results are identical no matter how callers
+parallelize.
 
 Convergence regimes for c(q, d): q = 2 and q = 3 have closed forms; every
 other q > 2d/(d-1) is absolutely convergent; (2, 4) is logarithmically
@@ -47,7 +48,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.fft import irfft, rfft
 
 from .quadrature import panel_nodes
 from .specfun import (BESSEL_MAX_ORDER, DegreeCapError, DivergentIntegralError, NumericalError, SphereDim,
@@ -57,8 +57,8 @@ from .specfun import (BESSEL_MAX_ORDER, DegreeCapError, DivergentIntegralError, 
 # c(q, d) converges when successive zero budgets agree to BESSEL_TOL
 BESSEL_TOL = 1e-9
 BESSEL_MAX_ZEROS = 16384
-# gegenbauer_moment needs about 380 bytes per unit of q*ell (400 MB at the cap);
-# the O(ell) expansion of G^2 shares the cap on its degree 2*ell
+# caps the degree 2*ell of the O(ell) expansion of G^2, and the G(0) table of the
+# odd half moment: tracemalloc peaks at 108 MiB for expand_power(2**19, 2, 2)
 MOMENT_DEGREE_CAP = 2 ** 20
 # from G^3 on, expand_power does O(p ell^2) work: p*ell is capped here
 DEGREE_CAP = 12288
@@ -82,50 +82,44 @@ class BesselConstant:
 
 @lru_cache(maxsize=256)
 def _ctx(ell: int, d: int) -> np.ndarray:
-    """Cosine coefficients c_0..c_ell of G_{ell;d}(cos theta), c >= 0, sum c = 1:
-    e_k ~ a_k a_{ell-k}, a_k = (lam)_k / k!, lam = (d-1)/2, sits on frequency
-    |ell - 2k| (Szego, Orthogonal Polynomials, eq. 4.9.19)."""
-    lam = (d - 1) / 2.0
-    j = np.arange(1.0, ell + 1.0)
-    a = np.concatenate(([1.0], np.cumprod((lam + j - 1.0) / j)))
-    e = a / a[-1] * a[::-1]  # a_ell is the largest a_k once lam > 1: no overflow
-    return np.bincount(np.abs(ell - 2 * np.arange(ell + 1)), weights=e) / e.sum()
+    """G_{k;d}(0) for k = 0..ell, read-only: 0 at odd k, and
+    G_{k+2;d}(0) = -(k+1)/(k+d) G_{k;d}(0) from G_{0;d}(0) = 1."""
+    if ell > MOMENT_DEGREE_CAP:
+        raise DegreeCapError(f"degree {ell} of the G(0) table exceeds cap MOMENT_DEGREE_CAP = {MOMENT_DEGREE_CAP}")
+    g = np.zeros(ell + 1)
+    k = np.arange(0.0, ell - 1.0, 2.0)
+    g[::2] = np.concatenate(([1.0], np.cumprod(-(k + 1.0) / (k + d))))
+    g.setflags(write=False)
+    return g
 
 
 @lru_cache(maxsize=256)
 def gegenbauer_moment(ell: int, q: int, d: int, rng: str = "full") -> MomentResult:
-    """Moment integral of G_{ell;d}^q against (sin theta)^{d-1} d theta.
+    """Memoized moment integral of G_{ell;d}^q against (sin theta)^{d-1} over
+    [0, pi], or [0, pi/2] for `rng` = "half"; `panels` counts the terms summed.
 
-    `rng` selects the full range [0, b = pi] or the half range [0, b = pi/2].
-    F = G^q sin^{d-1} is a trigonometric polynomial of degree D = q*ell + d - 1,
-    so the FFT of its samples at theta_j = 2 pi j / M, M = 2 (D + 1), gives its
-    Fourier coefficients f_k without aliasing, and
-        integral_0^b F = Re[f_0 b + 2 sum_{k >= 1} f_k (e^{ikb} - 1) / (ik)].
-    G is sampled by one inverse FFT of `_ctx`; `panels` holds M.  Results are
-    memoized.  `sphclt moments` takes only its odd-q*ell half moments from
-    here: every other moment follows from `variance_h`.
+    At even q*ell it is Var[h_{ell;q,d}] / (q! mu_d mu_{d-1}), halved for the
+    half range.  At odd q*ell the full moment is 0, and with
+    G^{q-1} = sum_{j even} b_j G_j, lam_k = k(k+d-1) and G_ell'(0) = ell G_{ell-1}(0),
+        m_half = sum_j b_j int_0^1 G_j G_ell (1-t^2)^{d/2-1} dt
+               = G_ell'(0) sum_j b_j G_j(0) / (lam_ell - lam_j)
+    by the Sturm-Liouville identity.
     """
     if ell < 1 or q < 1 or d < 2:
         raise UsageError(f"need ell >= 1, q >= 1, d >= 2, got ({ell}, {q}, {d})")
     if rng not in ("full", "half"):
         raise UsageError(f"range must be 'full' or 'half', got {rng!r}")
-    if q * ell > MOMENT_DEGREE_CAP:
-        raise DegreeCapError(f"moment degree q*ell = {q * ell} exceeds cap {MOMENT_DEGREE_CAP}")
-    quarter_turns = 2 if rng == "full" else 1
-    b = quarter_turns * math.pi / 2.0
-    m = 2 * (q * ell + d)
-    spec = np.zeros(m // 2 + 1)
-    spec[:ell + 1] = 0.5 * m * _ctx(ell, d)
-    spec[0] *= 2.0
-    g = irfft(spec, m)
-    i, h = np.arange(m), m // 2
-    sin = np.sin(math.pi / h * np.minimum(i % h, -i % h))  # angles in [0, pi/2]: relative accuracy
-    w = np.where(i < h, sin, -sin) ** (d - 1)
-    f = rfft(g ** q * w) / m
-    k = np.arange(1, f.size)
-    e_ikb = np.array([1.0, 1j, -1.0, -1j])[k * quarter_turns % 4]  # exact
-    value = float((f[0] * b + 2.0 * np.sum(f[1:] * (e_ikb - 1.0) / (1j * k))).real)
-    return MomentResult(value=value, panels=m)
+    if q * ell % 2 == 0:
+        dim = SphereDim(d)
+        full = variance_h(ell, q, d) / (float_factorial(q) * dim.mu_d * dim.mu_dm1)
+        return MomentResult(full if rng == "full" else full / 2.0, q // 2 * ell + 1 if q >= 3 else int(q == 2))
+    if rng == "full":
+        return MomentResult(0.0, 0)
+    b = expand_power(ell, q - 1, d)[::2] if q > 1 else np.ones(1)
+    g0 = _ctx(max(q - 1, 1) * ell, d)
+    j = np.arange(0.0, 2.0 * b.size, 2.0)
+    value = ell * g0[ell - 1] * np.sum(b * g0[:2 * b.size:2] / ((ell - j) * (ell + j + d - 1.0)))
+    return MomentResult(float(value), b.size)
 
 
 def _log_rising_ratio(x: float, y: float, n: int) -> np.ndarray:

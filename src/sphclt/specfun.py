@@ -20,6 +20,7 @@ construction and safe to share across workers.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -138,19 +139,21 @@ def harmonics_table(kmax: int, d: int) -> np.ndarray:
     """n_{k;d} for k = 0..kmax (n_0 = 1) as read-only floats, each equal to
     float(dim_harmonics(k, d)).
 
-    n_k = (2k + d - 1) C(k + d - 2, d - 2) / (d - 1) is built in integers, by
-    C(k + j, j) = C(k + j - 1, j - 1) (k + j) / j for j = 1..d-2, so every
-    division is exact; no intermediate exceeds (d - 1) n_kmax.  They run
-    in int64 where that bound fits and in Python integers beyond it, and one
-    correctly rounded conversion makes the floats.
+    n_k = (2k + d - 1) C(k + d - 2, d - 2) / (d - 1) is built in exact integer
+    steps, then rounded once: in int64 by C(k + j, j) = C(k + j - 1, j - 1) (k + j) / j,
+    j = 1..d-2, while (d - 1) n_kmax fits, else in one pass over k in Python
+    integers by C(k + d - 2, d - 2) = C(k + d - 3, d - 2) (k + d - 2) / k.
     """
     float_harmonics(max(kmax, 1), d)  # n_k grows with k: the largest must fit a float
-    fits = (d - 1) * dim_harmonics(max(kmax, 1), d) < 2 ** 63
-    k = np.arange(kmax + 1, dtype=np.int64 if fits else object)
-    c = np.ones_like(k)
-    for j in range(1, d - 1):
-        c = c * (k + j) // j
-    n = ((2 * k + d - 1) * c // (d - 1)).astype(float)
+    if (d - 1) * dim_harmonics(max(kmax, 1), d) < 2 ** 63:
+        k = np.arange(kmax + 1, dtype=np.int64)
+        c = np.ones_like(k)
+        for j in range(1, d - 1):
+            c = c * (k + j) // j
+        n = ((2 * k + d - 1) * c // (d - 1)).astype(float)
+    else:
+        c = itertools.accumulate(range(1, kmax + 1), lambda c, k: c * (k + d - 2) // k, initial=1)
+        n = np.array([float((2 * k + d - 1) * ck // (d - 1)) for k, ck in enumerate(c)])
     n.setflags(write=False)
     return n
 

@@ -13,13 +13,19 @@
   `sphclt.moments.expand_power`.
 - `dougall_exact`: one Rogers-Dougall coefficient in exact rationals, the
   reference for the variance sums at large d.
+- `fft_moment`: the moment integral of G^q by one FFT of its samples, an
+  independent check of `sphclt.moments.gegenbauer_moment`, accurate in
+  absolute terms (about 1e-16 times the size of G) at any ell.
+- `half_moment_exact`: the half-range moment at odd q*ell in exact
+  rationals, the reference at large d, where the FFT is not.
 """
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
-from numpy.fft import fft
+from numpy.fft import fft, irfft, rfft
 
 from sphclt.simulate import _azimuth, _synthesis_plan
 from sphclt.specfun import GegenbauerCtx, SphereDim, UsageError, dim_harmonics, orthonormal_jacobi
@@ -153,6 +159,14 @@ def project_power(ell: int, p: int, d: int) -> np.ndarray:
     return coeffs
 
 
+def _rising(x: Fraction, k: int) -> Fraction:
+    """The rising factorial (x)_k = x (x+1) ... (x+k-1), exactly."""
+    out = Fraction(1)
+    for i in range(k):
+        out *= x + i
+    return out
+
+
 def dougall_exact(j: int, ell: int, s: int, d: int) -> Fraction:
     """c(j, ell, s), the coefficient of G_{j+ell-2s;d} in G_{j;d} G_{ell;d},
     in exact rationals: with lam = (d-1)/2, N = j + ell and a_k = (lam)_k / k!,
@@ -162,15 +176,78 @@ def dougall_exact(j: int, ell: int, s: int, d: int) -> Fraction:
     lam = Fraction(d - 1, 2)
     n = j + ell
 
-    def rising(x, k):
-        out = Fraction(1)
-        for i in range(k):
-            out *= x + i
-        return out
-
     def a(k):
-        return rising(lam, k) / math.factorial(k)
+        return _rising(lam, k) / math.factorial(k)
 
     return ((n + lam - 2 * s) / (n + lam - s) * a(s) * a(j - s) * a(ell - s)
-            * rising(2 * lam, n - s) / rising(lam, n - s)
-            * math.factorial(j) * math.factorial(ell) / (rising(2 * lam, j) * rising(2 * lam, ell)))
+            * _rising(2 * lam, n - s) / _rising(lam, n - s)
+            * math.factorial(j) * math.factorial(ell) / (_rising(2 * lam, j) * _rising(2 * lam, ell)))
+
+
+def _cosine_coeffs(ell: int, d: int) -> np.ndarray:
+    """Cosine coefficients c_0..c_ell of G_{ell;d}(cos theta), c >= 0, sum c = 1:
+    e_k ~ a_k a_{ell-k}, a_k = (lam)_k / k!, lam = (d-1)/2, sits on frequency
+    |ell - 2k| (Szego, Orthogonal Polynomials, eq. 4.9.19)."""
+    lam = (d - 1) / 2.0
+    j = np.arange(1.0, ell + 1.0)
+    a = np.concatenate(([1.0], np.cumprod((lam + j - 1.0) / j)))
+    e = a / a[-1] * a[::-1]  # a_ell is the largest a_k once lam > 1: no overflow
+    return np.bincount(np.abs(ell - 2 * np.arange(ell + 1)), weights=e) / e.sum()
+
+
+@lru_cache(maxsize=256)
+def fft_moment(ell: int, q: int, d: int, rng: str = "full") -> float:
+    """Integral of G_{ell;d}(cos theta)^q (sin theta)^{d-1} over [0, b], with
+    b = pi for `rng` = "full" and pi/2 for "half".
+
+    F = G^q sin^{d-1} is a trigonometric polynomial of degree D = q*ell + d - 1,
+    so the FFT of its samples at theta_j = 2 pi j / M, M = 2 (D + 1), gives its
+    Fourier coefficients f_k without aliasing, and
+        integral_0^b F = Re[f_0 b + 2 sum_{k >= 1} f_k (e^{ikb} - 1) / (ik)].
+    G is sampled by one inverse FFT of its cosine coefficients.  The error is
+    absolute: where G is tiny over most of the weight (large d) the relative
+    error grows without bound.
+    """
+    quarter_turns = 2 if rng == "full" else 1
+    b = quarter_turns * math.pi / 2.0
+    m = 2 * (q * ell + d)
+    spec = np.zeros(m // 2 + 1)
+    spec[:ell + 1] = 0.5 * m * _cosine_coeffs(ell, d)
+    spec[0] *= 2.0
+    g = irfft(spec, m)
+    i, h = np.arange(m), m // 2
+    sin = np.sin(math.pi / h * np.minimum(i % h, -i % h))  # angles in [0, pi/2]: relative accuracy
+    w = np.where(i < h, sin, -sin) ** (d - 1)
+    f = rfft(g ** q * w) / m
+    k = np.arange(1, f.size)
+    e_ikb = np.array([1.0, 1j, -1.0, -1j])[k * quarter_turns % 4]  # exact
+    return float((f[0] * b + 2.0 * np.sum(f[1:] * (e_ikb - 1.0) / (1j * k))).real)
+
+
+def half_moment_exact(ell: int, q: int, d: int) -> Fraction:
+    """integral_0^1 G_{ell;d}(t)^q (1-t^2)^{d/2-1} dt at odd q*ell, in exact
+    rationals.
+
+    G_ell = C_ell^lam / C_ell^lam(1), lam = (d-1)/2, in the power basis
+        C_ell^lam(t) = sum_i (-1)^i (lam)_{ell-i} / (i! (ell-2i)!) (2t)^{ell-2i},
+    C_ell^lam(1) = (2lam)_ell / ell!.  G^q is odd, and each odd power t^{2a-1}
+    integrates to B(a, d/2) / 2 = (a-1)! / (2 (d/2)_a), a rational at any d.
+    The coefficients are put over one denominator, so the power is taken in
+    integers.
+    """
+    if ell < 1 or q < 1 or d < 2 or q * ell % 2 == 0:
+        raise UsageError(f"need odd q*ell, ell >= 1, d >= 2, got ({ell}, {q}, {d})")
+    lam, half_d = Fraction(d - 1, 2), Fraction(d, 2)
+    # coefficients of t^{ell-2i}, i = 0..(ell-1)/2, highest power first
+    coeffs = [(-1) ** i * _rising(lam, ell - i) * 2 ** (ell - 2 * i)
+              / (math.factorial(i) * math.factorial(ell - 2 * i)) for i in range(ell // 2 + 1)]
+    den = math.lcm(*(c.denominator for c in coeffs))
+    poly = np.array([int(c * den) for c in coeffs], dtype=object)  # in t^2, times t^ell
+    power = np.ones(1, dtype=object)
+    for _ in range(q):
+        power = np.convolve(power, poly)
+    # power[i] multiplies t^{q*ell - 2i} = t^{2a-1}, a = (q*ell + 1)/2 - i
+    top = (q * ell + 1) // 2
+    total = sum(c * Fraction(math.factorial(top - i - 1)) / (2 * _rising(half_d, top - i)) for i, c in enumerate(power))
+    norm = _rising(2 * lam, ell) / math.factorial(ell)
+    return total / (den * norm) ** q

@@ -540,13 +540,14 @@ def test_cli_commands_never_load_scipy(tmp_path):
     code = ("import json, sys\n"
             "import sphclt.cli\n"
             "codes = [sphclt.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
-            "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))")
+            "print(json.dumps([codes, sorted(m for m in sys.modules\n"
+            "                                 if m.split('.')[0] == 'scipy' or m.startswith('numpy.fft'))]))")
     out = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
                          capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
-    codes, scipy_modules = json.loads(out.stdout)
+    codes, loaded = json.loads(out.stdout)
     assert codes == [0] * len(runs)
-    assert scipy_modules == []
+    assert loaded == []  # nor numpy.fft: the FFT moment is a test oracle
 
 
 def _run_with_blas_env(tmp_path, blas_env):
@@ -640,20 +641,38 @@ def test_moments_large_d_variance(tmp_path):
     assert run_cli("moments", "--d", "60", "--q", "3", "--ell", "400", "--out-dir", str(tmp_path)) == 1
     [row] = read_rows(tmp_path / "moments_d60_q3.csv")
     exact = 6 * SphereDim(60).mu_d ** 2 * float(dougall_exact(400, 400, 200, 60) / dim_harmonics(400, 60))
-    assert float(row["variance"]) == pytest.approx(exact, rel=1e-12)
+    assert float(row["variance"]) == pytest.approx(exact, rel=1e-12, abs=0)
     manifest = json.loads((tmp_path / "moments_d60_q3.manifest.json").read_text())
     assert {c["name"]: c["passed"] for c in manifest["checks"]} == {
         "expansion_sum_ell400": True, "asymptotic_ratio_final": False}
 
 
 def test_moments_expansion_sum_check_at_even_q_ell(tmp_path):
-    # the expansions behind the variance sum to G_ell(1)^p = 1; at odd q*ell the
-    # half moment comes from the FFT and no expansion is checked
+    # the expansions behind the variance sum to G_ell(1)^p = 1
     run_cli("moments", "--d", "3", "--q", "5", "--ell", "8,9", "--out-dir", str(tmp_path))
     manifest = json.loads((tmp_path / "moments_d3_q5.manifest.json").read_text())
-    [check] = [c for c in manifest["checks"] if c["name"].startswith("expansion_sum")]
-    assert check["name"] == "expansion_sum_ell8" and check["passed"]
-    assert "over p = 2, 3" in check["detail"]
+    [check] = [c for c in manifest["checks"] if c["name"] == "expansion_sum_ell8"]
+    assert check["passed"] and "over p = 2, 3" in check["detail"]
+
+
+def test_moments_expansion_sum_check_at_odd_q_ell(tmp_path):
+    # at odd q*ell the half moment is read from G^{q-1}, which is checked instead
+    run_cli("moments", "--d", "3", "--q", "5", "--ell", "8,9", "--out-dir", str(tmp_path))
+    manifest = json.loads((tmp_path / "moments_d3_q5.manifest.json").read_text())
+    [check] = [c for c in manifest["checks"] if c["name"] == "expansion_sum_ell9"]
+    assert check["passed"] and "over p = 4:" in check["detail"]
+
+
+def test_moments_odd_half_moment_at_large_d(tmp_path):
+    # the exact rationals of int_0^1 G^3 (1-t^2)^29 dt; the FFT moment wrote
+    # 1.447e-51 and -1.647e-51 here.  The run exits 1 on the asymptotic ratio alone
+    assert run_cli("moments", "--d", "60", "--q", "3", "--ell", "101,201", "--out-dir", str(tmp_path)) == 1
+    moments = [float(row["moment"]) for row in read_rows(tmp_path / "moments_d60_q3.csv")]
+    assert moments == pytest.approx([4.5822676970277094e-51, 4.1507242142656982e-66], rel=1e-12, abs=0)
+    assert all(m > 0.0 for m in moments)
+    manifest = json.loads((tmp_path / "moments_d60_q3.manifest.json").read_text())
+    assert {c["name"]: c["passed"] for c in manifest["checks"]} == {
+        "expansion_sum_ell101": True, "expansion_sum_ell201": True, "asymptotic_ratio_final": False}
 
 
 def test_moments_log_slope_skipped_says_why(tmp_path):

@@ -37,7 +37,7 @@ from sphclt.moments import (
 )
 from sphclt.specfun import SphereDim, dim_harmonics
 
-from oracles import dougall_exact
+from oracles import dougall_exact, fft_moment, half_moment_exact
 
 MU = {d: SphereDim(d) for d in (2, 3, 4, 5)}
 
@@ -59,9 +59,10 @@ FROZEN_CONSTANTS = {
 # ------------------------------------------------------------------
 
 def test_moment_second_identity():
-    res = gegenbauer_moment(7, 2, 3, "full")
+    # the FFT oracle against the closed form that gegenbauer_moment returns at q = 2
     expect = MU[3].mu_d / (MU[3].mu_dm1 * dim_harmonics(7, 3))
-    assert res.value == pytest.approx(expect, rel=1e-12)
+    assert fft_moment(7, 2, 3, "full") == pytest.approx(expect, rel=1e-12)
+    assert gegenbauer_moment(7, 2, 3, "full").value == pytest.approx(expect, rel=1e-14)
 
 
 def test_moment_odd_odd_vanishes():
@@ -81,8 +82,7 @@ def q2_moment(ell, d):
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 @pytest.mark.parametrize("ell", [1, 2, 5, 16, 33, 64, 1024, 4096])
 def test_moment_q2_identity_sweep(d, ell):
-    res = gegenbauer_moment(ell, 2, d, "full")
-    assert res.value == pytest.approx(q2_moment(ell, d), rel=1e-10)
+    assert fft_moment(ell, 2, d, "full") == pytest.approx(q2_moment(ell, d), rel=1e-10)
 
 
 @given(ell=st.integers(1, 40), q=st.integers(1, 6), d=st.integers(2, 5))
@@ -158,7 +158,7 @@ def quad_half_moment(ell, q, d):
 def test_moment_against_wigner_3j_oracle(ell):
     pytest.importorskip("mpmath")
     assert gegenbauer_moment(ell, 4, 2, "half").value == pytest.approx(
-        wigner_p4_half(ell), rel=2e-11)
+        wigner_p4_half(ell), rel=2e-11, abs=0)
 
 
 ODD_HALF_CASES = [(17, 3, 2), (33, 3, 2), (17, 3, 3), (33, 3, 3)]
@@ -166,29 +166,29 @@ ODD_HALF_CASES = [(17, 3, 2), (33, 3, 2), (17, 3, 3), (33, 3, 3)]
 
 @pytest.mark.parametrize("ell, q, d", ODD_HALF_CASES)
 def test_moment_odd_half_range_against_mpmath(ell, q, d):
-    # odd q*ell: the half range is not half the full range, and the rule
-    # integrates a sign-changing polynomial with signed weights
+    # odd q*ell: the half range is not half the full range.  approx is given
+    # abs=0 here and below, or its default abs=1e-12 would hide a relative error
     pytest.importorskip("mpmath")
     assert gegenbauer_moment(ell, q, d, "half").value == pytest.approx(
-        quad_half_moment(ell, q, d), rel=1e-12)
+        quad_half_moment(ell, q, d), rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("ell", [1025, 4097])
 def test_moment_odd_cube_against_legendre_oracle(ell):
     pytest.importorskip("mpmath")
     assert gegenbauer_moment(ell, 3, 2, "half").value == pytest.approx(
-        legendre_p3_half(ell), rel=1e-12)
+        legendre_p3_half(ell), rel=1e-12, abs=0)
 
 
 def test_moment_memoized_per_key(tmp_path, monkeypatch):
-    # the FFT runs only for a half moment at odd q*ell, once per key; every
-    # other moment comes from the variance, whose expansions are built once
-    # per (ell, p, d) and shared with the expansion-sum check
+    # every moment reads the expansions: those behind the variance at even
+    # q*ell, G^{q-1} and one G(0) table at odd q*ell.  Each is built once per
+    # key and shared with the variance and the expansion-sum check
     from sphclt import moments
     from sphclt.cli import main
-    calls = []
+    tables = []
     original = moments._ctx
-    monkeypatch.setattr(moments, "_ctx", lambda ell, d: calls.append((ell, d)) or original(ell, d))
+    monkeypatch.setattr(moments, "_ctx", lambda ell, d: tables.append((ell, d)) or original(ell, d))
     gegenbauer_moment.cache_clear()
     moments._expand_power_cached.cache_clear()
 
@@ -196,13 +196,16 @@ def test_moment_memoized_per_key(tmp_path, monkeypatch):
         return main(["moments", "--d", "2", "--q", str(q), "--ell", ells, "--out-dir", str(tmp_path)])
 
     assert run(4, "16,32") == 0
-    assert calls == []
+    assert tables == []
     assert moments._expand_power_cached.cache_info().misses == 4  # G^1 and G^2 at each ell
+    assert gegenbauer_moment.cache_info()[:2] == (0, 2)  # (hits, misses)
     assert run(4, "16,32") == 0
     assert moments._expand_power_cached.cache_info().misses == 4
+    assert gegenbauer_moment.cache_info()[:2] == (2, 2)
     run(3, "15,16,17")  # exits 1 on the asymptotic ratio at ell = 17
-    assert sorted(calls) == [(15, 2), (17, 2)]
-    assert moments._expand_power_cached.cache_info().misses == 4  # G^2 at ell = 16 is reused
+    assert tables == [(30, 2), (34, 2)]  # degree (q-1)*ell at the odd ell
+    assert moments._expand_power_cached.cache_info().misses == 8  # G^1, G^2 at 15 and 17; ell = 16 is reused
+    assert gegenbauer_moment.cache_info()[:2] == (2, 5)
 
 
 def test_moment_validation():
@@ -213,9 +216,29 @@ def test_moment_validation():
 
 
 def test_moment_degree_cap():
-    # raised before any array is made
-    with pytest.raises(DegreeCapError, match="exceeds cap"):
-        gegenbauer_moment(MOMENT_DEGREE_CAP // 3 + 1, 3, 2, "half")
+    # the moment is capped by what it reads, and raises before any array is made
+    from sphclt import moments
+    cases = [
+        (MOMENT_DEGREE_CAP // 2 + 1, 3, "half", "MOMENT_DEGREE_CAP"),  # G^2 at odd q*ell
+        (MOMENT_DEGREE_CAP // 2 + 2, 3, "full", "MOMENT_DEGREE_CAP"),  # G^2 behind the variance
+        (4098, 5, "half", "DEGREE_CAP = 12288"),  # G^3 behind the variance: 3 * 4098 > 12288
+        (3073, 5, "half", "DEGREE_CAP = 12288"),  # G^4 at odd q*ell: 4 * 3073 > 12288
+        (MOMENT_DEGREE_CAP + 3, 1, "half", "MOMENT_DEGREE_CAP"),  # the G(0) table alone
+    ]
+    moments._expand_power_cached.cache_clear()
+    moments._ctx.cache_clear()
+    for ell, q, rng, cap in cases:
+        with pytest.raises(DegreeCapError, match=cap):
+            gegenbauer_moment(ell, q, 2, rng)
+    assert moments._expand_power_cached.cache_info().currsize == moments._ctx.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("ell, q, d", [(101, 3, 60), (201, 3, 60), (101, 3, 30), (21, 5, 30), (31, 5, 60),
+                                       (101, 3, 15)])
+def test_moment_odd_half_range_against_exact_rationals(ell, q, d):
+    # the FFT wrote 1.4e-50 for 4.6e-51 at (101, 3, 60) and -1.6e-51 for 4.2e-66 at (201, 3, 60)
+    assert gegenbauer_moment(ell, q, d, "half").value == pytest.approx(float(half_moment_exact(ell, q, d)),
+                                                                      rel=1e-12, abs=0)
 
 
 # ------------------------------------------------------------------
@@ -234,7 +257,7 @@ def test_variance_degenerate_cases():
 
 def test_variance_matches_full_moment():
     for (ell, q, d) in ((6, 4, 2), (8, 3, 3), (10, 6, 4)):
-        full = gegenbauer_moment(ell, q, d, "full").value
+        full = fft_moment(ell, q, d, "full")
         expect = math.factorial(q) * MU[d].mu_d * MU[d].mu_dm1 * full
         assert variance_h(ell, q, d) == pytest.approx(expect, rel=1e-11)
 
@@ -252,7 +275,7 @@ def test_variance_against_exact_dougall_sums(q, ell, d):
         total = sum(dougall_exact(ell, ell, s, d) ** 2 / (dim_harmonics(2 * ell - 2 * s, d) if s < ell else 1)
                     for s in range(ell + 1))
     expect = math.factorial(q) * SphereDim(d).mu_d ** 2 * float(total)
-    assert variance_h(ell, q, d) == pytest.approx(expect, rel=1e-12)
+    assert variance_h(ell, q, d) == pytest.approx(expect, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("ell, d", [(7, 3), (40, 30), (400, 60), (2048, 2)])
@@ -261,9 +284,9 @@ def test_dougall_coefficient_against_exact_and_expansion(ell, d):
     # at q = 3; s = floor(ell/2) lands on b_ell^(2) at even ell, on b_{ell+1}^(2) at odd
     s = ell // 2
     value = dougall_coefficient(ell, ell, s, d)
-    assert value == pytest.approx(expand_power(ell, 2, d)[2 * ell - 2 * s], rel=1e-10)
+    assert value == pytest.approx(expand_power(ell, 2, d)[2 * ell - 2 * s], rel=1e-10, abs=0)
     if ell <= 400:
-        assert value == pytest.approx(float(dougall_exact(ell, ell, s, d)), rel=1e-11)
+        assert value == pytest.approx(float(dougall_exact(ell, ell, s, d)), rel=1e-11, abs=0)
 
 
 # ------------------------------------------------------------------
@@ -320,7 +343,7 @@ def test_constant_large_q_is_finite():
     c = bessel_constant(40, 12)
     ell = 4096
     assert c.convergence_mode == "absolute" and math.isfinite(c.value)
-    assert ell ** 12 * gegenbauer_moment(ell, 40, 12, "half").value / c.value == pytest.approx(1.0, abs=0.02)
+    assert ell ** 12 * fft_moment(ell, 40, 12, "half") / c.value == pytest.approx(1.0, abs=0.02)
 
 
 def test_constant_divergent_cases():

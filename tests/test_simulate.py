@@ -24,7 +24,7 @@ from sphclt.clt import (
     functional_Z,
     monomial_to_hermite,
 )
-from sphclt.moments import gegenbauer_moment, variance_h
+from sphclt.moments import variance_h
 from sphclt.quadrature import panel_nodes
 from sphclt.cli import MAX_REPLICAS
 from sphclt.simulate import (
@@ -44,7 +44,7 @@ from sphclt.simulate import (
 from sphclt.specfun import (GegenbauerCtx, SphereDim, UsageError, ZeroVarianceError, dim_harmonics, hermite,
                             orthonormal_jacobi)
 
-from oracles import grid_nodes, recover_harmonic_coeffs
+from oracles import fft_moment, grid_nodes, recover_harmonic_coeffs
 
 
 def phi(z):
@@ -524,7 +524,7 @@ def chaos_partial_sums(ell, d, z, qs):
     J = indicator_projections(z, max(qs))
     total, sums = 0.0, []
     for q in range(2, max(qs) + 1):
-        total += J[q] ** 2 * dim.mu_d * dim.mu_dm1 * gegenbauer_moment(ell, q, d).value
+        total += J[q] ** 2 * dim.mu_d * dim.mu_dm1 * fft_moment(ell, q, d)
         if q in qs:
             sums.append(total)
     return sums

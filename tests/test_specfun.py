@@ -92,11 +92,11 @@ def test_dim_harmonics_binomial_identity(ell, d):
     assert dim_harmonics(ell, d) == expect
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 30, 60, 171])
+@pytest.mark.parametrize("d", [2, 3, 4, 30, 60, 171, 342])
 @pytest.mark.parametrize("kmax", [0, 20, 400])
 def test_harmonics_table_is_the_float_of_each_exact_count(kmax, d):
     # bit for bit, through int64 (d <= 4, and d = 30 up to kmax = 20) and
-    # through Python integers beyond; a RuntimeWarning would fail the suite
+    # through one pass in Python integers beyond; a RuntimeWarning would fail the suite
     n = harmonics_table(kmax, d)
     assert n.dtype == np.float64 and not n.flags.writeable
     assert n.tolist() == [1.0] + [float(dim_harmonics(k, d)) for k in range(1, kmax + 1)]
