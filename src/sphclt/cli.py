@@ -46,7 +46,7 @@ from .clt import (
 )
 from .contractions import berry_esseen_bound, contraction_table, rate_theoretical
 from .moments import (bessel_constant, dougall_coefficient, expand_power, gegenbauer_moment, log_divergence_check,
-                      variance_h)
+                      moment_of_variance, variance_h)
 # build_grid, excursion_variance and sample_field have no caller here;
 # perfbench/spans.py wraps these bindings
 from .simulate import build_grid, excursion_variance, sample_field
@@ -262,8 +262,9 @@ def cmd_moments(cfg: RunConfig) -> int:
 
     rows = []
     for ell in cfg.ell:
-        variance = variance_h(ell, q, d)
-        moment = gegenbauer_moment(ell, q, d, "half").value
+        variance = variance_h(ell, q, d)  # summed once: at even q*ell the half moment is read from it
+        moment = (moment_of_variance(variance, q, d) / 2.0 if q * ell % 2 == 0
+                  else gegenbauer_moment(ell, q, d, "half").value)
         if q >= 3:  # G_ell(1) = 1, so the expansions behind the moment sum to 1
             powers = sorted({q // 2, q - q // 2}) if q * ell % 2 == 0 else [q - 1]
             dev = max(abs(float(np.sum(expand_power(ell, p, d))) - 1.0) for p in powers)

@@ -201,9 +201,10 @@ class Functional:
 
         The integrand is evaluated in one working array of the shape of
         `fields`, `out` when given: kinds h and Z evaluate p(T) by Horner's
-        rule in place and skip the zero coefficients.  Each row is summed as
-        its own (1, N) @ (N,) product, so its value does not depend on the
-        rows it is batched with.
+        rule in place, skip the zero coefficients and start from `fields` at
+        a unit leading coefficient (1 * T is T).  Each row is summed as its
+        own (1, N) @ (N,) product, so its value does not depend on the rows
+        it is batched with.
         """
         acc = np.empty(np.shape(fields)) if out is None else out
         if self.monomial is None:
@@ -212,13 +213,12 @@ class Functional:
             acc.fill(self.monomial[0])
         else:
             *low, top = self.monomial
-            np.multiply(fields, top, out=acc)
+            p = fields if top == 1.0 else np.multiply(fields, top, out=acc)
             for c in low[:0:-1]:  # c_{Q-1}, ..., c_1
                 if c != 0.0:
-                    acc += c
-                acc *= fields
-            if low[0] != 0.0:
-                acc += low[0]
+                    p = np.add(p, c, out=acc)
+                p = np.square(p, out=acc) if p is fields else np.multiply(p, fields, out=acc)  # np.square: 2x faster
+            acc = p if low[0] == 0.0 else np.add(p, low[0], out=acc)  # p is `fields` itself for p(T) = T
         return (acc[..., None, :] @ weights)[..., 0]
 
     def mean(self, dim: SphereDim) -> float:

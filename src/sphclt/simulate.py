@@ -28,10 +28,10 @@ separate in the colatitude (Dai & Xu 2013, section 1.5):
 where the U_m are independent unit-variance degree-m fields on S^{d-1} and
 p_k is orthonormal for the weight (1-t^2)^{m+d/2-1}.  Every level, S^2
 included, is the same step: apply the profiles lam to the stack of U_m on
-the sub-grid.  The circle is the base case, where U_m = a cos(m phi) +
-b sin(m phi).  The recursion runs one level at a time with every field of
-the level at once, one stacked matmul per level, so a single replica costs
-O(d) array operations, not one per U_m.
+the sub-grid.  The circle is the base case, U_m = a cos(m phi) + b sin(m phi):
+the row (a, b) times the table [cos m phi; sin m phi].  The recursion runs one
+level at a time with every field of the level at once, one stacked matmul per
+level, so a single replica costs O(d) array operations, not one per U_m.
 
 One plan per (grid, ell) holds all the recursion reads; each level's profile
 stack comes from one Jacobi pass, which gives lam_{e,m} for every degree e at
@@ -223,7 +223,7 @@ def _levels(grid: SphereGrid) -> list[SphereGrid]:
 def _replica_values(grid: SphereGrid, ell: int) -> int:
     """Values one replica holds in the largest array of its synthesis.
 
-    The circle products hold (ell+1)^(d-1) * n_phi; each level's matmul
+    The circle level holds (ell+1)^(d-1) * n_phi; each level's matmul
     trades one factor ell+1 for that level's colatitude node count, the top
     one ending at N.  For small grid degrees the circle far outgrows N, so
     NODE_BUDGET bounds this count too: NodeBudgetError, before any table or
@@ -238,9 +238,9 @@ def _replica_values(grid: SphereGrid, ell: int) -> int:
     return largest
 
 
-def _leaf_draws(ell: int, d: int):
-    """Draw indices (cos, sin), each of shape (ell+1,)*(d-1), of the circle
-    harmonics under a degree-ell field on S^d.
+def _leaf_draws(ell: int, d: int) -> np.ndarray:
+    """Draw indices of the circle harmonics under a degree-ell field on S^d,
+    shape (ell+1,)*(d-1) + (2,): the pair (cos, sin) of each leaf.
 
     Leaf (m_{d-1}, ..., m_1), with ell >= m_{d-1} >= ... >= m_1, is the term
     a^c cos(m_1 phi) + a^s sin(m_1 phi) of U_{m_2} on S^2, itself a term of
@@ -249,28 +249,27 @@ def _leaf_draws(ell: int, d: int):
     blocks, block m holding the draws of U_m on S^{k-1}.  Padding leaves and
     a^s_0 get n_{ell;d}, the index of a zero column appended to the draws.
     """
-    idx = np.full((2,) + (ell + 1,) * (d - 1), dim_harmonics(ell, d))
+    idx = np.full((ell + 1,) * (d - 1) + (2,), dim_harmonics(ell, d))
 
     def fill(leaf, e, k, start):
         if k == 2:
-            j = np.arange(e + 1)
-            idx[(0,) + leaf + (slice(0, e + 1),)] = start + j
-            idx[(1,) + leaf + (slice(1, e + 1),)] = start + e + j[1:]
+            idx[leaf + (slice(0, e + 1), 0)] = start + np.arange(e + 1)
+            idx[leaf + (slice(1, e + 1), 1)] = start + e + np.arange(1, e + 1)
             return
         for m in range(e + 1):
             fill(leaf + (m,), m, k - 1, start)
             start += _n_harmonics(m, k - 1)
 
     fill((), ell, d, 0)
-    return idx[0], idx[1]
+    return idx
 
 
 def _synthesis_plan(grid: SphereGrid, ell: int):
-    """(cos_idx, sin_idx, cos_m, sin_m, lams) for degree-ell fields on `grid`:
-    the leaf draw indices, the azimuth tables (ell+1, n_phi), and one profile
-    stack per level from S^2 up.  Below the top, stack[e] (n_t, ell+1),
-    zero-padded beyond column e, serves the U of degree e; the top stack
-    holds lam_{ell} alone."""
+    """(pairs, trig, lams) for degree-ell fields on `grid`: the leaf draw
+    indices of `_leaf_draws`, the azimuth table trig[m] = [cos m phi; sin m phi]
+    of shape (ell+1, 2, n_phi), and one profile stack per level from S^2 up.
+    Below the top, stack[e] (n_t, ell+1), zero-padded beyond column e, serves
+    the U of degree e; the top stack holds lam_{ell} alone."""
     plans = _PLANS.setdefault(grid, {})
     if ell not in plans:
         if grid.folded and ell % 2:
@@ -279,20 +278,20 @@ def _synthesis_plan(grid: SphereGrid, ell: int):
         lams = [_profile_stack(ell, level.dim, level.colat_t, ell if level is grid else 0)
                 for level in _levels(grid)]
         m_phi = np.arange(ell + 1)[:, None] * _azimuth(grid.n_phi)[None, :]
-        plans[ell] = (*_leaf_draws(ell, grid.dim.d), np.cos(m_phi), np.sin(m_phi), lams)
+        plans[ell] = (_leaf_draws(ell, grid.dim.d), np.stack((np.cos(m_phi), np.sin(m_phi)), axis=1), lams)
     return plans[ell]
 
 
 def _synthesis_buffers(grid: SphereGrid, ell: int, rows: int) -> tuple:
     """Working set of `_sample_batch` for up to `rows` replicas: a generator
     on one Philox that `_reseed` moves to each replica's stream, the draws
-    with their zero column, the two circle products and one matmul result
-    per level, the last of which holds the fields."""
-    cos_idx, _, _, _, lams = _synthesis_plan(grid, ell)
+    with their zero column, the leaves' draw pairs, the circle level and one
+    matmul result per level, the last of which holds the fields."""
+    pairs, _, lams = _synthesis_plan(grid, ell)
     draws = np.zeros((rows, dim_harmonics(ell, grid.dim.d) + 1))
-    shape = (rows, *cos_idx.shape, grid.n_phi)
+    shape = (rows, *pairs.shape[:-1], grid.n_phi)
     # seeded, so that building it reads no OS entropy; `_reseed` sets its state before every draw
-    buffers = [np.random.Generator(np.random.Philox(0)), draws, np.empty(shape), np.empty(shape)]
+    buffers = [np.random.Generator(np.random.Philox(0)), draws, np.empty((rows, *pairs.shape)), np.empty(shape)]
     for lam in lams:
         *batch, _, n_sub = shape
         buffers.append(np.empty((*batch, lam.shape[-2], n_sub)))
@@ -304,24 +303,23 @@ def _synthesize_batch(grid: SphereGrid, ell: int, coeffs: np.ndarray, work=None)
     """Field values (R, N) from rows of n_{ell;d} standard normal draws.
 
     The recursion T = sum_m lam_m U_m runs one level at a time, every field
-    of a level at once: the circle harmonics of all leaves (see
-    `_leaf_draws`) in one broadcast, then one stacked matmul per level, each
-    U_m of degree e taking stack[e] of that level's profiles.  Zero padding
-    keeps every level a dense array, (ell+1)^(d-1) * n_phi values per replica
-    at the circle, which `_replica_values` holds to the node budget.
+    of a level at once, by one stacked matmul: at the circle each leaf's draw
+    pair (see `_leaf_draws`) times its harmonic's table, above it each U_m of
+    degree e times stack[e] of the level's profiles.  Zero padding keeps every
+    level dense, (ell+1)^(d-1) * n_phi values per replica at the circle, which
+    `_replica_values` holds to the node budget.
 
     Every array is written into `work`, buffers of `_synthesis_buffers` for
-    at least R rows, or into new ones; the result is a view of the last.
-    The stacked matmul makes one gemm per replica, so a replica's values do
-    not depend on the rows it shares a batch with.
+    at least R rows (`coeffs` may be its own draw rows), or into new ones;
+    the result is a view of the last.  Each matmul makes one BLAS call per
+    leaf or replica, so a replica's values do not depend on its batch.
     """
-    cos_idx, sin_idx, cos_m, sin_m, lams = _synthesis_plan(grid, ell)
+    pairs, trig, lams = _synthesis_plan(grid, ell)
     R, n = coeffs.shape
-    _, draws, circle, sines, *levels = _synthesis_buffers(grid, ell, R) if work is None else work
-    draws = draws[:R]
-    draws[:, :n] = coeffs
-    fields = np.multiply(draws[:, cos_idx, None], cos_m, out=circle[:R])
-    fields += np.multiply(draws[:, sin_idx, None], sin_m, out=sines[:R])
+    _, draws, gathered, circle, *levels = _synthesis_buffers(grid, ell, R) if work is None else work
+    draws[:R, :n] = coeffs
+    gathered = np.take(draws[:R], pairs, axis=1, out=gathered[:R], mode="clip")[..., None, :]  # clip: out unbuffered
+    fields = np.matmul(gathered, trig, out=circle[:R, ..., None, :])[..., 0, :]
     for lam, out in zip(lams, levels):
         fields = np.matmul(lam, fields, out=out[:R])
         *batch, n_t, n_sub = fields.shape
@@ -335,15 +333,14 @@ def _sample_batch(grid: SphereGrid, ell: int, seed: int, replicas, work=None) ->
     `clt._samples` passes one block of replicas per call and the same
     `work` set (see `_synthesis_buffers`) for every block of a worker, so a
     block is reduced before the next is drawn.  The generator of the work
-    set is reseeded for each replica."""
+    set is reseeded for each replica and draws into the work set's rows."""
     if work is None:  # the plan, and so the budget check, comes before any buffer
         work = _synthesis_buffers(grid, ell, len(replicas))
-    gen = work[0]
-    draws = np.empty((len(replicas), dim_harmonics(ell, grid.dim.d)))
+    gen, draws = work[:2]
     for row, rep in enumerate(replicas):
         _reseed(gen.bit_generator, seed, rep)
-        gen.standard_normal(out=draws[row])
-    return _synthesize_batch(grid, ell, draws, work)
+        gen.standard_normal(out=draws[row, :-1])  # all but the zero column
+    return _synthesize_batch(grid, ell, draws[:len(replicas), :-1], work)
 
 
 def sample_field(d: int, ell: int, grid: SphereGrid, seed: int, replica: int = 0) -> FieldRealization:

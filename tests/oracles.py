@@ -93,16 +93,15 @@ def recover_harmonic_coeffs(realization) -> np.ndarray:
     if grid.exact_degree < 2 * ell:
         raise UsageError(f"recovery at ell={ell} needs a grid exact to degree {2 * ell}, "
                          f"this one is exact to degree {grid.exact_degree}")
-    cos_idx, sin_idx, cos_m, sin_m, lams = _synthesis_plan(grid, ell)
+    pairs, trig, lams = _synthesis_plan(grid, ell)
     fields = realization.values * grid.weights
     for lam in reversed(lams):
         fields = fields.reshape(*fields.shape[:-1], lam.shape[1], -1)
         fields = np.matmul(lam.transpose(0, 2, 1), fields)
-    leaves = fields.reshape(cos_idx.shape + (grid.n_phi,))
+    leaves = fields.reshape(pairs.shape[:-1] + (grid.n_phi,))
     n = dim_harmonics(ell, grid.dim.d)
     out = np.zeros(n + 1)
-    out[sin_idx] = np.einsum("...mp,mp->...m", leaves, sin_m)
-    out[cos_idx] = np.einsum("...mp,mp->...m", leaves, cos_m)
+    out[pairs] = np.einsum("...mp,mkp->...mk", leaves, trig)
     return out[:n] / math.sqrt(grid.dim.mu_d / n)
 
 

@@ -148,9 +148,9 @@ def test_moments_q2_closed_form(tmp_path):
     rows = read_rows(tmp_path / "moments_d3_q2.csv")
     dim = SphereDim(3)
     expect = dim.mu_d / (2 * dim.mu_dm1 * dim_harmonics(4, 3))
-    assert float(rows[0]["moment"]) == pytest.approx(expect, rel=1e-12)
+    assert float(rows[0]["moment"]) == pytest.approx(expect, rel=1e-12, abs=0)
     assert "err_est" not in rows[0]
-    assert float(rows[0]["c_qd"]) == pytest.approx(math.pi / 4, rel=1e-12)
+    assert float(rows[0]["c_qd"]) == pytest.approx(math.pi / 4, rel=1e-12, abs=0)
     assert rows[0]["ratio"] == ""
     manifest = json.loads((tmp_path / "moments_d3_q2.manifest.json").read_text())
     assert manifest["all_passed"] is True
@@ -177,7 +177,7 @@ def test_contractions_closed_form_check(tmp_path):
     rows = read_rows(tmp_path / "contractions_d2_q2.csv")
     dim = SphereDim(2)
     expect = dim.mu_d ** 4 / dim_harmonics(8, 2) ** 3
-    assert float(rows[0]["K"]) == pytest.approx(expect, rel=1e-10)
+    assert float(rows[0]["K"]) == pytest.approx(expect, rel=1e-10, abs=0)
 
 
 def test_contractions_odd_odd_blank_bounds(tmp_path):
@@ -334,7 +334,7 @@ def test_simulate_h0_reads_the_sphere_volume(tmp_path, d, mu):
     assert len(rows) == 3
     for row in rows:
         assert row["q_or_kind"] == "h0" and row["normalized"] == ""
-        assert float(row["raw"]) == pytest.approx(mu, rel=1e-12)
+        assert float(row["raw"]) == pytest.approx(mu, rel=1e-12, abs=0)
 
 
 def test_constant_kind_Z_exits_2_naming_zero_variance(tmp_path, capsys):
@@ -386,7 +386,7 @@ def test_moments_log_slope_row(tmp_path):
     assert code == 0
     rows = read_rows(tmp_path / "moments_d2_q4.csv")
     assert rows[-1]["kind"] == "log_slope"
-    assert float(rows[-1]["moment"]) == pytest.approx(576.0, rel=0.10)
+    assert float(rows[-1]["moment"]) == pytest.approx(576.0, rel=0.10, abs=0)
     assert all(r["c_qd"] == "" for r in rows)  # (2, 4) has no limiting constant
     manifest = json.loads((tmp_path / "moments_d2_q4.manifest.json").read_text())
     assert any(c["name"] == "log_divergence_slope" and c["passed"] for c in manifest["checks"])
@@ -410,7 +410,7 @@ def test_simulate_manifest_grid_descriptor(tmp_path):
             "--reps", "3", "--seed", "1", "--out-dir", str(tmp_path))
     manifest = json.loads((tmp_path / "simulate_S_d2_ell8.manifest.json").read_text())
     grid = manifest["summary"]["grid"]
-    assert grid["weight_sum"] == pytest.approx(4 * math.pi, rel=1e-12)
+    assert grid["weight_sum"] == pytest.approx(4 * math.pi, rel=1e-12, abs=0)
     assert grid["exact_degree"] >= 32
     assert grid["folded"] is False and grid["n_nodes"] == 33 * 17
 
@@ -421,7 +421,7 @@ def test_manifests_describe_the_rule_they_integrated_on(tmp_path):
             "--reps", "3", "--seed", "1", "--out-dir", str(tmp_path))
     grid = json.loads((tmp_path / "simulate_h_d2_ell8.manifest.json").read_text())["summary"]["grid"]
     assert grid == {"d": 2, "n_nodes": 25 * 7, "exact_degree": 24, "folded": True,
-                    "weight_sum": pytest.approx(4 * math.pi, rel=1e-12)}
+                    "weight_sum": pytest.approx(4 * math.pi, rel=1e-12, abs=0)}
     # odd ell keeps the full rule
     run_cli("clt", "--kind", "h", "--q", "2", "--d", "3", "--ell", "3,4",
             "--reps", "200", "--seed", "1", "--out-dir", str(tmp_path))
@@ -661,6 +661,26 @@ def test_moments_expansion_sum_check_at_odd_q_ell(tmp_path):
     manifest = json.loads((tmp_path / "moments_d3_q5.manifest.json").read_text())
     [check] = [c for c in manifest["checks"] if c["name"] == "expansion_sum_ell9"]
     assert check["passed"] and "over p = 4:" in check["detail"]
+
+
+def test_moments_sums_the_variance_once_per_row(tmp_path, monkeypatch):
+    # the half moment at even q*ell is read from the row's variance, bit for
+    # bit what gegenbauer_moment gives; at odd q*ell it needs no variance sum
+    import sphclt.cli as cli
+    import sphclt.moments as moments
+    calls, variance = [], moments.variance_h
+
+    def counted(ell, q, d):
+        calls.append(ell)
+        return variance(ell, q, d)
+    for mod in (cli, moments):
+        monkeypatch.setattr(mod, "variance_h", counted)
+    moments.gegenbauer_moment.cache_clear()
+    run_cli("moments", "--d", "3", "--q", "3", "--ell", "8,9,10", "--out-dir", str(tmp_path))
+    assert calls == [8, 9, 10]
+    rows = read_rows(tmp_path / "moments_d3_q3.csv")
+    assert [float(r["moment"]) for r in rows] == [moments.gegenbauer_moment(ell, 3, 3, "half").value
+                                                 for ell in (8, 9, 10)]
 
 
 def test_moments_odd_half_moment_at_large_d(tmp_path):

@@ -164,6 +164,29 @@ def test_fused_reduce_matches_hermite_sums(f):
     np.testing.assert_allclose(f.reduce(fields, grid.weights), oracle, rtol=0.0, atol=1e-13 * sd)
 
 
+def _plain_horner(monomial, fields, weights):
+    acc = monomial[-1] * fields
+    for c in monomial[-2:0:-1]:
+        acc = (acc + c) * fields
+    return ((acc + monomial[0])[..., None, :] @ weights)[..., 0]
+
+
+@pytest.mark.parametrize("f", [Functional.of("h", q=1), Functional.of("Z", betas=(0.5, 1.0)),
+                               Functional.of("Z", betas=(0.0, 1.0)), Functional.of("Z", betas=(0.5, -2.0)),
+                               Functional.of("h", q=3), Functional.of("Z", betas=BETAS),
+                               Functional.of("Z", betas=(0.25, 0.0, -1.5, 0.0, 2.0))],
+                         ids=["h1", "Z-T+c", "Z-T", "Z-linear", "h3", "Z", "Z-lead-2"])
+def test_reduce_is_plain_horner_bitwise(f):
+    # a unit leading coefficient starts Horner from the fields themselves; the
+    # linear p(T) = T + c included, and `fields` is left as it was
+    grid = build_grid(2, 24)
+    fields = _sample_batch(grid, 6, 31, range(4)).copy()
+    kept = fields.copy()
+    for out in (None, np.full(fields.shape, np.nan)):
+        assert np.array_equal(f.reduce(fields, grid.weights, out), _plain_horner(f.monomial, fields, grid.weights))
+        assert np.array_equal(fields, kept)
+
+
 def test_samples_hold_one_field_at_a_time():
     # a 64-replica chunk at (d, ell, degree) = (2, 128, 384) is 38 MB of
     # fields; streaming replicas keeps the driver near one field (0.6 MB)
@@ -337,7 +360,7 @@ def test_sweep_excursion_normalization():
     for row in rep.rows:
         assert row.explicit_bound is None
         assert row.theoretical_rate == pytest.approx(row.ell ** -0.5)
-        assert row.predicted_mean == pytest.approx(4 * math.pi * ndtr(1.0), rel=1e-12)
+        assert row.predicted_mean == pytest.approx(4 * math.pi * ndtr(1.0), rel=1e-12, abs=0)
 
 
 def test_sweep_polynomial_kind():
@@ -356,7 +379,7 @@ def test_sweep_polynomial_rank2_variance_scaling():
     ratios = [a.predicted_var / b.predicted_var for a, b in zip(rep.rows, rep.rows[1:])]
     for r, (la, lb) in zip(ratios, [(8, 16), (16, 32)]):
         # exact identity: Var = 2 mu^2 / n with n = 2 ell + 1
-        assert r == pytest.approx((2 * lb + 1) / (2 * la + 1), rel=1e-12)
+        assert r == pytest.approx((2 * lb + 1) / (2 * la + 1), rel=1e-12, abs=0)
 
 
 # ------------------------------------------------------------------

@@ -84,7 +84,7 @@ def _assert_exact_identities(ell, p, d, tol=1e-13):
     b = expand_power(ell, p, d)
     assert abs(b.sum() - 1.0) < tol
     assert np.all(b >= 0.0)
-    assert b[0] * dim_harmonics(ell, d) == pytest.approx(expand_power(ell, p - 1, d)[ell], rel=tol)
+    assert b[0] * dim_harmonics(ell, d) == pytest.approx(expand_power(ell, p - 1, d)[ell], rel=tol, abs=0)
 
 
 @pytest.mark.parametrize("ell,p", [(1024, 4), (2048, 2)])
@@ -148,7 +148,7 @@ def _parseval(b, d):
 def test_expand_power_parseval_at_high_degree():
     full = fft_moment(1024, 8, 2, "full")
     for b in (expand_power(1024, 4, 2), project_power(1024, 4, 2)):
-        assert _parseval(b, 2) == pytest.approx(full, rel=1e-9)
+        assert _parseval(b, 2) == pytest.approx(full, rel=1e-9, abs=0)
 
 
 # (2048, 6, 2) sits at DEGREE_CAP = 12288.  At (1024, 3, 4) and (1365, 3, 3)
@@ -161,7 +161,7 @@ def test_expand_power_sum_and_parseval(ell, p, d, tol):
     full = fft_moment(ell, 2 * p, d, "full")
     for b in (expand_power(ell, p, d), project_power(ell, p, d)):
         assert abs(b.sum() - 1.0) < tol
-        assert _parseval(b, d) == pytest.approx(full, rel=tol)
+        assert _parseval(b, d) == pytest.approx(full, rel=tol, abs=0)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -192,7 +192,7 @@ def test_spectral_variance_cross_check():
                 if exact == 0.0:
                     assert abs(spectral) < 1e-12
                 else:
-                    assert spectral == pytest.approx(exact, rel=1e-9)
+                    assert spectral == pytest.approx(exact, rel=1e-9, abs=0)
 
 
 # ------------------------------------------------------------------
@@ -203,7 +203,7 @@ def test_spectral_variance_cross_check():
 def test_contraction_q2_closed_form(d):
     for ell in (1, 3, 16, 64):
         expect = MU[d].mu_d ** 4 / dim_harmonics(ell, d) ** 3
-        assert contraction_table(ell, 2, d)[0] == pytest.approx(expect, rel=1e-10)
+        assert contraction_table(ell, 2, d)[0] == pytest.approx(expect, rel=1e-10, abs=0)
 
 
 def test_contraction_symmetry_exact():
@@ -219,8 +219,8 @@ def test_contraction_homogeneity():
     left = expand_power(4, 2, 2)
     right = expand_power(4, 3, 2)
     base = contraction_norm(left, right, 2)
-    assert contraction_norm(2.0 * left, right, 2) == pytest.approx(4.0 * base, rel=1e-14)
-    assert contraction_norm(2.0 * left, 2.0 * right, 2) == pytest.approx(16.0 * base, rel=1e-14)
+    assert contraction_norm(2.0 * left, right, 2) == pytest.approx(4.0 * base, rel=1e-14, abs=0)
+    assert contraction_norm(2.0 * left, 2.0 * right, 2) == pytest.approx(16.0 * base, rel=1e-14, abs=0)
 
 
 def test_contraction_underflow_raises_but_parity_zero_passes():
@@ -278,7 +278,7 @@ def test_cross_contraction_adjacent_orders_vanish():
 
 def test_cross_contraction_formula():
     expect = variance_h(4, 2, 2) ** 2 / 4.0 * MU[2].mu_d ** 2 * (1.0 / 9.0)
-    assert cross_contraction(4, 2, 4, 2) == pytest.approx(expect, rel=1e-10)
+    assert cross_contraction(4, 2, 4, 2) == pytest.approx(expect, rel=1e-10, abs=0)
 
 
 def test_cross_contraction_efficient_bound():
@@ -305,8 +305,8 @@ def test_cross_contraction_validation():
 
 def test_berry_esseen_prefactors():
     b = berry_esseen_bound(8, 3, 2)
-    assert b.bound_k == pytest.approx(b.bound_tv / 2.0, rel=1e-14)
-    assert b.bound_w == pytest.approx(math.sqrt(2 / math.pi) * b.bound_k, rel=1e-14)
+    assert b.bound_k == pytest.approx(b.bound_tv / 2.0, rel=1e-14, abs=0)
+    assert b.bound_w == pytest.approx(math.sqrt(2 / math.pi) * b.bound_k, rel=1e-14, abs=0)
     assert b.bound_k > 0.0
     assert b.rate == rate_theoretical(8, 3, 2)
 
@@ -345,10 +345,10 @@ def test_poly_bound_single_term_matches_hermite_bound():
                 * math.factorial(2 * q - 2 * r) * K[r - 1] for r in range(1, q)) / q ** 2
         single = poly_bound(ell, 2, {q: 2.5})
         direct = berry_esseen_bound(ell, q, 2)
-        assert (direct.bound_k * variance_h(ell, q, 2)) ** 2 == pytest.approx(S, rel=1e-13)
-        assert direct.bound_k == pytest.approx(math.sqrt(S) / variance_h(ell, q, 2), rel=1e-13)
-        assert single.bound_k == pytest.approx(direct.bound_k, rel=1e-12)
-        assert single.bound_tv == pytest.approx(direct.bound_tv, rel=1e-12)
+        assert (direct.bound_k * variance_h(ell, q, 2)) ** 2 == pytest.approx(S, rel=1e-13, abs=0)
+        assert direct.bound_k == pytest.approx(math.sqrt(S) / variance_h(ell, q, 2), rel=1e-13, abs=0)
+        assert single.bound_k == pytest.approx(direct.bound_k, rel=1e-12, abs=0)
+        assert single.bound_tv == pytest.approx(direct.bound_tv, rel=1e-12, abs=0)
 
 
 def test_poly_rate_rules():

@@ -73,7 +73,7 @@ def test_grid_d2_shape_and_weights():
     ell = 12
     grid = build_grid(2, 2 * ell)
     assert grid.n_nodes == (ell + 1) * (2 * ell + 1)
-    assert grid.weights.sum() == pytest.approx(4 * math.pi, rel=1e-12)
+    assert grid.weights.sum() == pytest.approx(4 * math.pi, rel=1e-12, abs=0)
     assert grid.exact_degree >= 2 * ell
     assert np.all(grid.weights > 0)
     np.testing.assert_allclose(np.linalg.norm(grid_nodes(grid), axis=1), 1.0, atol=1e-12)
@@ -81,7 +81,7 @@ def test_grid_d2_shape_and_weights():
 
 def test_grid_d3_weights():
     grid = build_grid(3, 16)
-    assert grid.weights.sum() == pytest.approx(2 * math.pi ** 2, rel=1e-12)
+    assert grid.weights.sum() == pytest.approx(2 * math.pi ** 2, rel=1e-12, abs=0)
     np.testing.assert_allclose(np.linalg.norm(grid_nodes(grid), axis=1), 1.0, atol=1e-12)
 
 
@@ -207,6 +207,25 @@ def test_sampling_with_and_without_worker_buffers_is_bitwise_equal():
     for replicas in (range(3), [5, 2**40, 7]):
         assert np.array_equal(_sample_batch(grid, 4, 2 ** 64 + 9, replicas, work),
                               _sample_batch(grid, 4, 2 ** 64 + 9, replicas))
+
+
+@pytest.mark.parametrize("d, ell", [(2, 16), (3, 6), (4, 4)])
+def test_circle_level_is_a_cos_plus_b_sin(d, ell):
+    # each leaf's (a, b) row times its harmonic's [cos m phi; sin m phi] table,
+    # against a cos(m phi) + b sin(m phi) in extended precision: one rounding
+    # of the fused sum, 2^-52 (|a| + |b|).  The work set holds one array of
+    # the circle's shape; degree 3 ell keeps every level's shape apart from it
+    grid = build_grid(d, 3 * ell)
+    work = _synthesis_buffers(grid, ell, 3)
+    _sample_batch(grid, ell, 2 ** 64 + 9, [0, 5, 2 ** 40], work)
+    pairs, trig, _ = _synthesis_plan(grid, ell)
+    draws, circle = work[1], work[3]
+    assert circle.shape == (3, *pairs.shape[:-1], grid.n_phi)
+    assert sum(np.shape(a) == circle.shape for a in work) == 1
+    ab = draws[:, pairs].astype(np.longdouble)[..., None]
+    exact = ab[..., 0, :] * trig[:, 0] + ab[..., 1, :] * trig[:, 1]
+    assert np.all(np.abs(circle - exact) <= 2.0 ** -52 * (np.abs(ab[..., 0, :]) + np.abs(ab[..., 1, :])))
+    assert np.count_nonzero(draws[:, pairs]) == 3 * dim_harmonics(ell, d)  # every draw reaches one leaf
 
 
 @pytest.mark.parametrize("d, ell, wanted", [(12, 8, 2 * 9 ** 11), (7, 16, 2 * 17 ** 6), (40, 2, 2 * 3 ** 39)])
@@ -423,7 +442,7 @@ def field_d2():
 
 def test_functional_h_trivial_orders(field_d2):
     h0 = functional_h(field_d2, 0, normalize=False)
-    assert h0.raw == pytest.approx(4 * math.pi, rel=1e-12)
+    assert h0.raw == pytest.approx(4 * math.pi, rel=1e-12, abs=0)
     h1 = functional_h(field_d2, 1, normalize=False)
     assert abs(h1.raw) < 1e-10
 
@@ -477,13 +496,13 @@ def test_functional_Z_identities(field_d2):
     h2 = functional_h(field_d2, 2, normalize=False).raw
     h3 = functional_h(field_d2, 3, normalize=False).raw
     z2 = functional_Z(field_d2, [0, 0, 1], normalize=False)
-    assert z2.raw == pytest.approx(4 * math.pi + h2, rel=1e-12)
+    assert z2.raw == pytest.approx(4 * math.pi + h2, rel=1e-12, abs=0)
     z3 = functional_Z(field_d2, [0, 0, 0, 1], normalize=False)
     assert z3.raw == pytest.approx(h3, abs=1e-10)
 
 
 def test_functional_excursion_limits(field_d2):
-    assert functional_excursion(field_d2, 60.0).raw == pytest.approx(4 * math.pi, rel=1e-12)
+    assert functional_excursion(field_d2, 60.0).raw == pytest.approx(4 * math.pi, rel=1e-12, abs=0)
     assert functional_excursion(field_d2, -60.0).raw == 0.0
 
 
@@ -576,7 +595,7 @@ def test_hermite_projection_matches_parts_oracle(z, q):
                                        (3, 2, 2.0), (3, 5, 0.25), (3, 8, 1.0), (3, 2, 0.0)])
 def test_excursion_variance_matches_mpmath_double_integral(d, ell, z):
     assert excursion_variance(ell, d, z) == pytest.approx(
-        excursion_variance_oracle(ell, d, z), rel=EXCURSION_RTOL)
+        excursion_variance_oracle(ell, d, z), rel=EXCURSION_RTOL, abs=0)
 
 
 def excursion_variance_scipy_d2(ell, z):
@@ -611,7 +630,7 @@ def test_excursion_variance_at_odd_ell_and_small_level_matches_scipy(ell, z):
     # about |z|; on the first theta panel the u rule is halved toward it, so
     # small levels keep their accuracy (the rule of one 48-node panel was off
     # by 2.8e-7 at z = 0.01 and 1.6e-5 at 0.001)
-    assert excursion_variance(ell, 2, z) == pytest.approx(excursion_variance_scipy_d2(ell, z), rel=1e-9)
+    assert excursion_variance(ell, 2, z) == pytest.approx(excursion_variance_scipy_d2(ell, z), rel=1e-9, abs=0)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -635,7 +654,7 @@ def test_excursion_variance_is_the_sum_of_the_chaos_series(ell, d, z):
     # sum over 33..64 divided by 2^{(d+1)/2} - 1; at z = 0 the q <= 8 sum
     # misses 19 % (d = 2) and 10 % (d = 3) of the variance
     predicted = (tails[2] - tails[3]) / (2.0 ** ((d + 1) / 2) - 1.0)
-    assert tails[3] == pytest.approx(predicted, rel=0.1)
+    assert tails[3] == pytest.approx(predicted, rel=0.1, abs=0)
 
 
 @pytest.mark.parametrize("d, ell", [(2, 2), (2, 16), (3, 8), (4, 64), (2, 256)])
@@ -645,7 +664,7 @@ def test_excursion_variance_at_level_zero_is_sheppards_arcsin_law(d, ell):
     theta, w = panel_nodes(0.0, math.pi, 4 * (ell + 2), 32)
     rho = np.clip(GegenbauerCtx(ell, dim).evaluate(np.cos(theta)), -1.0, 1.0)
     sheppard = dim.mu_d * dim.mu_dm1 / (2 * math.pi) * float(np.sum(w * np.sin(theta) ** (d - 1) * np.arcsin(rho)))
-    assert excursion_variance(ell, d, 0.0) == pytest.approx(sheppard, rel=EXCURSION_RTOL)
+    assert excursion_variance(ell, d, 0.0) == pytest.approx(sheppard, rel=EXCURSION_RTOL, abs=0)
 
 
 @pytest.mark.parametrize("ell", [5, 16])
