@@ -45,8 +45,8 @@ from .clt import (
     rate_fit,
 )
 from .contractions import berry_esseen_bound, contraction_table, rate_theoretical
-from .moments import (bessel_constant, dougall_coefficient, expand_power, gegenbauer_moment, log_divergence_check,
-                      moment_of_variance, variance_h)
+from .moments import (bessel_constant, dougall_coefficient, dougall_row, expand_power, gegenbauer_moment,
+                      log_divergence_check, moment_of_variance, variance_h)
 # build_grid, excursion_variance and sample_field have no caller here;
 # perfbench/spans.py wraps these bindings
 from .simulate import build_grid, excursion_variance, sample_field
@@ -335,13 +335,13 @@ def cmd_contractions(cfg: RunConfig) -> int:
                 f"K(2;1) vs mu^4/n^3 relative deviation {rel:.3e}",
             ))
         if ell % 2 == 0 or q % 2 == 0:  # else the parity makes the variance exactly 0
-            # int G^q = int G^{q-1} G_ell: the r = 1 form of the sum behind variance_h, which
-            # contraction_table has cached; at q = 3 that is the same sum, so its one term
-            # b_ell^(2) comes from the scalar closed form instead
+            # int G^q = int G^{q-1} G_ell: the r = 1 form of the sum behind variance_h, with
+            # b_ell^(q-1) as one Rogers-Dougall row over G^{q-2}; at q = 3 that row is the
+            # sum itself, so its one term b_ell^(2) comes from the scalar closed form instead
             if q == 3:
                 b_ell, source = dougall_coefficient(ell, ell, ell // 2, d), "c(ell, ell, ell/2)"
             else:
-                b_ell, source = float(expand_power(ell, q - 1, d)[ell]), f"b_ell^({q - 1})"
+                b_ell, source = dougall_row(ell, q - 1, d), f"b_ell^({q - 1})"
             spectral = math.factorial(q) * dim.mu_d ** 2 * b_ell / float_harmonics(ell, d)
             variance = variance_h(ell, q, d)
             rel = abs(variance - spectral) / spectral if spectral > 0.0 else math.inf

@@ -18,6 +18,8 @@ polynomials is a finite sum of them with positive coefficients in closed form
 (Rogers-Dougall, DLMF 18.18.22), so every b_k is a sum of positive terms,
 accurate to about 1e-14 relative, in O(p*ell) memory.  G^2 takes one O(ell)
 pass; each higher power costs O(ell) per nonzero coefficient of the one below.
+The single coefficient b_ell^{(p)} is one row of the last product: O(ell)
+terms over G^{p-1} (`dougall_row`).
 The G_k are orthogonal, with integral mu_d / (mu_{d-1} n_{k;d}) of G_k^2, so
     Var[h_{ell;q,d}] = q! mu_d^2 sum_k b_k^{(r)} b_k^{(q-r)} / n_{k;d}
 for any 1 <= r < q.  At r = floor(q/2) every term is positive and only degree
@@ -134,6 +136,32 @@ def _log_rising_ratio(x: float, y: float, n: int) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(np.log1p((x - y) / (y + k)))))
 
 
+def _dougall_log_terms(ell: int, deg: int, d: int):
+    """The Rogers-Dougall coefficients of the products G_j G_ell with j + ell <= deg,
+
+        G_j G_ell = sum_s c(j, ell, s) G_{N-2s},    N = j + ell,  s = 0..min(j, ell),
+        c = (N+lam-2s)/(N+lam-s) a_s a_{j-s} a_{ell-s} (2lam)_{N-s}/(lam)_{N-s} f_j f_ell,
+
+    with a_k = (lam)_k / k! and f_k = k! / (2lam)_k (DLMF 18.18.22 over G_k(1) = 1).
+    Every term is positive, so a sum of them has no cancellation.
+
+    Returns log f_k in extended precision and term(s, ell_s, j_s, k) =
+    log(c / (f_j f_ell)) at s, ell - s, j - s and k = N - 2s, each given as
+    an integer, a slice or an integer array.
+    """
+    lam = (d - 1) / 2.0
+    log_a = _log_rising_ratio(lam, 1.0, deg)
+    log_f = _log_rising_ratio(1.0, 2.0 * lam, deg)
+    log_lk = np.log(np.arange(deg + 1, dtype=np.longdouble) + lam)
+    # the factors of c indexed by j - s: a_{j-s} (2lam)_{N-s} / ((lam)_{N-s} (N+lam-s))
+    shift = (log_a[:deg - ell + 1] + _log_rising_ratio(2.0 * lam, lam, deg)[ell:] - log_lk[ell:]).astype(float)
+    log_a, log_lk = log_a.astype(float), log_lk.astype(float)
+
+    def term(s, ell_s, j_s, k):
+        return log_a[s] + log_a[ell_s] + shift[j_s] + log_lk[k]
+    return log_f, term
+
+
 @lru_cache(maxsize=512)
 def _expand_power_cached(ell: int, p: int, d: int) -> np.ndarray:
     deg = p * ell
@@ -143,24 +171,14 @@ def _expand_power_cached(ell: int, p: int, d: int) -> np.ndarray:
         coeffs.setflags(write=False)
         return coeffs
     prev = _expand_power_cached(ell, p - 1, d)
-    # G_j G_ell = sum_s c(j, ell, s) G_{N-2s}, N = j + ell, s = 0..min(j, ell), with
-    #   c = (N+lam-2s)/(N+lam-s) a_s a_{j-s} a_{ell-s} (2lam)_{N-s}/(lam)_{N-s} j! ell!/((2lam)_j (2lam)_ell),
-    # a_k = (lam)_k / k!: Rogers-Dougall (DLMF 18.18.22) over G_k(1) = 1.  Every
-    # term is positive, so each b_k is a sum without cancellation
-    lam = (d - 1) / 2.0
-    log_a = _log_rising_ratio(lam, 1.0, deg)
-    log_f = _log_rising_ratio(1.0, 2.0 * lam, deg)
-    log_lk = np.log(np.arange(deg + 1, dtype=np.longdouble) + lam)
-    # the factors of c indexed by j - s: a_{j-s} (2lam)_{N-s} / ((lam)_{N-s} (N+lam-s))
-    shift = (log_a[:deg - ell + 1] + _log_rising_ratio(2.0 * lam, lam, deg)[ell:] - log_lk[ell:]).astype(float)
+    log_f, term = _dougall_log_terms(ell, deg, d)
     nz = np.flatnonzero(prev)
     scale = (np.log(prev[nz]) + log_f[nz] + log_f[ell]).astype(float)
-    log_a, log_lk = log_a.astype(float), log_lk.astype(float)
     for j, c in zip(nz.tolist(), scale.tolist()):
         n, top = min(j, ell), j + ell
         # s = n - i for i = 0..n, which lands on G_{top-2n+2i}; the opposite
         # parity is never written and stays exactly 0
-        terms = log_a[n::-1] + log_a[ell - n:ell + 1] + shift[j - n:j + 1] + log_lk[top - 2 * n:top + 1:2]
+        terms = term(slice(n, None, -1), slice(ell - n, ell + 1), slice(j - n, j + 1), slice(top - 2 * n, top + 1, 2))
         coeffs[top - 2 * n:top + 1:2] += np.exp(terms + c)
     coeffs.setflags(write=False)
     return coeffs
@@ -180,10 +198,30 @@ def expand_power(ell: int, p: int, d: int) -> np.ndarray:
     return _expand_power_cached(ell, p, d)
 
 
+def dougall_row(ell: int, p: int, d: int) -> float:
+    """b_ell^{(p)}, the coefficient of G_ell in G_{ell;d}^p, as one row of the
+    product G^{p-1} G_ell:
+
+        b_ell^{(p)} = sum_j b_j^{(p-1)} c(j, ell, j/2),    j = 0, 2, .., min((p-1)*ell, 2*ell),
+
+    O(ell) positive terms over the expansion of G^{p-1}; G^p is not expanded.
+    It is exactly 0 where (p-1)*ell is odd: G^{p-1} then has odd degrees only."""
+    if ell < 0 or p < 1 or d < 2:
+        raise UsageError(f"need ell >= 0, p >= 1, d >= 2, got ({ell}, {p}, {d})")
+    if p == 1:
+        return 1.0
+    b = expand_power(ell, p - 1, d)
+    if (p - 1) * ell % 2:
+        return 0.0
+    s = np.arange(min(b.size - 1, 2 * ell) // 2 + 1)  # s = j/2
+    log_f, term = _dougall_log_terms(ell, ell + 2 * s[-1], d)
+    return float(np.sum(b[:2 * s.size:2] * np.exp(term(s, ell - s, s, ell) + log_f[:2 * s.size:2] + log_f[ell])))
+
+
 def dougall_coefficient(j: int, ell: int, s: int, d: int) -> float:
-    """c(j, ell, s) of the comment in `_expand_power_cached`, the coefficient
-    of G_{j+ell-2s} in G_j G_ell, as one product of `math.lgamma` terms: a
-    scalar reference for the expansions, about 1e-11 relative at degree 2048."""
+    """c(j, ell, s) of `_dougall_log_terms`, the coefficient of G_{j+ell-2s}
+    in G_j G_ell, as one product of `math.lgamma` terms: a scalar reference
+    for the expansions, about 1e-11 relative at degree 2048."""
     lam = (d - 1) / 2.0
 
     def log_rising(x, k):

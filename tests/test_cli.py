@@ -206,6 +206,23 @@ def test_contractions_variance_spectral_check(tmp_path, d, ell, expected):
     assert all(float(r["bound_k"]) > 0.0 for r in rows)
 
 
+@pytest.mark.parametrize("q, ell, expected", [(4, 8192, 0), (5, 4096, 0), (5, 4098, 3)])
+def test_contractions_cap_binds_below_the_top_power(tmp_path, capsys, q, ell, expected):
+    # no run expands G^{q-1}: K at r = 1 comes from the variance, and the
+    # check's b_ell^(q-1) is one row over G^{q-2}.  So q = 4 needs only the
+    # O(ell) G^2 (G^3 at ell = 8192 would have degree 24576), and from q = 5
+    # on DEGREE_CAP binds at (q-2)*ell <= 12288
+    code = run_cli("contractions", "--d", "2", "--q", str(q), "--ell", str(ell), "--out-dir", str(tmp_path))
+    err = capsys.readouterr().err
+    assert code == expected
+    if expected == 3:
+        assert err.count("\n") == 1 and "12294 of G^3 exceeds cap DEGREE_CAP" in err
+        return
+    assert err == ""
+    manifest = json.loads((tmp_path / f"contractions_d2_q{q}.manifest.json").read_text())
+    assert {c["name"]: c["passed"] for c in manifest["checks"]} == {f"variance_spectral_ell{ell}": True}
+
+
 def test_contractions_bound_fault_propagates(tmp_path, monkeypatch):
     import sphclt.cli as cli
 

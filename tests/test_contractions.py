@@ -151,7 +151,8 @@ def test_expand_power_parseval_at_high_degree():
         assert _parseval(b, 2) == pytest.approx(full, rel=1e-9, abs=0)
 
 
-# (2048, 6, 2) sits at DEGREE_CAP = 12288.  At (1024, 3, 4) and (1365, 3, 3)
+# (2048, 6, 2) sits at DEGREE_CAP = 12288, which no command reaches there:
+# contraction_table(2048, 6, 2) expands G^4 at most.  At (1024, 3, 4) and (1365, 3, 3)
 # the half-range weights of the projection need sin^{d-1-sigma} theta kept
 # out of the FFT; folded into it, the weights near t = 1 lose relative
 # accuracy and (1024, 3, 4) gives sum b - 1 = 1e-4
@@ -206,6 +207,43 @@ def test_contraction_q2_closed_form(d):
         assert contraction_table(ell, 2, d)[0] == pytest.approx(expect, rel=1e-10, abs=0)
 
 
+# the old caps: contraction_table expanded G^{q-1}, so (q-1)*ell <= DEGREE_CAP from q = 4 on
+OLD_CAP_ELL = {3: 6144, 4: 4096, 5: 3072, 6: 2457}
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 30, 60])
+@pytest.mark.parametrize("q", [3, 4, 5, 6])
+def test_contraction_first_order_from_the_variance(q, d):
+    # K(ell, q; 1) = Var h^2 / ((q!)^2 n_ell) against the spectral sum over
+    # G^{q-1}; both raise where the norm underflows (large d, large ell)
+    for ell in (2, 3, 7, 64, 255, OLD_CAP_ELL[q]):
+        try:
+            expect = contraction_norm(expand_power(ell, 1, d), expand_power(ell, q - 1, d), d)
+        except NumericalError:
+            with pytest.raises(NumericalError, match="below the least normal float"):
+                contraction_table(ell, q, d)
+            continue
+        table = contraction_table(ell, q, d)
+        if expect == 0.0:
+            assert table[0] == table[-1] == 0.0  # the exact parity zeros
+        else:
+            assert table[0] == pytest.approx(expect, rel=1e-12, abs=0)
+            assert table[-1] == table[0]
+
+
+@pytest.mark.parametrize("q", [4, 5, 6, 7])
+def test_contractions_never_expand_the_top_power(q):
+    # every product a `contractions` row needs stops at G^{q-2}: the table,
+    # the bound and the row b_ell^(q-1) behind its variance check.  The cache
+    # holds the powers 1..max p of the one (ell, d), built bottom-up
+    from sphclt.moments import dougall_row
+    _expand_power_cached.cache_clear()
+    contraction_table(64, q, 3)
+    berry_esseen_bound(64, q, 3)
+    dougall_row(64, q - 1, 3)
+    assert _expand_power_cached.cache_info().currsize == q - 2
+
+
 def test_contraction_symmetry_exact():
     for q in (3, 4, 5, 7):
         table = contraction_table(6, q, 2)
@@ -227,6 +265,10 @@ def test_contraction_underflow_raises_but_parity_zero_passes():
     # at d = 171 (mu_d / n_k)^3 underflows although the b_k c_k are not small
     with pytest.raises(NumericalError, match="below the least normal float"):
         contraction_table(8, 3, 171)
+    # at d = 342 the variance behind K(ell, q; 1) is itself 0, but not by parity
+    assert variance_h(4, 3, 342) == 0.0
+    with pytest.raises(NumericalError, match="below the least normal float"):
+        contraction_table(4, 3, 342)
     # odd ell, odd q: every b_k c_k is exactly 0, and so is the norm
     assert contraction_norm(expand_power(5, 1, 2), expand_power(5, 2, 2), 2) == 0.0
     np.testing.assert_array_equal(contraction_table(5, 3, 2), [0.0, 0.0])
@@ -279,6 +321,20 @@ def test_cross_contraction_adjacent_orders_vanish():
 def test_cross_contraction_formula():
     expect = variance_h(4, 2, 2) ** 2 / 4.0 * MU[2].mu_d ** 2 * (1.0 / 9.0)
     assert cross_contraction(4, 2, 4, 2) == pytest.approx(expect, rel=1e-10, abs=0)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 30])
+@pytest.mark.parametrize("q1, q2", [(2, 4), (2, 5), (3, 5), (2, 6), (3, 7), (4, 8)])
+def test_cross_contraction_from_the_variance(q1, q2, d):
+    # b_0^(p) = Var h_p / (p! mu_d^2) against b_0 of the expansion of G^p
+    for ell in (3, 8, 64, 255):
+        b0 = float(expand_power(ell, q2 - q1, d)[0])
+        expect = variance_h(ell, q1, d) ** 2 / math.factorial(q1) ** 2 * SphereDim(d).mu_d ** 2 * b0
+        value = cross_contraction(ell, q1, q2, d)
+        if expect == 0.0:
+            assert value == 0.0
+        else:
+            assert value == pytest.approx(expect, rel=1e-12, abs=0)
 
 
 def test_cross_contraction_efficient_bound():

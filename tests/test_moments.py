@@ -30,6 +30,7 @@ from sphclt.moments import (
     DivergentIntegralError,
     bessel_constant,
     dougall_coefficient,
+    dougall_row,
     expand_power,
     gegenbauer_moment,
     log_divergence_check,
@@ -289,6 +290,27 @@ def test_dougall_coefficient_against_exact_and_expansion(ell, d):
     assert value == pytest.approx(expand_power(ell, 2, d)[2 * ell - 2 * s], rel=1e-10, abs=0)
     if ell <= 400:
         assert value == pytest.approx(float(dougall_exact(ell, ell, s, d)), rel=1e-11, abs=0)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 30, 60])
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("ell", [1, 2, 7, 8, 255, 1024])
+def test_dougall_row_matches_the_expansion(ell, p, d):
+    # b_ell^(p) from one row over G^{p-1}, against the full expansion of G^p;
+    # at odd ell and even p both are the exact parity zero
+    expect = float(expand_power(ell, p, d)[ell])
+    if p % 2 == 0 and ell % 2 == 1:
+        assert expect == 0.0 and dougall_row(ell, p, d) == 0.0
+    else:
+        assert dougall_row(ell, p, d) == pytest.approx(expect, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("ell, d", [(10, 3), (40, 30), (24, 60)])
+def test_dougall_row_against_exact_rationals(ell, d):
+    # b_ell^(3) = sum_j b_j^(2) c(j, ell, j/2) with b_{2 ell - 2s}^(2) = c(ell, ell, s)
+    exact = sum(dougall_exact(ell, ell, s, d) * dougall_exact(2 * ell - 2 * s, ell, ell - s, d)
+                for s in range(ell + 1))
+    assert dougall_row(ell, 3, d) == pytest.approx(float(exact), rel=1e-12, abs=0)
 
 
 # ------------------------------------------------------------------
