@@ -5,7 +5,9 @@ manifest per run.  Configuration comes from an optional line-oriented file
 (`key = value`, `#` comments) merged with flags; flags win, unknown keys are
 rejected, one parser per key reads a flag's text and a config line alike, and
 the manifest echoes the resolved value of every key the command takes so a
-run can be reproduced from its manifest alone.
+run can be reproduced from its manifest alone.  The flags themselves are read
+from the same key table (`read_argv`): full names only, `--flag VALUE` or
+`--flag=VALUE`, the last occurrence winning.
 
 Reproducibility rules: all randomness flows from one master seed (drawn from
 OS entropy and recorded when --seed is absent); --threads only caps workers
@@ -20,7 +22,6 @@ its class's code; any other exception is a bug and propagates.
 
 from __future__ import annotations
 
-import argparse
 import csv
 import json
 import math
@@ -131,7 +132,11 @@ def _keys(command: str):
 
 
 def _parse(f, raw: str, source: str):
-    """Key `f` from its text; a bad text is a one-line UsageError naming its `source`."""
+    """Key `f` from its text, a flag's or a config line's alike; a bad text,
+    or one outside the key's choices, is a one-line UsageError naming its `source`."""
+    choices = f.metadata["choices"]
+    if choices is not None and raw not in choices:
+        raise UsageError(f"{source}: invalid choice {raw!r} (choose from {', '.join(choices)})")
     try:
         return f.metadata["parse"](raw)
     except ValueError as exc:  # UsageError included
@@ -158,14 +163,13 @@ def read_config_file(path: str, command: str) -> dict:
     return values
 
 
-def build_config(command: str, args: argparse.Namespace) -> RunConfig:
-    values = {}
-    if getattr(args, "config", None):
-        values.update(read_config_file(args.config, command))
+def build_config(command: str, raw: dict) -> RunConfig:
+    """The run's configuration from the raw texts of its flags, keyed by field
+    name and "config" as `read_argv` returns them; flags win over the config file."""
+    values = read_config_file(raw["config"], command) if "config" in raw else {}
     for f in _keys(command):
-        raw = getattr(args, f.name, None)
-        if raw is not None:
-            values[f.name] = _parse(f, raw, f.metadata["flag"])
+        if f.name in raw:
+            values[f.name] = _parse(f, raw[f.name], f.metadata["flag"])
     cfg = RunConfig(command=command, **values)
     if not cfg.ell:
         raise UsageError(f"{command} requires --ell")
@@ -461,36 +465,72 @@ _COMMANDS = {
     "excursion": (cmd_clt, "excursion-area CLT sweep with mean/variance checks"),
 }
 
-
-class _Parser(argparse.ArgumentParser):
-    """An unknown flag or a flag without its value ends in one stderr line and
-    exit 2, as a `UsageError` does, not in argparse's usage message."""
-
-    def error(self, message):
-        self.exit(2, f"{self.prog}: {message}\n")
+_HELP = ("-h", "--help")
 
 
-def make_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="sphclt",
-        description="Variance asymptotics and quantitative CLTs for random spherical eigenfunctions",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, (_, help_text) in _COMMANDS.items():
-        p = sub.add_parser(command, help=help_text)
-        for f in _keys(command):
-            meta = f.metadata
-            p.add_argument(meta["flag"], dest=f.name, help=meta["help"], choices=meta["choices"])
-        p.add_argument("--config", help="line-oriented config file (key = value); flags win")
-    return parser
+def _help_text(command: str | None = None) -> str:
+    """The command list, or `command`'s flags, from the RunConfig key table."""
+    if command is None:
+        lines = ["usage: sphclt COMMAND [--flag VALUE ...]",
+                 "Variance asymptotics and quantitative CLTs for random spherical eigenfunctions",
+                 "", "commands:"]
+        lines += [f"  {name:<14}{text}" for name, (_, text) in _COMMANDS.items()]
+        lines += ["", "sphclt COMMAND --help lists the flags of COMMAND"]
+        return "\n".join(lines)
+    entries = [(f.metadata["flag"], f.metadata["help"]
+                + (f" (one of {', '.join(f.metadata['choices'])})" if f.metadata["choices"] else ""))
+               for f in _keys(command)]
+    entries.append(("--config", "line-oriented config file (key = value); flags win"))
+    lines = [f"usage: sphclt {command} [--flag VALUE ...]", _COMMANDS[command][1], "",
+             "flags, by full name as --flag VALUE or --flag=VALUE; the last one wins:"]
+    lines += [f"  {flag:<11}{text}" for flag, text in entries]
+    return "\n".join(lines)
+
+
+def read_argv(command: str, args: list[str]) -> dict | None:
+    """The raw texts of `command`'s flags in `args`, keyed by RunConfig field
+    name and "config", or None where -h or --help asks for the help text.
+
+    A flag is named in full, as `--flag VALUE` or `--flag=VALUE`; a value may
+    begin with a single `-` but not with `--`, and the last occurrence of a
+    flag wins.  Anything else is a one-line UsageError."""
+    flags = {f.metadata["flag"]: f.name for f in _keys(command)}
+    flags["--config"] = "config"
+    raw = {}
+    tokens = iter(args)
+    for token in tokens:
+        if token in _HELP:
+            return None
+        flag, eq, value = token.partition("=")
+        if flag not in flags:
+            if not token.startswith("-"):
+                raise UsageError(f"unexpected argument {token!r}")
+            raise UsageError(f"unknown flag {flag!r}; {command} takes {', '.join(flags)}")
+        if not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("--"):
+                raise UsageError(f"{flag} expects a value")
+        raw[flags[flag]] = value
+    return raw
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        return _COMMANDS[args.command][0](build_config(args.command, args))
+        if command is None:
+            if argv and argv[0] in _HELP:
+                print(_help_text())
+                return 0
+            got = f"unknown command {argv[0]!r}" if argv else "no command"
+            raise UsageError(f"{got}; choose from {', '.join(_COMMANDS)}, or --help")
+        raw = read_argv(command, argv[1:])
+        if raw is None:
+            print(_help_text(command))
+            return 0
+        return _COMMANDS[command][0](build_config(command, raw))
     except SphcltError as exc:
-        print(f"sphclt {args.command}: {exc}", file=sys.stderr)
+        print(f"sphclt {command}: {exc}" if command else f"sphclt: {exc}", file=sys.stderr)
         return exc.exit_code
 
 

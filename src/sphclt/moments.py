@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import math
 import sys
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -129,11 +130,27 @@ def moment_of_variance(variance: float, q: int, d: int) -> float:
     return variance / (float_factorial(q) * dim.mu_d * dim.mu_dm1)
 
 
+# (x, y) -> log((x)_k / (y)_k) for k = 0..n, the longest table built so far
+_LOG_RISING = {}
+_LOG_RISING_LOCK = threading.Lock()
+
+
 def _log_rising_ratio(x: float, y: float, n: int) -> np.ndarray:
     """log((x)_k / (y)_k) for k = 0..n, summed in extended precision where
-    numpy has it: the ratio of consecutive terms is 1 + (x - y)/(y + k)."""
-    k = np.arange(n, dtype=np.longdouble)
-    return np.concatenate(([0.0], np.cumsum(np.log1p((x - y) / (y + k)))))
+    numpy has it: the ratio of consecutive terms is 1 + (x - y)/(y + k).
+
+    A read-only view of one table per (x, y), kept for the process and
+    extended from its last total, so each term is summed once and every
+    prefix is the sequential sum, bit for bit, whatever degrees come first."""
+    with _LOG_RISING_LOCK:
+        table = _LOG_RISING.get((x, y))
+        if table is None or table.size <= n:
+            last = np.zeros(1, dtype=np.longdouble) if table is None else table
+            k = np.arange(last.size - 1, n, dtype=np.longdouble)
+            tail = np.cumsum(np.concatenate((last[-1:], np.log1p((x - y) / (y + k)))))
+            table = _LOG_RISING[x, y] = np.concatenate((last[:-1], tail))
+            table.setflags(write=False)
+    return table[:n + 1]
 
 
 def _dougall_log_terms(ell: int, deg: int, d: int):

@@ -1,6 +1,5 @@
 """CLI surface: parsing, config files, outputs, exit codes, determinism."""
 
-import argparse
 import csv
 import json
 import math
@@ -75,15 +74,44 @@ def test_config_file_merge_and_rejection(tmp_path):
     (("moments", "--q", "3", "--ell", "4..x"), "bad multipole range '4..x'"),
     (("moments", "--q", "3", "--config", "run.cfg"), "bad multipole range '10..'"),
     (("moments", "--q", "x", "--ell", "8"), "--q: invalid literal for int()"),
+    ((), "no command"),
+    (("moment", "--q", "3", "--ell", "8"), "unknown command 'moment'"),
+    (("clt", "--q", "3", "--ell", "8", "--rep", "5"), "unknown flag '--rep'"),  # no abbreviations
+    (("clt", "--q", "3", "--ell", "8", "--seed"), "--seed expects a value"),
+    (("clt", "--ell", "8", "--out-dir", "--q", "3"), "--out-dir expects a value"),
+    (("moments", "--q", "3", "--ell", "8", "8"), "unexpected argument '8'"),
 ])
 def test_bad_value_or_config_exits_2_with_one_line(tmp_path, capsys, monkeypatch, args, named):
-    # a flag's text and a config line go through one parser per key, so a
-    # bad value is one line from sphclt, never argparse's usage message
+    # a flag's text and a config line go through one parser per key, and bad
+    # argv is a UsageError, so each is one line from sphclt, never a usage message
     monkeypatch.chdir(tmp_path)
     (tmp_path / "run.cfg").write_text("ell = 10..\n")
-    assert run_cli(*args, "--out-dir", str(tmp_path)) == 2
+    argv = [*args, "--out-dir", str(tmp_path)] if args else []  # empty argv stays empty
+    assert run_cli(*argv) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and named in err and "usage:" not in err
+
+
+def test_a_bad_choice_reads_the_same_from_a_flag_and_a_config_line(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("kind = X\n")
+    messages = []
+    for source in (["--kind", "X"], ["--config", str(cfg)]):
+        assert run_cli("clt", "--q", "3", "--ell", "8", *source, "--out-dir", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        messages.append(err.rsplit(": ", 1)[-1])  # after the source: the flag or file:line: key
+    assert messages[0] == messages[1] == "invalid choice 'X' (choose from h, Z, S)\n"
+
+
+def test_flag_equals_value_and_the_last_flag_wins(tmp_path):
+    assert run_cli("moments", "--q=2", "--ell", "4", "--ell=2,4", "--d", "4", "--d", "3",
+                   "--out-dir", str(tmp_path)) == 0
+    rows = read_rows(tmp_path / "moments_d3_q2.csv")
+    assert [r["ell"] for r in rows] == ["2", "4"]
+    # a value may begin with a single '-'
+    assert run_cli("simulate", "--kind", "Z", "--betas", "-1,0,1", "--ell", "4", "--reps", "2",
+                   "--seed", "1", "--out-dir", str(tmp_path)) == 0
 
 
 def test_flags_win_over_config(tmp_path):
@@ -119,10 +147,9 @@ def test_fixed_check_settings_are_not_flags(tmp_path, capsys, command, flag):
     # the check tolerances and the excursion chaos truncation are constants,
     # so all_passed means the same thing for every run; odd multipoles need
     # no switch
-    with pytest.raises(SystemExit) as exc:
-        run_cli(command, *_RUNNABLE[command], flag, "0.5", "--out-dir", str(tmp_path))
-    assert exc.value.code == 2
-    assert f"unrecognized arguments: {flag} 0.5" in capsys.readouterr().err
+    assert run_cli(command, *_RUNNABLE[command], flag, "0.5", "--out-dir", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"unknown flag {flag!r}" in err
 
 
 @pytest.mark.parametrize("command, line", [("moments", "ratio_tol = 0.5"),
@@ -540,8 +567,9 @@ def test_simulate_normalizes_once_through_the_sampling_driver(tmp_path, monkeypa
     assert [float(r["normalized"]) for r in rows] == ((expect - f.mean(grid.dim)) / scale).tolist()
 
 
-def test_cli_commands_never_load_scipy(tmp_path):
-    # every command runs on numpy and the standard library; SciPy serves the tests only
+def test_cli_commands_never_load_scipy_or_argparse(tmp_path):
+    # every command runs on numpy and the standard library; SciPy serves the
+    # tests only, and argv is read from the RunConfig key table, not argparse
     import sphclt
     src = os.path.dirname(os.path.dirname(os.path.abspath(sphclt.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -558,13 +586,14 @@ def test_cli_commands_never_load_scipy(tmp_path):
             "import sphclt.cli\n"
             "codes = [sphclt.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
             "print(json.dumps([codes, sorted(m for m in sys.modules\n"
-            "                                 if m.split('.')[0] == 'scipy' or m.startswith('numpy.fft'))]))")
+            "                                 if m.split('.')[0] in ('scipy', 'argparse', 'gettext')\n"
+            "                                 or m.startswith('numpy.fft'))]))")
     out = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
                          capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
     codes, loaded = json.loads(out.stdout)
     assert codes == [0] * len(runs)
-    assert loaded == []  # nor numpy.fft: the FFT moment is a test oracle
+    assert loaded == []  # nor numpy.fft (the FFT moment is a test oracle), nor argparse or its gettext
 
 
 def _run_with_blas_env(tmp_path, blas_env):
@@ -813,8 +842,8 @@ def test_replica_count_above_the_limit_exits_3_at_once(tmp_path, capsys, reps):
     assert code == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and f"exceed the limit of {MAX_REPLICAS}" in err
-    args = argparse.Namespace(q="2", ell="2", replicas=str(MAX_REPLICAS), seed="1", out_dir=str(tmp_path))
-    assert build_config("clt", args).replicas == MAX_REPLICAS  # the limit itself is allowed
+    raw = dict(q="2", ell="2", replicas=str(MAX_REPLICAS), seed="1", out_dir=str(tmp_path))
+    assert build_config("clt", raw).replicas == MAX_REPLICAS  # the limit itself is allowed
 
 
 def test_an_error_outside_the_hierarchy_propagates(tmp_path, monkeypatch):

@@ -313,6 +313,35 @@ def test_dougall_row_against_exact_rationals(ell, d):
     assert dougall_row(ell, 3, d) == pytest.approx(float(exact), rel=1e-12, abs=0)
 
 
+@pytest.mark.parametrize("order", [(64, 65, 1024, 8192), (8192, 1024, 64), (1024, 1024, 64, 64, 8192, 0)])
+def test_log_tables_extend_to_the_fresh_sum_bit_for_bit(monkeypatch, order):
+    # one table per (x, y), extended from its last total: each slice is the
+    # sequential extended-precision sum of a fresh computation, whatever
+    # degrees were asked for before; (x, y) as at d = 2, 3 and 8
+    from sphclt import moments
+    monkeypatch.setattr(moments, "_LOG_RISING", {})
+    pairs = [(0.5, 1.0), (1.0, 1.0), (2.0, 1.0), (1.0, 7.0), (7.0, 3.5)]
+    for n in order:
+        for x, y in pairs:
+            k = np.arange(n, dtype=np.longdouble)
+            fresh = np.concatenate(([0.0], np.cumsum(np.log1p((x - y) / (y + k)))))
+            table = moments._log_rising_ratio(x, y, n)
+            assert table.dtype == fresh.dtype and np.array_equal(table, fresh), (n, x, y)
+            assert not table.flags.writeable
+    assert {key: t.size for key, t in moments._LOG_RISING.items()} == dict.fromkeys(pairs, max(order) + 1)
+
+
+def test_expansions_do_not_depend_on_the_tables_built_before(monkeypatch):
+    from sphclt import moments
+    monkeypatch.setattr(moments, "_LOG_RISING", {})
+    moments._expand_power_cached.cache_clear()
+    fresh = expand_power(300, 3, 3).copy(), dougall_row(300, 4, 3)
+    moments._expand_power_cached.cache_clear()
+    expand_power(4000, 2, 3)  # extends the d = 3 tables past degree 900
+    moments._expand_power_cached.cache_clear()
+    assert np.array_equal(expand_power(300, 3, 3), fresh[0]) and dougall_row(300, 4, 3) == fresh[1]
+
+
 # ------------------------------------------------------------------
 # bessel_constant
 # ------------------------------------------------------------------
