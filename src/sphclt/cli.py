@@ -46,7 +46,7 @@ from .clt import (
     rate_fit,
 )
 from .contractions import berry_esseen_bound, contraction_table, rate_theoretical
-from .moments import (bessel_constant, dougall_coefficient, dougall_row, expand_power, gegenbauer_moment,
+from .moments import (bessel_constant, dougall_coefficient, dougall_row, expand_power, fit_line, gegenbauer_moment,
                       log_divergence_check, moment_of_variance, variance_h)
 # build_grid, excursion_variance and sample_field have no caller here;
 # perfbench/spans.py wraps these bindings
@@ -315,11 +315,23 @@ def cmd_moments(cfg: RunConfig) -> int:
                           rows, checks, summary)
 
 
+def _bound_slope(points) -> dict:
+    """Least-squares slopes of log bound_k and of log rate_theoretical against
+    log ell, over the (ell, bound_k, rate) points whose bound is positive and finite."""
+    points = [p for p in points if p[1] is not None and 0.0 < p[1] < math.inf]
+    if len(points) < 3:
+        return {"skipped": f"need at least three multipoles with a positive finite bound, got {len(points)}"}
+    log_ell, log_k, log_rate = np.log(np.array(points, dtype=float)).T
+    slope, _, stderr = fit_line(log_ell, log_k)
+    return {"slope": slope, "stderr": stderr, "theory_slope": fit_line(log_ell, log_rate)[0]}
+
+
 def cmd_contractions(cfg: RunConfig) -> int:
     d, q = cfg.d, cfg.q
     dim = SphereDim(d)
     checks = []
     rows = []
+    points = []
     for ell in cfg.ell:
         # the bound first: it rejects a chaos order beyond BOUND_MAX_ORDER before any expansion
         try:
@@ -329,6 +341,7 @@ def cmd_contractions(cfg: RunConfig) -> int:
             tv = k = w = None
         K = contraction_table(ell, q, d)
         rate = rate_theoretical(ell, q, d)
+        points.append((ell, k, rate))
         for r in range(1, q):
             rows.append((d, q, r, ell, float(K[r - 1]), tv, k, w, rate))
         if q == 2:  # contraction_table has raised if K, and so mu_d^4 / n^3, underflows
@@ -356,7 +369,7 @@ def cmd_contractions(cfg: RunConfig) -> int:
 
     return _write_outputs(cfg, f"contractions_d{d}_q{q}",
                           ("d", "q", "r", "ell", "K", "bound_tv", "bound_k", "bound_w", "rate_theoretical"),
-                          rows, checks)
+                          rows, checks, {"bound_slope": _bound_slope(points)})
 
 
 def _functional(cfg: RunConfig) -> Functional:

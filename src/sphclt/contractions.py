@@ -165,20 +165,12 @@ def poly_bound(ell: int, d: int, betas: dict[int, float]) -> BoundRecord:
 
     tables = {q: contraction_table(ell, q, d) for q in betas}
 
-    def var_inner_same(q):
-        # Var <Dh_q, -DL^{-1} h_q> bound
-        return q * q * sum(
-            math.factorial(r - 1) ** 2 * math.comb(q - 1, r - 1) ** 4
-            * math.factorial(2 * q - 2 * r) * tables[q][r - 1]
-            for r in range(1, q)
-        )
-
-    def var_inner_cross(q1, q2):
-        # Var <Dh_q1, -DL^{-1} h_q2> bound for q1 < q2: top contraction + mixed terms
+    def var_inner(q1, q2):
+        # Var <Dh_q1, -DL^{-1} h_q2> bound for q1 <= q2: mixed terms, plus the top contraction when q1 < q2
         top = (
             q1 * q1 * math.factorial(q1 - 1) ** 2 * math.comb(q2 - 1, q1 - 1) ** 2
             * math.factorial(q2 - q1) * cross_contraction(ell, q1, q2, d)
-        )
+        ) if q1 < q2 else 0.0
         mixed = 0.5 * q1 * q1 * sum(
             math.factorial(r - 1) ** 2 * math.comb(q1 - 1, r - 1) ** 2
             * math.comb(q2 - 1, r - 1) ** 2 * math.factorial(q1 + q2 - 2 * r)
@@ -188,16 +180,8 @@ def poly_bound(ell: int, d: int, betas: dict[int, float]) -> BoundRecord:
         return top + mixed
 
     qs = sorted(betas)
-    root_sum = 0.0
-    for q1 in qs:
-        for q2 in qs:
-            if q1 == q2:
-                v = var_inner_same(q1)
-            elif q1 < q2:
-                v = var_inner_cross(q1, q2)
-            else:
-                v = var_inner_cross(q2, q1)
-            root_sum += abs(betas[q1] * betas[q2]) * math.sqrt(v)
+    root_sum = sum(abs(betas[q1] * betas[q2]) * math.sqrt(var_inner(min(q1, q2), max(q1, q2)))
+                   for q1 in qs for q2 in qs)
     root = root_sum / variance
     return BoundRecord(bound_tv=2.0 * root, bound_k=root, bound_w=math.sqrt(2.0 / math.pi) * root,
                        rate=poly_rate(ell, d, betas))

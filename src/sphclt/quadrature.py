@@ -6,11 +6,12 @@ Two building blocks:
   - exact-degree Gauss-Jacobi rules for the weight (1-t^2)^{d/2-1} that the
     surface measure of S^d induces on t = cos(theta); cached per (n, d).
 
-Gauss-Legendre nodes come from numpy.  Gauss-Jacobi nodes are zeros of the
-orthonormal polynomial, found by Newton's method on its recurrence, and the
-weights are the Christoffel numbers from the same recurrence.  Panel sums
-are accumulated in a fixed order so results do not depend on how callers
-parallelize.
+Every rule comes from `gauss_jacobi_rule`; a panel takes its rule at d = 2,
+where the weight is 1 and the rule is Gauss-Legendre.  The nodes are zeros
+of the orthonormal polynomial, found by Newton's method on its recurrence,
+and the weights are the Christoffel numbers from the same recurrence.  Panel
+sums are accumulated in a fixed order so results do not depend on how
+callers parallelize.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from collections import deque
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .specfun import UsageError, orthonormal_jacobi
 
@@ -29,11 +29,12 @@ def panel_nodes(a: float, b: float, n_panels: int, nodes_per_panel: int = 10):
     """Composite Gauss-Legendre rule on [a, b] with equal-width panels.
 
     Returns (nodes, weights) flattened panel-by-panel; exactness is degree
-    2*nodes_per_panel - 1 within each panel.
+    2*nodes_per_panel - 1 within each panel.  The rule on [-1, 1] is
+    `gauss_jacobi_rule(nodes_per_panel, 2)`.
     """
     if n_panels < 1:
         raise UsageError("need at least one panel")
-    x, w = leggauss(nodes_per_panel)
+    x, w = gauss_jacobi_rule(nodes_per_panel, 2)
     edges = np.linspace(a, b, n_panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
@@ -81,7 +82,8 @@ def gauss_jacobi_rule(n: int, d: int):
     the node 0; they agree with the zeros of the Jacobi polynomial to 2 ulp
     of 1 (tested for 2 <= d <= 6 and n <= 4097).  The weights are the
     Christoffel numbers 1 / sum_{k<n} p_k(t)^2 of the orthonormal
-    polynomials, which keep full relative accuracy at every n.
+    polynomials, which keep full relative accuracy at every n.  The cached
+    arrays are read-only, since every caller shares them.
     """
     if n < 1:
         raise UsageError("need at least one node")
@@ -93,4 +95,7 @@ def gauss_jacobi_rule(n: int, d: int):
         upper = np.concatenate(([0.0], upper))
     # p_k(-t)^2 = p_k(t)^2, so the weights too are computed on t >= 0 and mirrored
     w = 1.0 / sum(p * p for p in orthonormal_jacobi(n - 1, alpha, upper))
-    return np.concatenate((-upper[::-1][:n // 2], upper)), np.concatenate((w[::-1][:n // 2], w))
+    nodes, weights = np.concatenate((-upper[::-1][:n // 2], upper)), np.concatenate((w[::-1][:n // 2], w))
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights

@@ -57,8 +57,8 @@ import numpy as np
 # variance_h and hermite have no caller here; perfbench/spans.py wraps these bindings
 from .moments import variance_h
 from .quadrature import gauss_jacobi_rule, panel_nodes
-from .specfun import (GegenbauerCtx, NodeBudgetError, SphereDim, ToleranceNotMetError, UsageError, _jacobi_rows,
-                      dim_harmonics, hermite)
+from .specfun import (GegenbauerCtx, NodeBudgetError, SphereDim, ToleranceNotMetError, UsageError, dim_harmonics,
+                      hermite, orthonormal_jacobi)
 
 NODE_BUDGET = 2_000_000
 
@@ -197,7 +197,7 @@ def _profile_stack(ell: int, dim: SphereDim, t: np.ndarray, lo: int) -> np.ndarr
     # it never leaves the double range; its degree k is lam_{m+k,m}, read only
     # up to e = ell, so step k runs rows m <= ell - k alone
     lam = np.zeros((ell + 1 - lo, ell + 1, t.size))
-    rows = _jacobi_rows(ell, m[:, None] + (d / 2.0 - 1.0), t, s ** m[:, None], triangular=True)
+    rows = orthonormal_jacobi(ell, m[:, None] + (d / 2.0 - 1.0), t, s ** m[:, None], triangular=True)
     for k, p in enumerate(rows):
         rm = m[max(0, lo - k):ell + 1 - k]
         lam[rm + k - lo, rm] = p[rm]

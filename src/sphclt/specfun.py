@@ -120,10 +120,7 @@ def dim_harmonics(ell: int, d: int) -> int:
         raise UsageError(f"multipole must be >= 1, got {ell}")
     if d < 2:
         raise UsageError(f"sphere dimension must be >= 2, got {d}")
-    num = (2 * ell + d - 1) * math.comb(ell + d - 2, ell - 1)
-    if num % ell:
-        raise NumericalError(f"harmonic dimension not integral for ell={ell}, d={d}")
-    return num // ell
+    return (2 * ell + d - 1) * math.comb(ell + d - 2, ell - 1) // ell
 
 
 def float_harmonics(ell: int, d: int) -> float:
@@ -214,22 +211,17 @@ class GegenbauerCtx:
 _lgamma = np.vectorize(math.lgamma, otypes=[float])
 
 
-def orthonormal_jacobi(n: int, alpha, t, scale=1.0):
+def orthonormal_jacobi(n: int, alpha, t, scale=1.0, triangular=False):
     """Yield scale * p_k(t) for k = 0..n, where the p_k are orthonormal on
     [-1, 1] for the weight (1-t^2)^alpha (alpha >= 0, positive leading
     coefficients), by the recurrence
         t p_k = b_{k+1} p_{k+1} + b_k p_{k-1},  b_k^2 = k (k + 2 alpha) / (4 (k + alpha)^2 - 1).
 
     `alpha` and `scale` broadcast against `t`, so one pass can run several
-    weights at once; only two degrees are held at a time.
+    weights at once; only two degrees are held at a time.  When `triangular`,
+    row m of the leading axis is advanced only to degree n - m, so degree k
+    yields rows 0..n-k alone; every row's arithmetic is the same either way.
     """
-    yield from _jacobi_rows(n, alpha, t, scale, triangular=False)
-
-
-def _jacobi_rows(n: int, alpha, t, scale, triangular: bool):
-    """`orthonormal_jacobi`; when `triangular`, row m of the leading axis is
-    advanced only to degree n - m, so degree k yields rows 0..n-k alone.
-    Every row's arithmetic is the same either way."""
     alpha = np.asarray(alpha, dtype=float)
     t = np.asarray(t, dtype=float)
     # p_0 = 1 / sqrt(integral of the weight), the integral being B(1/2, alpha + 1)

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from sphclt.cli import (
@@ -216,6 +217,41 @@ def test_contractions_odd_odd_blank_bounds(tmp_path):
     assert [r["K"] for r in rows] == ["0.0", "0.0"]  # the exact parity zeros, not an underflow
     manifest = json.loads((tmp_path / "contractions_d2_q3.manifest.json").read_text())
     assert manifest["checks"] == []  # the variance is exactly 0: nothing to compare
+
+
+def _fit(x, y):
+    """(slope, standard error of the slope) of the least-squares line, by np.polyfit."""
+    (slope, _), (rss,), *_ = np.polyfit(x, y, 1, full=True)
+    return slope, math.sqrt(rss / (len(x) - 2) / np.sum((x - np.mean(x)) ** 2))
+
+
+def test_contractions_bound_slope_matches_an_independent_fit(tmp_path):
+    code = run_cli("contractions", "--d", "2", "--q", "3", "--ell", "8..256", "--out-dir", str(tmp_path))
+    assert code == 0
+    rows = [r for r in read_rows(tmp_path / "contractions_d2_q3.csv") if r["r"] == "1"]
+    log_ell = np.log([float(r["ell"]) for r in rows])
+    slope, stderr = _fit(log_ell, np.log([float(r["bound_k"]) for r in rows]))
+    theory, _ = _fit(log_ell, np.log([float(r["rate_theoretical"]) for r in rows]))
+    fit = json.loads((tmp_path / "contractions_d2_q3.manifest.json").read_text())["summary"]["bound_slope"]
+    assert len(rows) == 6 and set(fit) == {"slope", "stderr", "theory_slope"}
+    assert abs(fit["slope"] - slope) <= 1e-12 and abs(fit["stderr"] - stderr) <= 1e-12
+    assert abs(fit["theory_slope"] - theory) <= 1e-12
+    assert fit["slope"] == pytest.approx(-0.4921, abs=1e-4) and fit["theory_slope"] == pytest.approx(-0.5)
+
+
+@pytest.mark.parametrize("ells, used", [("8,16", 2), ("7,8,16", 2), ("7,8,9,16,32", 3)])
+def test_contractions_bound_slope_skips_odd_ell_at_odd_q(tmp_path, ells, used):
+    # h is a.s. zero at odd ell and odd q: that ell has no bound and no point in the fit
+    code = run_cli("contractions", "--d", "2", "--q", "3", "--ell", ells, "--out-dir", str(tmp_path))
+    assert code == 0
+    fit = json.loads((tmp_path / "contractions_d2_q3.manifest.json").read_text())["summary"]["bound_slope"]
+    if used < 3:
+        assert fit == {"skipped": f"need at least three multipoles with a positive finite bound, got {used}"}
+        return
+    rows = [r for r in read_rows(tmp_path / "contractions_d2_q3.csv") if r["r"] == "1" and r["bound_k"]]
+    assert [r["ell"] for r in rows] == ["8", "16", "32"]
+    slope, _ = _fit(np.log([float(r["ell"]) for r in rows]), np.log([float(r["bound_k"]) for r in rows]))
+    assert abs(fit["slope"] - slope) <= 1e-12
 
 
 @pytest.mark.parametrize("d, ell, expected", [(60, 400, 0), (60, 100, 0), (30, 400, 0), (20, 400, 0)])
@@ -569,7 +605,8 @@ def test_simulate_normalizes_once_through_the_sampling_driver(tmp_path, monkeypa
 
 def test_cli_commands_never_load_scipy_or_argparse(tmp_path):
     # every command runs on numpy and the standard library; SciPy serves the
-    # tests only, and argv is read from the RunConfig key table, not argparse
+    # tests only, argv is read from the RunConfig key table, not argparse, and
+    # every Gauss rule comes from gauss_jacobi_rule, not numpy.polynomial
     import sphclt
     src = os.path.dirname(os.path.dirname(os.path.abspath(sphclt.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -587,13 +624,14 @@ def test_cli_commands_never_load_scipy_or_argparse(tmp_path):
             "codes = [sphclt.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
             "print(json.dumps([codes, sorted(m for m in sys.modules\n"
             "                                 if m.split('.')[0] in ('scipy', 'argparse', 'gettext')\n"
-            "                                 or m.startswith('numpy.fft'))]))")
+            "                                 or m.startswith(('numpy.fft', 'numpy.polynomial')))]))")
     out = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
                          capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
     codes, loaded = json.loads(out.stdout)
     assert codes == [0] * len(runs)
-    assert loaded == []  # nor numpy.fft (the FFT moment is a test oracle), nor argparse or its gettext
+    # nor numpy.fft (the FFT moment is a test oracle), numpy.polynomial, argparse or its gettext
+    assert loaded == []
 
 
 def _run_with_blas_env(tmp_path, blas_env):
