@@ -59,8 +59,8 @@ from .simulate import (
     fold_grid,
 )
 # hermite has no caller here; perfbench/spans.py wraps this binding
-from .specfun import (FACTORIAL_MAX_ORDER, NumericalError, SphereDim, UsageError, ZeroVarianceError, hermite,
-                      normal_cdf)
+from .specfun import (FACTORIAL_MAX_ORDER, NumericalError, SphereDim, UsageError, ZeroVarianceError, finite,
+                      hermite, normal_cdf)
 
 # (d, q) pairs where the known fourth-cumulant bounds do not secure a CLT.
 CLT_EXCLUDED_PAIRS = ((3, 3), (3, 4), (4, 3), (5, 3))
@@ -231,7 +231,9 @@ class Functional:
         if self.beta is None:
             var = excursion_variance(ell, d, self.z)
         else:
-            var = sum(b * b * variance_h(ell, j, d) for j, b in _hermite_betas(self.beta).items())
+            # a chaos of zero variance adds nothing, however large its beta (as in poly_bound)
+            var = finite(sum(b * b * v for j, b in _hermite_betas(self.beta).items() if (v := variance_h(ell, j, d))),
+                         f"the variance of {self.label} at (ell={ell}, d={d})")
         if not var > 0.0:
             raise ZeroVarianceError(f"{self.label} has zero variance at (ell={ell}, d={d})")
         return var

@@ -44,10 +44,11 @@ import numpy as np
 from .moments import _expand_power_cached, expand_power, variance_h
 # gauss_jacobi_rule has no caller here; perfbench/spans.py wraps this binding
 from .quadrature import gauss_jacobi_rule
-from .specfun import (NumericalError, SphereDim, UsageError, ZeroVarianceError, float_factorial, float_harmonics,
-                      harmonics_table)
+from .specfun import (NumericalError, SphereDim, UsageError, ZeroVarianceError, finite, float_factorial,
+                      float_harmonics, harmonics_table)
 
-# poly_bound's integer factors, such as (r-1)!^2 C(q-1,r-1)^4 (2q-2r)!, overflow a float beyond this order
+# poly_bound's integer factors, such as (r-1)!^2 C(q-1,r-1)^4 (2q-2r)!, fit a float up to this order (at most
+# 1.4e306, at q = 80, r = 27); the bound itself can still overflow, as at q = 80, ell = 2, d = 2
 BOUND_MAX_ORDER = 80
 
 
@@ -150,7 +151,8 @@ def poly_bound(ell: int, d: int, betas: dict[int, float]) -> BoundRecord:
     Variance decomposes over chaoses; the fourth-moment control splits into
     diagonal terms (own contractions) and cross terms, where the top-order
     cross contraction either cancels (adjacent orders) or is the
-    cross_contraction value, and the rest recombine own contractions.
+    cross_contraction value, and the rest recombine own contractions.  A
+    bound beyond the float range raises.
     """
     betas = {int(q): float(b) for q, b in betas.items() if b != 0.0}
     if not betas:
@@ -159,11 +161,13 @@ def poly_bound(ell: int, d: int, betas: dict[int, float]) -> BoundRecord:
         raise UsageError("Hermite coefficients start at q = 2")
     if max(betas) > BOUND_MAX_ORDER:
         raise NumericalError(f"chaos order {max(betas)} exceeds {BOUND_MAX_ORDER}: the bound's factorials overflow")
-    variance = sum(b * b * variance_h(ell, q, d) for q, b in betas.items())
+    # a chaos of zero variance adds nothing, however large its beta: beta^2 may be inf, and inf * 0 is NaN
+    variance = finite(sum(b * b * v for q, b in betas.items() if (v := variance_h(ell, q, d))),
+                      f"the variance at (ell={ell}, d={d})")
     if variance == 0.0:
         raise ZeroVarianceError("polynomial has zero variance (odd-odd components only)")
 
-    tables = {q: contraction_table(ell, q, d) for q in betas}
+    tables = {q: contraction_table(ell, q, d).tolist() for q in betas}  # Python floats overflow without a warning
 
     def var_inner(q1, q2):
         # Var <Dh_q1, -DL^{-1} h_q2> bound for q1 <= q2: mixed terms, plus the top contraction when q1 < q2
@@ -182,7 +186,7 @@ def poly_bound(ell: int, d: int, betas: dict[int, float]) -> BoundRecord:
     qs = sorted(betas)
     root_sum = sum(abs(betas[q1] * betas[q2]) * math.sqrt(var_inner(min(q1, q2), max(q1, q2)))
                    for q1 in qs for q2 in qs)
-    root = root_sum / variance
+    root = finite(root_sum / variance, f"the bound at (ell={ell}, d={d})")
     return BoundRecord(bound_tv=2.0 * root, bound_k=root, bound_w=math.sqrt(2.0 / math.pi) * root,
                        rate=poly_rate(ell, d, betas))
 

@@ -54,8 +54,8 @@ import numpy as np
 
 from .quadrature import panel_nodes
 from .specfun import (BESSEL_MAX_ORDER, DegreeCapError, DivergentIntegralError, NumericalError, SphereDim,
-                      ToleranceNotMetError, UsageError, bessel_j, bessel_j_zeros, float_factorial, float_harmonics,
-                      harmonics_table)
+                      ToleranceNotMetError, UsageError, bessel_j, bessel_j_zeros, finite, float_factorial,
+                      float_harmonics, harmonics_table)
 
 # c(q, d) converges when successive zero budgets agree to BESSEL_TOL
 BESSEL_TOL = 1e-9
@@ -260,7 +260,7 @@ def variance_h(ell: int, q: int, d: int) -> float:
 
     q = 0 and q = 1 give 0 (constant and mean-zero linear term); odd ell with
     odd q gives exactly 0 by parity; q = 2 is served by the exact identity
-    2 mu_d^2 / n_{ell;d}.
+    2 mu_d^2 / n_{ell;d}.  A variance beyond the float range raises.
     """
     if ell < 1 or q < 0 or d < 2:
         raise UsageError(f"need ell >= 1, q >= 0, d >= 2, got ({ell}, {q}, {d})")
@@ -274,7 +274,8 @@ def variance_h(ell: int, q: int, d: int) -> float:
     r = q // 2
     c = expand_power(ell, q - r, d)  # the higher power first: its cap is checked before any work
     b = expand_power(ell, r, d)
-    return float_factorial(q) * dim.mu_d ** 2 * float(np.sum(b * c[:b.size] / harmonics_table(r * ell, d)))
+    return finite(float_factorial(q) * dim.mu_d ** 2 * float(np.sum(b * c[:b.size] / harmonics_table(r * ell, d))),
+                  f"Var h at (ell={ell}, q={q}, d={d})")
 
 
 # ------------------------------------------------------------------
@@ -336,9 +337,7 @@ def bessel_constant(q: int, d: int) -> BesselConstant:
     if q == 3:
         g = math.gamma(nu + 1.0)
         value = 2.0 * 3.0 ** (nu - 0.5) * g * (g / math.gamma(nu + 0.5)) * g / math.sqrt(math.pi)
-        if not math.isfinite(value):
-            raise NumericalError(f"c(q=3, d={d}) overflows a float")
-        return BesselConstant(q, d, value, "closed-form", 0)
+        return BesselConstant(q, d, finite(value, f"c(q=3, d={d})"), "closed-form", 0)
 
     if not q * (d - 1) > 2 * d:
         raise DivergentIntegralError(f"c(q={q}, d={d}) diverges: needs q > 2d/(d-1)")

@@ -25,7 +25,7 @@ import numpy as np
 from .specfun import UsageError, orthonormal_jacobi
 
 
-def panel_nodes(a: float, b: float, n_panels: int, nodes_per_panel: int = 10):
+def panel_nodes(a: float, b: float, n_panels: int, nodes_per_panel: int):
     """Composite Gauss-Legendre rule on [a, b] with equal-width panels.
 
     Returns (nodes, weights) flattened panel-by-panel; exactness is degree

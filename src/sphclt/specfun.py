@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
+from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -84,6 +85,13 @@ def float_factorial(n: int) -> float:
     if n > FACTORIAL_MAX_ORDER:
         raise NumericalError(f"{n}! overflows a float (the limit is {FACTORIAL_MAX_ORDER}!)")
     return float(math.factorial(n))
+
+
+def finite(value: float, what: str) -> float:
+    """`value` if it is finite; otherwise NumericalError: `what` overflows a float."""
+    if not math.isfinite(value):
+        raise NumericalError(f"{what} overflows a float")
+    return value
 
 
 def normal_cdf(x):
@@ -157,55 +165,40 @@ def harmonics_table(kmax: int, d: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GegenbauerCtx:
-    """Recurrence context for the normalized Gegenbauer family on S^d.
+    """The normalized Gegenbauer family on S^d: G_n(t) = p_n(t) / p_n(1) for
+    the `orthonormal_jacobi` polynomials p_n of the weight (1-t^2)^{d/2-1}.
 
-    The normalized polynomials satisfy
-        (n + d - 1) G_{n+1} = (2n + d - 1) t G_n - n G_{n-1},
-    which keeps G_n(1) = 1 at every step and avoids the combinatorial growth
-    of raw Jacobi values.
+    Both methods run that one recurrence at the points with t = 1 appended
+    and divide by the appended value, so G_n(1) = 1 exactly.  Where p_ell(1),
+    about sqrt(n_{ell;d}), leaves the float range, they raise NumericalError.
     """
 
     ell: int
     dim: SphereDim
-    # coefficient arrays for n = 1 .. ell-1: G_{n+1} = a_n * t * G_n - b_n * G_{n-1}
-    rec_a: np.ndarray = field(init=False, repr=False, compare=False)
-    rec_b: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.ell < 0:
             raise UsageError(f"multipole must be >= 0, got {self.ell}")
-        n = np.arange(1, max(self.ell, 1), dtype=float)
-        den = n + self.dim.d - 1
-        object.__setattr__(self, "rec_a", (2 * n + self.dim.d - 1) / den)
-        object.__setattr__(self, "rec_b", n / den)
+
+    def _rows(self, t):
+        """Yield p_n at the points t and then at 1, n = 0..ell."""
+        for n, p in enumerate(orthonormal_jacobi(self.ell, self.dim.d / 2.0 - 1.0, np.append(t, 1.0))):
+            if not math.isfinite(p[-1]):  # p_n(1) is the largest value of row n
+                raise NumericalError(f"the orthonormal Gegenbauer value p_{n}(1) on S^{self.dim.d} overflows a float")
+            yield p
 
     def evaluate(self, t):
-        """G_{ell;d} at one or many points of [-1, 1] (vectorized)."""
+        """G_{ell;d} at one or many points of [-1, 1]; returns t's shape."""
         t = np.asarray(t, dtype=float)
-        if self.ell == 0:
-            return np.ones_like(t)
-        # buffer-reusing recurrence: ell - 1 vectorized steps, three arrays of t.shape
-        prev = np.ones_like(t)
-        cur = t.copy()
-        tmp = np.empty_like(t)
-        for a, b in zip(self.rec_a, self.rec_b):
-            np.multiply(t, cur, out=tmp)
-            tmp *= a
-            prev *= b
-            np.subtract(tmp, prev, out=prev)
-            prev, cur = cur, prev
-        return cur
+        with np.errstate(over="ignore"):  # _rows raises instead
+            (p,) = deque(self._rows(t.ravel()), maxlen=1)
+        return (p[:-1] / p[-1]).reshape(t.shape)
 
     def evaluate_all(self, t):
         """All degrees 0..ell at the points t; returns array (ell+1, len(t))."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.empty((self.ell + 1, t.size))
-        out[0] = 1.0
-        if self.ell >= 1:
-            out[1] = t
-        for n in range(1, self.ell):
-            out[n + 1] = self.rec_a[n - 1] * t * out[n] - self.rec_b[n - 1] * out[n - 1]
-        return out
+        with np.errstate(over="ignore"):  # _rows raises instead
+            table = np.array(list(self._rows(np.atleast_1d(np.asarray(t, dtype=float)))))
+        return table[:, :-1] / table[:, -1:]
 
 
 _lgamma = np.vectorize(math.lgamma, otypes=[float])

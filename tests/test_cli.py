@@ -538,6 +538,9 @@ def test_manifest_echoes_the_keys_its_command_takes(tmp_path, args, base):
     (("excursion", "--z", "0", "--ell", "3,5", "--reps", "200"), 2, "S(z=0) has zero variance at (ell=3, d=2)"),
     (("simulate", "--kind", "h", "--q", "3", "--ell", "5", "--reps", "3"), 0, ""),
     (("clt", "--kind", "h", "--q", "4", "--ell", "1,2", "--reps", "2000"), 2, "got (1, 4, 2)"),
+    # beta_3^2 overflows, but the third chaos has zero variance at odd ell
+    (("clt", "--kind", "Z", "--betas", "0,1,0,1e160", "--ell", "3,5", "--reps", "200"), 2,
+     "Z has zero variance at (ell=3, d=2)"),
 ])
 def test_odd_multipoles_run_unless_nothing_is_left_to_measure(tmp_path, capsys, args, code, err):
     assert run_cli(*args, "--seed", "3", "--out-dir", str(tmp_path)) == code

@@ -424,3 +424,6 @@ def test_poly_bound_validation():
         poly_bound(8, 2, {2: 0.0, 4: 0.0})
     with pytest.raises(ValueError):
         poly_bound(8, 2, {1: 1.0})
+    # a zero-variance chaos adds nothing, even where beta^2 overflows to inf (inf * 0 is NaN)
+    with pytest.raises(ZeroVarianceError):
+        poly_bound(5, 2, {3: 1e160})

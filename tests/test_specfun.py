@@ -3,6 +3,7 @@
 Independent oracles used here:
   - a raw Jacobi P^(a,a) three-term recurrence (normalized at the end),
   - a standalone Legendre recurrence,
+  - 40-digit mpmath Gegenbauer values at the degrees the grid checks run,
   - a pure-python Bessel power series + bisection for the first zero of J0.
 """
 
@@ -155,6 +156,30 @@ def test_gegenbauer_d3_closed_form():
         for theta in (0.2, 0.9, 2.4):
             expect = math.sin((ell + 1) * theta) / ((ell + 1) * math.sin(theta))
             assert ctx.evaluate(math.cos(theta)) == pytest.approx(expect, abs=1e-12)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 7])
+@pytest.mark.parametrize("ell", [512, 2048])
+def test_gegenbauer_matches_mpmath_at_high_degree(ell, d):
+    # grid builds check degrees up to about 2000; the error peaks next to t = +-1
+    mpmath = pytest.importorskip("mpmath")
+    theta = np.concatenate(([1e-3, 1e-2, 0.1], np.linspace(0.3, math.pi - 0.3, 7),
+                            [math.pi - 0.1, math.pi - 1e-2, math.pi - 1e-3]))
+    t = np.cos(theta)
+    with mpmath.workdps(40):
+        lam = mpmath.mpf(d - 1) / 2  # G_{ell;d} = C_ell^lam / C_ell^lam(1)
+        at_one = mpmath.gegenbauer(ell, lam, 1)
+        expect = np.array([float(mpmath.gegenbauer(ell, lam, mpmath.mpf(x)) / at_one) for x in t])
+    ctx = GegenbauerCtx(ell, SphereDim(d))
+    assert np.max(np.abs(ctx.evaluate(t) - expect)) <= 5e-12
+    assert ctx.evaluate(1.0) == 1.0
+    assert np.all(ctx.evaluate_all(np.array([1.0]))[:, 0] == 1.0)
+
+
+def test_gegenbauer_beyond_the_float_range_raises():
+    # p_ell(1) = sqrt(n_{ell;d} mu_{d-1} / mu_d), and n_{20000;342} is about 1e751
+    with pytest.raises(NumericalError, match="overflows a float"):
+        GegenbauerCtx(20000, SphereDim(342)).evaluate(np.array([0.0, 0.5]))
 
 
 # ------------------------------------------------------------------
