@@ -35,6 +35,7 @@ import numpy as np
 from . import __version__
 # the functional_* helpers have no caller here; perfbench/spans.py wraps these bindings
 from .clt import (
+    SAMPLE_DTYPE,
     CltReport,
     CltRow,
     Functional,
@@ -396,7 +397,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     rows = [(rep, d, f.label, ell, cfg.z, value, scaled)
             for rep, (value, scaled) in enumerate(zip(raw, normalized))]
 
-    summary = {"grid": grid.summary()}
+    summary = {"grid": grid.summary(), "synthesis_dtype": SAMPLE_DTYPE.name}
     return _write_outputs(cfg, f"simulate_{f.kind}_d{d}_ell{ell}",
                           ("replica", "d", "q_or_kind", "ell", "z", "raw", "normalized"), rows, [], summary)
 
@@ -418,7 +419,8 @@ def _write_sweep_outputs(cfg: RunConfig, report: CltReport, base: str, checks) -
         ]
         (Path(cfg.out_dir) / name).write_text("\n".join(lines) + "\n")
 
-    summary = {"warnings": list(report.warnings), "grids": list(report.grids)}
+    summary = {"warnings": list(report.warnings), "grids": list(report.grids),
+               "synthesis_dtype": SAMPLE_DTYPE.name}
     try:
         summary["rate_fit"] = rate_fit(report)
     except UsageError as exc:

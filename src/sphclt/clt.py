@@ -6,7 +6,11 @@ reduction, mean, variance and bound.  One function, `_samples`, draws
 the raw values for `simulate`, `clt` and `excursion` alike, on the rule
 that `Functional.grid` picks: fixed chunks of replicas go to the workers,
 and a chunk runs in blocks of replicas whose largest synthesis array holds
-about BLOCK_VALUES values, which fit in the L2 cache.  Each block is
+about BLOCK_VALUES values, which fit in the L2 cache.  It synthesizes and
+reduces in SAMPLE_DTYPE, float32: the distances of a few thousand replicas
+need nowhere near 16 digits, and float32 halves the time of the largest
+matmul.  Everything after the reduction (means, variances, distances) runs
+in float64.  Each block is
 synthesized and reduced in buffers allocated once per worker, so its fields
 are reduced while they are still in cache and no (replicas, nodes) array of
 a whole chunk is ever held.  The block size depends only on the grid and
@@ -39,7 +43,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from statistics import NormalDist
 
 import numpy as np
@@ -67,7 +71,12 @@ CLT_EXCLUDED_PAIRS = ((3, 3), (3, 4), (4, 3), (5, 3))
 # the indicator of kind S is not a polynomial: its grids are exact to 4*ell
 EXCURSION_DEGREE_FACTOR = 4
 HERMITE_CONVERSION_CAP = 16
-# values of the largest synthesis array per sampling block: 512 KB of doubles,
+# precision of the synthesis and, where it is accurate enough, of the reduction in `_samples`
+SAMPLE_DTYPE = np.dtype(np.float32)
+# the bound on Horner's rounding, relative to the spread of p(T), below which
+# p reduces in SAMPLE_DTYPE (see `Functional.reduction_dtype`)
+REDUCTION_TOL = 1e-5
+# values of the largest synthesis array per sampling block: 256 KB of SAMPLE_DTYPE,
 # inside a 2 MB L2 cache
 BLOCK_VALUES = 2 ** 16
 
@@ -196,17 +205,60 @@ class Functional:
         grid = build_grid(d, self.degree(ell))
         return fold_grid(grid) if self.beta is not None and ell % 2 == 0 else grid
 
+    def at(self, ell: int) -> Functional:
+        """The functional as it is evaluated on degree-ell fields.  At odd ell
+        T(-x) = -T(x), so every odd power of T integrates to 0, on the sphere
+        and on a grid exact to the degree of p: p keeps its even powers
+        alone.  That drops exactly the odd chaoses, which have zero variance
+        there, and their rounding noise with them, however large their
+        coefficients (as `poly_bound` drops them from the bound)."""
+        if self.monomial is None or ell % 2 == 0:
+            return self
+
+        def even(coeffs):
+            kept = [0.0 if k % 2 else c for k, c in enumerate(coeffs)]
+            while len(kept) > 1 and kept[-1] == 0.0:
+                kept.pop()
+            return tuple(kept)
+        return replace(self, beta=even(self.beta), monomial=even(self.monomial))
+
+    def reduction_dtype(self, dtype) -> np.dtype:
+        """The precision `_samples` reduces fields of `dtype` in.
+
+        The indicator of kind S reduces in `dtype`.  Horner's rule sums terms
+        c_k T^k that can dwarf p(T): its rounding error is at most about
+        2 Q u sum_k |c_k| |T|^k, u the unit roundoff, Q the degree.  At a
+        standard normal T that is 2 Q u rho times the spread of p(T), where
+        rho = E[sum_k |c_k| |T|^k] / sd p(T) and sd^2 = sum_{j>=1} beta_j^2 j!.
+        p reduces in `dtype` while 2 Q u rho < REDUCTION_TOL and its integral
+        stays in the range of `dtype` for |T| <= 8, else in float64: in
+        float32, h_q up to q = 8 and the polynomials of small coefficients.  A
+        constant p has no spread: it reads c_0 * sum(w) in float64.
+        """
+        dtype = np.dtype(dtype)
+        if self.monomial is None:
+            return dtype
+        terms = sum(abs(c) * 2.0 ** (k / 2) * math.gamma((k + 1) / 2) / math.sqrt(math.pi)
+                    for k, c in enumerate(self.monomial))  # E|T|^k = 2^{k/2} Gamma((k+1)/2) / sqrt(pi)
+        spread = math.sqrt(sum(b * b * math.factorial(j) for j, b in enumerate(self.beta) if j))
+        bound = (len(self.monomial) - 1) * float(np.finfo(dtype).eps) * terms  # 2 Q u = Q eps
+        # a unit-variance field exceeds |T| = 8 with probability 1e-15 per node, and mu_d < 34
+        reach = 34.0 * sum(abs(c) * 8.0 ** k for k, c in enumerate(self.monomial))
+        if bound < REDUCTION_TOL * spread and reach < float(np.finfo(dtype).max):
+            return dtype
+        return np.dtype(np.float64)
+
     def reduce(self, fields, weights, out=None):
         """Quadrature value of the functional over the last axis of `fields`.
 
         The integrand is evaluated in one working array of the shape of
-        `fields`, `out` when given: kinds h and Z evaluate p(T) by Horner's
-        rule in place, skip the zero coefficients and start from `fields` at
-        a unit leading coefficient (1 * T is T).  Each row is summed as its
-        own (1, N) @ (N,) product, so its value does not depend on the rows
-        it is batched with.
+        `fields` and the dtype of `weights`, `out` when given: kinds h and Z
+        evaluate p(T) by Horner's rule in place, skip the zero coefficients
+        and start from `fields` at a unit leading coefficient (1 * T is T).
+        Each row is summed as its own (1, N) @ (N,) product, so its value
+        does not depend on the rows it is batched with.
         """
-        acc = np.empty(np.shape(fields)) if out is None else out
+        acc = np.empty(np.shape(fields), weights.dtype) if out is None else out
         if self.monomial is None:
             np.less_equal(fields, self.z, out=acc)
         elif len(self.monomial) == 1:
@@ -261,7 +313,7 @@ class FunctionalSample:
 def _evaluate(f: Functional, realization: FieldRealization, variance: float | None) -> FunctionalSample:
     """f on one realization; centred and scaled by `variance` unless it is None."""
     grid = realization.grid
-    raw = float(f.reduce(realization.values, grid.weights))
+    raw = float(f.at(realization.ell).reduce(realization.values, grid.weights))
     normalized = None
     if variance is not None:
         if variance <= 0.0:
@@ -322,8 +374,9 @@ class CltReport:
 
 
 def _samples(f: Functional, grid: SphereGrid, ell: int, seed: int, replicas: int,
-             threads: int) -> np.ndarray:
-    """Raw values of f for replicas 0..replicas-1.
+             threads: int, dtype=SAMPLE_DTYPE) -> np.ndarray:
+    """Raw values of f (`f.at(ell)`) for replicas 0..replicas-1, synthesized
+    and reduced in `dtype`, returned in float64.
 
     Fixed chunks of replicas go to the workers.  A chunk runs in blocks of
     max(1, BLOCK_VALUES // V) replicas, V the values of a replica's largest
@@ -331,12 +384,17 @@ def _samples(f: Functional, grid: SphereGrid, ell: int, seed: int, replicas: int
     `_sample_batch` and one `Functional.reduce` call.  Their buffers are
     allocated once per worker: a chunk takes a set left by a finished
     chunk, so the memory is not handed back to the system and faulted in
-    again for every chunk."""
+    again for every chunk.  The reduction runs in `f.reduction_dtype(dtype)`,
+    float64 where Horner's rule would lose too many digits in `dtype`, so a
+    constant h_0 reads mu_d to float64 rounding.  A value that leaves the
+    range of that precision raises NumericalError."""
+    f = f.at(ell)
     # an empty batch fills the synthesis tables of the grid and its
     # sub-grids once, before worker threads race to build them
-    _sample_batch(grid, ell, seed, ())
+    _sample_batch(grid, ell, seed, (), dtype=dtype)
     block = max(1, BLOCK_VALUES // _replica_values(grid, ell))
     rows = min(block, replicas)
+    weights = grid.weights.astype(f.reduction_dtype(dtype))
     spare = []  # buffer sets of finished chunks; list.pop and append are atomic
 
     def chunk_values(bounds):
@@ -344,16 +402,20 @@ def _samples(f: Functional, grid: SphereGrid, ell: int, seed: int, replicas: int
         try:
             work, acc = spare.pop()
         except IndexError:
-            work, acc = _synthesis_buffers(grid, ell, rows), np.empty((rows, grid.n_nodes))
+            work, acc = _synthesis_buffers(grid, ell, rows, dtype), np.empty((rows, grid.n_nodes), weights.dtype)
         values = np.empty(hi - lo)
-        for start in range(lo, hi, block):
-            stop = min(start + block, hi)
-            fields = _sample_batch(grid, ell, seed, range(start, stop), work)
-            values[start - lo:stop - lo] = f.reduce(fields, grid.weights, acc[:stop - start])
+        with np.errstate(over="ignore", invalid="ignore"):  # a value out of range raises below
+            for start in range(lo, hi, block):
+                stop = min(start + block, hi)
+                fields = _sample_batch(grid, ell, seed, range(start, stop), work)
+                values[start - lo:stop - lo] = f.reduce(fields, weights, acc[:stop - start])
         spare.append((work, acc))
         return values
 
-    return np.concatenate(ordered_map(chunk_values, fixed_chunks(replicas), threads))
+    values = np.concatenate(ordered_map(chunk_values, fixed_chunks(replicas), threads))
+    if not np.all(np.isfinite(values)):
+        raise NumericalError(f"{f.label} at (ell={ell}, d={grid.dim.d}) leaves the {weights.dtype.name} range")
+    return values
 
 
 def clt_sweep(kind: str, d: int, ell_list, replicas: int, seed: int,

@@ -161,8 +161,11 @@ def poly_bound(ell: int, d: int, betas: dict[int, float]) -> BoundRecord:
         raise UsageError("Hermite coefficients start at q = 2")
     if max(betas) > BOUND_MAX_ORDER:
         raise NumericalError(f"chaos order {max(betas)} exceeds {BOUND_MAX_ORDER}: the bound's factorials overflow")
-    # a chaos of zero variance adds nothing, however large its beta: beta^2 may be inf, and inf * 0 is NaN
-    variance = finite(sum(b * b * v for q, b in betas.items() if (v := variance_h(ell, q, d))),
+    # a chaos of zero variance is identically 0, however large its beta: it leaves the
+    # variance, the tables and the cross terms (beta^2 may be inf, and inf * 0 is NaN)
+    variances = {q: v for q in betas if (v := variance_h(ell, q, d))}
+    betas = {q: betas[q] for q in variances}
+    variance = finite(sum(betas[q] * betas[q] * v for q, v in variances.items()),
                       f"the variance at (ell={ell}, d={d})")
     if variance == 0.0:
         raise ZeroVarianceError("polynomial has zero variance (odd-odd components only)")

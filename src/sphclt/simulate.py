@@ -33,9 +33,14 @@ the row (a, b) times the table [cos m phi; sin m phi].  The recursion runs one
 level at a time with every field of the level at once, one stacked matmul per
 level, so a single replica costs O(d) array operations, not one per U_m.
 
-One plan per (grid, ell) holds all the recursion reads; each level's profile
-stack comes from one Jacobi pass, which gives lam_{e,m} for every degree e at
-once.
+One plan per (grid, ell, dtype) holds all the recursion reads; each level's
+profile stack comes from one Jacobi pass, which gives lam_{e,m} for every
+degree e at once.  The tables are built in float64 and a float32 plan is cast
+from them, its entries below FLUSH_BELOW in magnitude flushed to 0 first: the
+sin^m theta factors near the poles would be subnormal in float32, and a
+subnormal operand slows every kernel that reads it.  A float32 synthesis
+keeps the float64 draws below and casts them into its buffers, so a seed maps
+to the same fields in either precision, up to float32 rounding.
 
 Every replica derives its generator from (master seed, replica index) through
 a counter-based construction (Philox with the replica in the high counter
@@ -61,6 +66,8 @@ from .specfun import (GegenbauerCtx, NodeBudgetError, SphereDim, ToleranceNotMet
                       hermite, orthonormal_jacobi)
 
 NODE_BUDGET = 2_000_000
+# float32 synthesis tables hold no entry below this in magnitude: it is flushed to 0
+FLUSH_BELOW = 1e-30
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,37 +271,51 @@ def _leaf_draws(ell: int, d: int) -> np.ndarray:
     return idx
 
 
-def _synthesis_plan(grid: SphereGrid, ell: int):
+def _table(values: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """`values` in `dtype` and in their memory layout, which picks the BLAS
+    kernel; cast to another dtype, entries below FLUSH_BELOW are 0."""
+    if values.dtype == dtype:
+        return values
+    out = np.empty_like(values, dtype=dtype)
+    np.copyto(out, np.where(np.abs(values) < FLUSH_BELOW, 0.0, values))
+    return out
+
+
+def _synthesis_plan(grid: SphereGrid, ell: int, dtype=np.float64):
     """(pairs, trig, lams) for degree-ell fields on `grid`: the leaf draw
     indices of `_leaf_draws`, the azimuth table trig[m] = [cos m phi; sin m phi]
-    of shape (ell+1, 2, n_phi), and one profile stack per level from S^2 up.
-    Below the top, stack[e] (n_t, ell+1), zero-padded beyond column e, serves
-    the U of degree e; the top stack holds lam_{ell} alone."""
+    of shape (ell+1, 2, n_phi), and one profile stack per level from S^2 up,
+    the tables in `dtype`.  Below the top, stack[e] (n_t, ell+1), zero-padded
+    beyond column e, serves the U of degree e; the top stack holds lam_{ell}
+    alone."""
+    dtype = np.dtype(dtype)
     plans = _PLANS.setdefault(grid, {})
-    if ell not in plans:
+    if dtype not in plans.get(ell, {}):
         if grid.folded and ell % 2:
             raise UsageError(f"a folded grid holds even integrands alone; fields of odd ell={ell} are not")
         _replica_values(grid, ell)  # raises before any table is built
-        lams = [_profile_stack(ell, level.dim, level.colat_t, ell if level is grid else 0)
+        lams = [_table(_profile_stack(ell, level.dim, level.colat_t, ell if level is grid else 0), dtype)
                 for level in _levels(grid)]
         m_phi = np.arange(ell + 1)[:, None] * _azimuth(grid.n_phi)[None, :]
-        plans[ell] = (_leaf_draws(ell, grid.dim.d), np.stack((np.cos(m_phi), np.sin(m_phi)), axis=1), lams)
-    return plans[ell]
+        trig = _table(np.stack((np.cos(m_phi), np.sin(m_phi)), axis=1), dtype)
+        plans.setdefault(ell, {})[dtype] = (_leaf_draws(ell, grid.dim.d), trig, lams)
+    return plans[ell][dtype]
 
 
-def _synthesis_buffers(grid: SphereGrid, ell: int, rows: int) -> tuple:
-    """Working set of `_sample_batch` for up to `rows` replicas: a generator
-    on one Philox that `_reseed` moves to each replica's stream, the draws
-    with their zero column, the leaves' draw pairs, the circle level and one
-    matmul result per level, the last of which holds the fields."""
-    pairs, _, lams = _synthesis_plan(grid, ell)
-    draws = np.zeros((rows, dim_harmonics(ell, grid.dim.d) + 1))
+def _synthesis_buffers(grid: SphereGrid, ell: int, rows: int, dtype=np.float64) -> tuple:
+    """Working set of `_sample_batch` for up to `rows` replicas, in `dtype`:
+    a generator on one Philox that `_reseed` moves to each replica's stream,
+    the draws with their zero column, the leaves' draw pairs, the circle
+    level and one matmul result per level, the last of which holds the fields."""
+    pairs, _, lams = _synthesis_plan(grid, ell, dtype)
+    draws = np.zeros((rows, dim_harmonics(ell, grid.dim.d) + 1), dtype)
     shape = (rows, *pairs.shape[:-1], grid.n_phi)
     # seeded, so that building it reads no OS entropy; `_reseed` sets its state before every draw
-    buffers = [np.random.Generator(np.random.Philox(0)), draws, np.empty((rows, *pairs.shape)), np.empty(shape)]
+    buffers = [np.random.Generator(np.random.Philox(0)), draws, np.empty((rows, *pairs.shape), dtype),
+               np.empty(shape, dtype)]
     for lam in lams:
         *batch, _, n_sub = shape
-        buffers.append(np.empty((*batch, lam.shape[-2], n_sub)))
+        buffers.append(np.empty((*batch, lam.shape[-2], n_sub), dtype))
         shape = (*batch, lam.shape[-2] * n_sub)
     return tuple(buffers)
 
@@ -310,13 +331,14 @@ def _synthesize_batch(grid: SphereGrid, ell: int, coeffs: np.ndarray, work=None)
     `_replica_values` holds to the node budget.
 
     Every array is written into `work`, buffers of `_synthesis_buffers` for
-    at least R rows (`coeffs` may be its own draw rows), or into new ones;
+    at least R rows (`coeffs` may be its own draw rows), or into new ones of
+    the dtype of `coeffs`; the synthesis runs in the dtype of the buffers, and
     the result is a view of the last.  Each matmul makes one BLAS call per
     leaf or replica, so a replica's values do not depend on its batch.
     """
-    pairs, trig, lams = _synthesis_plan(grid, ell)
     R, n = coeffs.shape
-    _, draws, gathered, circle, *levels = _synthesis_buffers(grid, ell, R) if work is None else work
+    _, draws, gathered, circle, *levels = _synthesis_buffers(grid, ell, R, coeffs.dtype) if work is None else work
+    pairs, trig, lams = _synthesis_plan(grid, ell, draws.dtype)
     draws[:R, :n] = coeffs
     gathered = np.take(draws[:R], pairs, axis=1, out=gathered[:R], mode="clip")[..., None, :]  # clip: out unbuffered
     fields = np.matmul(gathered, trig, out=circle[:R, ..., None, :])[..., 0, :]
@@ -327,19 +349,21 @@ def _synthesize_batch(grid: SphereGrid, ell: int, coeffs: np.ndarray, work=None)
     return fields.reshape(R, grid.n_nodes)
 
 
-def _sample_batch(grid: SphereGrid, ell: int, seed: int, replicas, work=None) -> np.ndarray:
-    """Field values (len(replicas), N); the single entry point for sampling.
+def _sample_batch(grid: SphereGrid, ell: int, seed: int, replicas, work=None, dtype=np.float64) -> np.ndarray:
+    """Field values (len(replicas), N) in `dtype`, or in that of `work` when
+    given; the single entry point for sampling.
 
     `clt._samples` passes one block of replicas per call and the same
     `work` set (see `_synthesis_buffers`) for every block of a worker, so a
     block is reduced before the next is drawn.  The generator of the work
-    set is reseeded for each replica and draws into the work set's rows."""
+    set is reseeded for each replica; its float64 draws are cast into the
+    work set's rows, so a replica draws the same normals in every dtype."""
     if work is None:  # the plan, and so the budget check, comes before any buffer
-        work = _synthesis_buffers(grid, ell, len(replicas))
+        work = _synthesis_buffers(grid, ell, len(replicas), dtype)
     gen, draws = work[:2]
     for row, rep in enumerate(replicas):
         _reseed(gen.bit_generator, seed, rep)
-        gen.standard_normal(out=draws[row, :-1])  # all but the zero column
+        draws[row, :-1] = gen.standard_normal(draws.shape[1] - 1)  # all but the zero column
     return _synthesize_batch(grid, ell, draws[:len(replicas), :-1], work)
 
 

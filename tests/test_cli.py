@@ -556,6 +556,54 @@ def test_odd_multipoles_run_unless_nothing_is_left_to_measure(tmp_path, capsys, 
         assert len(rows) == 3 and all(r["normalized"] == "" for r in rows)
 
 
+# the argv shapes of the `monte_carlo` workload of perfbench/run.py, at 200 replicas
+_MONTE_CARLO = [
+    ("clt --kind h --d 2 --q 3 --ell 16,64,128 --reps 200 --threads 2", "clt_h_d2_q3"),
+    ("clt --kind Z --d 2 --betas 0,0,1,0,1 --ell 16,32,64 --reps 200 --threads 2", "clt_Z_d2_poly"),
+    ("excursion --d 2 --z 1.0 --ell 16,64 --reps 200 --threads 2", "excursion_d2_z1"),
+    ("simulate --kind h --d 2 --q 3 --ell 64 --reps 200", "simulate_h_d2_ell64"),
+    ("simulate --kind h --d 3 --q 3 --ell 6 --reps 200", "simulate_h_d3_ell6"),
+]
+
+
+@pytest.mark.parametrize("args, base", _MONTE_CARLO, ids=[base for _, base in _MONTE_CARLO])
+def test_the_benchmark_sweeps_run_in_float32_without_a_warning(tmp_path, capsys, args, base):
+    # warnings are errors in this suite, those of the worker threads included:
+    # a cast warning raised there fails the run
+    assert run_cli(*args.split(), "--seed", "3", "--out-dir", str(tmp_path)) == 0
+    assert capsys.readouterr().err == ""
+    manifest = json.loads((tmp_path / f"{base}.manifest.json").read_text())
+    assert manifest["all_passed"] and manifest["summary"]["synthesis_dtype"] == "float32"
+
+
+@pytest.mark.parametrize("args", [
+    "simulate --kind Z --d 3 --betas 0,0,1,0,1 --ell 6 --reps 150",
+    "clt --kind h --d 2 --q 3 --ell 16,32 --reps 200",
+    "excursion --d 2 --z 0.5 --ell 8,16 --reps 200",
+], ids=["simulate", "clt", "excursion"])
+def test_sampling_commands_are_byte_identical_at_any_thread_count(tmp_path, args):
+    # one output directory, which the manifest echoes
+    outputs = []
+    for threads in ("1", "2", "4"):
+        assert run_cli(*args.split(), "--seed", "9", "--threads", threads, "--out-dir", str(tmp_path)) == 0
+        outputs.append({p.name: p.read_bytes() for p in tmp_path.iterdir()})
+        for p in tmp_path.iterdir():
+            p.unlink()
+    assert outputs[0] and outputs[0] == outputs[1] == outputs[2]
+
+
+def test_a_chaos_of_zero_variance_leaves_the_sweep(tmp_path):
+    # at odd ell the third chaos is identically 0: beta_3 = 1e160 changes neither
+    # the bound nor a sample, and the sweep reads as that of T^2 on the same grid
+    rows = {}
+    for betas in ("0,0,1,1e160", "0,0,1,0"):
+        out = tmp_path / betas.replace(",", "_")
+        assert run_cli("clt", "--kind", "Z", "--d", "2", "--betas", betas, "--ell", "3", "--reps", "200",
+                       "--seed", "1", "--out-dir", str(out)) == 0
+        rows[betas] = (out / "clt_Z_d2_poly.csv").read_text()
+    assert rows["0,0,1,1e160"] == rows["0,0,1,0"]
+
+
 def test_cli_determinism_across_threads(tmp_path):
     args = ["clt", "--kind", "h", "--d", "2", "--q", "2", "--ell", "8,16",
             "--reps", "250", "--seed", "5", "--out-dir", str(tmp_path)]

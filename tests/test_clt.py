@@ -28,8 +28,8 @@ from sphclt.clt import (
     wasserstein_distance,
 )
 from sphclt.parallel import CHUNK, single_threaded_blas
-from sphclt.simulate import _replica_values, _sample_batch, build_grid, sample_field
-from sphclt.specfun import UsageError, ZeroVarianceError, hermite
+from sphclt.simulate import _replica_values, _sample_batch, _synthesis_plan, build_grid, excursion_variance, sample_field
+from sphclt.specfun import NumericalError, UsageError, ZeroVarianceError, hermite
 
 
 # ------------------------------------------------------------------
@@ -224,15 +224,88 @@ def test_samples_hold_one_field_at_a_time():
         "h-d4-58", "h-d2-fold-78", "h-d2-fold-5", "Z-d2-fold-59", "h-d3-fold-49", "h-d4-fold-58"])
 def test_blocks_equal_the_one_replica_path_bitwise(f, d, ell, replicas, block, fold, threads):
     # a replica's value never depends on the block, chunk or thread it runs
-    # in; as in `_samples`, the one-replica path runs BLAS on one thread and
-    # integrates on the same rule
+    # in; as in `_samples`, the one-replica path runs BLAS on one thread,
+    # in float32, and integrates on the same rule
     grid = f.grid(ell, d) if fold else build_grid(d, f.degree(ell))
     assert grid.folded == fold
     assert max(1, BLOCK_VALUES // _replica_values(grid, ell)) == block
     assert replicas % CHUNK != 0
+    weights = grid.weights.astype(np.float32)
     with single_threaded_blas():
-        one = [f.reduce(_sample_batch(grid, ell, 13, (r,)), grid.weights) for r in range(replicas)]
+        one = [f.reduce(_sample_batch(grid, ell, 13, (r,), dtype=np.float32), weights) for r in range(replicas)]
     assert np.array_equal(_samples(f, grid, ell, 13, replicas, threads), np.concatenate(one))
+
+
+# ------------------------------------------------------------------
+# float32 sampling
+# ------------------------------------------------------------------
+
+@pytest.mark.parametrize("f, d, ell", [
+    (Functional.of("h", q=3), 2, 128), (Functional.of("h", q=2), 3, 12), (Functional.of("h", q=4), 4, 6),
+    (Functional.of("Z", betas=BETAS), 2, 32), (Functional.of("Z", betas=BETAS), 3, 8),
+    (Functional.of("Z", betas=(0.5, 0.0, -1.5, 0.0, 2.0)), 4, 4),
+    (Functional.of("h", q=12), 2, 16),  # reduced in float64: Horner in float32 is 0.17 sigma off at q = 30
+], ids=["h3-d2-128", "h2-d3-12", "h4-d4-6", "Z-d2-32", "Z-d3-8", "Z-d4-4", "h12-d2-16"])
+def test_float32_samples_are_float64_ones_to_1e_5_sigma(f, d, ell):
+    # the same draws in both precisions: the values differ by float32 rounding alone
+    grid = f.grid(ell, d)
+    single = _samples(f, grid, ell, 11, 100, 2)
+    double = _samples(f, grid, ell, 11, 100, 2, dtype=np.float64)
+    assert single.dtype == double.dtype == np.float64
+    assert np.max(np.abs(single - double)) <= 1e-5 * math.sqrt(f.variance(ell, d))
+
+
+@pytest.mark.parametrize("d, ell, z", [(2, 64, 1.0), (3, 8, 0.25)])
+def test_float32_excursion_areas_are_float64_ones_to_1e_2_sigma(d, ell, z):
+    # an indicator flips at nodes within float32 rounding of z: a node's weight each
+    f = Functional.of("S", z=z)
+    grid = f.grid(ell, d)
+    single = _samples(f, grid, ell, 11, 200, 2)
+    double = _samples(f, grid, ell, 11, 200, 2, dtype=np.float64)
+    assert np.max(np.abs(single - double)) <= 1e-2 * math.sqrt(excursion_variance(ell, d, z))
+
+
+@pytest.mark.parametrize("d, ell", [(2, 128), (3, 24), (4, 8)])
+def test_float32_plans_hold_no_subnormal(d, ell):
+    # the sin^m theta factors near the poles fall below the least normal
+    # float32; flushed to 0 they cannot slow the kernels that read them
+    grid = Functional.of("h", q=3).grid(ell, d)
+    _, trig, lams = _synthesis_plan(grid, ell, np.float32)
+    for table in (trig, *lams):
+        assert table.dtype == np.float32
+        assert not np.any((table != 0.0) & (np.abs(table) < np.finfo(np.float32).tiny))
+
+
+def test_the_reduction_leaves_float32_where_horner_loses_its_digits():
+    # h_q reduces in float32 up to q = 8; a constant reads c_0 * sum(w), and
+    # 1e6 + T^2 holds the variable part below the float32 rounding of 1e6
+    assert [Functional.of("h", q=q).reduction_dtype(np.float32) for q in range(11)] == \
+        [np.float64] + [np.float32] * 8 + [np.float64] * 2
+    assert Functional.of("S", z=1.0).reduction_dtype(np.float32) == np.float32
+    assert Functional.of("Z", betas=BETAS).reduction_dtype(np.float32) == np.float32
+    assert Functional.of("Z", betas=(1e6, 0.0, 1.0)).reduction_dtype(np.float32) == np.float64
+    # p(8) * mu_d would overflow a float32
+    assert Functional.of("Z", betas=(0.0, 0.0, 1e30)).reduction_dtype(np.float32) == np.float32
+    assert Functional.of("Z", betas=(0.0, 0.0, 1e36)).reduction_dtype(np.float32) == np.float64
+    assert Functional.of("h", q=3).reduction_dtype(np.float64) == np.float64
+
+
+def test_a_value_beyond_the_reduction_range_raises(monkeypatch):
+    # the range rule of `reduction_dtype` overruled: the worker threads
+    # overflow without a warning, and the sampler raises
+    monkeypatch.setattr(Functional, "reduction_dtype", lambda self, dtype: np.dtype(dtype))
+    f = Functional.of("Z", betas=(0.0, 0.0, 1e300))
+    with pytest.raises(NumericalError, match=r"Z at \(ell=4, d=2\) leaves the float32 range"):
+        _samples(f, f.grid(4, 2), 4, 1, 150, 2)
+
+
+def test_odd_multipoles_drop_the_odd_powers():
+    # T(-x) = -T(x): the odd chaoses integrate to 0, whatever their coefficient
+    assert Functional.of("Z", betas=(0.0, 0.0, 1.0, 1e160)).at(3) == Functional.of("Z", betas=(0.0, 0.0, 1.0))
+    assert Functional.of("Z", betas=(0.0, 0.0, 1.0, 1e160)).at(4) == Functional.of("Z", betas=(0.0, 0.0, 1.0, 1e160))
+    f = Functional.of("h", q=3)
+    assert (f.at(5).beta, f.at(5).monomial) == ((0.0,), (0.0,))
+    assert np.array_equal(_samples(f, f.grid(5, 2), 5, 1, 5, 1), np.zeros(5))
 
 
 def test_workers_share_buffer_sets_safely():

@@ -427,3 +427,15 @@ def test_poly_bound_validation():
     # a zero-variance chaos adds nothing, even where beta^2 overflows to inf (inf * 0 is NaN)
     with pytest.raises(ZeroVarianceError):
         poly_bound(5, 2, {3: 1e160})
+
+
+@pytest.mark.parametrize("ell, d, betas, kept", [
+    (3, 2, {2: 1.0, 3: 1e10}, {2: 1.0}),
+    (3, 2, {2: 1.0, 3: 1e160}, {2: 1.0}),
+    (5, 3, {2: 0.5, 3: 2.0, 4: 1.0, 5: 7.0}, {2: 0.5, 4: 1.0}),
+])
+def test_poly_bound_drops_the_chaoses_of_zero_variance(ell, d, betas, kept):
+    # at odd ell the odd chaoses are identically 0: they leave the tables and
+    # the cross terms, not only the variance (the first case read 1.3e10)
+    assert all(variance_h(ell, q, d) == 0.0 for q in betas.keys() - kept.keys())
+    assert poly_bound(ell, d, betas) == poly_bound(ell, d, kept)

@@ -143,8 +143,8 @@ def test_folded_samples_agree_with_the_full_rule(f, d, ell):
     folded = f.grid(ell, d)
     assert folded.folded
     full = build_grid(d, f.degree(ell))
-    raw_full = _samples(f, full, ell, 17, 150, 1)
-    raw_fold = _samples(f, folded, ell, 17, 150, 1)
+    raw_full = _samples(f, full, ell, 17, 150, 1, dtype=np.float64)
+    raw_fold = _samples(f, folded, ell, 17, 150, 1, dtype=np.float64)
     sd = float(np.std(raw_full, ddof=1))
     assert np.max(np.abs(raw_fold - raw_full)) <= 1e-12 * sd
 

@@ -24,6 +24,7 @@ from sphclt.specfun import (
     harmonics_table,
     hermite,
     normal_cdf,
+    orthonormal_jacobi,
     sphere_volume,
 )
 
@@ -140,6 +141,19 @@ def test_gegenbauer_matches_jacobi_oracle():
         at_one = jacobi_symmetric_oracle(ell, 0.5, 1.0)
         value = GegenbauerCtx(ell, SphereDim(3)).evaluate(-0.42)
         assert value == pytest.approx(raw / at_one, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("n, alpha, points", [(384, 0.0, 193), (384, 0.5, 193), (2048, 1.0, 50), (256, 0.0, 1000)])
+@pytest.mark.parametrize("scaled", [False, True])
+def test_orthonormal_jacobi_scalar_weight_is_bitwise_the_array_path(n, alpha, points, scaled):
+    # one weight takes its b_k in Python floats; the array path, alpha given as
+    # a one-element array, takes them in numpy: the same roundings either way
+    t = np.cos(np.linspace(0.01, math.pi - 0.01, points))
+    scale = np.linspace(0.5, 2.0, points) if scaled else 1.0
+    scalar = list(orthonormal_jacobi(n, alpha, t, scale))
+    array = list(orthonormal_jacobi(n, np.array([alpha]), t, scale))
+    assert len(scalar) == len(array) == n + 1
+    assert all(np.array_equal(a, b) for a, b in zip(scalar, array))
 
 
 @pytest.mark.parametrize("ell", [1, 3, 10, 64, 201])
