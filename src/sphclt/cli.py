@@ -384,6 +384,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     if len(cfg.ell) != 1:
         raise UsageError("simulate runs one multipole at a time; pass --ell with a single value")
     ell = cfg.ell[0]
+    f = f.at(ell)
     d = cfg.d
     grid = f.grid(ell, d)
     try:
@@ -397,7 +398,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     rows = [(rep, d, f.label, ell, cfg.z, value, scaled)
             for rep, (value, scaled) in enumerate(zip(raw, normalized))]
 
-    summary = {"grid": grid.summary(), "synthesis_dtype": SAMPLE_DTYPE.name}
+    summary = {"grid": grid.summary(), "synthesis_dtype": f.sample_dtype(SAMPLE_DTYPE).name}
     return _write_outputs(cfg, f"simulate_{f.kind}_d{d}_ell{ell}",
                           ("replica", "d", "q_or_kind", "ell", "z", "raw", "normalized"), rows, [], summary)
 
@@ -420,7 +421,7 @@ def _write_sweep_outputs(cfg: RunConfig, report: CltReport, base: str, checks) -
         (Path(cfg.out_dir) / name).write_text("\n".join(lines) + "\n")
 
     summary = {"warnings": list(report.warnings), "grids": list(report.grids),
-               "synthesis_dtype": SAMPLE_DTYPE.name}
+               "synthesis_dtype": ",".join(sorted({g["synthesis_dtype"] for g in report.grids}))}
     try:
         summary["rate_fit"] = rate_fit(report)
     except UsageError as exc:

@@ -7,17 +7,17 @@ the raw values for `simulate`, `clt` and `excursion` alike, on the rule
 that `Functional.grid` picks: fixed chunks of replicas go to the workers,
 and a chunk runs in blocks of replicas whose largest synthesis array holds
 about BLOCK_VALUES values, which fit in the L2 cache.  It synthesizes and
-reduces in SAMPLE_DTYPE, float32: the distances of a few thousand replicas
-need nowhere near 16 digits, and float32 halves the time of the largest
-matmul.  Everything after the reduction (means, variances, distances) runs
-in float64.  Each block is
-synthesized and reduced in buffers allocated once per worker, so its fields
-are reduced while they are still in cache and no (replicas, nodes) array of
-a whole chunk is ever held.  The block size depends only on the grid and
-ell, and every replica is synthesized and reduced by the same BLAS calls as
-it would be alone, so no value depends on the block or the worker count.  The
-per-realization `functional_*` helpers evaluate the same spec on one
-`FieldRealization`.
+reduces in SAMPLE_DTYPE, float32, wherever Horner's rule keeps its digits
+there (`Functional.sample_dtype`), else in float64: the distances of a few
+thousand replicas need nowhere near 16 digits, and float32 halves the time
+of the largest matmul.  Everything after the reduction (means, variances,
+distances) runs in float64.  Each block is synthesized and reduced in
+buffers allocated once per worker, so its fields are reduced while they are
+still in cache and no (replicas, nodes) array of a whole chunk is ever held.
+The block size depends only on the grid and ell, and every replica is
+synthesized and reduced by the same BLAS calls as it would be alone, so no
+value depends on the block or the worker count.  The per-realization
+`functional_*` helpers evaluate the same spec on one `FieldRealization`.
 
 Distances to the standard normal:
   - Kolmogorov: sup over the sorted sample of |F_n - Phi|, evaluated at both
@@ -71,10 +71,10 @@ CLT_EXCLUDED_PAIRS = ((3, 3), (3, 4), (4, 3), (5, 3))
 # the indicator of kind S is not a polynomial: its grids are exact to 4*ell
 EXCURSION_DEGREE_FACTOR = 4
 HERMITE_CONVERSION_CAP = 16
-# precision of the synthesis and, where it is accurate enough, of the reduction in `_samples`
+# precision of the synthesis and the reduction in `_samples`, where it is accurate enough
 SAMPLE_DTYPE = np.dtype(np.float32)
 # the bound on Horner's rounding, relative to the spread of p(T), below which
-# p reduces in SAMPLE_DTYPE (see `Functional.reduction_dtype`)
+# p is sampled in SAMPLE_DTYPE (see `Functional.sample_dtype`)
 REDUCTION_TOL = 1e-5
 # values of the largest synthesis array per sampling block: 256 KB of SAMPLE_DTYPE,
 # inside a 2 MB L2 cache
@@ -206,10 +206,11 @@ class Functional:
         return fold_grid(grid) if self.beta is not None and ell % 2 == 0 else grid
 
     def at(self, ell: int) -> Functional:
-        """The functional as it is evaluated on degree-ell fields.  At odd ell
-        T(-x) = -T(x), so every odd power of T integrates to 0, on the sphere
-        and on a grid exact to the degree of p: p keeps its even powers
-        alone.  That drops exactly the odd chaoses, which have zero variance
+        """The functional as it is evaluated on degree-ell fields; each row
+        of `simulate`, `clt` and `excursion` takes it before its grid.  At
+        odd ell T(-x) = -T(x), so every odd power of T integrates to 0 on the
+        sphere: p keeps its even powers alone, and its grid is exact to their
+        degree.  That drops exactly the odd chaoses, which have zero variance
         there, and their rounding noise with them, however large their
         coefficients (as `poly_bound` drops them from the bound)."""
         if self.monomial is None or ell % 2 == 0:
@@ -222,18 +223,21 @@ class Functional:
             return tuple(kept)
         return replace(self, beta=even(self.beta), monomial=even(self.monomial))
 
-    def reduction_dtype(self, dtype) -> np.dtype:
-        """The precision `_samples` reduces fields of `dtype` in.
+    def sample_dtype(self, dtype) -> np.dtype:
+        """The precision `_samples` synthesizes and reduces in when offered
+        `dtype`: `dtype` itself, or float64 where it would lose p's digits.
 
-        The indicator of kind S reduces in `dtype`.  Horner's rule sums terms
+        The indicator of kind S runs in `dtype`.  Horner's rule sums terms
         c_k T^k that can dwarf p(T): its rounding error is at most about
         2 Q u sum_k |c_k| |T|^k, u the unit roundoff, Q the degree.  At a
         standard normal T that is 2 Q u rho times the spread of p(T), where
         rho = E[sum_k |c_k| |T|^k] / sd p(T) and sd^2 = sum_{j>=1} beta_j^2 j!.
-        p reduces in `dtype` while 2 Q u rho < REDUCTION_TOL and its integral
+        p runs in `dtype` while 2 Q u rho < REDUCTION_TOL and its integral
         stays in the range of `dtype` for |T| <= 8, else in float64: in
         float32, h_q up to q = 8 and the polynomials of small coefficients.  A
-        constant p has no spread: it reads c_0 * sum(w) in float64.
+        constant p has no spread: it reads c_0 * sum(w) in float64.  A
+        float64 functional is sampled as a whole in float64, never from
+        float32 fields, so its values are those of a float64 run.
         """
         dtype = np.dtype(dtype)
         if self.monomial is None:
@@ -252,9 +256,10 @@ class Functional:
         """Quadrature value of the functional over the last axis of `fields`.
 
         The integrand is evaluated in one working array of the shape of
-        `fields` and the dtype of `weights`, `out` when given: kinds h and Z
-        evaluate p(T) by Horner's rule in place, skip the zero coefficients
-        and start from `fields` at a unit leading coefficient (1 * T is T).
+        `fields` and the dtype of `weights`, which `fields` shares, `out`
+        when given: kinds h and Z evaluate p(T) by Horner's rule in place,
+        skip the zero coefficients and start from `fields` at a unit leading
+        coefficient (1 * T is T).
         Each row is summed as its own (1, N) @ (N,) product, so its value
         does not depend on the rows it is batched with.
         """
@@ -313,7 +318,7 @@ class FunctionalSample:
 def _evaluate(f: Functional, realization: FieldRealization, variance: float | None) -> FunctionalSample:
     """f on one realization; centred and scaled by `variance` unless it is None."""
     grid = realization.grid
-    raw = float(f.at(realization.ell).reduce(realization.values, grid.weights))
+    raw = float(f.reduce(realization.values, grid.weights))
     normalized = None
     if variance is not None:
         if variance <= 0.0:
@@ -324,14 +329,14 @@ def _evaluate(f: Functional, realization: FieldRealization, variance: float | No
 
 def functional_h(realization: FieldRealization, q: int, normalize: bool = True) -> FunctionalSample:
     """h_{ell;q,d} = integral of H_q(T_ell): quadrature sum of H_q at the nodes."""
-    f = Functional.of("h", q=q)
+    f = Functional.of("h", q=q).at(realization.ell)
     var = f.variance(realization.ell, realization.grid.dim.d) if normalize else None
     return _evaluate(f, realization, var)
 
 
 def functional_Z(realization: FieldRealization, b_coeffs, normalize: bool = True) -> FunctionalSample:
     """Polynomial functional sum_q b_q * integral(T^q) via Hermite re-expansion."""
-    f = Functional.of("Z", betas=b_coeffs)
+    f = Functional.of("Z", betas=b_coeffs).at(realization.ell)
     var = f.variance(realization.ell, realization.grid.dim.d) if normalize else None
     return _evaluate(f, realization, var)
 
@@ -375,8 +380,8 @@ class CltReport:
 
 def _samples(f: Functional, grid: SphereGrid, ell: int, seed: int, replicas: int,
              threads: int, dtype=SAMPLE_DTYPE) -> np.ndarray:
-    """Raw values of f (`f.at(ell)`) for replicas 0..replicas-1, synthesized
-    and reduced in `dtype`, returned in float64.
+    """Raw values of f for replicas 0..replicas-1, synthesized and reduced
+    in `f.sample_dtype(dtype)`, returned in float64.
 
     Fixed chunks of replicas go to the workers.  A chunk runs in blocks of
     max(1, BLOCK_VALUES // V) replicas, V the values of a replica's largest
@@ -384,17 +389,17 @@ def _samples(f: Functional, grid: SphereGrid, ell: int, seed: int, replicas: int
     `_sample_batch` and one `Functional.reduce` call.  Their buffers are
     allocated once per worker: a chunk takes a set left by a finished
     chunk, so the memory is not handed back to the system and faulted in
-    again for every chunk.  The reduction runs in `f.reduction_dtype(dtype)`,
-    float64 where Horner's rule would lose too many digits in `dtype`, so a
-    constant h_0 reads mu_d to float64 rounding.  A value that leaves the
-    range of that precision raises NumericalError."""
-    f = f.at(ell)
+    again for every chunk.  A functional that Horner's rule would reduce
+    to too few digits in `dtype` runs in float64, so a constant h_0 reads
+    mu_d to float64 rounding.  A value that leaves the range of the
+    precision raises NumericalError."""
+    dtype = f.sample_dtype(dtype)
     # an empty batch fills the synthesis tables of the grid and its
     # sub-grids once, before worker threads race to build them
     _sample_batch(grid, ell, seed, (), dtype=dtype)
     block = max(1, BLOCK_VALUES // _replica_values(grid, ell))
     rows = min(block, replicas)
-    weights = grid.weights.astype(f.reduction_dtype(dtype))
+    weights = grid.weights.astype(dtype)
     spare = []  # buffer sets of finished chunks; list.pop and append are atomic
 
     def chunk_values(bounds):
@@ -402,7 +407,7 @@ def _samples(f: Functional, grid: SphereGrid, ell: int, seed: int, replicas: int
         try:
             work, acc = spare.pop()
         except IndexError:
-            work, acc = _synthesis_buffers(grid, ell, rows, dtype), np.empty((rows, grid.n_nodes), weights.dtype)
+            work, acc = _synthesis_buffers(grid, ell, rows, dtype), np.empty((rows, grid.n_nodes), dtype)
         values = np.empty(hi - lo)
         with np.errstate(over="ignore", invalid="ignore"):  # a value out of range raises below
             for start in range(lo, hi, block):
@@ -414,7 +419,7 @@ def _samples(f: Functional, grid: SphereGrid, ell: int, seed: int, replicas: int
 
     values = np.concatenate(ordered_map(chunk_values, fixed_chunks(replicas), threads))
     if not np.all(np.isfinite(values)):
-        raise NumericalError(f"{f.label} at (ell={ell}, d={grid.dim.d}) leaves the {weights.dtype.name} range")
+        raise NumericalError(f"{f.label} at (ell={ell}, d={grid.dim.d}) leaves the {dtype.name} range")
     return values
 
 
@@ -447,12 +452,13 @@ def clt_sweep(kind: str, d: int, ell_list, replicas: int, seed: int,
 
     rows, grids = [], []
     for ell in ells:
-        grid = f.grid(ell, d)
-        grids.append({"ell": ell, **grid.summary()})
-        var = f.variance(ell, d)
-        explicit, rate = f.bound(ell, d)  # raises at ell = 1 for h and Z: before any replica is drawn
-        mean = f.mean(grid.dim)
-        raw = _samples(f, grid, ell, seed, replicas, threads)
+        f_ell = f.at(ell)
+        grid = f_ell.grid(ell, d)
+        grids.append({"ell": ell, **grid.summary(), "synthesis_dtype": f_ell.sample_dtype(SAMPLE_DTYPE).name})
+        var = f_ell.variance(ell, d)
+        explicit, rate = f_ell.bound(ell, d)  # raises at ell = 1 for h and Z: before any replica is drawn
+        mean = f_ell.mean(grid.dim)
+        raw = _samples(f_ell, grid, ell, seed, replicas, threads)
         normalized = (raw - mean) / math.sqrt(var)
         rows.append(CltRow(
             ell=ell, replicas=replicas,
@@ -461,7 +467,7 @@ def clt_sweep(kind: str, d: int, ell_list, replicas: int, seed: int,
             mc_stderr_scale=0.5 / math.sqrt(replicas),
             theoretical_rate=rate,
             explicit_bound=explicit,
-            exact_quadrature=f.exact(ell, grid),
+            exact_quadrature=f_ell.exact(ell, grid),
             sample_mean=float(np.mean(raw)),
             sample_var=float(np.var(raw, ddof=1)),
             predicted_mean=mean,

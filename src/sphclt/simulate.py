@@ -361,9 +361,10 @@ def _sample_batch(grid: SphereGrid, ell: int, seed: int, replicas, work=None, dt
     if work is None:  # the plan, and so the budget check, comes before any buffer
         work = _synthesis_buffers(grid, ell, len(replicas), dtype)
     gen, draws = work[:2]
+    normals = np.empty(draws.shape[1] - 1)  # float64 in every dtype
     for row, rep in enumerate(replicas):
         _reseed(gen.bit_generator, seed, rep)
-        draws[row, :-1] = gen.standard_normal(draws.shape[1] - 1)  # all but the zero column
+        draws[row, :-1] = gen.standard_normal(out=normals)  # all but the zero column
     return _synthesize_batch(grid, ell, draws[:len(replicas), :-1], work)
 
 

@@ -221,22 +221,15 @@ def orthonormal_jacobi(n: int, alpha, t, scale=1.0, triangular=False):
     log_mass = 0.5 * math.log(math.pi) + _lgamma(alpha + 1.0) - _lgamma(alpha + 1.5)
     cur = scale * np.exp(-0.5 * log_mass) * np.ones_like(t)
     prev = np.zeros_like(cur)
-    scalar = alpha.ndim == 0
-    if scalar:  # one weight: b_k in Python floats, as numpy rounds them (its ** 2 is x * x), but faster
-        alpha, b_prev = float(alpha), 0.0
-    else:
-        b_prev = np.zeros_like(alpha)
+    ks = np.arange(1, n + 1).reshape(-1, *(1,) * alpha.ndim)
+    bs = np.sqrt(ks * (ks + 2.0 * alpha) / (4.0 * (ks + alpha) ** 2 - 1.0))  # b_1..b_n, as each step would
+    b_prev = np.zeros_like(alpha)
     yield cur
     for k in range(1, n + 1):
+        b = bs[k - 1]
         if triangular:
             rows = n + 1 - k
-            cur, prev = cur[:rows], prev[:rows]
-            if not scalar:
-                alpha, b_prev = alpha[:rows], b_prev[:rows]
-        if scalar:
-            b = math.sqrt(k * (k + 2.0 * alpha) / (4.0 * ((k + alpha) * (k + alpha)) - 1.0))
-        else:
-            b = np.sqrt(k * (k + 2.0 * alpha) / (4.0 * (k + alpha) ** 2 - 1.0))
+            b, cur, prev, b_prev = b[:rows], cur[:rows], prev[:rows], b_prev[:rows]
         prev, cur = cur, (t * cur - b_prev * prev) / b
         b_prev = b
         yield cur

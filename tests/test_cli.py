@@ -576,20 +576,16 @@ def test_the_benchmark_sweeps_run_in_float32_without_a_warning(tmp_path, capsys,
     assert manifest["all_passed"] and manifest["summary"]["synthesis_dtype"] == "float32"
 
 
-@pytest.mark.parametrize("args", [
-    "simulate --kind Z --d 3 --betas 0,0,1,0,1 --ell 6 --reps 150",
-    "clt --kind h --d 2 --q 3 --ell 16,32 --reps 200",
-    "excursion --d 2 --z 0.5 --ell 8,16 --reps 200",
-], ids=["simulate", "clt", "excursion"])
-def test_sampling_commands_are_byte_identical_at_any_thread_count(tmp_path, args):
-    # one output directory, which the manifest echoes
-    outputs = []
-    for threads in ("1", "2", "4"):
-        assert run_cli(*args.split(), "--seed", "9", "--threads", threads, "--out-dir", str(tmp_path)) == 0
-        outputs.append({p.name: p.read_bytes() for p in tmp_path.iterdir()})
-        for p in tmp_path.iterdir():
-            p.unlink()
-    assert outputs[0] and outputs[0] == outputs[1] == outputs[2]
+@pytest.mark.parametrize("args, base", [
+    ("simulate --kind h --q 12 --ell 4 --reps 3", "simulate_h_d2_ell4"),
+    ("clt --kind Z --betas 1e6,0,1 --ell 4,8 --reps 200", "clt_Z_d2_poly"),
+], ids=["h12", "Z-offset"])
+def test_a_functional_float32_would_round_away_is_sampled_in_float64(tmp_path, args, base):
+    # Horner's rule in float32 loses H_12's digits, and those of T^2 beside 1e6
+    assert run_cli(*args.split(), "--seed", "3", "--out-dir", str(tmp_path)) == 0
+    summary = json.loads((tmp_path / f"{base}.manifest.json").read_text())["summary"]
+    assert summary["synthesis_dtype"] == "float64"
+    assert all(g["synthesis_dtype"] == "float64" for g in summary.get("grids", ()))
 
 
 def test_a_chaos_of_zero_variance_leaves_the_sweep(tmp_path):
@@ -616,16 +612,20 @@ def test_cli_determinism_across_threads(tmp_path):
     assert first == second
 
 
-@pytest.mark.parametrize("command, reps", [("clt", "256"), ("simulate", "96")])
-def test_determinism_across_threads_where_blas_threads(tmp_path, command, reps):
+@pytest.mark.parametrize("args", [
+    "clt --kind h --d 2 --q 3 --ell 128 --reps 256",
+    "simulate --kind h --d 2 --q 3 --ell 128 --reps 96",
+    "excursion --d 2 --z 0.5 --ell 8,16 --reps 200",
+    "simulate --kind Z --d 3 --betas 0,0,1,0,1 --ell 6 --reps 150",
+], ids=["clt-256", "simulate-96", "excursion-200", "simulate-Z-150"])
+def test_determinism_across_threads_where_blas_threads(tmp_path, args):
     # at ell = 128 the synthesis matmuls are large enough for OpenBLAS to
     # split them over threads; sampling pins BLAS to one thread at every
-    # --threads, so the outputs cannot depend on it
-    args = [command, "--kind", "h", "--d", "2", "--q", "3", "--ell", "128", "--reps", reps,
-            "--seed", "11"]
+    # --threads, so the outputs cannot depend on it.  The indicator of the
+    # excursion and a polynomial on S^3 run through the same sampler.
     outputs = []
     for threads in ("1", "2", "4"):
-        assert run_cli(*args, "--threads", threads, "--out-dir", str(tmp_path)) == 0
+        assert run_cli(*args.split(), "--seed", "11", "--threads", threads, "--out-dir", str(tmp_path)) == 0
         outputs.append({p.name: p.read_bytes() for p in tmp_path.iterdir()})
         for p in tmp_path.iterdir():
             p.unlink()

@@ -244,8 +244,12 @@ def test_blocks_equal_the_one_replica_path_bitwise(f, d, ell, replicas, block, f
     (Functional.of("h", q=3), 2, 128), (Functional.of("h", q=2), 3, 12), (Functional.of("h", q=4), 4, 6),
     (Functional.of("Z", betas=BETAS), 2, 32), (Functional.of("Z", betas=BETAS), 3, 8),
     (Functional.of("Z", betas=(0.5, 0.0, -1.5, 0.0, 2.0)), 4, 4),
-    (Functional.of("h", q=12), 2, 16),  # reduced in float64: Horner in float32 is 0.17 sigma off at q = 30
-], ids=["h3-d2-128", "h2-d3-12", "h4-d4-6", "Z-d2-32", "Z-d3-8", "Z-d4-4", "h12-d2-16"])
+    (Functional.of("h", q=8), 2, 32),   # the highest order sampled in float32: 1.5e-6 sigma
+    (Functional.of("h", q=8), 3, 6),    # 1.8e-6 sigma
+    # sampled in float64 as a whole: Horner in float32 is 0.17 sigma off at q = 30
+    (Functional.of("h", q=12), 2, 16), (Functional.of("h", q=30), 2, 8),
+], ids=["h3-d2-128", "h2-d3-12", "h4-d4-6", "Z-d2-32", "Z-d3-8", "Z-d4-4", "h8-d2-32", "h8-d3-6",
+        "h12-d2-16", "h30-d2-8"])
 def test_float32_samples_are_float64_ones_to_1e_5_sigma(f, d, ell):
     # the same draws in both precisions: the values differ by float32 rounding alone
     grid = f.grid(ell, d)
@@ -253,6 +257,8 @@ def test_float32_samples_are_float64_ones_to_1e_5_sigma(f, d, ell):
     double = _samples(f, grid, ell, 11, 100, 2, dtype=np.float64)
     assert single.dtype == double.dtype == np.float64
     assert np.max(np.abs(single - double)) <= 1e-5 * math.sqrt(f.variance(ell, d))
+    if f.sample_dtype(np.float32) == np.float64:
+        assert np.array_equal(single, double)
 
 
 @pytest.mark.parametrize("d, ell, z", [(2, 64, 1.0), (3, 8, 0.25)])
@@ -277,23 +283,23 @@ def test_float32_plans_hold_no_subnormal(d, ell):
 
 
 def test_the_reduction_leaves_float32_where_horner_loses_its_digits():
-    # h_q reduces in float32 up to q = 8; a constant reads c_0 * sum(w), and
+    # h_q is sampled in float32 up to q = 8; a constant reads c_0 * sum(w), and
     # 1e6 + T^2 holds the variable part below the float32 rounding of 1e6
-    assert [Functional.of("h", q=q).reduction_dtype(np.float32) for q in range(11)] == \
+    assert [Functional.of("h", q=q).sample_dtype(np.float32) for q in range(11)] == \
         [np.float64] + [np.float32] * 8 + [np.float64] * 2
-    assert Functional.of("S", z=1.0).reduction_dtype(np.float32) == np.float32
-    assert Functional.of("Z", betas=BETAS).reduction_dtype(np.float32) == np.float32
-    assert Functional.of("Z", betas=(1e6, 0.0, 1.0)).reduction_dtype(np.float32) == np.float64
+    assert Functional.of("S", z=1.0).sample_dtype(np.float32) == np.float32
+    assert Functional.of("Z", betas=BETAS).sample_dtype(np.float32) == np.float32
+    assert Functional.of("Z", betas=(1e6, 0.0, 1.0)).sample_dtype(np.float32) == np.float64
     # p(8) * mu_d would overflow a float32
-    assert Functional.of("Z", betas=(0.0, 0.0, 1e30)).reduction_dtype(np.float32) == np.float32
-    assert Functional.of("Z", betas=(0.0, 0.0, 1e36)).reduction_dtype(np.float32) == np.float64
-    assert Functional.of("h", q=3).reduction_dtype(np.float64) == np.float64
+    assert Functional.of("Z", betas=(0.0, 0.0, 1e30)).sample_dtype(np.float32) == np.float32
+    assert Functional.of("Z", betas=(0.0, 0.0, 1e36)).sample_dtype(np.float32) == np.float64
+    assert Functional.of("h", q=3).sample_dtype(np.float64) == np.float64
 
 
 def test_a_value_beyond_the_reduction_range_raises(monkeypatch):
-    # the range rule of `reduction_dtype` overruled: the worker threads
+    # the range rule of `sample_dtype` overruled: the worker threads
     # overflow without a warning, and the sampler raises
-    monkeypatch.setattr(Functional, "reduction_dtype", lambda self, dtype: np.dtype(dtype))
+    monkeypatch.setattr(Functional, "sample_dtype", lambda self, dtype: np.dtype(dtype))
     f = Functional.of("Z", betas=(0.0, 0.0, 1e300))
     with pytest.raises(NumericalError, match=r"Z at \(ell=4, d=2\) leaves the float32 range"):
         _samples(f, f.grid(4, 2), 4, 1, 150, 2)
@@ -303,8 +309,9 @@ def test_odd_multipoles_drop_the_odd_powers():
     # T(-x) = -T(x): the odd chaoses integrate to 0, whatever their coefficient
     assert Functional.of("Z", betas=(0.0, 0.0, 1.0, 1e160)).at(3) == Functional.of("Z", betas=(0.0, 0.0, 1.0))
     assert Functional.of("Z", betas=(0.0, 0.0, 1.0, 1e160)).at(4) == Functional.of("Z", betas=(0.0, 0.0, 1.0, 1e160))
-    f = Functional.of("h", q=3)
-    assert (f.at(5).beta, f.at(5).monomial) == ((0.0,), (0.0,))
+    f = Functional.of("h", q=3).at(5)
+    assert (f.beta, f.monomial) == ((0.0,), (0.0,))
+    assert f.grid(5, 2).exact_degree == 1  # the degree of p = 0, not of H_3 at ell = 5
     assert np.array_equal(_samples(f, f.grid(5, 2), 5, 1, 5, 1), np.zeros(5))
 
 
