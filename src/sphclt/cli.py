@@ -35,7 +35,6 @@ import numpy as np
 from . import __version__
 # the functional_* helpers have no caller here; perfbench/spans.py wraps these bindings
 from .clt import (
-    SAMPLE_DTYPE,
     CltReport,
     CltRow,
     Functional,
@@ -48,7 +47,7 @@ from .clt import (
 )
 from .contractions import berry_esseen_bound, contraction_table, rate_theoretical
 from .moments import (bessel_constant, dougall_coefficient, dougall_row, expand_power, fit_line, gegenbauer_moment,
-                      log_divergence_check, moment_of_variance, variance_h)
+                      log_divergence_check, variance_h)
 # build_grid, excursion_variance and sample_field have no caller here;
 # perfbench/spans.py wraps these bindings
 from .simulate import build_grid, excursion_variance, sample_field
@@ -217,7 +216,7 @@ def write_csv(path: Path, header, rows):
             writer.writerow([_fmt(x) for x in row])
 
 
-def write_manifest(path: Path, cfg: RunConfig, outputs, checks, summary=None) -> bool:
+def write_manifest(path: Path, cfg: RunConfig, outputs, checks, summary) -> bool:
     """Write the manifest; returns its `all_passed`."""
     # the command and the keys it takes, less threads: an execution detail,
     # kept out for byte-identical reruns
@@ -232,14 +231,13 @@ def write_manifest(path: Path, cfg: RunConfig, outputs, checks, summary=None) ->
         "outputs": sorted(str(o) for o in outputs),
         "checks": checks,
         "all_passed": all_passed,
+        "summary": summary,
     }
-    if summary is not None:
-        doc["summary"] = summary
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return all_passed
 
 
-def _write_outputs(cfg: RunConfig, base: str, header, rows, checks, summary=None, extra=()) -> int:
+def _write_outputs(cfg: RunConfig, base: str, header, rows, checks, summary, extra=()) -> int:
     """Write `{base}.csv` and `{base}.manifest.json`, which also lists the
     `extra` outputs; returns the exit code, 0 when every check passed, else 1."""
     out = Path(cfg.out_dir)
@@ -267,9 +265,8 @@ def cmd_moments(cfg: RunConfig) -> int:
 
     rows = []
     for ell in cfg.ell:
-        variance = variance_h(ell, q, d)  # summed once: at even q*ell the half moment is read from it
-        moment = (moment_of_variance(variance, q, d) / 2.0 if q * ell % 2 == 0
-                  else gegenbauer_moment(ell, q, d, "half").value)
+        variance = variance_h(ell, q, d)
+        moment = gegenbauer_moment(ell, q, d, "half").value
         if q >= 3:  # G_ell(1) = 1, so the expansions behind the moment sum to 1
             powers = sorted({q // 2, q - q // 2}) if q * ell % 2 == 0 else [q - 1]
             dev = max(abs(float(np.sum(expand_power(ell, p, d))) - 1.0) for p in powers)
@@ -398,7 +395,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     rows = [(rep, d, f.label, ell, cfg.z, value, scaled)
             for rep, (value, scaled) in enumerate(zip(raw, normalized))]
 
-    summary = {"grid": grid.summary(), "synthesis_dtype": f.sample_dtype(SAMPLE_DTYPE).name}
+    summary = {"grid": grid.summary(), "synthesis_dtype": f.sample_dtype().name}
     return _write_outputs(cfg, f"simulate_{f.kind}_d{d}_ell{ell}",
                           ("replica", "d", "q_or_kind", "ell", "z", "raw", "normalized"), rows, [], summary)
 

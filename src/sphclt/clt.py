@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, replace
 from statistics import NormalDist
 
@@ -63,8 +64,8 @@ from .simulate import (
     fold_grid,
 )
 # hermite has no caller here; perfbench/spans.py wraps this binding
-from .specfun import (FACTORIAL_MAX_ORDER, NumericalError, SphereDim, UsageError, ZeroVarianceError, finite,
-                      hermite, normal_cdf)
+from .specfun import (NumericalError, SphereDim, UsageError, ZeroVarianceError, finite, float_factorial, hermite,
+                      normal_cdf)
 
 # (d, q) pairs where the known fourth-cumulant bounds do not secure a CLT.
 CLT_EXCLUDED_PAIRS = ((3, 3), (3, 4), (4, 3), (5, 3))
@@ -176,8 +177,7 @@ class Functional:
         if kind == "h":
             if q is None or q < 0:
                 raise UsageError(f"kind h requires a Hermite order q >= 0, got {q}")
-            if q > FACTORIAL_MAX_ORDER:  # Var h_q and, from about 290, H_q's coefficients overflow
-                raise NumericalError(f"{q}! overflows a float (the limit is {FACTORIAL_MAX_ORDER}!)")
+            float_factorial(q)  # raises where Var h_q and, from about 290, H_q's coefficients overflow
             return cls("h", f"h{q}", beta=(0.0,) * q + (1.0,), monomial=hermite_to_monomial(q))
         if kind == "Z":
             if betas is None or len(betas) == 0:
@@ -223,33 +223,34 @@ class Functional:
             return tuple(kept)
         return replace(self, beta=even(self.beta), monomial=even(self.monomial))
 
-    def sample_dtype(self, dtype) -> np.dtype:
-        """The precision `_samples` synthesizes and reduces in when offered
-        `dtype`: `dtype` itself, or float64 where it would lose p's digits.
+    def sample_dtype(self) -> np.dtype:
+        """The precision `_samples` synthesizes and reduces in: SAMPLE_DTYPE,
+        or float64 where SAMPLE_DTYPE would lose p's digits.
 
-        The indicator of kind S runs in `dtype`.  Horner's rule sums terms
-        c_k T^k that can dwarf p(T): its rounding error is at most about
+        The indicator of kind S runs in SAMPLE_DTYPE.  Horner's rule sums
+        terms c_k T^k that can dwarf p(T): its rounding error is at most about
         2 Q u sum_k |c_k| |T|^k, u the unit roundoff, Q the degree.  At a
         standard normal T that is 2 Q u rho times the spread of p(T), where
         rho = E[sum_k |c_k| |T|^k] / sd p(T) and sd^2 = sum_{j>=1} beta_j^2 j!.
-        p runs in `dtype` while 2 Q u rho < REDUCTION_TOL and its integral
-        stays in the range of `dtype` for |T| <= 8, else in float64: in
-        float32, h_q up to q = 8 and the polynomials of small coefficients.  A
+        p runs in SAMPLE_DTYPE while 2 Q u rho < REDUCTION_TOL, REDUCTION_TOL
+        times the spread is a normal float there (subnormals drop digits) and
+        the integral stays in range for |T| <= 8, else in float64: in float32,
+        h_q up to q = 8 and the polynomials of moderate coefficients.  A
         constant p has no spread: it reads c_0 * sum(w) in float64.  A
         float64 functional is sampled as a whole in float64, never from
         float32 fields, so its values are those of a float64 run.
         """
-        dtype = np.dtype(dtype)
         if self.monomial is None:
-            return dtype
+            return SAMPLE_DTYPE
+        info = np.finfo(SAMPLE_DTYPE)
         terms = sum(abs(c) * 2.0 ** (k / 2) * math.gamma((k + 1) / 2) / math.sqrt(math.pi)
                     for k, c in enumerate(self.monomial))  # E|T|^k = 2^{k/2} Gamma((k+1)/2) / sqrt(pi)
-        spread = math.sqrt(sum(b * b * math.factorial(j) for j, b in enumerate(self.beta) if j))
-        bound = (len(self.monomial) - 1) * float(np.finfo(dtype).eps) * terms  # 2 Q u = Q eps
+        tol = REDUCTION_TOL * math.sqrt(sum(b * b * math.factorial(j) for j, b in enumerate(self.beta) if j))
+        bound = (len(self.monomial) - 1) * float(info.eps) * terms  # 2 Q u = Q eps
         # a unit-variance field exceeds |T| = 8 with probability 1e-15 per node, and mu_d < 34
         reach = 34.0 * sum(abs(c) * 8.0 ** k for k, c in enumerate(self.monomial))
-        if bound < REDUCTION_TOL * spread and reach < float(np.finfo(dtype).max):
-            return dtype
+        if bound < tol and float(info.tiny) <= tol and reach < float(info.max):
+            return SAMPLE_DTYPE
         return np.dtype(np.float64)
 
     def reduce(self, fields, weights, out=None):
@@ -284,13 +285,17 @@ class Functional:
 
     def variance(self, ell: int, d: int) -> float:
         """Kinds h and Z: the sum over chaoses q >= 2 of beta_q^2 Var[h_{ell;q,d}];
-        kind S: the exact `excursion_variance`.  0 raises."""
+        kind S: the exact `excursion_variance`.  0 raises ZeroVarianceError;
+        a sum of nonzero terms below the least normal float, NumericalError."""
         if self.beta is None:
             var = excursion_variance(ell, d, self.z)
         else:
             # a chaos of zero variance adds nothing, however large its beta (as in poly_bound)
-            var = finite(sum(b * b * v for j, b in _hermite_betas(self.beta).items() if (v := variance_h(ell, j, d))),
-                         f"the variance of {self.label} at (ell={ell}, d={d})")
+            terms = [(b, v) for j, b in _hermite_betas(self.beta).items() if (v := variance_h(ell, j, d))]
+            var = finite(sum(b * b * v for b, v in terms), f"the variance of {self.label} at (ell={ell}, d={d})")
+            if terms and var < sys.float_info.min:
+                raise NumericalError(f"the variance of {self.label} at (ell={ell}, d={d}) "
+                                     "is below the least normal float")
         if not var > 0.0:
             raise ZeroVarianceError(f"{self.label} has zero variance at (ell={ell}, d={d})")
         return var
@@ -378,10 +383,9 @@ class CltReport:
     grids: tuple[dict, ...] = ()  # per row: ell and the rule's `SphereGrid.summary`
 
 
-def _samples(f: Functional, grid: SphereGrid, ell: int, seed: int, replicas: int,
-             threads: int, dtype=SAMPLE_DTYPE) -> np.ndarray:
+def _samples(f: Functional, grid: SphereGrid, ell: int, seed: int, replicas: int, threads: int) -> np.ndarray:
     """Raw values of f for replicas 0..replicas-1, synthesized and reduced
-    in `f.sample_dtype(dtype)`, returned in float64.
+    in `f.sample_dtype()`, returned in float64.
 
     Fixed chunks of replicas go to the workers.  A chunk runs in blocks of
     max(1, BLOCK_VALUES // V) replicas, V the values of a replica's largest
@@ -390,10 +394,10 @@ def _samples(f: Functional, grid: SphereGrid, ell: int, seed: int, replicas: int
     allocated once per worker: a chunk takes a set left by a finished
     chunk, so the memory is not handed back to the system and faulted in
     again for every chunk.  A functional that Horner's rule would reduce
-    to too few digits in `dtype` runs in float64, so a constant h_0 reads
-    mu_d to float64 rounding.  A value that leaves the range of the
+    to too few digits in SAMPLE_DTYPE runs in float64, so a constant h_0
+    reads mu_d to float64 rounding.  A value that leaves the range of the
     precision raises NumericalError."""
-    dtype = f.sample_dtype(dtype)
+    dtype = f.sample_dtype()
     # an empty batch fills the synthesis tables of the grid and its
     # sub-grids once, before worker threads race to build them
     _sample_batch(grid, ell, seed, (), dtype=dtype)
@@ -454,7 +458,7 @@ def clt_sweep(kind: str, d: int, ell_list, replicas: int, seed: int,
     for ell in ells:
         f_ell = f.at(ell)
         grid = f_ell.grid(ell, d)
-        grids.append({"ell": ell, **grid.summary(), "synthesis_dtype": f_ell.sample_dtype(SAMPLE_DTYPE).name})
+        grids.append({"ell": ell, **grid.summary(), "synthesis_dtype": f_ell.sample_dtype().name})
         var = f_ell.variance(ell, d)
         explicit, rate = f_ell.bound(ell, d)  # raises at ell = 1 for h and Z: before any replica is drawn
         mean = f_ell.mean(grid.dim)

@@ -152,7 +152,9 @@ def poly_bound(ell: int, d: int, betas: dict[int, float]) -> BoundRecord:
     diagonal terms (own contractions) and cross terms, where the top-order
     cross contraction either cancels (adjacent orders) or is the
     cross_contraction value, and the rest recombine own contractions.  A
-    bound beyond the float range raises.
+    variance below the least normal float, or a bound beyond the float
+    range, raises.  The rate is the rank-2 rate if beta_2 != 0, otherwise
+    the slowest rate of the chaoses present.
     """
     betas = {int(q): float(b) for q, b in betas.items() if b != 0.0}
     if not betas:
@@ -165,10 +167,12 @@ def poly_bound(ell: int, d: int, betas: dict[int, float]) -> BoundRecord:
     # variance, the tables and the cross terms (beta^2 may be inf, and inf * 0 is NaN)
     variances = {q: v for q in betas if (v := variance_h(ell, q, d))}
     betas = {q: betas[q] for q in variances}
+    if not variances:
+        raise ZeroVarianceError("polynomial has zero variance (odd-odd components only)")
     variance = finite(sum(betas[q] * betas[q] * v for q, v in variances.items()),
                       f"the variance at (ell={ell}, d={d})")
-    if variance == 0.0:
-        raise ZeroVarianceError("polynomial has zero variance (odd-odd components only)")
+    if variance < sys.float_info.min:
+        raise NumericalError(f"the variance at (ell={ell}, d={d}) is below the least normal float")
 
     tables = {q: contraction_table(ell, q, d).tolist() for q in betas}  # Python floats overflow without a warning
 
@@ -190,16 +194,5 @@ def poly_bound(ell: int, d: int, betas: dict[int, float]) -> BoundRecord:
     root_sum = sum(abs(betas[q1] * betas[q2]) * math.sqrt(var_inner(min(q1, q2), max(q1, q2)))
                    for q1 in qs for q2 in qs)
     root = finite(root_sum / variance, f"the bound at (ell={ell}, d={d})")
-    return BoundRecord(bound_tv=2.0 * root, bound_k=root, bound_w=math.sqrt(2.0 / math.pi) * root,
-                       rate=poly_rate(ell, d, betas))
-
-
-def poly_rate(ell: int, d: int, betas: dict[int, float]) -> float:
-    """Theoretical rate for a polynomial: the rank-2 rate if beta_2 != 0,
-    otherwise the slowest Hermite-component rate present."""
-    betas = {int(q): float(b) for q, b in betas.items() if b != 0.0}
-    if not betas:
-        raise UsageError("all polynomial coefficients are zero")
-    if betas.get(2, 0.0) != 0.0:
-        return rate_theoretical(ell, 2, d)
-    return max(rate_theoretical(ell, q, d) for q in betas)
+    rate = rate_theoretical(ell, 2, d) if 2 in betas else max(rate_theoretical(ell, q, d) for q in qs)
+    return BoundRecord(bound_tv=2.0 * root, bound_k=root, bound_w=math.sqrt(2.0 / math.pi) * root, rate=rate)

@@ -113,7 +113,8 @@ def gegenbauer_moment(ell: int, q: int, d: int, rng: str = "full") -> MomentResu
     if rng not in ("full", "half"):
         raise UsageError(f"range must be 'full' or 'half', got {rng!r}")
     if q * ell % 2 == 0:
-        full = moment_of_variance(variance_h(ell, q, d), q, d)
+        dim = SphereDim(d)
+        full = variance_h(ell, q, d) / (float_factorial(q) * dim.mu_d * dim.mu_dm1)
         return MomentResult(full if rng == "full" else full / 2.0, q // 2 * ell + 1 if q >= 3 else int(q == 2))
     if rng == "full":
         return MomentResult(0.0, 0)
@@ -122,12 +123,6 @@ def gegenbauer_moment(ell: int, q: int, d: int, rng: str = "full") -> MomentResu
     j = np.arange(0.0, 2.0 * b.size, 2.0)
     value = ell * g0[ell - 1] * np.sum(b * g0[:2 * b.size:2] / ((ell - j) * (ell + j + d - 1.0)))
     return MomentResult(float(value), b.size)
-
-
-def moment_of_variance(variance: float, q: int, d: int) -> float:
-    """The full moment of G^q at even q*ell from Var[h_{ell;q,d}]: variance / (q! mu_d mu_{d-1})."""
-    dim = SphereDim(d)
-    return variance / (float_factorial(q) * dim.mu_d * dim.mu_dm1)
 
 
 # (x, y) -> log((x)_k / (y)_k) for k = 0..n, the longest table built so far

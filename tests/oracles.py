@@ -18,6 +18,8 @@
   absolute terms (about 1e-16 times the size of G) at any ell.
 - `half_moment_exact`: the half-range moment at odd q*ell in exact
   rationals, the reference at large d, where the FFT is not.
+- `float64_samples`: raw values of a functional synthesized and reduced in
+  float64, the reference of the float32 sampling path of `sphclt.clt._samples`.
 """
 
 import math
@@ -27,7 +29,8 @@ from functools import lru_cache
 import numpy as np
 from numpy.fft import fft, irfft, rfft
 
-from sphclt.simulate import _azimuth, _synthesis_plan
+from sphclt.parallel import single_threaded_blas
+from sphclt.simulate import _azimuth, _sample_batch, _synthesis_plan
 from sphclt.specfun import GegenbauerCtx, SphereDim, UsageError, dim_harmonics, orthonormal_jacobi
 
 
@@ -44,6 +47,15 @@ def grid_nodes(grid) -> np.ndarray:
     s = np.sqrt(1.0 - t * t)
     return np.column_stack((np.repeat(s, len(sub))[:, None] * np.tile(sub, (t.size, 1)),
                             np.repeat(t, len(sub))))
+
+
+def float64_samples(f, grid, ell: int, seed: int, replicas: int) -> np.ndarray:
+    """Raw values of the functional `f` for replicas 0..replicas-1 on `grid`:
+    one float64 batch of fields, reduced by `f.reduce` on one BLAS thread,
+    as `_samples` runs it.  Bit for bit the values of `_samples` where
+    `f.sample_dtype()` is float64."""
+    with single_threaded_blas():
+        return f.reduce(_sample_batch(grid, ell, seed, range(replicas), dtype=np.float64), grid.weights)
 
 
 def mc_kernel_contraction(ell: int, q: int, r: int, d: int, n_samples: int, seed: int = 0):

@@ -588,6 +588,20 @@ def test_a_functional_float32_would_round_away_is_sampled_in_float64(tmp_path, a
     assert all(g["synthesis_dtype"] == "float64" for g in summary.get("grids", ()))
 
 
+def test_a_polynomial_of_tiny_coefficients_is_sampled_in_float64(tmp_path):
+    # 1e-46 T^2 reads 0 in float32, and the run once exited 1 with sample
+    # variance 0; in float64 it is T^2 scaled, so the distances are those of T^2
+    dists = {}
+    for betas in ("0,0,1e-46", "0,0,1"):
+        out = tmp_path / betas
+        assert run_cli("clt", "--kind", "Z", "--betas", betas, "--ell", "8,16,32", "--reps", "200",
+                       "--seed", "1", "--out-dir", str(out)) == 0
+        dists[betas] = [float(r["empirical_dK"]) for r in read_rows(out / "clt_Z_d2_poly.csv")]
+    assert dists["0,0,1e-46"] == pytest.approx(dists["0,0,1"], rel=0, abs=1e-6)
+    summary = json.loads((tmp_path / "0,0,1e-46" / "clt_Z_d2_poly.manifest.json").read_text())["summary"]
+    assert summary["synthesis_dtype"] == "float64"
+
+
 def test_a_chaos_of_zero_variance_leaves_the_sweep(tmp_path):
     # at odd ell the third chaos is identically 0: beta_3 = 1e160 changes neither
     # the bound nor a sample, and the sweep reads as that of T^2 on the same grid
@@ -799,8 +813,9 @@ def test_moments_expansion_sum_check_at_odd_q_ell(tmp_path):
 
 
 def test_moments_sums_the_variance_once_per_row(tmp_path, monkeypatch):
-    # the half moment at even q*ell is read from the row's variance, bit for
-    # bit what gegenbauer_moment gives; at odd q*ell it needs no variance sum
+    # each row sums its variance once, and every row reads its half moment
+    # from gegenbauer_moment, which sums it once more at even q*ell and
+    # needs no variance sum at odd q*ell
     import sphclt.cli as cli
     import sphclt.moments as moments
     calls, variance = [], moments.variance_h
@@ -812,7 +827,7 @@ def test_moments_sums_the_variance_once_per_row(tmp_path, monkeypatch):
         monkeypatch.setattr(mod, "variance_h", counted)
     moments.gegenbauer_moment.cache_clear()
     run_cli("moments", "--d", "3", "--q", "3", "--ell", "8,9,10", "--out-dir", str(tmp_path))
-    assert calls == [8, 9, 10]
+    assert calls == [8, 8, 9, 10, 10]
     rows = read_rows(tmp_path / "moments_d3_q3.csv")
     assert [float(r["moment"]) for r in rows] == [moments.gegenbauer_moment(ell, 3, 3, "half").value
                                                  for ell in (8, 9, 10)]
@@ -907,11 +922,16 @@ def test_exit_code_follows_all_passed(tmp_path, capsys, monkeypatch, args, base,
     (("moments", "--d", "171", "--q", "2", "--ell", "5000"), "n_{5000;171}, the number of degree-5000 "
      "harmonics on S^171, overflows a float"),
     (("contractions", "--d", "171", "--q", "2", "--ell", "5000"), "harmonics on S^171, overflows a float"),
+    # beta_2^2 = 1e-400 reads 0, but T^2 is not almost surely 0: not a zero-variance functional
+    (("clt", "--kind", "Z", "--betas", "0,0,1e-200", "--ell", "8", "--reps", "200", "--seed", "1"),
+     "the variance of Z at (ell=8, d=2) is below the least normal float"),
+    (("simulate", "--kind", "Z", "--betas", "0,0,1e-200", "--ell", "8", "--reps", "2", "--seed", "1"),
+     "the variance of Z at (ell=8, d=2) is below the least normal float"),
 ], ids=["variance-q171", "simulate-q171", "bound-q85", "clt-bound-q90", "bessel-d27", "bessel-d171",
         "closed-form-q3-d177", "ratio-d100", "bessel-prefactor-q40", "volume-moments-d400", "volume-contractions-d400", "node-budget",
         "node-budget-azimuths", "synthesis-budget-d12", "synthesis-budget-d7", "synthesis-budget-d40",
         "q2-closed-form-d45", "q2-closed-form-d171", "contraction-norm-d45-q3", "q2-moment-d171",
-        "q2-contraction-norm-d171"])
+        "q2-contraction-norm-d171", "variance-underflow-clt", "variance-underflow-simulate"])
 def test_numerical_faults_exit_3_with_one_line(tmp_path, capsys, args, named):
     # each limit is checked before the computation it guards, so the run
     # ends in one line naming the limit, not in an OverflowError traceback

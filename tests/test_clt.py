@@ -14,6 +14,7 @@ from scipy.special import ndtr, ndtri
 from sphclt import clt
 from sphclt.clt import (
     BLOCK_VALUES,
+    SAMPLE_DTYPE,
     CltReport,
     CltRow,
     Functional,
@@ -30,6 +31,8 @@ from sphclt.clt import (
 from sphclt.parallel import CHUNK, single_threaded_blas
 from sphclt.simulate import _replica_values, _sample_batch, _synthesis_plan, build_grid, excursion_variance, sample_field
 from sphclt.specfun import NumericalError, UsageError, ZeroVarianceError, hermite
+
+from oracles import float64_samples
 
 
 # ------------------------------------------------------------------
@@ -254,10 +257,10 @@ def test_float32_samples_are_float64_ones_to_1e_5_sigma(f, d, ell):
     # the same draws in both precisions: the values differ by float32 rounding alone
     grid = f.grid(ell, d)
     single = _samples(f, grid, ell, 11, 100, 2)
-    double = _samples(f, grid, ell, 11, 100, 2, dtype=np.float64)
+    double = float64_samples(f, grid, ell, 11, 100)
     assert single.dtype == double.dtype == np.float64
     assert np.max(np.abs(single - double)) <= 1e-5 * math.sqrt(f.variance(ell, d))
-    if f.sample_dtype(np.float32) == np.float64:
+    if f.sample_dtype() == np.float64:
         assert np.array_equal(single, double)
 
 
@@ -267,7 +270,7 @@ def test_float32_excursion_areas_are_float64_ones_to_1e_2_sigma(d, ell, z):
     f = Functional.of("S", z=z)
     grid = f.grid(ell, d)
     single = _samples(f, grid, ell, 11, 200, 2)
-    double = _samples(f, grid, ell, 11, 200, 2, dtype=np.float64)
+    double = float64_samples(f, grid, ell, 11, 200)
     assert np.max(np.abs(single - double)) <= 1e-2 * math.sqrt(excursion_variance(ell, d, z))
 
 
@@ -285,22 +288,27 @@ def test_float32_plans_hold_no_subnormal(d, ell):
 def test_the_reduction_leaves_float32_where_horner_loses_its_digits():
     # h_q is sampled in float32 up to q = 8; a constant reads c_0 * sum(w), and
     # 1e6 + T^2 holds the variable part below the float32 rounding of 1e6
-    assert [Functional.of("h", q=q).sample_dtype(np.float32) for q in range(11)] == \
+    assert [Functional.of("h", q=q).sample_dtype() for q in range(11)] == \
         [np.float64] + [np.float32] * 8 + [np.float64] * 2
-    assert Functional.of("S", z=1.0).sample_dtype(np.float32) == np.float32
-    assert Functional.of("Z", betas=BETAS).sample_dtype(np.float32) == np.float32
-    assert Functional.of("Z", betas=(1e6, 0.0, 1.0)).sample_dtype(np.float32) == np.float64
+    assert Functional.of("S", z=1.0).sample_dtype() == np.float32
+    assert Functional.of("Z", betas=BETAS).sample_dtype() == np.float32
+    assert Functional.of("Z", betas=(1e6, 0.0, 1.0)).sample_dtype() == np.float64
     # p(8) * mu_d would overflow a float32
-    assert Functional.of("Z", betas=(0.0, 0.0, 1e30)).sample_dtype(np.float32) == np.float32
-    assert Functional.of("Z", betas=(0.0, 0.0, 1e36)).sample_dtype(np.float32) == np.float64
-    assert Functional.of("h", q=3).sample_dtype(np.float64) == np.float64
+    assert Functional.of("Z", betas=(0.0, 0.0, 1e30)).sample_dtype() == np.float32
+    assert Functional.of("Z", betas=(0.0, 0.0, 1e36)).sample_dtype() == np.float64
+    # 1e-5 of the spread of c T^2, sqrt(2) |c|, must be a normal float32 (from 1.2e-38):
+    # below it subnormals drop digits, and from about 1e-45 p(T) reads 0
+    assert [Functional.of("Z", betas=(0.0, 0.0, c)).sample_dtype() for c in (1e-33, 8e-34, 1e-40, -1e-46)] == \
+        [np.float32] + [np.float64] * 3
 
 
 def test_a_value_beyond_the_reduction_range_raises(monkeypatch):
     # the range rule of `sample_dtype` overruled: the worker threads
-    # overflow without a warning, and the sampler raises
-    monkeypatch.setattr(Functional, "sample_dtype", lambda self, dtype: np.dtype(dtype))
+    # overflow without a warning, and the sampler raises; in float64 the
+    # same values are finite
     f = Functional.of("Z", betas=(0.0, 0.0, 1e300))
+    assert np.all(np.isfinite(float64_samples(f, f.grid(4, 2), 4, 1, 150)))
+    monkeypatch.setattr(Functional, "sample_dtype", lambda self: SAMPLE_DTYPE)
     with pytest.raises(NumericalError, match=r"Z at \(ell=4, d=2\) leaves the float32 range"):
         _samples(f, f.grid(4, 2), 4, 1, 150, 2)
 
@@ -350,6 +358,13 @@ def test_functional_of_rejects_bad_specs(kind, params):
 def test_zero_variance_raises_for_every_kind(f, ell):
     with pytest.raises(ZeroVarianceError):
         f.variance(ell, 2)
+
+
+@pytest.mark.parametrize("betas", [(0.0, 0.0, 1e-200), (0.0, 0.0, 1e-160), (0.0, 0.0, 1e-200, 1e-200)])
+def test_a_nonzero_variance_that_underflows_raises(betas):
+    # beta_2^2 Var h_2 is not 0, but its float is 0 or subnormal
+    with pytest.raises(NumericalError, match=r"the variance of Z at \(ell=8, d=2\) is below the least normal float"):
+        Functional.of("Z", betas=betas).variance(8, 2)
 
 
 # ------------------------------------------------------------------

@@ -19,7 +19,6 @@ from sphclt.contractions import (
     contraction_table,
     cross_contraction,
     poly_bound,
-    poly_rate,
     rate_theoretical,
 )
 from sphclt.moments import MOMENT_DEGREE_CAP, _expand_power_cached, expand_power, variance_h
@@ -409,14 +408,14 @@ def test_poly_bound_single_term_matches_hermite_bound():
 
 def test_poly_rate_rules():
     # rank 2 dominates whenever beta_2 is present
-    assert poly_rate(64, 3, {2: 1.0, 5: 3.0}) == pytest.approx(64.0 ** -1.0)
-    assert poly_rate(64, 2, {5: 1.0}) == pytest.approx(math.log(64) * 64 ** -0.25)
+    assert poly_bound(64, 3, {2: 1.0, 5: 3.0}).rate == pytest.approx(64.0 ** -1.0)
+    assert poly_bound(64, 2, {5: 1.0}).rate == pytest.approx(math.log(64) * 64 ** -0.25)
     # otherwise the slowest component rate wins: here ell^{-1/4} from q = 7
-    assert poly_rate(64, 2, {3: 1.0, 7: 2.0}) == pytest.approx(64.0 ** -0.25)
+    assert poly_bound(64, 2, {3: 1.0, 7: 2.0}).rate == pytest.approx(64.0 ** -0.25)
     with pytest.raises(ValueError):
-        poly_rate(64, 2, {3: 0.0})
+        poly_bound(64, 2, {3: 0.0})
     with pytest.raises(ValueError):  # the rates start at ell = 2, also with beta_2
-        poly_rate(1, 2, {2: 1.0})
+        poly_bound(1, 2, {2: 1.0})
 
 
 def test_poly_bound_validation():
@@ -427,6 +426,14 @@ def test_poly_bound_validation():
     # a zero-variance chaos adds nothing, even where beta^2 overflows to inf (inf * 0 is NaN)
     with pytest.raises(ZeroVarianceError):
         poly_bound(5, 2, {3: 1e160})
+
+
+@pytest.mark.parametrize("betas", [{2: 1e-200}, {2: 1e-160}, {2: 1e-200, 3: 1e-200}])
+def test_poly_bound_raises_where_a_nonzero_variance_underflows(betas):
+    # beta_2^2 Var h_2 is not 0, but its float is 0 or subnormal: not a
+    # zero-variance functional, a numerical fault
+    with pytest.raises(NumericalError, match=r"the variance at \(ell=8, d=2\) is below the least normal float"):
+        poly_bound(8, 2, betas)
 
 
 @pytest.mark.parametrize("ell, d, betas, kept", [

@@ -184,9 +184,8 @@ def test_moment_odd_cube_against_legendre_oracle(ell):
 def test_moment_memoized_per_key(tmp_path, monkeypatch):
     # every moment reads the expansions: those behind the variance at even
     # q*ell, G^{q-1} and one G(0) table at odd q*ell.  Each is built once per
-    # key and shared with the variance and the expansion-sum check.  At even
-    # q*ell `moments` takes the half moment from the row's variance, so only
-    # the odd rows call gegenbauer_moment
+    # key and shared with the variance and the expansion-sum check.  Every
+    # row of `moments` reads its half moment from gegenbauer_moment
     from sphclt import moments
     from sphclt.cli import main
     tables = []
@@ -201,14 +200,15 @@ def test_moment_memoized_per_key(tmp_path, monkeypatch):
     assert run(4, "16,32") == 0
     assert tables == []
     assert moments._expand_power_cached.cache_info().misses == 4  # G^1 and G^2 at each ell
-    assert gegenbauer_moment.cache_info()[:2] == (0, 0)  # (hits, misses)
+    assert gegenbauer_moment.cache_info()[:2] == (0, 2)  # (hits, misses)
     assert run(4, "16,32") == 0
     assert moments._expand_power_cached.cache_info().misses == 4
-    for hits in (0, 2):
+    assert gegenbauer_moment.cache_info()[:2] == (2, 2)
+    for hits in (2, 5):
         run(3, "15,16,17")  # exits 1 on the asymptotic ratio at ell = 17
         assert tables == [(30, 2), (34, 2)]  # degree (q-1)*ell at the odd ell
         assert moments._expand_power_cached.cache_info().misses == 8  # G^1, G^2 at 15 and 17; ell = 16 is reused
-        assert gegenbauer_moment.cache_info()[:2] == (hits, 2)
+        assert gegenbauer_moment.cache_info()[:2] == (hits, 5)
 
 
 def test_moment_validation():

@@ -44,7 +44,7 @@ from sphclt.simulate import (
 from sphclt.specfun import (GegenbauerCtx, SphereDim, UsageError, ZeroVarianceError, dim_harmonics, hermite,
                             orthonormal_jacobi)
 
-from oracles import fft_moment, grid_nodes, recover_harmonic_coeffs
+from oracles import fft_moment, float64_samples, grid_nodes, recover_harmonic_coeffs
 
 
 def phi(z):
@@ -143,8 +143,8 @@ def test_folded_samples_agree_with_the_full_rule(f, d, ell):
     folded = f.grid(ell, d)
     assert folded.folded
     full = build_grid(d, f.degree(ell))
-    raw_full = _samples(f, full, ell, 17, 150, 1, dtype=np.float64)
-    raw_fold = _samples(f, folded, ell, 17, 150, 1, dtype=np.float64)
+    raw_full = float64_samples(f, full, ell, 17, 150)
+    raw_fold = float64_samples(f, folded, ell, 17, 150)
     sd = float(np.std(raw_full, ddof=1))
     assert np.max(np.abs(raw_fold - raw_full)) <= 1e-12 * sd
 
