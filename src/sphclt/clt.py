@@ -43,14 +43,14 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass, replace
 from statistics import NormalDist
 
 import numpy as np
 
 # berry_esseen_bound has no caller here; perfbench/spans.py wraps this binding
-from .contractions import berry_esseen_bound, poly_bound
+from .contractions import berry_esseen_bound, poly_bound, polynomial_variance
+# variance_h has no caller here; perfbench/spans.py wraps this binding
 from .moments import fit_line, variance_h
 from .parallel import fixed_chunks, ordered_map
 from .simulate import (
@@ -64,7 +64,7 @@ from .simulate import (
     fold_grid,
 )
 # hermite has no caller here; perfbench/spans.py wraps this binding
-from .specfun import (NumericalError, SphereDim, UsageError, ZeroVarianceError, finite, float_factorial, hermite,
+from .specfun import (NumericalError, SphereDim, UsageError, ZeroVarianceError, float_factorial, hermite,
                       normal_cdf)
 
 # (d, q) pairs where the known fourth-cumulant bounds do not secure a CLT.
@@ -290,12 +290,7 @@ class Functional:
         if self.beta is None:
             var = excursion_variance(ell, d, self.z)
         else:
-            # a chaos of zero variance adds nothing, however large its beta (as in poly_bound)
-            terms = [(b, v) for j, b in _hermite_betas(self.beta).items() if (v := variance_h(ell, j, d))]
-            var = finite(sum(b * b * v for b, v in terms), f"the variance of {self.label} at (ell={ell}, d={d})")
-            if terms and var < sys.float_info.min:
-                raise NumericalError(f"the variance of {self.label} at (ell={ell}, d={d}) "
-                                     "is below the least normal float")
+            var = polynomial_variance(ell, d, _hermite_betas(self.beta), f"the variance of {self.label}")[1]
         if not var > 0.0:
             raise ZeroVarianceError(f"{self.label} has zero variance at (ell={ell}, d={d})")
         return var

@@ -145,6 +145,23 @@ def rate_theoretical(ell: int, q: int, d: int) -> float:
     return ell ** (-(d - 1) / 4.0)
 
 
+def polynomial_variance(ell: int, d: int, betas: dict[int, float], label: str) -> tuple[dict[int, float], float]:
+    """(the betas of the chaoses q >= 2 of nonzero variance, and the variance
+    sum_q beta_q^2 Var[h_{ell;q,d}] of sum_q beta_q h_{ell;q,d}).
+
+    A chaos of zero variance is identically 0, however large its beta: it
+    leaves the variance (beta^2 may be inf, and inf * 0 is NaN).  A sum
+    beyond the float range, or a sum of nonzero terms below the least normal
+    float, raises NumericalError about `label` at (ell, d); a variance of
+    no terms is 0, for the caller to reject."""
+    variances = {q: v for q in betas if (v := variance_h(ell, q, d))}
+    where = f"{label} at (ell={ell}, d={d})"
+    variance = finite(sum(betas[q] * betas[q] * v for q, v in variances.items()), where)
+    if variances and variance < sys.float_info.min:
+        raise NumericalError(f"{where} is below the least normal float")
+    return {q: betas[q] for q in variances}, variance
+
+
 def poly_bound(ell: int, d: int, betas: dict[int, float]) -> BoundRecord:
     """Explicit bounds for the Hermite polynomial sum_q beta_q h_{ell;q,d}.
 
@@ -163,16 +180,10 @@ def poly_bound(ell: int, d: int, betas: dict[int, float]) -> BoundRecord:
         raise UsageError("Hermite coefficients start at q = 2")
     if max(betas) > BOUND_MAX_ORDER:
         raise NumericalError(f"chaos order {max(betas)} exceeds {BOUND_MAX_ORDER}: the bound's factorials overflow")
-    # a chaos of zero variance is identically 0, however large its beta: it leaves the
-    # variance, the tables and the cross terms (beta^2 may be inf, and inf * 0 is NaN)
-    variances = {q: v for q in betas if (v := variance_h(ell, q, d))}
-    betas = {q: betas[q] for q in variances}
-    if not variances:
+    # a chaos of zero variance also leaves the tables and the cross terms
+    betas, variance = polynomial_variance(ell, d, betas, "the variance")
+    if not betas:
         raise ZeroVarianceError("polynomial has zero variance (odd-odd components only)")
-    variance = finite(sum(betas[q] * betas[q] * v for q, v in variances.items()),
-                      f"the variance at (ell={ell}, d={d})")
-    if variance < sys.float_info.min:
-        raise NumericalError(f"the variance at (ell={ell}, d={d}) is below the least normal float")
 
     tables = {q: contraction_table(ell, q, d).tolist() for q in betas}  # Python floats overflow without a warning
 

@@ -171,11 +171,10 @@ def project_power(ell: int, p: int, d: int) -> np.ndarray:
 
 
 def _rising(x: Fraction, k: int) -> Fraction:
-    """The rising factorial (x)_k = x (x+1) ... (x+k-1), exactly."""
-    out = Fraction(1)
-    for i in range(k):
-        out *= x + i
-    return out
+    """The rising factorial (x)_k = x (x+1) ... (x+k-1), exactly: with x = a/b,
+    the integer product (a)(a+b)...(a+(k-1)b) over b^k."""
+    a, b = x.numerator, x.denominator
+    return Fraction(math.prod(range(a, a + k * b, b)), b ** k)
 
 
 def dougall_exact(j: int, ell: int, s: int, d: int) -> Fraction:

@@ -813,21 +813,25 @@ def test_moments_expansion_sum_check_at_odd_q_ell(tmp_path):
 
 
 def test_moments_sums_the_variance_once_per_row(tmp_path, monkeypatch):
-    # each row sums its variance once, and every row reads its half moment
-    # from gegenbauer_moment, which sums it once more at even q*ell and
-    # needs no variance sum at odd q*ell
+    # variance_h is memoized: each row computes its variance once, and an even
+    # q*ell row's half moment from gegenbauer_moment reads it from the memo;
+    # an odd q*ell moment needs no variance sum
     import sphclt.cli as cli
     import sphclt.moments as moments
-    calls, variance = [], moments.variance_h
+    computed, variance = [], moments.variance_h
 
     def counted(ell, q, d):
-        calls.append(ell)
-        return variance(ell, q, d)
+        misses = variance.cache_info().misses
+        value = variance(ell, q, d)
+        if variance.cache_info().misses > misses:
+            computed.append(ell)
+        return value
     for mod in (cli, moments):
         monkeypatch.setattr(mod, "variance_h", counted)
     moments.gegenbauer_moment.cache_clear()
+    variance.cache_clear()
     run_cli("moments", "--d", "3", "--q", "3", "--ell", "8,9,10", "--out-dir", str(tmp_path))
-    assert calls == [8, 8, 9, 10, 10]
+    assert computed == [8, 9, 10]
     rows = read_rows(tmp_path / "moments_d3_q3.csv")
     assert [float(r["moment"]) for r in rows] == [moments.gegenbauer_moment(ell, 3, 3, "half").value
                                                  for ell in (8, 9, 10)]

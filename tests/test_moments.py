@@ -313,18 +313,55 @@ def test_dougall_row_against_exact_rationals(ell, d):
     assert dougall_row(ell, 3, d) == pytest.approx(float(exact), rel=1e-12, abs=0)
 
 
+@pytest.mark.parametrize("ell, d", [(1024, 2), (512, 4), (40, 30), (24, 60)])
+def test_square_expansion_against_exact_rationals(ell, d):
+    # b_{2 ell - 2s}^(2) = c(ell, ell, s) at the degrees the commands expand;
+    # at ell = 1024 every eighth s keeps the exact rationals to about 0.4 s
+    s = np.arange(0, ell + 1, max(ell // 128, 1))
+    exact = np.array([float(dougall_exact(ell, ell, int(i), d)) for i in s])
+    rel = np.abs(expand_power(ell, 2, d)[2 * ell - 2 * s] / exact - 1.0)
+    assert rel.max() <= 5e-14
+
+
+@pytest.mark.skipif(mpmath is None, reason="needs mpmath")
+@pytest.mark.parametrize("d", [2, 3, 8, 60])
+def test_log_rising_ratio_against_mpmath_to_the_degree_cap(monkeypatch, d):
+    # the three tables a Dougall product reads at d, to k = MOMENT_DEGREE_CAP;
+    # the longdouble running sum is what holds 3e-14 there: a float64 sum of the
+    # same terms drifts to 7e-13 .. 4e-11 and fails at every d
+    from sphclt import moments
+    monkeypatch.setattr(moments, "_LOG_RISING", {})  # 16 MiB a table: dropped after the test
+    rng = np.random.default_rng(7)
+    ks = sorted({0, 1, 2, 3, 5, 10, 100, MOMENT_DEGREE_CAP - 1} | {2 ** e for e in range(21)}
+                | set(rng.integers(1, MOMENT_DEGREE_CAP, 50).tolist()))
+    lam = (d - 1) / 2.0
+    with mpmath.workdps(40):
+        for x, y in ((lam, 1.0), (1.0, 2.0 * lam), (2.0 * lam, lam)):
+            table = moments._log_rising_ratio(x, y, MOMENT_DEGREE_CAP)
+            X, Y = mpmath.mpf(x), mpmath.mpf(y)
+            for k in ks:
+                hi = float(table[k])  # hi + lo is the longdouble entry exactly
+                lo = float(table[k] - np.longdouble(hi))
+                exact = mpmath.loggamma(X + k) - mpmath.loggamma(X) - mpmath.loggamma(Y + k) + mpmath.loggamma(Y)
+                assert abs(float(mpmath.mpf(hi) + lo - exact)) <= 3e-14, (x, y, k)
+
+
 @pytest.mark.parametrize("order", [(64, 65, 1024, 8192), (8192, 1024, 64), (1024, 1024, 64, 64, 8192, 0)])
 def test_log_tables_extend_to_the_fresh_sum_bit_for_bit(monkeypatch, order):
     # one table per (x, y), extended from its last total: each slice is the
-    # sequential extended-precision sum of a fresh computation, whatever
-    # degrees were asked for before; (x, y) as at d = 2, 3 and 8
+    # sequential extended-precision sum of a fresh computation's float64 terms,
+    # whatever degrees were asked for before; (x, y) as at d = 2, 3 and 8.
+    # The log(k + lam) tables grow at their end alike
     from sphclt import moments
     monkeypatch.setattr(moments, "_LOG_RISING", {})
+    monkeypatch.setattr(moments, "_LOG_SHIFTED", {})
     pairs = [(0.5, 1.0), (1.0, 1.0), (2.0, 1.0), (1.0, 7.0), (7.0, 3.5)]
     for n in order:
+        for lam in (0.5, 1.0, 3.5):
+            assert np.array_equal(moments._log_shifted(lam, n), np.log(np.arange(n + 1.0) + lam)), (n, lam)
         for x, y in pairs:
-            k = np.arange(n, dtype=np.longdouble)
-            fresh = np.concatenate(([0.0], np.cumsum(np.log1p((x - y) / (y + k)))))
+            terms = np.log1p((x - y) / (y + np.arange(n, dtype=float)))
+            fresh = np.concatenate(([0.0], np.cumsum(terms.astype(np.longdouble))))
             table = moments._log_rising_ratio(x, y, n)
             assert table.dtype == fresh.dtype and np.array_equal(table, fresh), (n, x, y)
             assert not table.flags.writeable
@@ -334,6 +371,7 @@ def test_log_tables_extend_to_the_fresh_sum_bit_for_bit(monkeypatch, order):
 def test_expansions_do_not_depend_on_the_tables_built_before(monkeypatch):
     from sphclt import moments
     monkeypatch.setattr(moments, "_LOG_RISING", {})
+    monkeypatch.setattr(moments, "_LOG_SHIFTED", {})
     moments._expand_power_cached.cache_clear()
     fresh = expand_power(300, 3, 3).copy(), dougall_row(300, 4, 3)
     moments._expand_power_cached.cache_clear()
