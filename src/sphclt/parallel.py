@@ -11,12 +11,22 @@ beforehand is kept), so OpenBLAS normally starts no thread pool at all: the
 workers here do the parallel work, and idle BLAS threads would only spin.
 `single_threaded_blas` stays as the guard for processes that loaded numpy
 first, so the contract above does not depend on import order.
+
+With threads > 1, worker i of the pool is bound to CPU i % n of the n CPUs
+its starter may use, for the pool's lifetime.  Where the scheduler does not
+balance load (a cpuset with sched_load_balance = 0), a new thread stays on
+the CPU of the thread that started it, and two unbound workers time-slice
+one CPU.  The caller's own mask is never changed, and where the system
+refuses the binding the workers run unbound.  Binding moves where a chunk
+runs, never what it computes.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import itertools
+import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
@@ -69,10 +79,23 @@ def single_threaded_blas():
         put(before)
 
 
+def _pin(workers):
+    """Pool initializer: bind the i-th worker started to CPU i % n of the n
+    CPUs it may use; where the system cannot, the worker runs unbound."""
+    try:
+        cpus = sorted(os.sched_getaffinity(0))  # the mask of the thread that started it
+        os.sched_setaffinity(0, {cpus[next(workers) % len(cpus)]})
+    except (AttributeError, OSError):
+        pass
+
+
 def ordered_map(fn, items, threads: int = 1):
-    """Map preserving order; threads only affect wall time, not results."""
+    """Map preserving order; threads only affect wall time, not results.
+
+    With threads > 1 each worker is bound to one CPU, round robin, for the
+    pool's lifetime (`_pin`); the caller's mask is left as it was."""
     with single_threaded_blas():
         if threads <= 1:
             return [fn(item) for item in items]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=threads, initializer=_pin, initargs=(itertools.count(),)) as pool:
             return list(pool.map(fn, items))

@@ -1,7 +1,10 @@
 """Distance estimators, sweep plumbing and rate diagnostics."""
 
 import math
+import os
 import sys
+import threading
+import time
 import tracemalloc
 from statistics import NormalDist
 
@@ -192,7 +195,8 @@ def test_reduce_is_plain_horner_bitwise(f):
 
 def test_samples_hold_one_field_at_a_time():
     # a 64-replica chunk at (d, ell, degree) = (2, 128, 384) is 38 MB of
-    # fields; streaming replicas keeps the driver near one field (0.6 MB)
+    # fields; streaming blocks of 3 replicas keeps `_samples` near one block's
+    # float32 synthesis buffers (2.6 MB peak)
     f = Functional.of("h", q=3)
     grid = build_grid(2, f.degree(128))
     tracemalloc.start()
@@ -207,22 +211,24 @@ def test_samples_hold_one_field_at_a_time():
 
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("f, d, ell, replicas, block, fold", [
-    (Functional.of("h", q=3), 2, 16, 150, 53, False),   # a partial last block in every chunk
-    (Functional.of("h", q=3), 2, 64, 70, 3, False),     # 64 = 21 * 3 + 1
-    (Functional.of("h", q=3), 2, 128, 3, 1, False),
-    (Functional.of("h", q=3), 2, 16, 5, 53, False),     # one block shorter than B
-    (Functional.of("Z", betas=BETAS), 2, 16, 70, 30, False),
-    (Functional.of("S", z=1.0), 2, 16, 70, 30, False),
-    (Functional.of("S", z=1.0), 3, 6, 70, 15, False),
-    (Functional.of("h", q=3), 3, 6, 70, 34, False),
-    (Functional.of("h", q=2), 4, 4, 70, 58, False),
+    (Functional.of("h", q=3), 2, 32, 150, 55, False),   # a partial last block in every chunk
+    (Functional.of("h", q=3), 2, 128, 70, 3, False),    # 64 = 21 * 3 + 1
+    (Functional.of("h", q=3), 2, 256, 3, 1, False),
+    (Functional.of("h", q=3), 2, 32, 5, 55, False),     # one block shorter than B
+    (Functional.of("Z", betas=BETAS), 2, 32, 70, 31, False),
+    (Functional.of("S", z=1.0), 2, 32, 70, 31, False),
+    (Functional.of("S", z=1.0), 3, 8, 70, 27, False),
+    (Functional.of("h", q=3), 3, 10, 70, 33, False),
+    (Functional.of("h", q=2), 4, 6, 70, 58, False),
     # on the rules `Functional.grid` folds, the circle products, or at
     # d >= 3 the level below the top, hold more values than the N nodes
-    (Functional.of("h", q=3), 2, 16, 150, 78, True),    # circle 17 * 49 > N = 13 * 49
-    (Functional.of("h", q=3), 2, 64, 70, 5, True),      # 64 = 12 * 5 + 4
-    (Functional.of("Z", betas=BETAS), 2, 16, 70, 59, True),
-    (Functional.of("h", q=3), 3, 6, 70, 49, True),      # level 2: 7 * 10 * 19 > N = 5 * 10 * 19
-    (Functional.of("h", q=2), 4, 4, 70, 58, True),
+    (Functional.of("h", q=3), 2, 32, 150, 81, True),    # circle 33 * 97 > N = 25 * 97
+    (Functional.of("h", q=3), 2, 128, 70, 5, True),     # 64 = 12 * 5 + 4
+    (Functional.of("Z", betas=BETAS), 2, 32, 70, 61, True),
+    (Functional.of("h", q=3), 3, 10, 70, 48, True),     # level 2: 11 * 16 * 31 > N = 8 * 16 * 31
+    (Functional.of("h", q=2), 4, 6, 70, 58, True),
+    # the ids keep the block sizes of 2^16-value blocks, under which the cases
+    # were named, so the test names stay stable; `block` is the size under BLOCK_VALUES
 ], ids=["h-d2-53", "h-d2-3", "h-d2-1", "h-d2-short", "Z-d2-30", "S-d2-30", "S-d3-15", "h-d3-34",
         "h-d4-58", "h-d2-fold-78", "h-d2-fold-5", "Z-d2-fold-59", "h-d3-fold-49", "h-d4-fold-58"])
 def test_blocks_equal_the_one_replica_path_bitwise(f, d, ell, replicas, block, fold, threads):
@@ -418,6 +424,72 @@ def test_ordered_map_runs_blas_on_one_thread_and_restores_it(threads):
         assert get() == count
     finally:
         put(before)
+
+
+needs_affinity = pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no sched_setaffinity here")
+
+
+def _worker_masks(threads):
+    """{thread: its CPU mask while it ran} over ordered_map on range(8); the
+    first two items wait for each other, so with threads >= 2 two workers start."""
+    from sphclt import parallel
+
+    both = threading.Barrier(min(threads, 2), timeout=10)
+    masks = {}
+
+    def square(item):
+        if item < 2:
+            both.wait()
+        masks[threading.get_ident()] = frozenset(os.sched_getaffinity(0))
+        return item * item
+
+    assert parallel.ordered_map(square, range(8), threads) == [i * i for i in range(8)]
+    return masks
+
+
+def _thread_count_settles_to(count):
+    # a joined worker may stay listed for a moment while its OS thread exits
+    deadline = time.monotonic() + 5
+    while len(os.listdir("/proc/self/task")) != count and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return len(os.listdir("/proc/self/task")) == count
+
+
+@needs_affinity
+def test_ordered_map_places_each_worker_on_its_own_cpu():
+    mask = os.sched_getaffinity(0)
+    if len(mask) < 2:
+        pytest.skip("fewer than two CPUs allowed")
+    tasks = len(os.listdir("/proc/self/task"))
+    masks = _worker_masks(2)
+    assert len(masks) == 2 and threading.get_ident() not in masks
+    assert all(len(m) == 1 and m <= mask for m in masks.values())
+    assert len(set(masks.values())) == 2
+    # the caller keeps its mask, and the pinned workers exit with the pool
+    assert os.sched_getaffinity(0) == mask
+    assert _thread_count_settles_to(tasks)
+
+
+@needs_affinity
+def test_ordered_map_pins_nothing_on_one_thread():
+    mask = os.sched_getaffinity(0)
+    assert _worker_masks(1) == {threading.get_ident(): frozenset(mask)}
+    assert os.sched_getaffinity(0) == mask
+
+
+@pytest.mark.parametrize("unpinnable", ["raises", "missing"])
+def test_ordered_map_runs_unpinned_where_it_cannot_pin(monkeypatch, unpinnable):
+    def refuse(pid, cpus):
+        raise OSError(22, "Invalid argument")
+
+    if unpinnable == "raises":
+        monkeypatch.setattr(os, "sched_setaffinity", refuse)
+    else:
+        monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+    masks = _worker_masks(2)
+    assert len(masks) == 2
+    if hasattr(os, "sched_getaffinity"):
+        assert set(masks.values()) == {frozenset(os.sched_getaffinity(0))}
 
 
 def test_sweep_validation():
