@@ -42,13 +42,16 @@ subnormal operand slows every kernel that reads it.  A float32 synthesis
 keeps the float64 draws below and casts them into its buffers, so a seed maps
 to the same fields in either precision, up to float32 rounding.
 
-Every replica derives its generator from (master seed, replica index) through
-a counter-based construction (Philox with the replica in the high counter
-words), so samples are reproducible regardless of batching or worker count.
-A worker keeps one Philox with its buffers and resets its state for each
-replica, which gives the stream of a new Philox(key=seed, counter=replica <<
-128) bit for bit without building one (and drawing a SeedSequence from OS
-entropy, as a BitGenerator built without a seed does) per replica.
+Replicas draw from counter-based streams, one per chunk of CHUNK = 64
+replicas (`parallel.fixed_chunks`): replica r's n_{ell;d} normals are row
+r mod 64 of the stream of Philox(key=seed, counter=(r // 64) << 128), rows
+drawn in order.  The chunk occupies the high counter words, so no two
+streams overlap, and a replica's draws depend on (seed, r) alone, whatever
+the batching or worker count.  A worker keeps one Philox with its buffers
+and `_reseed`s it to a chunk's stream, which gives the stream of a new
+Philox bit for bit without building one (and drawing a SeedSequence from OS
+entropy, as a BitGenerator built without a seed does) per chunk; consecutive
+replicas of a chunk then take one `standard_normal` call.
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ import numpy as np
 
 # variance_h and hermite have no caller here; perfbench/spans.py wraps these bindings
 from .moments import variance_h
+from .parallel import CHUNK
 from .quadrature import gauss_jacobi_rule, panel_nodes
 from .specfun import (GegenbauerCtx, NodeBudgetError, SphereDim, ToleranceNotMetError, UsageError, dim_harmonics,
                       hermite, orthonormal_jacobi)
@@ -172,19 +176,32 @@ class FieldRealization:
 _WORD = (1 << 64) - 1
 
 
-def _reseed(bit_generator: np.random.Philox, seed: int, replica: int) -> None:
+def _reseed(bit_generator: np.random.Philox, seed: int, chunk: int) -> None:
     """Put `bit_generator` in the state of a new Philox(key=seed,
-    counter=replica << 128): the 128-bit key and 256-bit counter as 64-bit
-    words, least significant first, and an empty output buffer.  The
-    replica occupies the high counter words, so streams for different
-    replicas can never overlap whatever their length."""
+    counter=chunk << 128): the 128-bit key and 256-bit counter as 64-bit
+    words, least significant first, and an empty output buffer.  The chunk
+    of CHUNK replicas occupies the high counter words, so streams for
+    different chunks can never overlap whatever their length."""
     if not 0 <= seed < 1 << 128:
         raise UsageError(f"seed must satisfy 0 <= seed < 2**128, got {seed}")
     bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": [0, 0, replica & _WORD, replica >> 64], "key": [seed & _WORD, seed >> 64]},
+        "state": {"counter": [0, 0, chunk & _WORD, chunk >> 64], "key": [seed & _WORD, seed >> 64]},
         "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
     }
+
+
+def _runs(replicas) -> list[list[int]]:
+    """[chunk, first row, rows] of each run of consecutive replicas inside
+    one chunk of CHUNK, in the order of `replicas`."""
+    runs = []
+    for rep in replicas:
+        chunk, row = divmod(rep, CHUNK)
+        if runs and runs[-1][0] == chunk and runs[-1][1] + runs[-1][2] == row:
+            runs[-1][2] += 1
+        else:
+            runs.append([chunk, row, 1])
+    return runs
 
 
 def _n_harmonics(m: int, k: int) -> int:
@@ -304,14 +321,15 @@ def _synthesis_plan(grid: SphereGrid, ell: int, dtype=np.float64):
 
 def _synthesis_buffers(grid: SphereGrid, ell: int, rows: int, dtype=np.float64) -> tuple:
     """Working set of `_sample_batch` for up to `rows` replicas, in `dtype`:
-    a generator on one Philox that `_reseed` moves to each replica's stream,
+    a generator on one Philox that `_reseed` moves to each chunk's stream,
+    where it stands as [seed, chunk, next row] (empty before its first draw),
     the draws with their zero column, the leaves' draw pairs, the circle
     level and one matmul result per level, the last of which holds the fields."""
     pairs, _, lams = _synthesis_plan(grid, ell, dtype)
     draws = np.zeros((rows, dim_harmonics(ell, grid.dim.d) + 1), dtype)
     shape = (rows, *pairs.shape[:-1], grid.n_phi)
-    # seeded, so that building it reads no OS entropy; `_reseed` sets its state before every draw
-    buffers = [np.random.Generator(np.random.Philox(0)), draws, np.empty((rows, *pairs.shape), dtype),
+    # seeded, so that building it reads no OS entropy; `_reseed` sets its state before the first draw
+    buffers = [np.random.Generator(np.random.Philox(0)), [], draws, np.empty((rows, *pairs.shape), dtype),
                np.empty(shape, dtype)]
     for lam in lams:
         *batch, _, n_sub = shape
@@ -337,7 +355,7 @@ def _synthesize_batch(grid: SphereGrid, ell: int, coeffs: np.ndarray, work=None)
     leaf or replica, so a replica's values do not depend on its batch.
     """
     R, n = coeffs.shape
-    _, draws, gathered, circle, *levels = _synthesis_buffers(grid, ell, R, coeffs.dtype) if work is None else work
+    _, _, draws, gathered, circle, *levels = _synthesis_buffers(grid, ell, R, coeffs.dtype) if work is None else work
     pairs, trig, lams = _synthesis_plan(grid, ell, draws.dtype)
     draws[:R, :n] = coeffs
     gathered = np.take(draws[:R], pairs, axis=1, out=gathered[:R], mode="clip")[..., None, :]  # clip: out unbuffered
@@ -355,17 +373,29 @@ def _sample_batch(grid: SphereGrid, ell: int, seed: int, replicas, work=None, dt
 
     `clt._samples` passes one block of replicas per call and the same
     `work` set (see `_synthesis_buffers`) for every block of a worker, so a
-    block is reduced before the next is drawn.  The generator of the work
-    set is reseeded for each replica; its float64 draws are cast into the
-    work set's rows, so a replica draws the same normals in every dtype."""
+    block is reduced before the next is drawn.  The replicas are cut into
+    runs of consecutive replicas inside one chunk (`_runs`).  A run that
+    continues the stream where the work set's generator stands takes one
+    `standard_normal` call; any other is `_reseed` to its chunk, and the
+    rows of the chunk before it are drawn and discarded first.  `_samples`
+    asks for a chunk's blocks in order, so it reseeds once per chunk and
+    discards nothing.  The float64 draws are cast into the work set's rows,
+    so a replica draws the same normals in every dtype."""
     if work is None:  # the plan, and so the budget check, comes before any buffer
         work = _synthesis_buffers(grid, ell, len(replicas), dtype)
-    gen, draws = work[:2]
-    normals = np.empty(draws.shape[1] - 1)  # float64 in every dtype
-    for row, rep in enumerate(replicas):
-        _reseed(gen.bit_generator, seed, rep)
-        draws[row, :-1] = gen.standard_normal(out=normals)  # all but the zero column
-    return _synthesize_batch(grid, ell, draws[:len(replicas), :-1], work)
+    gen, at, draws = work[:3]
+    n = draws.shape[1] - 1
+    out = 0
+    for chunk, row, rows in _runs(replicas):
+        if at != [seed, chunk, row]:
+            _reseed(gen.bit_generator, seed, chunk)
+            skipped = np.empty(n)  # one row at a time: a discard never outgrows a replica
+            for _ in range(row):
+                gen.standard_normal(out=skipped)
+        draws[out:out + rows, :-1] = gen.standard_normal((rows, n))  # all but the zero column
+        at[:] = seed, chunk, row + rows
+        out += rows
+    return _synthesize_batch(grid, ell, draws[:out, :-1], work)
 
 
 def sample_field(d: int, ell: int, grid: SphereGrid, seed: int, replica: int = 0) -> FieldRealization:

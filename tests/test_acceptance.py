@@ -179,10 +179,14 @@ def test_criterion_10_excursion_clt():
         ok &= mean_ok and var_ok
         details.append(f"ell={r.ell}: mean z={(r.sample_mean - r.predicted_mean) / mean_se:+.2f}, "
                        f"var z={(r.sample_var - r.predicted_var) / var_se:+.2f}")
+    # at 2000 replicas both true d_K (about 0.016 and 0.008) sit below the
+    # noise mean 0.87/sqrt(n), so their order is noise; d_K(64) must stay
+    # under the 97.5 % noise quantile 1.5/sqrt(n) that `rate_fit` uses
     dks = [r.empirical_dK for r in rep.rows]
-    ok &= dks[1] < 0.05 and dks[1] < dks[0]
+    floor = 3.0 * rep.rows[1].mc_stderr_scale
+    ok &= dks[1] < 0.05 and dks[1] < floor
     report(10, ok and elapsed < 300.0,
-           "; ".join(details) + f"; dK {dks[0]:.4f} -> {dks[1]:.4f}; {elapsed:.1f}s")
+           "; ".join(details) + f"; dK {dks[0]:.4f}, {dks[1]:.4f} < {floor:.4f}; {elapsed:.1f}s")
 
 
 def test_criterion_11_cli_determinism(tmp_path):

@@ -209,6 +209,22 @@ def test_sampling_with_and_without_worker_buffers_is_bitwise_equal():
                               _sample_batch(grid, 4, 2 ** 64 + 9, replicas))
 
 
+@pytest.mark.parametrize("replicas", [[70, 5, 69], range(60, 70), [5, 70]],
+                         ids=["scattered", "across-chunks", "next-row-of-another-chunk"])
+def test_a_request_draws_what_single_replicas_draw(replicas):
+    # [70, 5, 69] never continues the stream, so each replica reseeds and
+    # discards the rows before it; range(60, 70) runs into a second chunk;
+    # 70 is row 6 of chunk 1, the row after 5 in chunk 0
+    grid = build_grid(2, 16)
+    single = np.concatenate([_sample_batch(grid, 8, 2 ** 64 + 9, [r]) for r in replicas])
+    work = _synthesis_buffers(grid, 8, len(replicas))
+    assert np.array_equal(_sample_batch(grid, 8, 2 ** 64 + 9, replicas), single)
+    assert np.array_equal(_sample_batch(grid, 8, 2 ** 64 + 9, replicas, work), single)
+    # the work set stands after the last replica; another seed must not continue its stream
+    assert np.array_equal(_sample_batch(grid, 8, 3, [replicas[-1] + 1], work)[0],
+                          sample_field(2, 8, grid, 3, replicas[-1] + 1).values)
+
+
 @pytest.mark.parametrize("d, ell", [(2, 16), (3, 6), (4, 4)])
 def test_circle_level_is_a_cos_plus_b_sin(d, ell):
     # each leaf's (a, b) row times its harmonic's [cos m phi; sin m phi] table,
@@ -219,7 +235,7 @@ def test_circle_level_is_a_cos_plus_b_sin(d, ell):
     work = _synthesis_buffers(grid, ell, 3)
     _sample_batch(grid, ell, 2 ** 64 + 9, [0, 5, 2 ** 40], work)
     pairs, trig, _ = _synthesis_plan(grid, ell)
-    draws, circle = work[1], work[3]
+    draws, circle = work[2], work[4]
     assert circle.shape == (3, *pairs.shape[:-1], grid.n_phi)
     assert sum(np.shape(a) == circle.shape for a in work) == 1
     ab = draws[:, pairs].astype(np.longdouble)[..., None]
@@ -395,7 +411,8 @@ def test_recovery_returns_the_replica_draws(d, ell):
     grid = build_grid(d, 2 * ell)
     coefs = recover_harmonic_coeffs(sample_field(d, ell, grid, seed, rep))
     n = dim_harmonics(ell, d)
-    draws = np.random.Generator(np.random.Philox(key=seed, counter=rep << 128)).standard_normal(n)
+    stream = np.random.Generator(np.random.Philox(key=seed, counter=(rep // 64) << 128))
+    draws = stream.standard_normal((rep % 64 + 1, n))[rep % 64]
     scale = math.sqrt(grid.dim.mu_d / n)
     assert np.max(np.abs(coefs / scale - draws)) < 1e-12
 
