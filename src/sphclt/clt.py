@@ -6,11 +6,11 @@ reduction, mean, variance and bound.  One function, `_samples`, draws
 the raw values for `simulate`, `clt` and `excursion` alike, on the rule
 that `Functional.grid` picks: fixed chunks of replicas go to the workers,
 and a chunk runs in blocks of replicas whose largest synthesis array holds
-about BLOCK_VALUES values, which fit in the L2 cache.  It synthesizes and
-reduces in SAMPLE_DTYPE, float32, wherever Horner's rule keeps its digits
-there (`Functional.sample_dtype`), else in float64: the distances of a few
-thousand replicas need nowhere near 16 digits, and float32 halves the time
-of the largest matmul.  Everything after the reduction (means, variances,
+about BLOCK_VALUES values, which fit in the L2 cache.  It synthesizes in
+SAMPLE_DTYPE, float32, and reduces in it unless the values could leave its
+range (`Functional.reduction_dtype`): the distances of a few thousand
+replicas need nowhere near 16 digits, and float32 halves the time of the
+largest matmul.  Everything after the reduction (means, variances,
 distances) runs in float64.  Each block is synthesized and reduced in
 buffers allocated once per worker, so its fields are reduced while they are
 still in cache and no (replicas, nodes) array of a whole chunk is ever held.
@@ -74,11 +74,8 @@ CLT_EXCLUDED_PAIRS = ((3, 3), (3, 4), (4, 3), (5, 3))
 # the indicator of kind S is not a polynomial: its grids are exact to 4*ell
 EXCURSION_DEGREE_FACTOR = 4
 HERMITE_CONVERSION_CAP = 16
-# precision of the synthesis and the reduction in `_samples`, where it is accurate enough
+# precision of the synthesis in `_samples`, and of the reduction where it stays in range
 SAMPLE_DTYPE = np.dtype(np.float32)
-# the bound on Horner's rounding, relative to the spread of p(T), below which
-# p is sampled in SAMPLE_DTYPE (see `Functional.sample_dtype`)
-REDUCTION_TOL = 1e-5
 # values of the largest synthesis array per sampling block: 1 MB of SAMPLE_DTYPE,
 # inside a 2 MB L2 cache.  Each numpy call releases the GIL once per block, so
 # two workers overlap only where a block holds several replicas: 2^16 held one
@@ -146,16 +143,6 @@ def monomial_to_hermite(b_coeffs) -> np.ndarray:
     return beta
 
 
-def hermite_to_monomial(q: int) -> tuple[float, ...]:
-    """Monomial coefficients c of H_q(t) = sum_k c_k t^k, from the inverse identity
-        H_q(t) = sum_k (-1)^k q! / (k! (q-2k)! 2^k) t^{q-2k};
-    the integers are exact in double precision up to q = 28."""
-    c = [0.0] * (q + 1)
-    for k in range(q // 2 + 1):
-        c[q - 2 * k] = float((-1) ** k * _pairings(q, k))
-    return tuple(c)
-
-
 def _hermite_betas(beta) -> dict[int, float]:
     """The chaos orders >= 2 of beta with their nonzero coefficients."""
     return {j: b for j, b in enumerate(beta) if j >= 2 and b != 0.0}
@@ -165,16 +152,15 @@ def _hermite_betas(beta) -> dict[int, float]:
 class Functional:
     """One functional of a degree-ell field T on S^d, shared by `simulate` and `clt`.
 
-    Kinds h and Z integrate a polynomial p(T) = sum_k c_k T^k (h_{ell;q}:
-    p = H_q; kind Z: the user's monomial coefficients b), whose Hermite
-    coefficients beta (e_q, or monomial_to_hermite(b)) give the variance and
-    the bound; kind S measures {T <= z}.  Build one with `Functional.of`.
+    Kinds h and Z integrate p(T) = sum_k beta_k H_k(T) (h_{ell;q}: beta =
+    e_q; kind Z: monomial_to_hermite of the user's monomial coefficients b),
+    and beta gives the reduction, the variance and the bound; kind S
+    measures {T <= z}.  Build one with `Functional.of`.
     """
 
     kind: str                            # "h" | "Z" | "S"
     label: str                           # sample label: "h3", "Z", "S(z=1)"
     beta: tuple[float, ...] | None = None  # Hermite coefficients (h, Z)
-    monomial: tuple[float, ...] | None = None  # monomial coefficients c (h, Z)
     z: float | None = None               # level (S)
 
     @classmethod
@@ -182,15 +168,14 @@ class Functional:
         if kind == "h":
             if q is None or q < 0:
                 raise UsageError(f"kind h requires a Hermite order q >= 0, got {q}")
-            float_factorial(q)  # raises where Var h_q and, from about 290, H_q's coefficients overflow
-            return cls("h", f"h{q}", beta=(0.0,) * q + (1.0,), monomial=hermite_to_monomial(q))
+            float_factorial(q)  # raises where Var h_q overflows
+            return cls("h", f"h{q}", beta=(0.0,) * q + (1.0,))
         if kind == "Z":
             if betas is None or len(betas) == 0:
                 raise UsageError("kind Z requires monomial coefficients betas (b0,b1,...)")
             if not all(math.isfinite(float(b)) for b in betas):
                 raise UsageError(f"betas must be finite, got {tuple(betas)}")
-            return cls("Z", "Z", beta=tuple(float(b) for b in monomial_to_hermite(betas)),
-                       monomial=tuple(float(b) for b in betas))
+            return cls("Z", "Z", beta=tuple(float(b) for b in monomial_to_hermite(betas)))
         if kind == "S":
             if z is None or not math.isfinite(z):
                 raise UsageError(f"kind S requires a finite level z, got {z}")
@@ -213,76 +198,92 @@ class Functional:
     def at(self, ell: int) -> Functional:
         """The functional as it is evaluated on degree-ell fields; each row
         of `simulate`, `clt` and `excursion` takes it before its grid.  At
-        odd ell T(-x) = -T(x), so every odd power of T integrates to 0 on the
-        sphere: p keeps its even powers alone, and its grid is exact to their
-        degree.  That drops exactly the odd chaoses, which have zero variance
-        there, and their rounding noise with them, however large their
-        coefficients (as `poly_bound` drops them from the bound)."""
-        if self.monomial is None or ell % 2 == 0:
+        odd ell T(-x) = -T(x), so every odd H_k(T) integrates to 0 on the
+        sphere: p keeps its even chaoses alone, and its grid is exact to
+        their degree.  The odd chaoses have zero variance there, and their
+        rounding noise goes with them, however large their coefficients (as
+        `poly_bound` drops them from the bound)."""
+        if self.beta is None or ell % 2 == 0:
             return self
+        kept = [0.0 if k % 2 else b for k, b in enumerate(self.beta)]
+        while len(kept) > 1 and kept[-1] == 0.0:
+            kept.pop()
+        return replace(self, beta=tuple(kept))
 
-        def even(coeffs):
-            kept = [0.0 if k % 2 else c for k, c in enumerate(coeffs)]
-            while len(kept) > 1 and kept[-1] == 0.0:
-                kept.pop()
-            return tuple(kept)
-        return replace(self, beta=even(self.beta), monomial=even(self.monomial))
+    @functools.cached_property
+    def _clenshaw(self) -> tuple[float, tuple, int | None, int, float]:
+        """(scale, ops, slot of the sum, buffers, reach) of Clenshaw's rule on
+        c = beta / scale, scale the leading nonzero beta.  An op is (ufunc,
+        arguments, out), an argument a float or a slot: 0 is T, 1.. the
+        buffers.  Each b_k is an array part (a buffer, T or nothing) and a
+        float, so a constant costs a pass only where T multiplies it, and
+        T b_{k+1} - (k+1) T folds into T (b_{k+1} - (k+1)).  The last step
+        writes into b_1's buffer and adds its constant there, so the float32
+        sum over the nodes runs over an integrand of mean about 0 (beside
+        He_20(0) = 6.5e8 it put h_20 1.6e-5 sigma off at (3, 6)); H_3 runs
+        Horner's ops.  reach = sum_{k>=1} |c_k| a_k(8) by the same rule."""
+        scale = next((b for b in reversed(self.beta) if b != 0.0), 1.0)
+        T, ops, free, count = 0, [], [], 0
+        prev = last = (None, 0.0, 0.0)  # b_{k+1} and b_{k+2}, with their reach sums
+        for k in range(len(self.beta) - 1, -1, -1):
+            (x1, c1, r1), (x2, c2, r2) = prev, last
+            ck = self.beta[k] / scale if k else 0.0
+            const, reach = ck - (k + 1) * c2, abs(ck) + 8.0 * r1 + (k + 1) * r2
+            if x2 == T:
+                x2, c1 = None, c1 - (k + 1)
+            if x1 is None:  # b_{k+1} = c_Q = 1 or 0, and b_{k+2} = 0
+                x = None if c1 == 0.0 else T
+            else:
+                x = x1 if k == 0 and x1 else free.pop() if free else (count := count + 1)
+                if c1 != 0.0:
+                    ops += [(np.add, (x1, c1), x), (np.multiply, (x, T), x)]
+                else:
+                    ops.append((np.square, (T,), x) if x1 == T else (np.multiply, (x1, T), x))
+            if x2 is not None:  # b_{k+2}, read for the last time
+                ops += [(np.multiply, (x2, float(k + 1)), x2)] if k else []
+                ops.append((np.subtract, (x, x2), x))
+                free.append(x2)
+            prev, last = (x, const, reach), prev
+        if const != 0.0:  # b_0 = c_1 T + const has const = 0, so x is a buffer
+            ops.append((np.add, (x, const), x))
+        return scale, tuple(ops), x, count, reach
 
-    def sample_dtype(self) -> np.dtype:
-        """The precision `_samples` synthesizes and reduces in: SAMPLE_DTYPE,
-        or float64 where SAMPLE_DTYPE would lose p's digits.
+    @property
+    def buffers(self) -> int:
+        """The working arrays of the shape of the fields that `reduce` writes."""
+        return 1 if self.beta is None else self._clenshaw[3]
 
-        The indicator of kind S runs in SAMPLE_DTYPE.  Horner's rule sums
-        terms c_k T^k that can dwarf p(T): its rounding error is at most about
-        2 Q u sum_k |c_k| |T|^k, u the unit roundoff, Q the degree.  At a
-        standard normal T that is 2 Q u rho times the spread of p(T), where
-        rho = E[sum_k |c_k| |T|^k] / sd p(T) and sd^2 = sum_{j>=1} beta_j^2 j!.
-        p runs in SAMPLE_DTYPE while 2 Q u rho < REDUCTION_TOL, REDUCTION_TOL
-        times the spread is a normal float there (subnormals drop digits) and
-        the integral stays in range for |T| <= 8, else in float64: in float32,
-        h_q up to q = 8 and the polynomials of moderate coefficients.  A
-        constant p has no spread: it reads c_0 * sum(w) in float64.  A
-        float64 functional is sampled as a whole in float64, never from
-        float32 fields, so its values are those of a float64 run.
-        """
-        if self.monomial is None:
-            return SAMPLE_DTYPE
-        info = np.finfo(SAMPLE_DTYPE)
-        terms = sum(abs(c) * 2.0 ** (k / 2) * math.gamma((k + 1) / 2) / math.sqrt(math.pi)
-                    for k, c in enumerate(self.monomial))  # E|T|^k = 2^{k/2} Gamma((k+1)/2) / sqrt(pi)
-        tol = REDUCTION_TOL * math.sqrt(sum(b * b * math.factorial(j) for j, b in enumerate(self.beta) if j))
-        bound = (len(self.monomial) - 1) * float(info.eps) * terms  # 2 Q u = Q eps
-        # a unit-variance field exceeds |T| = 8 with probability 1e-15 per node, and mu_d < 34
-        reach = 34.0 * sum(abs(c) * 8.0 ** k for k, c in enumerate(self.monomial))
-        if bound < tol and float(info.tiny) <= tol and reach < float(info.max):
-            return SAMPLE_DTYPE
-        return np.dtype(np.float64)
+    def reduction_dtype(self) -> np.dtype:
+        """SAMPLE_DTYPE, or float64 where one reach bound fails: a unit-variance
+        field passes |T| = 8 with probability 1e-15 per node, |H_k| <= a_k(8)
+        there, and mu_d < 34, so the rule stays in range while 34 * reach is
+        below the largest SAMPLE_DTYPE: for h_q up to q = 37, and for kind S."""
+        reach = 0.0 if self.beta is None else 34.0 * self._clenshaw[4]
+        return SAMPLE_DTYPE if reach < float(np.finfo(SAMPLE_DTYPE).max) else np.dtype(np.float64)
 
-    def reduce(self, fields, weights, out=None):
-        """Quadrature value of the functional over the last axis of `fields`.
-
-        The integrand is evaluated in one working array of the shape of
-        `fields` and the dtype of `weights`, which `fields` shares, `out`
-        when given: kinds h and Z evaluate p(T) by Horner's rule in place,
-        skip the zero coefficients and start from `fields` at a unit leading
-        coefficient (1 * T is T).
-        Each row is summed as its own (1, N) @ (N,) product, so its value
-        does not depend on the rows it is batched with.
-        """
-        acc = np.empty(np.shape(fields), weights.dtype) if out is None else out
-        if self.monomial is None:
-            np.less_equal(fields, self.z, out=acc)
-        elif len(self.monomial) == 1:
-            acc.fill(self.monomial[0])
-        else:
-            *low, top = self.monomial
-            p = fields if top == 1.0 else np.multiply(fields, top, out=acc)
-            for c in low[:0:-1]:  # c_{Q-1}, ..., c_1
-                if c != 0.0:
-                    p = np.add(p, c, out=acc)
-                p = np.square(p, out=acc) if p is fields else np.multiply(p, fields, out=acc)  # np.square: 2x faster
-            acc = p if low[0] == 0.0 else np.add(p, low[0], out=acc)  # p is `fields` itself for p(T) = T
-        return (acc[..., None, :] @ weights)[..., 0]
+    def reduce(self, fields, weights, work=None, total=None):
+        """Quadrature value of the functional over the last axis of `fields`,
+        evaluated in the dtype of `weights` in `work`, `buffers` arrays of
+        the shape of `fields`, or in new ones; `fields` is left as it was.
+        Kinds h and Z sum their chaoses >= 1 by Clenshaw's rule (Clenshaw,
+        Math. Tables Aids Comput. 9:118, 1955) on beta / scale, scale the
+        leading beta, so that b_{Q-1} = T costs no pass at any scale:
+            b_k = beta_k + T b_{k+1} - (k+1) b_{k+2},  sum = T b_1 - b_2;
+        scale it back and add beta_0 times `total`, the sum of the float64
+        weights (by default, of `weights`), in float64.  Each row is summed as
+        its own (1, N) @ (N,) product, independent of the rows beside it."""
+        shape, dtype = np.shape(fields), weights.dtype
+        slots = [fields, *([np.empty(shape, dtype) for _ in range(self.buffers)] if work is None else work)]
+        if self.beta is None:
+            np.less_equal(fields, self.z, out=slots[1])
+            return (slots[1][..., None, :] @ weights)[..., 0]
+        scale, ops, result, *_ = self._clenshaw
+        offset = self.beta[0] * (float(np.sum(weights)) if total is None else total)
+        if result is None:
+            return np.full(shape[:-1], offset)
+        for op, args, out in ops:
+            op(*(a if isinstance(a, float) else slots[a] for a in args), out=slots[out], dtype=dtype)
+        return np.multiply((slots[result][..., None, :] @ weights)[..., 0], scale, dtype=np.float64) + offset
 
     def mean(self, dim: SphereDim) -> float:
         """Expectation: mu_d times the chaos-0 coefficient."""
@@ -384,8 +385,8 @@ class CltReport:
 
 
 def _samples(f: Functional, grid: SphereGrid, ell: int, seed: int, replicas: int, threads: int) -> np.ndarray:
-    """Raw values of f for replicas 0..replicas-1, synthesized and reduced
-    in `f.sample_dtype()`, returned in float64.
+    """Raw values of f for replicas 0..replicas-1, synthesized in
+    SAMPLE_DTYPE and reduced in `f.reduction_dtype()`, returned in float64.
 
     Fixed chunks of replicas go to the workers.  A chunk runs in blocks of
     max(1, BLOCK_VALUES // V) replicas, V the values of a replica's largest
@@ -393,17 +394,15 @@ def _samples(f: Functional, grid: SphereGrid, ell: int, seed: int, replicas: int
     `_sample_batch` and one `Functional.reduce` call.  Their buffers are
     allocated once per worker: a chunk takes a set left by a finished
     chunk, so the memory is not handed back to the system and faulted in
-    again for every chunk.  A functional that Horner's rule would reduce
-    to too few digits in SAMPLE_DTYPE runs in float64, so a constant h_0
-    reads mu_d to float64 rounding.  A value that leaves the range of the
-    precision raises NumericalError."""
-    dtype = f.sample_dtype()
+    again for every chunk.  A value beyond the float64 range raises
+    NumericalError."""
+    dtype = f.reduction_dtype()
     # an empty batch fills the synthesis tables of the grid and its
     # sub-grids once, before worker threads race to build them
-    _sample_batch(grid, ell, seed, (), dtype=dtype)
+    _sample_batch(grid, ell, seed, (), dtype=SAMPLE_DTYPE)
     block = max(1, BLOCK_VALUES // _replica_values(grid, ell))
     rows = min(block, replicas)
-    weights = grid.weights.astype(dtype)
+    weights, total = grid.weights.astype(dtype), float(np.sum(grid.weights))
     spare = []  # buffer sets of finished chunks; list.pop and append are atomic
 
     def chunk_values(bounds):
@@ -411,19 +410,20 @@ def _samples(f: Functional, grid: SphereGrid, ell: int, seed: int, replicas: int
         try:
             work, acc = spare.pop()
         except IndexError:
-            work, acc = _synthesis_buffers(grid, ell, rows, dtype), np.empty((rows, grid.n_nodes), dtype)
+            work = _synthesis_buffers(grid, ell, rows, SAMPLE_DTYPE)
+            acc = [np.empty((rows, grid.n_nodes), dtype) for _ in range(f.buffers)]
         values = np.empty(hi - lo)
         with np.errstate(over="ignore", invalid="ignore"):  # a value out of range raises below
             for start in range(lo, hi, block):
                 stop = min(start + block, hi)
                 fields = _sample_batch(grid, ell, seed, range(start, stop), work)
-                values[start - lo:stop - lo] = f.reduce(fields, weights, acc[:stop - start])
+                values[start - lo:stop - lo] = f.reduce(fields, weights, [a[:stop - start] for a in acc], total)
         spare.append((work, acc))
         return values
 
     values = np.concatenate(ordered_map(chunk_values, fixed_chunks(replicas), threads))
     if not np.all(np.isfinite(values)):
-        raise NumericalError(f"{f.label} at (ell={ell}, d={grid.dim.d}) leaves the {dtype.name} range")
+        raise NumericalError(f"{f.label} at (ell={ell}, d={grid.dim.d}) leaves the float64 range")
     return values
 
 
@@ -458,7 +458,7 @@ def clt_sweep(kind: str, d: int, ell_list, replicas: int, seed: int,
     for ell in ells:
         f_ell = f.at(ell)
         grid = f_ell.grid(ell, d)
-        grids.append({"ell": ell, **grid.summary(), "synthesis_dtype": f_ell.sample_dtype().name})
+        grids.append({"ell": ell, **grid.summary(), "reduction_dtype": f_ell.reduction_dtype().name})
         var = f_ell.variance(ell, d)
         explicit, rate = f_ell.bound(ell, d)  # raises at ell = 1 for h and Z: before any replica is drawn
         mean = f_ell.mean(grid.dim)

@@ -19,7 +19,8 @@
 - `half_moment_exact`: the half-range moment at odd q*ell in exact
   rationals, the reference at large d, where the FFT is not.
 - `float64_samples`: raw values of a functional synthesized and reduced in
-  float64, the reference of the float32 sampling path of `sphclt.clt._samples`.
+  float64, the reference of the float32 synthesis and reduction of
+  `sphclt.clt._samples`.
 """
 
 import math
@@ -29,8 +30,9 @@ from functools import lru_cache
 import numpy as np
 from numpy.fft import fft, irfft, rfft
 
+from sphclt.clt import BLOCK_VALUES
 from sphclt.parallel import single_threaded_blas
-from sphclt.simulate import _azimuth, _sample_batch, _synthesis_plan
+from sphclt.simulate import _azimuth, _replica_values, _sample_batch, _synthesis_plan
 from sphclt.specfun import GegenbauerCtx, SphereDim, UsageError, dim_harmonics, orthonormal_jacobi
 
 
@@ -51,11 +53,16 @@ def grid_nodes(grid) -> np.ndarray:
 
 def float64_samples(f, grid, ell: int, seed: int, replicas: int) -> np.ndarray:
     """Raw values of the functional `f` for replicas 0..replicas-1 on `grid`:
-    one float64 batch of fields, reduced by `f.reduce` on one BLAS thread,
-    as `_samples` runs it.  Bit for bit the values of `_samples` where
-    `f.sample_dtype()` is float64."""
+    the same draws as `_samples` synthesized in float64 and reduced by
+    `f.reduce` in float64, on one BLAS thread, in blocks of the size
+    `_samples` takes.  The reference of its float32 synthesis and reduction:
+    the two differ by float32 rounding alone."""
+    block = max(1, BLOCK_VALUES // _replica_values(grid, ell))
     with single_threaded_blas():
-        return f.reduce(_sample_batch(grid, ell, seed, range(replicas), dtype=np.float64), grid.weights)
+        return np.concatenate([
+            f.reduce(_sample_batch(grid, ell, seed, range(lo, min(lo + block, replicas)), dtype=np.float64),
+                     grid.weights)
+            for lo in range(0, replicas, block)])
 
 
 def mc_kernel_contraction(ell: int, q: int, r: int, d: int, n_samples: int, seed: int = 0):

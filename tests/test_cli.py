@@ -573,24 +573,32 @@ def test_the_benchmark_sweeps_run_in_float32_without_a_warning(tmp_path, capsys,
     assert run_cli(*args.split(), "--seed", "3", "--out-dir", str(tmp_path)) == 0
     assert capsys.readouterr().err == ""
     manifest = json.loads((tmp_path / f"{base}.manifest.json").read_text())
-    assert manifest["all_passed"] and manifest["summary"]["synthesis_dtype"] == "float32"
+    assert manifest["all_passed"] and _reduction_dtypes(manifest["summary"]) == {"float32"}
+
+
+def _reduction_dtypes(summary) -> set:
+    """The `reduction_dtype` of each sweep row, or of the one `simulate` row."""
+    return {g["reduction_dtype"] for g in summary.get("grids", [summary])}
 
 
 @pytest.mark.parametrize("args, base", [
     ("simulate --kind h --q 12 --ell 4 --reps 3", "simulate_h_d2_ell4"),
     ("clt --kind Z --betas 1e6,0,1 --ell 4,8 --reps 200", "clt_Z_d2_poly"),
-], ids=["h12", "Z-offset"])
-def test_a_functional_float32_would_round_away_is_sampled_in_float64(tmp_path, args, base):
-    # Horner's rule in float32 loses H_12's digits, and those of T^2 beside 1e6
+    ("simulate --kind h --q 38 --ell 2 --reps 3", "simulate_h_d2_ell2"),
+], ids=["h12", "Z-offset", "h38"])
+def test_each_row_records_its_reduction_dtype(tmp_path, args, base):
+    # Clenshaw's rule keeps H_12 in float32, and 1e6 goes to the float64
+    # offset; H_38 could leave the float32 range, so it reduces in float64
     assert run_cli(*args.split(), "--seed", "3", "--out-dir", str(tmp_path)) == 0
     summary = json.loads((tmp_path / f"{base}.manifest.json").read_text())["summary"]
-    assert summary["synthesis_dtype"] == "float64"
-    assert all(g["synthesis_dtype"] == "float64" for g in summary.get("grids", ()))
+    assert "synthesis_dtype" not in summary
+    assert _reduction_dtypes(summary) == {"float64" if "38" in args else "float32"}
 
 
-def test_a_polynomial_of_tiny_coefficients_is_sampled_in_float64(tmp_path):
-    # 1e-46 T^2 reads 0 in float32, and the run once exited 1 with sample
-    # variance 0; in float64 it is T^2 scaled, so the distances are those of T^2
+def test_a_polynomial_of_tiny_coefficients_reduces_in_float32(tmp_path):
+    # 1e-46 T^2 once read 0 in float32, and the run exited 1 with sample
+    # variance 0; scaled by its leading coefficient it is T^2, so the
+    # distances are those of T^2
     dists = {}
     for betas in ("0,0,1e-46", "0,0,1"):
         out = tmp_path / betas
@@ -599,7 +607,7 @@ def test_a_polynomial_of_tiny_coefficients_is_sampled_in_float64(tmp_path):
         dists[betas] = [float(r["empirical_dK"]) for r in read_rows(out / "clt_Z_d2_poly.csv")]
     assert dists["0,0,1e-46"] == pytest.approx(dists["0,0,1"], rel=0, abs=1e-6)
     summary = json.loads((tmp_path / "0,0,1e-46" / "clt_Z_d2_poly.manifest.json").read_text())["summary"]
-    assert summary["synthesis_dtype"] == "float64"
+    assert _reduction_dtypes(summary) == {"float32"}
 
 
 def test_a_chaos_of_zero_variance_leaves_the_sweep(tmp_path):

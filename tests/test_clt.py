@@ -17,7 +17,6 @@ from scipy.special import ndtr, ndtri
 from sphclt import clt
 from sphclt.clt import (
     BLOCK_VALUES,
-    SAMPLE_DTYPE,
     CltReport,
     CltRow,
     Functional,
@@ -160,8 +159,8 @@ def test_chunk_reduce_matches_per_replica_helpers(f, d):
                          + [Functional.of("Z", betas=BETAS)],
                          ids=[f"h{q}" for q in (*range(9), 16)] + ["Z"])
 def test_fused_reduce_matches_hermite_sums(f):
-    # Horner on the monomial coefficients against sum_j beta_j H_j(T) @ w by
-    # the Hermite recurrence, on fields of a grid exact for H_16 at ell = 8
+    # Clenshaw's rule on beta against sum_j beta_j H_j(T) @ w by the Hermite
+    # recurrence, on fields of a grid exact for H_16 at ell = 8
     d, ell = 2, 8
     grid = build_grid(d, 16 * ell)
     fields = _sample_batch(grid, ell, 23, range(8))
@@ -170,26 +169,33 @@ def test_fused_reduce_matches_hermite_sums(f):
     np.testing.assert_allclose(f.reduce(fields, grid.weights), oracle, rtol=0.0, atol=1e-13 * sd)
 
 
-def _plain_horner(monomial, fields, weights):
-    acc = monomial[-1] * fields
-    for c in monomial[-2:0:-1]:
-        acc = (acc + c) * fields
-    return ((acc + monomial[0])[..., None, :] @ weights)[..., 0]
-
-
 @pytest.mark.parametrize("f", [Functional.of("h", q=1), Functional.of("Z", betas=(0.5, 1.0)),
                                Functional.of("Z", betas=(0.0, 1.0)), Functional.of("Z", betas=(0.5, -2.0)),
                                Functional.of("h", q=3), Functional.of("Z", betas=BETAS),
                                Functional.of("Z", betas=(0.25, 0.0, -1.5, 0.0, 2.0))],
                          ids=["h1", "Z-T+c", "Z-T", "Z-linear", "h3", "Z", "Z-lead-2"])
 def test_reduce_is_plain_horner_bitwise(f):
-    # a unit leading coefficient starts Horner from the fields themselves; the
-    # linear p(T) = T + c included, and `fields` is left as it was
+    # h_3 runs Horner's ops in float32, square, add -3, multiply, in one
+    # buffer, bit for bit: the cost of the benchmark's sweeps; the other
+    # kinds meet the recurrence oracle.  Work buffers are written before
+    # they are read, and `fields` is left as it was
     grid = build_grid(2, 24)
     fields = _sample_batch(grid, 6, 31, range(4)).copy()
     kept = fields.copy()
-    for out in (None, np.full(fields.shape, np.nan)):
-        assert np.array_equal(f.reduce(fields, grid.weights, out), _plain_horner(f.monomial, fields, grid.weights))
+    if f.label == "h3":
+        fields, weights = fields.astype(np.float32), grid.weights.astype(np.float32)
+        kept, oracle = fields.copy(), (((np.square(fields) + (-3.0)) * fields)[:, None, :] @ weights)[:, 0]
+        assert f.buffers == 1
+    else:
+        weights = grid.weights
+        oracle = sum(b * (hermite(j, fields) @ weights) for j, b in enumerate(f.beta) if b)
+    sd = math.sqrt(f.variance(6, 2)) if len(f.beta) > 2 else 1.0
+    for work in (None, [np.full(fields.shape, np.nan, weights.dtype) for _ in range(f.buffers)]):
+        value = f.reduce(fields, weights, work)
+        if f.label == "h3":
+            assert np.array_equal(value, oracle)
+        else:
+            np.testing.assert_allclose(value, oracle, rtol=0.0, atol=1e-13 * sd)
         assert np.array_equal(fields, kept)
 
 
@@ -239,9 +245,10 @@ def test_blocks_equal_the_one_replica_path_bitwise(f, d, ell, replicas, block, f
     assert grid.folded == fold
     assert max(1, BLOCK_VALUES // _replica_values(grid, ell)) == block
     assert replicas % CHUNK != 0
-    weights = grid.weights.astype(np.float32)
+    weights, total = grid.weights.astype(np.float32), float(np.sum(grid.weights))
     with single_threaded_blas():
-        one = [f.reduce(_sample_batch(grid, ell, 13, (r,), dtype=np.float32), weights) for r in range(replicas)]
+        one = [f.reduce(_sample_batch(grid, ell, 13, (r,), dtype=np.float32), weights, total=total)
+               for r in range(replicas)]
     assert np.array_equal(_samples(f, grid, ell, 13, replicas, threads), np.concatenate(one))
 
 
@@ -253,21 +260,38 @@ def test_blocks_equal_the_one_replica_path_bitwise(f, d, ell, replicas, block, f
     (Functional.of("h", q=3), 2, 128), (Functional.of("h", q=2), 3, 12), (Functional.of("h", q=4), 4, 6),
     (Functional.of("Z", betas=BETAS), 2, 32), (Functional.of("Z", betas=BETAS), 3, 8),
     (Functional.of("Z", betas=(0.5, 0.0, -1.5, 0.0, 2.0)), 4, 4),
-    (Functional.of("h", q=8), 2, 32),   # the highest order sampled in float32: 1.5e-6 sigma
-    (Functional.of("h", q=8), 3, 6),    # 1.8e-6 sigma
-    # sampled in float64 as a whole: Horner in float32 is 0.17 sigma off at q = 30
+    (Functional.of("h", q=8), 2, 32), (Functional.of("h", q=8), 3, 6),
     (Functional.of("h", q=12), 2, 16), (Functional.of("h", q=30), 2, 8),
+    (Functional.of("h", q=9), 2, 8), (Functional.of("h", q=16), 2, 8), (Functional.of("h", q=20), 2, 8),
+    (Functional.of("h", q=37), 2, 8),  # the highest order in float32
+    (Functional.of("h", q=20), 3, 6),  # h_37 at (3, 6) needs more than NODE_BUDGET nodes
+    # an offset far above the spread, and coefficients near the float32 range and beyond
+    (Functional.of("Z", betas=(1e6, 0.0, 1.0)), 2, 8), (Functional.of("Z", betas=(0.0, 0.0, 1e36)), 2, 8),
+    (Functional.of("Z", betas=(0.0, 0.0, 1e-46)), 2, 8), (Functional.of("Z", betas=(0.0, 0.0, 1e-46, 0.0)), 2, 8),
 ], ids=["h3-d2-128", "h2-d3-12", "h4-d4-6", "Z-d2-32", "Z-d3-8", "Z-d4-4", "h8-d2-32", "h8-d3-6",
-        "h12-d2-16", "h30-d2-8"])
+        "h12-d2-16", "h30-d2-8", "h9-d2-8", "h16-d2-8", "h20-d2-8", "h37-d2-8", "h20-d3-6", "Z-offset-d2-8", "Z-huge-d2-8",
+        "Z-tiny-d2-8", "Z-tiny-trailing-0-d2-8"])
 def test_float32_samples_are_float64_ones_to_1e_5_sigma(f, d, ell):
     # the same draws in both precisions: the values differ by float32 rounding alone
     grid = f.grid(ell, d)
     single = _samples(f, grid, ell, 11, 100, 2)
     double = float64_samples(f, grid, ell, 11, 100)
+    assert f.reduction_dtype() == np.float32
     assert single.dtype == double.dtype == np.float64
     assert np.max(np.abs(single - double)) <= 1e-5 * math.sqrt(f.variance(ell, d))
-    if f.sample_dtype() == np.float64:
-        assert np.array_equal(single, double)
+
+
+@pytest.mark.parametrize("q", [60, 100, 150])
+def test_high_orders_reduce_their_float32_fields_in_float64(q):
+    # beyond the reach bound the float32 fields are reduced in float64; the
+    # float64 Horner form was 1.3e-3 sigma off at q = 100 and 7.4 sigma at 150
+    f, d, ell = Functional.of("h", q=q), 2, 2
+    grid = f.grid(ell, d)
+    assert f.reduction_dtype() == np.float64
+    with single_threaded_blas():
+        oracle = hermite(q, _sample_batch(grid, ell, 3, range(30))) @ grid.weights
+    values = _samples(f, grid, ell, 3, 30, 1)
+    assert np.max(np.abs(values - oracle)) <= 1e-5 * math.sqrt(f.variance(ell, d))
 
 
 @pytest.mark.parametrize("d, ell, z", [(2, 64, 1.0), (3, 8, 0.25)])
@@ -291,31 +315,25 @@ def test_float32_plans_hold_no_subnormal(d, ell):
         assert not np.any((table != 0.0) & (np.abs(table) < np.finfo(np.float32).tiny))
 
 
-def test_the_reduction_leaves_float32_where_horner_loses_its_digits():
-    # h_q is sampled in float32 up to q = 8; a constant reads c_0 * sum(w), and
-    # 1e6 + T^2 holds the variable part below the float32 rounding of 1e6
-    assert [Functional.of("h", q=q).sample_dtype() for q in range(11)] == \
-        [np.float64] + [np.float32] * 8 + [np.float64] * 2
-    assert Functional.of("S", z=1.0).sample_dtype() == np.float32
-    assert Functional.of("Z", betas=BETAS).sample_dtype() == np.float32
-    assert Functional.of("Z", betas=(1e6, 0.0, 1.0)).sample_dtype() == np.float64
-    # p(8) * mu_d would overflow a float32
-    assert Functional.of("Z", betas=(0.0, 0.0, 1e30)).sample_dtype() == np.float32
-    assert Functional.of("Z", betas=(0.0, 0.0, 1e36)).sample_dtype() == np.float64
-    # 1e-5 of the spread of c T^2, sqrt(2) |c|, must be a normal float32 (from 1.2e-38):
-    # below it subnormals drop digits, and from about 1e-45 p(T) reads 0
-    assert [Functional.of("Z", betas=(0.0, 0.0, c)).sample_dtype() for c in (1e-33, 8e-34, 1e-40, -1e-46)] == \
-        [np.float32] + [np.float64] * 3
+def test_the_reduction_leaves_float32_where_its_reach_bound_fails():
+    # 34 sum_{k>=1} |beta_k / scale| a_k(8) against the largest float32: h_q
+    # stays in float32 up to q = 37; constants are float64 in either precision,
+    # and beta / scale moves huge and tiny polynomials into range
+    assert [Functional.of("h", q=q).reduction_dtype() for q in range(45)] == \
+        [np.float32] * 38 + [np.float64] * 7
+    assert Functional.of("S", z=1.0).reduction_dtype() == np.float32
+    for betas in (BETAS, (1e6, 0.0, 1.0), (1e300, 0.0, 1.0), (0.0, 0.0, 1e36), (0.0, 0.0, -1e-46)):
+        assert Functional.of("Z", betas=betas).reduction_dtype() == np.float32
+    # the leading beta sets the scale: T^2 beside 1e-60 T^4 reads 1e60 T^2
+    assert Functional.of("Z", betas=(0.0, 0.0, 1.0, 0.0, 1e-60)).reduction_dtype() == np.float64
 
 
-def test_a_value_beyond_the_reduction_range_raises(monkeypatch):
-    # the range rule of `sample_dtype` overruled: the worker threads
-    # overflow without a warning, and the sampler raises; in float64 the
-    # same values are finite
-    f = Functional.of("Z", betas=(0.0, 0.0, 1e300))
-    assert np.all(np.isfinite(float64_samples(f, f.grid(4, 2), 4, 1, 150)))
-    monkeypatch.setattr(Functional, "sample_dtype", lambda self: SAMPLE_DTYPE)
-    with pytest.raises(NumericalError, match=r"Z at \(ell=4, d=2\) leaves the float32 range"):
+def test_a_value_beyond_the_reduction_range_raises():
+    # beta / scale is in range, but the scale overflows the float64 sums:
+    # the worker threads overflow without a warning, and the sampler raises
+    f = Functional.of("Z", betas=(0.0, 0.0, 1e308))
+    assert f.reduction_dtype() == np.float32
+    with pytest.raises(NumericalError, match=r"Z at \(ell=4, d=2\) leaves the float64 range"):
         _samples(f, f.grid(4, 2), 4, 1, 150, 2)
 
 
@@ -324,7 +342,7 @@ def test_odd_multipoles_drop_the_odd_powers():
     assert Functional.of("Z", betas=(0.0, 0.0, 1.0, 1e160)).at(3) == Functional.of("Z", betas=(0.0, 0.0, 1.0))
     assert Functional.of("Z", betas=(0.0, 0.0, 1.0, 1e160)).at(4) == Functional.of("Z", betas=(0.0, 0.0, 1.0, 1e160))
     f = Functional.of("h", q=3).at(5)
-    assert (f.beta, f.monomial) == ((0.0,), (0.0,))
+    assert f.beta == (0.0,)
     assert f.grid(5, 2).exact_degree == 1  # the degree of p = 0, not of H_3 at ell = 5
     assert np.array_equal(_samples(f, f.grid(5, 2), 5, 1, 5, 1), np.zeros(5))
 
