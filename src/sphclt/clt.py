@@ -4,9 +4,10 @@ One `Functional` spec defines each kind (Hermite functionals h_{ell;q},
 finite Hermite polynomials, the excursion area) by its grid degree,
 reduction, mean, variance and bound.  One function, `_samples`, draws
 the raw values for `simulate`, `clt` and `excursion` alike, on the rule
-that `Functional.grid` picks: fixed chunks of replicas go to the workers,
-and a chunk runs in blocks of replicas whose largest synthesis array holds
-about BLOCK_VALUES values, which fit in the L2 cache.  It synthesizes in
+that `Functional.grid` picks (folded wherever p(T) is even under x -> -x, as
+every h and Z row is): fixed chunks of replicas go to the workers, and a
+chunk runs in blocks of replicas whose largest synthesis array holds about
+BLOCK_VALUES values, which fit in the L2 cache.  It synthesizes in
 SAMPLE_DTYPE, float32, and reduces in it unless the values could leave its
 range (`Functional.reduction_dtype`): the distances of a few thousand
 replicas need nowhere near 16 digits, and float32 halves the time of the
@@ -50,9 +51,8 @@ from statistics import NormalDist
 
 import numpy as np
 
-# berry_esseen_bound has no caller here; perfbench/spans.py wraps this binding
+# berry_esseen_bound, variance_h and hermite have no caller here; perfbench/spans.py wraps these bindings
 from .contractions import berry_esseen_bound, poly_bound, polynomial_variance
-# variance_h has no caller here; perfbench/spans.py wraps this binding
 from .moments import fit_line, variance_h
 from .parallel import fixed_chunks, ordered_map
 from .simulate import (
@@ -65,7 +65,6 @@ from .simulate import (
     excursion_variance,
     fold_grid,
 )
-# hermite has no caller here; perfbench/spans.py wraps this binding
 from .specfun import (NumericalError, SphereDim, UsageError, ZeroVarianceError, float_factorial, hermite,
                       normal_cdf)
 
@@ -136,11 +135,14 @@ def monomial_to_hermite(b_coeffs) -> np.ndarray:
         raise UsageError(f"monomial degree {Q} exceeds conversion cap {HERMITE_CONVERSION_CAP}")
     beta = np.zeros_like(b)
     for q in range(Q + 1):
-        if b[q] == 0.0:
-            continue
         for k in range(q // 2 + 1):
             beta[q - 2 * k] += b[q] * _pairings(q, k)
     return beta
+
+
+def _trimmed(coeffs) -> tuple[float, ...]:
+    """`coeffs` as floats without trailing zeros; (0.0,) if all are 0."""
+    return tuple(map(float, np.trim_zeros(np.asarray(coeffs, dtype=float), "b"))) or (0.0,)
 
 
 def _hermite_betas(beta) -> dict[int, float]:
@@ -160,7 +162,7 @@ class Functional:
 
     kind: str                            # "h" | "Z" | "S"
     label: str                           # sample label: "h3", "Z", "S(z=1)"
-    beta: tuple[float, ...] | None = None  # Hermite coefficients (h, Z)
+    beta: tuple[float, ...] | None = None  # Hermite coefficients (h, Z), `_trimmed`: beta[-1] leads
     z: float | None = None               # level (S)
 
     @classmethod
@@ -175,7 +177,7 @@ class Functional:
                 raise UsageError("kind Z requires monomial coefficients betas (b0,b1,...)")
             if not all(math.isfinite(float(b)) for b in betas):
                 raise UsageError(f"betas must be finite, got {tuple(betas)}")
-            return cls("Z", "Z", beta=tuple(float(b) for b in monomial_to_hermite(betas)))
+            return cls("Z", "Z", beta=tuple(monomial_to_hermite(_trimmed(betas)).tolist()))
         if kind == "S":
             if z is None or not math.isfinite(z):
                 raise UsageError(f"kind S requires a finite level z, got {z}")
@@ -189,31 +191,28 @@ class Functional:
 
     def grid(self, ell: int, d: int) -> SphereGrid:
         """The rule `simulate` and the sweeps integrate on: `build_grid` to
-        `degree(ell)`, folded onto its northern half (`fold_grid`) for kinds
-        h and Z at even ell, where p(T) is even under x -> -x and the fold
-        is exact.  The indicator of kind S and odd ell keep the full grid."""
+        `degree(ell)`, folded onto its northern half (`fold_grid`) exactly
+        where p(T) is even under x -> -x, as T(-x) = (-1)^ell T(x) makes it
+        at even ell, and at odd ell where p has no odd chaos (every `at(ell)`
+        result).  The indicator of kind S keeps the full grid."""
         grid = build_grid(d, self.degree(ell))
-        return fold_grid(grid) if self.beta is not None and ell % 2 == 0 else grid
+        return fold_grid(grid) if self.beta is not None and (ell % 2 == 0 or not any(self.beta[1::2])) else grid
 
     def at(self, ell: int) -> Functional:
-        """The functional as it is evaluated on degree-ell fields; each row
-        of `simulate`, `clt` and `excursion` takes it before its grid.  At
-        odd ell T(-x) = -T(x), so every odd H_k(T) integrates to 0 on the
-        sphere: p keeps its even chaoses alone, and its grid is exact to
-        their degree.  The odd chaoses have zero variance there, and their
-        rounding noise goes with them, however large their coefficients (as
+        """The functional as each row of `simulate`, `clt` and `excursion`
+        evaluates it on degree-ell fields.  At odd ell T(-x) = -T(x), so every
+        odd H_k(T) integrates to 0: p keeps its even chaoses alone, and its
+        grid is exact to their degree and folded.  The odd chaoses take their
+        rounding noise with them, however large their coefficients (as
         `poly_bound` drops them from the bound)."""
         if self.beta is None or ell % 2 == 0:
             return self
-        kept = [0.0 if k % 2 else b for k, b in enumerate(self.beta)]
-        while len(kept) > 1 and kept[-1] == 0.0:
-            kept.pop()
-        return replace(self, beta=tuple(kept))
+        return replace(self, beta=_trimmed([0.0 if k % 2 else b for k, b in enumerate(self.beta)]))
 
     @functools.cached_property
     def _clenshaw(self) -> tuple[float, tuple, int | None, int, float]:
         """(scale, ops, slot of the sum, buffers, reach) of Clenshaw's rule on
-        c = beta / scale, scale the leading nonzero beta.  An op is (ufunc,
+        c = beta / scale, scale = beta[-1].  An op is (ufunc,
         arguments, out), an argument a float or a slot: 0 is T, 1.. the
         buffers.  Each b_k is an array part (a buffer, T or nothing) and a
         float, so a constant costs a pass only where T multiplies it, and
@@ -222,7 +221,7 @@ class Functional:
         sum over the nodes runs over an integrand of mean about 0 (beside
         He_20(0) = 6.5e8 it put h_20 1.6e-5 sigma off at (3, 6)); H_3 runs
         Horner's ops.  reach = sum_{k>=1} |c_k| a_k(8) by the same rule."""
-        scale = next((b for b in reversed(self.beta) if b != 0.0), 1.0)
+        scale = self.beta[-1]
         T, ops, free, count = 0, [], [], 0
         prev = last = (None, 0.0, 0.0)  # b_{k+1} and b_{k+2}, with their reach sums
         for k in range(len(self.beta) - 1, -1, -1):

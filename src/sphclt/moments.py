@@ -15,11 +15,12 @@ Powers of G are expanded in the orthogonal Gegenbauer family,
     G_{ell;d}(t)^p = sum_k b_k^{(p)} G_{k;d}(t),    k = 0 .. p*ell,
 one power at a time as G^p = G^{p-1} G_ell.  The product of two Gegenbauer
 polynomials is a finite sum of them with positive coefficients in closed form
-(Rogers-Dougall, DLMF 18.18.22), so every b_k is a sum of positive terms,
-accurate to about 1e-14 relative, in O(p*ell) memory.  G^2 takes one O(ell)
-pass; each higher power costs O(ell) per nonzero coefficient of the one below.
-The single coefficient b_ell^{(p)} is one row of the last product: O(ell)
-terms over G^{p-1} (`dougall_row`).
+(Rogers-Dougall, DLMF 18.18.22), so every b_k is a sum of positive terms, in
+O(p*ell) memory, to a relative error that grows like p*ell: 1.2e-17 p*ell at
+most against the exact integers of d = 3 (1.1e-13 at (ell, p) = (4096, 3)).
+G^2 takes one O(ell) pass; each higher power costs O(ell) per nonzero
+coefficient of the one below.  The single coefficient b_ell^{(p)} is one row
+of the last product: O(ell) terms over G^{p-1} (`dougall_row`).
 The G_k are orthogonal, with integral mu_d / (mu_{d-1} n_{k;d}) of G_k^2, so
     Var[h_{ell;q,d}] = q! mu_d^2 sum_k b_k^{(r)} b_k^{(q-r)} / n_{k;d}
 for any 1 <= r < q.  At r = floor(q/2) every term is positive and only degree

@@ -8,16 +8,16 @@ exact degree D integrates every polynomial of degree <= D on the sphere
 exactly, so Hermite functionals of a degree-ell field are quadrature-exact
 whenever q*ell <= D.
 
-Kinds h and Z at even ell integrate on half of that grid (`fold_grid`).  A
-degree-ell field has T(-x) = (-1)^ell T(x), so at even ell every p(T) is even
-under x -> -x.  The south ring at -t, a copy of the sub-grid scaled by
-sin theta, holds the same polynomial in the sub-sphere's coordinates as the
-north ring at t, reflected by xi -> -xi; the sub-grid integrates both
-exactly, and exactly alike, up to its exact degree.  So the colatitude nodes
-t > 0 with doubled weights, and t = 0 with its own, integrate every even
-polynomial of degree <= D exactly, and the sampler never synthesizes the
-south half.  The indicator of kind S is not a polynomial and odd ell breaks
-the symmetry, so both keep the full grid.
+Integrands even under x -> -x integrate on half of that grid (`fold_grid`).
+The south ring at -t, a copy of the sub-grid scaled by sin theta, holds the
+same polynomial in the sub-sphere's coordinates as the north ring at t,
+reflected by xi -> -xi; the sub-grid integrates both exactly, and exactly
+alike, up to its exact degree.  So the colatitude nodes t > 0 with doubled
+weights, and t = 0 with its own, integrate every even polynomial of degree
+<= D exactly, and the sampler never synthesizes the south half.  As T(-x) =
+(-1)^ell T(x), p(T) is even at even ell, and at odd ell if p has no odd chaos:
+`clt.Functional.grid` folds exactly then, as for every h and Z row.  The
+indicator of kind S is not a polynomial: it keeps the full grid.
 
 Fields are unit variance with covariance G_{ell;d}(cos distance).  One
 recursion synthesizes them for every d, because hyperspherical harmonics
@@ -308,8 +308,6 @@ def _synthesis_plan(grid: SphereGrid, ell: int, dtype=np.float64):
     dtype = np.dtype(dtype)
     plans = _PLANS.setdefault(grid, {})
     if dtype not in plans.get(ell, {}):
-        if grid.folded and ell % 2:
-            raise UsageError(f"a folded grid holds even integrands alone; fields of odd ell={ell} are not")
         _replica_values(grid, ell)  # raises before any table is built
         lams = [_table(_profile_stack(ell, level.dim, level.colat_t, ell if level is grid else 0), dtype)
                 for level in _levels(grid)]

@@ -13,6 +13,8 @@
   `sphclt.moments.expand_power`.
 - `dougall_exact`: one Rogers-Dougall coefficient in exact rationals, the
   reference for the variance sums at large d.
+- `chebyshev_multiplicities`: the integer form of G_ell^p at d = 3, the
+  exact reference of `sphclt.moments.expand_power` there at every p.
 - `fft_moment`: the moment integral of G^q by one FFT of its samples, an
   independent check of `sphclt.moments.gegenbauer_moment`, accurate in
   absolute terms (about 1e-16 times the size of G) at any ell.
@@ -199,6 +201,26 @@ def dougall_exact(j: int, ell: int, s: int, d: int) -> Fraction:
     return ((n + lam - 2 * s) / (n + lam - s) * a(s) * a(j - s) * a(ell - s)
             * _rising(2 * lam, n - s) / _rising(lam, n - s)
             * math.factorial(j) * math.factorial(ell) / (_rising(2 * lam, j) * _rising(2 * lam, ell)))
+
+
+def chebyshev_multiplicities(ell: int, p: int) -> np.ndarray:
+    """m_p(0..p*ell), Python ints, with U_ell^p = sum_j m_p(j) U_j.
+
+    At d = 3, G_ell = U_ell / (ell+1), U the Chebyshev polynomials of the
+    second kind, so b_j^(p) = m_p(j) (j+1) / (ell+1)^p exactly.  The SU(2)
+    Clebsch-Gordan rule U_i U_ell = sum_{k <= min(i, ell)} U_{i+ell-2k} gives
+        m_p(j) = sum of m_{p-1}(i) over i = |j-ell|, |j-ell|+2, .., j+ell,
+    one box convolution per power, each a difference of step-2 prefix sums."""
+    m = np.zeros(ell + 1, dtype=object)
+    m[ell] = 1
+    for _ in range(p - 1):
+        j = np.arange(m.size + ell)
+        # prefix[i + 2] = m(i) + m(i-2) + ..., m taken as 0 beyond its degree
+        prefix = np.zeros(m.size + 3 * ell + 2, dtype=object)
+        prefix[2:m.size + 2] = m
+        prefix[2::2], prefix[3::2] = np.cumsum(prefix[2::2]), np.cumsum(prefix[3::2])
+        m = prefix[j + ell + 2] - prefix[np.abs(j - ell)]
+    return m
 
 
 def _cosine_coeffs(ell: int, d: int) -> np.ndarray:

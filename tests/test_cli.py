@@ -502,12 +502,12 @@ def test_manifests_describe_the_rule_they_integrated_on(tmp_path):
     grid = json.loads((tmp_path / "simulate_h_d2_ell8.manifest.json").read_text())["summary"]["grid"]
     assert grid == {"d": 2, "n_nodes": 25 * 7, "exact_degree": 24, "folded": True,
                     "weight_sum": pytest.approx(4 * math.pi, rel=1e-12, abs=0)}
-    # odd ell keeps the full rule
+    # so does h_2 at odd ell, an even integrand all the same
     run_cli("clt", "--kind", "h", "--q", "2", "--d", "3", "--ell", "3,4",
             "--reps", "200", "--seed", "1", "--out-dir", str(tmp_path))
     grids = json.loads((tmp_path / "clt_h_d3_q2.manifest.json").read_text())["summary"]["grids"]
     assert [(g["ell"], g["n_nodes"], g["exact_degree"], g["folded"]) for g in grids] == [
-        (3, 7 * 4 * 4, 6, False), (4, 9 * 5 * 3, 8, True)]
+        (3, 7 * 4 * 2, 6, True), (4, 9 * 5 * 3, 8, True)]
     run_cli("excursion", "--d", "2", "--z", "1", "--ell", "3,4",
             "--reps", "200", "--seed", "1", "--out-dir", str(tmp_path))
     grids = json.loads((tmp_path / "excursion_d2_z1.manifest.json").read_text())["summary"]["grids"]
@@ -528,7 +528,7 @@ def test_manifest_echoes_the_keys_its_command_takes(tmp_path, args, base):
 
 
 @pytest.mark.parametrize("args, code, err", [
-    # ell = 3 integrates on the full rule, 4 on the folded one
+    # ell = 3 and 4 both integrate on the folded rule
     (("clt", "--kind", "h", "--q", "2", "--d", "3", "--ell", "3,4", "--reps", "200"), 0, ""),
     (("clt", "--kind", "h", "--q", "3", "--ell", "5,7", "--reps", "200"), 2,
      "h3 has zero variance at (ell=5, d=2)"),
@@ -620,6 +620,23 @@ def test_a_chaos_of_zero_variance_leaves_the_sweep(tmp_path):
                        "--seed", "1", "--out-dir", str(out)) == 0
         rows[betas] = (out / "clt_Z_d2_poly.csv").read_text()
     assert rows["0,0,1,1e160"] == rows["0,0,1,0"]
+
+
+def test_trailing_zero_coefficients_change_neither_grid_nor_values(tmp_path):
+    # b without trailing zeros sizes the grid: 0,0,1,0 once integrated on a
+    # degree-3 ell grid of 52 nodes, 7th-digit apart from 0,0,1 on 27; and
+    # 18 entries of T^2 once exceeded the monomial conversion cap of 16
+    runs = {}
+    for betas in ("0,0,1", "0,0,1,0", "0,0,1" + ",0" * 15):
+        out = tmp_path / str(len(betas))
+        assert run_cli("simulate", "--kind", "Z", "--betas", betas, "--ell", "4", "--reps", "5",
+                       "--seed", "2", "--out-dir", str(out)) == 0
+        grid = json.loads((out / "simulate_Z_d2_ell4.manifest.json").read_text())["summary"]["grid"]
+        rows = read_rows(out / "simulate_Z_d2_ell4.csv")
+        runs[betas] = grid, [(r["raw"], r["normalized"]) for r in rows]
+    (grid, values), *others = runs.values()
+    assert (grid["exact_degree"], grid["n_nodes"], grid["folded"]) == (8, 27, True)
+    assert all(other == (grid, values) for other in others)
 
 
 def test_cli_determinism_across_threads(tmp_path):

@@ -268,12 +268,15 @@ def test_blocks_equal_the_one_replica_path_bitwise(f, d, ell, replicas, block, f
     # an offset far above the spread, and coefficients near the float32 range and beyond
     (Functional.of("Z", betas=(1e6, 0.0, 1.0)), 2, 8), (Functional.of("Z", betas=(0.0, 0.0, 1e36)), 2, 8),
     (Functional.of("Z", betas=(0.0, 0.0, 1e-46)), 2, 8), (Functional.of("Z", betas=(0.0, 0.0, 1e-46, 0.0)), 2, 8),
+    # odd ell, on the folded rule as well (at most 1.8e-6 sigma)
+    (Functional.of("h", q=4), 2, 65), (Functional.of("Z", betas=BETAS), 3, 7), (Functional.of("h", q=4), 4, 5),
 ], ids=["h3-d2-128", "h2-d3-12", "h4-d4-6", "Z-d2-32", "Z-d3-8", "Z-d4-4", "h8-d2-32", "h8-d3-6",
         "h12-d2-16", "h30-d2-8", "h9-d2-8", "h16-d2-8", "h20-d2-8", "h37-d2-8", "h20-d3-6", "Z-offset-d2-8", "Z-huge-d2-8",
-        "Z-tiny-d2-8", "Z-tiny-trailing-0-d2-8"])
+        "Z-tiny-d2-8", "Z-tiny-trailing-0-d2-8", "h4-d2-65", "Z-d3-7", "h4-d4-5"])
 def test_float32_samples_are_float64_ones_to_1e_5_sigma(f, d, ell):
     # the same draws in both precisions: the values differ by float32 rounding alone
     grid = f.grid(ell, d)
+    assert grid.folded
     single = _samples(f, grid, ell, 11, 100, 2)
     double = float64_samples(f, grid, ell, 11, 100)
     assert f.reduction_dtype() == np.float32

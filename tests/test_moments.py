@@ -25,6 +25,7 @@ except ImportError:  # the oracle tests skip themselves
 
 from sphclt.cli import main as cli_main
 from sphclt.moments import (
+    DEGREE_CAP,
     MOMENT_DEGREE_CAP,
     DegreeCapError,
     DivergentIntegralError,
@@ -38,7 +39,7 @@ from sphclt.moments import (
 )
 from sphclt.specfun import SphereDim, dim_harmonics
 
-from oracles import dougall_exact, fft_moment, half_moment_exact
+from oracles import chebyshev_multiplicities, dougall_exact, fft_moment, half_moment_exact
 
 MU = {d: SphereDim(d) for d in (2, 3, 4, 5)}
 
@@ -321,6 +322,21 @@ def test_square_expansion_against_exact_rationals(ell, d):
     exact = np.array([float(dougall_exact(ell, ell, int(i), d)) for i in s])
     rel = np.abs(expand_power(ell, 2, d)[2 * ell - 2 * s] / exact - 1.0)
     assert rel.max() <= 5e-14
+
+
+@pytest.mark.parametrize("ell, p", [(64, 2), (64, 3), (257, 3), (1024, 3), (6144, 2), (4096, 3), (3072, 4),
+                                     (2457, 5), (2048, 6)])
+def test_d3_expansions_against_exact_multiplicities_to_the_degree_cap(ell, p):
+    # b_j^(p) = m_p(j) (j+1) / (ell+1)^p at d = 3, correctly rounded from the
+    # integers; the error grows about linearly in p*ell (1.2e-17 p*ell at most,
+    # at (64, 2); 1.1e-13 at (4096, 3)), and every parity zero is exactly 0
+    m = chebyshev_multiplicities(ell, p)
+    exact = np.array([int(c) * (j + 1) / (ell + 1) ** p for j, c in enumerate(m)])
+    b = expand_power(ell, p, 3)
+    assert p * ell <= DEGREE_CAP and b.shape == exact.shape
+    zero = exact == 0.0
+    assert np.array_equal(zero, np.arange(b.size) % 2 != (p * ell) % 2) and np.all(b[zero] == 0.0)
+    assert np.max(np.abs(b[~zero] / exact[~zero] - 1.0)) <= 2e-17 * p * ell
 
 
 @pytest.mark.skipif(mpmath is None, reason="needs mpmath")

@@ -137,7 +137,11 @@ def test_folded_rule_equals_the_full_rule_on_even_monomials(d, degree):
     (Functional.of("Z", betas=(0.5, 0.0, 1.0, 0.0, 1.0)), 2, 8),
     (Functional.of("Z", betas=(0.5, 0.0, 1.0, 0.0, 1.0)), 3, 6),
     (Functional.of("Z", betas=(0.5, 0.0, 1.0, 0.0, 1.0)), 4, 4),
-], ids=["h2-d2", "h3-d2", "h4-d2", "Z-d2", "Z-d3", "Z-d4"])
+    # odd ell: T(-x) = -T(x), and p(T) is even all the same where p has no odd chaos
+    (Functional.of("h", q=4), 2, 33), (Functional.of("h", q=4), 2, 65),
+    (Functional.of("Z", betas=(0.5, 0.0, 1.0, 0.0, 1.0)), 3, 7),
+    (Functional.of("h", q=2), 3, 11), (Functional.of("h", q=4), 4, 5),
+], ids=["h2-d2", "h3-d2", "h4-d2", "Z-d2", "Z-d3", "Z-d4", "h4-d2-33", "h4-d2-65", "Z-d3-7", "h2-d3-11", "h4-d4-5"])
 def test_folded_samples_agree_with_the_full_rule(f, d, ell):
     # the same fields, integrated on half the nodes: equal up to rounding
     folded = f.grid(ell, d)
@@ -149,20 +153,25 @@ def test_folded_samples_agree_with_the_full_rule(f, d, ell):
     assert np.max(np.abs(raw_fold - raw_full)) <= 1e-12 * sd
 
 
-@pytest.mark.parametrize("f, ell", [
-    (Functional.of("S", z=1.0), 8), (Functional.of("S", z=0.0), 16),
-    (Functional.of("h", q=2), 5), (Functional.of("Z", betas=(0.0, 0.0, 1.0)), 7),
+@pytest.mark.parametrize("f, ell, fold", [
+    (Functional.of("S", z=1.0), 8, False), (Functional.of("S", z=0.0), 16, False),
+    (Functional.of("h", q=2), 5, True), (Functional.of("Z", betas=(0.0, 0.0, 1.0)), 7, True),
 ], ids=["S-8", "S-16", "h-odd", "Z-odd"])
-def test_kind_S_and_odd_ell_never_fold(f, ell):
-    grid = f.grid(ell, 2)
-    assert not grid.folded
-    assert grid.n_nodes == build_grid(2, f.degree(ell)).n_nodes
+def test_kind_S_and_odd_ell_never_fold(f, ell, fold):
+    # the one fold rule: kind S never folds; h_2 and T^2 at odd ell are even
+    # integrands, as T(-x) = -T(x), and fold onto half the nodes
+    grid, full = f.grid(ell, 2), build_grid(2, f.degree(ell))
+    assert grid.folded == fold and grid.exact_degree == full.exact_degree
+    assert grid.colat_t.size == ((full.colat_t.size + 1) // 2 if fold else full.colat_t.size)
+    assert grid.n_nodes == grid.colat_t.size * full.n_phi
 
 
 def test_a_folded_grid_refuses_odd_fields():
-    folded = Functional.of("h", q=2).grid(8, 2)
-    with pytest.raises(UsageError):
-        _sample_batch(folded, 5, 1, range(2))
+    # h_3 at odd ell is odd under x -> -x: its grid stays full, while the
+    # functional each row evaluates, `at(ell)`, has lost its odd chaos and folds
+    f = Functional.of("h", q=3)
+    assert not f.grid(5, 2).folded
+    assert f.at(5).beta == (0.0,) and f.at(5).grid(5, 2).folded
 
 
 # ------------------------------------------------------------------
